@@ -82,11 +82,13 @@ fuzz:
 cover:
 	$(GO) test -cover ./... > cover.out || { cat cover.out; rm -f cover.out; exit 1; }
 	$(GO) run ./cmd/covercheck -in cover.out \
+		-floor gpuport/internal/analysis,94 \
 		-floor gpuport/internal/apps,90 \
 		-floor gpuport/internal/conform,88 \
 		-floor gpuport/internal/cost,92 \
 		-floor gpuport/internal/cost/columnar,95 \
 		-floor gpuport/internal/irgl,89 \
+		-floor gpuport/internal/measure,86 \
 		-floor gpuport/internal/obs/tsdb,90 \
 		-floor gpuport/internal/server,85 \
 		-floor gpuport/internal/staticlint,92
@@ -109,9 +111,8 @@ serve-smoke:
 # evaluates request-latency / queue-wait / cache-hit floors against the
 # captured telemetry stream with `obsview slo`, proves the gate trips
 # on an injected latency regression, and records the observations as
-# BENCH_obs.json via benchcheck (the serve job's copy carries the SLO
-# block; the bench job's carries the span-overhead bound). Leaves
-# slo-report.txt behind for upload.
+# BENCH_slo.json via benchcheck. Leaves slo-report.txt behind for
+# upload.
 obs-slo: serve-smoke
 	BENCHMD='$(BENCHMD)' ./scripts/obs_slo.sh
 

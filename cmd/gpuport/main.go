@@ -83,6 +83,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 
 	"gpuport/internal/analysis"
 	"gpuport/internal/apps"
@@ -179,8 +180,12 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 		Checkpoint: *resume,
 		Obs:        rec,
 	}
+	// -v: live progress and the per-stage summary, on stderr only -
+	// wall-clock is not reproducible output.
+	var progress io.Writer
 	if *verbose {
-		opts.Progress = os.Stderr
+		progress = os.Stderr
+		opts.Notify = progressSink(progress)
 	}
 	if *cacheDir != "" {
 		store, err := tracecache.Open(*cacheDir, int64(*cacheMB)<<20)
@@ -190,10 +195,10 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 		opts.TraceCache = store.SetObs(rec)
 	}
 	loader := func() (*study.Study, error) {
-		return loadOrCollect(*inFile, *outFile, opts)
+		return loadOrCollect(*inFile, *outFile, opts, progress)
 	}
 
-	runErr := dispatch(rest, w, *seed, *inFile, *outFile, opts, loader)
+	runErr := dispatch(rest, w, *seed, *inFile, *outFile, opts, progress, loader)
 	if err := writeObsExports(rec, *obsTrace, *obsMetrics); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -251,7 +256,7 @@ func writeMemProfile(path string) error {
 
 // dispatch executes one subcommand. Split from runCtx so the
 // observability exports and profiles wrap every path uniformly.
-func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, opts measure.Options, loader func() (*study.Study, error)) error {
+func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, opts measure.Options, progress io.Writer, loader func() (*study.Study, error)) error {
 	switch rest[0] {
 	case "all":
 		s, err := loader()
@@ -340,7 +345,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if path == "" {
 			path = "REPORT.md"
 		}
-		s, err := loadOrCollect(inFile, "", opts)
+		s, err := loadOrCollect(inFile, "", opts, progress)
 		if err != nil {
 			return err
 		}
@@ -476,7 +481,22 @@ func parseDims(name string) (analysis.Dims, error) {
 	return analysis.Dims{}, fmt.Errorf("unknown specialisation %q (try global, chip, app, input, chip_app, ...)", name)
 }
 
-func loadOrCollect(inFile, outFile string, opts measure.Options) (*study.Study, error) {
+// progressSink is the -v measure.Options.Notify sink: one
+// "<phase> <done>/<total>" line per event. Notify fires from worker
+// goroutines, so the mutex keeps lines from interleaving.
+func progressSink(w io.Writer) func(phase string, done, total int) {
+	var mu sync.Mutex
+	return func(phase string, done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, "%s %d/%d\n", phase, done, total)
+	}
+}
+
+// loadOrCollect reads the dataset from inFile or collects it, saving it
+// to outFile when set. A non-nil progress writer receives the
+// collection's per-stage summary.
+func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Writer) (*study.Study, error) {
 	if inFile != "" {
 		f, err := os.Open(inFile)
 		if err != nil {
@@ -493,14 +513,13 @@ func loadOrCollect(inFile, outFile string, opts measure.Options) (*study.Study, 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Progress != nil {
+	if progress != nil {
 		// -v: stage wall-clock (trace vs sweep vs assemble) and cache
-		// counters go to the progress stream, never the report proper -
-		// wall-clock is not reproducible output.
+		// counters go to the progress stream, never the report proper.
 		if rep := s.Report(); rep != nil {
 			// Progress logging is advisory; a broken -v stream must not
 			// abort the collection whose results are already in hand.
-			_ = rep.Pipeline.Format(opts.Progress)
+			_ = rep.Pipeline.Format(progress)
 		}
 	}
 	if outFile != "" {

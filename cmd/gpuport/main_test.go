@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"gpuport/internal/apps"
+	"gpuport/internal/chip"
+	"gpuport/internal/graph"
+	"gpuport/internal/measure"
 )
 
 // The dataset-generating commands share one CSV written once, so the
@@ -123,6 +130,8 @@ func TestPredictCommand(t *testing.T) {
 	}
 }
 
+// TestReportCommand renders the full seed-42 report and requires it to
+// be byte-identical to the committed REPORT.md golden.
 func TestReportCommand(t *testing.T) {
 	csv := sharedCSV(t)
 	dir := t.TempDir()
@@ -131,15 +140,51 @@ func TestReportCommand(t *testing.T) {
 	if !strings.Contains(out, "report written") {
 		t.Fatalf("output: %q", out)
 	}
-	data, err := os.ReadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	md := string(data)
-	for _, want := range []string{"# gpuport study report", "**Table IX", "sampling sufficiency", "Leave-one-chip-out"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("report missing %q", want)
+	want, err := os.ReadFile(filepath.Join("..", "..", "REPORT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rendered report (%d bytes) differs from REPORT.md (%d bytes) at line %d; "+
+			"if the change is intended, regenerate it with `go run ./cmd/gpuport report`",
+			len(got), len(want), firstDiffLine(got, want))
+	}
+}
+
+// firstDiffLine returns the 1-based line on which a and b first differ.
+func firstDiffLine(a, b []byte) int {
+	line := 1
+	for i := 0; i < len(a) && i < len(b) && a[i] == b[i]; i++ {
+		if a[i] == '\n' {
+			line++
 		}
+	}
+	return line
+}
+
+// TestProgressSink drives a small collection through the -v progress
+// sink: one whole "<phase> <done>/<total>" line per completed unit.
+func TestProgressSink(t *testing.T) {
+	var buf bytes.Buffer
+	o := measure.Options{
+		Chips:   chip.All()[:2],
+		Apps:    apps.All()[:2],
+		Inputs:  []*graph.Graph{graph.GenerateUniform("p-rand", 300, 4, 1)},
+		Workers: 2,
+		Notify:  progressSink(&buf),
+	}
+	if _, err := measure.Collect(o); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	sort.Strings(got)
+	want := []string{"sweep 1/4", "sweep 2/4", "sweep 3/4", "sweep 4/4", "trace 1/2", "trace 2/2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("progress lines = %q, want %q in some order", got, want)
 	}
 }
 

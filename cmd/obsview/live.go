@@ -373,14 +373,12 @@ func floorCell(v float64, unit string) string {
 	return fmt.Sprintf("%.3f%s", v, unit)
 }
 
-// writeSLOBench records the observations and their floors as go-bench
-// lines, the format benchcheck folds and gates. Floors ride along as
-// "-floor" twins so a -maxratio gate can assert observed <= floor (or,
-// for the hit ratio, floor <= observed) without hardcoding numbers in
-// two places. Values are clamped to >= 1: benchcheck rejects zero
-// ns/op, and the ratio-style metrics are scaled by 1e6 to survive the
-// integer format. Names avoid trailing "-<digits>" (benchcheck strips
-// those as GOMAXPROCS suffixes).
+// writeSLOBench records the observations as go-bench lines, the format
+// benchcheck folds into a BENCH record. The floors are not repeated
+// there: slo itself already fails on any breach. Values are clamped to
+// >= 1: benchcheck rejects zero ns/op, and the ratio-style metrics are
+// scaled by 1e6 to survive the integer format. Names avoid trailing
+// "-<digits>" (benchcheck strips those as GOMAXPROCS suffixes).
 func writeSLOBench(cfg sloConfig, p50, p99, queueP99 int64, hitRatio float64) error {
 	clamp := func(v int64) int64 {
 		if v < 1 {
@@ -393,12 +391,8 @@ func writeSLOBench(cfg sloConfig, p50, p99, queueP99 int64, hitRatio float64) er
 		fmt.Fprintf(&b, "BenchmarkSLO/%s 1 %d ns/op\n", name, clamp(v))
 	}
 	line(cfg.endpoint+"-latency-p50", p50)
-	line(cfg.endpoint+"-latency-p50-floor", int64(cfg.p50MS*nsPerMS))
 	line(cfg.endpoint+"-latency-p99", p99)
-	line(cfg.endpoint+"-latency-p99-floor", int64(cfg.p99MS*nsPerMS))
 	line("queue-wait-p99", queueP99)
-	line("queue-wait-p99-floor", int64(cfg.queueP99MS*nsPerMS))
 	line("cache-hit-permicro", int64(hitRatio*1e6))
-	line("cache-hit-permicro-floor", int64(cfg.cacheHitMin*1e6))
 	return os.WriteFile(cfg.benchPath, []byte(b.String()), 0o644)
 }

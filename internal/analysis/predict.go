@@ -102,7 +102,7 @@ func CrossValidate(d *dataset.Dataset, dim LOODimension) []LOOResult {
 		train := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) != held })
 		test := improvableSubset(d, d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held }))
 
-		spec := specialiseTuples(d, trainDims, train)
+		spec := specialise(d, trainDims, train, true)
 		table := make(map[PartitionKey]opt.Config, len(spec.Partitions))
 		for _, p := range spec.Partitions {
 			table[p.Key] = p.Config

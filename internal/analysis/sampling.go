@@ -7,8 +7,6 @@ package analysis
 // well the subsampled recommendations agree with the full-data ones.
 
 import (
-	"sort"
-
 	"gpuport/internal/dataset"
 	"gpuport/internal/opt"
 	"gpuport/internal/stats"
@@ -57,7 +55,7 @@ func SamplingCurve(d *dataset.Dataset, dims Dims, fractions []float64, trials in
 			for i := 0; i < n; i++ {
 				subset[i] = tuples[perm[i]]
 			}
-			sub := specialiseTuples(d, dims, subset)
+			sub := specialise(d, dims, subset, true)
 			agree, undecided := compareDecisions(fullDec, sub)
 			sumAgree += agree
 			sumUndecided += undecided
@@ -70,43 +68,6 @@ func SamplingCurve(d *dataset.Dataset, dims Dims, fractions []float64, trials in
 		out = append(out, pt)
 	}
 	return out
-}
-
-// specialiseTuples runs Algorithm 1 over an explicit tuple subset.
-func specialiseTuples(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple) *Specialisation {
-	parts := map[PartitionKey][]dataset.Tuple{}
-	var order []PartitionKey
-	for _, t := range tuples {
-		k := dims.keyFor(t)
-		if _, ok := parts[k]; !ok {
-			order = append(order, k)
-		}
-		parts[k] = append(parts[k], t)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		return a.Input < b.Input
-	})
-	spec := &Specialisation{Dims: dims}
-	table := make(map[PartitionKey]opt.Config, len(order))
-	for _, k := range order {
-		p := Partition{Key: k, Tuples: parts[k]}
-		p.Decisions = OptsForPartition(d, p.Tuples)
-		p.Config = configFromDecisions(p.Decisions)
-		table[k] = p.Config
-		spec.Partitions = append(spec.Partitions, p)
-	}
-	spec.Strategy = &Strategy{
-		Name: dims.Name() + "-sampled",
-		pick: func(t dataset.Tuple) opt.Config { return table[dims.keyFor(t)] },
-	}
-	return spec
 }
 
 type decisionKey struct {

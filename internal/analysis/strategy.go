@@ -183,7 +183,7 @@ type Specialisation struct {
 // Specialise partitions d along dims and derives a recommendation per
 // partition (Algorithm 1, SPECIALISE_FOR_*).
 func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
-	return specialise(d, dims, true)
+	return specialise(d, dims, d.Tuples(), true)
 }
 
 // SpecialiseUngated is the ablation variant of Specialise that skips
@@ -192,13 +192,14 @@ func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
 // buys (see BenchmarkAblationSignificanceGate); it is not part of the
 // paper's methodology.
 func SpecialiseUngated(d *dataset.Dataset, dims Dims) *Specialisation {
-	return specialise(d, dims, false)
+	return specialise(d, dims, d.Tuples(), false)
 }
 
-func specialise(d *dataset.Dataset, dims Dims, gated bool) *Specialisation {
+// specialise runs Algorithm 1 over tuples, partitioned along dims.
+func specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple, gated bool) *Specialisation {
 	parts := map[PartitionKey][]dataset.Tuple{}
 	var order []PartitionKey
-	for _, t := range d.Tuples() {
+	for _, t := range tuples {
 		k := dims.keyFor(t)
 		if _, ok := parts[k]; !ok {
 			order = append(order, k)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"strconv"
 
 	"gpuport/internal/dataset"
@@ -95,8 +94,6 @@ type Env struct {
 	// Obs receives the execution's stage timings, counters and spans.
 	// Give each execution its own recorder for per-job isolation.
 	Obs *obs.Recorder
-	// Progress receives one line per traced (app, input) pair.
-	Progress io.Writer
 	// Notify receives coarse progress events (see Options.Notify).
 	Notify func(phase string, done, total int)
 	// Checkpoint names the CSV shard file making the execution
@@ -125,9 +122,6 @@ func (c *Campaign) Run(ctx context.Context, env Env) (*dataset.Dataset, *Report,
 	}
 	if env.Obs != nil {
 		o.Obs = env.Obs
-	}
-	if env.Progress != nil {
-		o.Progress = env.Progress
 	}
 	if env.Notify != nil {
 		o.Notify = env.Notify

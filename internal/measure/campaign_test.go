@@ -46,7 +46,7 @@ func TestCampaignFingerprintIgnoresBindings(t *testing.T) {
 	base := NewCampaign(o).Fingerprint()
 	o.Workers = 7
 	o.Checkpoint = "x.csv"
-	o.Progress = &bytes.Buffer{}
+	o.Notify = func(string, int, int) {}
 	if got := NewCampaign(o).Fingerprint(); got != base {
 		t.Fatalf("runtime bindings changed the fingerprint")
 	}

@@ -211,18 +211,6 @@ func TestContextCancelledBeforeSweep(t *testing.T) {
 	}
 }
 
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("pipe burst") }
-
-func TestProgressWriteErrorPropagates(t *testing.T) {
-	o := smallOptions()
-	o.Progress = failingWriter{}
-	if _, err := Collect(o); err == nil {
-		t.Fatal("progress write error was swallowed")
-	}
-}
-
 func TestChipDropoutGracefulDegradation(t *testing.T) {
 	o := smallOptions()
 	o.Faults = &fault.Profile{Seed: 4, Dropout: 1}

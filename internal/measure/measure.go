@@ -17,14 +17,12 @@ package measure
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"gpuport/internal/apps"
 	"gpuport/internal/chip"
-	"gpuport/internal/cost"
 	"gpuport/internal/cost/columnar"
 	"gpuport/internal/dataset"
 	"gpuport/internal/fault"
@@ -51,9 +49,6 @@ type Options struct {
 	// sweep produces bit-for-bit the same samples as the matching cells
 	// of a full-grid sweep under the same seed.
 	Configs []opt.Config
-	// Progress, when non-nil, receives one line per (app, input) pair
-	// as traces are gathered. Write errors abort the run.
-	Progress io.Writer
 	// Notify, when non-nil, receives coarse progress events as the run
 	// advances: phase is obs.StageTrace or obs.StageSweep, done/total
 	// count completed units (trace pairs, (chip, trace) sweep jobs).
@@ -85,13 +80,6 @@ type Options struct {
 	// CheckpointEvery flushes the checkpoint after this many completed
 	// (chip, trace) jobs (default 4).
 	CheckpointEvery int
-
-	// ReferenceCost forces the sweep through the reference
-	// cost.Estimate path instead of the columnar engine
-	// (internal/cost/columnar). The dataset is bit-identical either
-	// way - the conform differential property enforces it - so the
-	// switch exists only for benchmarking and triage.
-	ReferenceCost bool
 
 	// TraceCache, when non-nil, short-circuits the trace phase through
 	// the content-addressed store: pairs whose traces are cached skip
@@ -171,9 +159,9 @@ func Collect(o Options) (*dataset.Dataset, error) {
 // retried, or missing with the fault kind that killed it. Cost
 // evaluation runs on the columnar engine - traces are converted to
 // columns once and reused across the full config x chip x sample grid -
-// unless o.ReferenceCost selects the reference path; both produce the
-// same bits. Evaluation is parallelised across (chip, trace) pairs; the
-// assembled dataset is bit-identical regardless of parallelism because every
+// which answers bit-identically to the reference cost.Estimate.
+// Evaluation is parallelised across (chip, trace) pairs; the assembled
+// dataset is bit-identical regardless of parallelism because every
 // record is written to a pre-assigned slot and both the noise and the
 // fault streams are keyed per cell, not sequential.
 //
@@ -189,12 +177,9 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	}
 	// Columnar form of every trace, built once per (app, input) and
 	// shared read-only across the whole config x chip x sample grid.
-	var cols []*columnar.Columns
-	if !o.ReferenceCost {
-		cols = make([]*columnar.Columns, len(profiles))
-		for i, tp := range profiles {
-			cols[i] = columnar.Build(tp)
-		}
+	cols := make([]*columnar.Columns, len(profiles))
+	for i, tp := range profiles {
+		cols[i] = columnar.Build(tp)
 	}
 	stopSweep := o.Obs.Start(obs.StageSweep)
 	sweepSpan := o.Obs.StartSpan(obs.StageSweep, 0)
@@ -318,15 +303,10 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 						out[k] = dataset.Record{Key: dkey, Samples: prior}
 						continue
 					}
-					var base float64
-					if o.ReferenceCost {
-						base = cost.Estimate(ch, cfg, tp)
-					} else {
-						if ev == nil {
-							ev = columnar.NewEvaluator(ch, cols[jobs[ji].traceIdx])
-						}
-						base = ev.Estimate(cfg)
+					if ev == nil {
+						ev = columnar.NewEvaluator(ch, cols[jobs[ji].traceIdx])
 					}
+					base := ev.Estimate(cfg)
 					if factors == nil {
 						factors = fault.NoiseFactors(key, 0, o.Runs, ch.NoiseSigma)
 					}

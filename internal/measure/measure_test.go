@@ -1,12 +1,13 @@
 package measure
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"gpuport/internal/apps"
 	"gpuport/internal/chip"
+	"gpuport/internal/cost"
+	"gpuport/internal/dataset"
+	"gpuport/internal/fault"
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
 	"gpuport/internal/opt"
@@ -74,37 +75,41 @@ func TestCollectDeterministic(t *testing.T) {
 	}
 }
 
-// TestReferenceCostBitIdentical proves the engine switch is invisible:
-// the dataset collected through the columnar engine (the default) is
-// bit-identical to one collected through the reference cost path.
-func TestReferenceCostBitIdentical(t *testing.T) {
-	columnarOpts := smallOptions()
-	refOpts := smallOptions()
-	refOpts.ReferenceCost = true
-	a, err := Collect(columnarOpts)
+// TestCollectMatchesReferenceEstimate pins the sweep to the reference
+// cost model: every sample the columnar engine produces equals
+// cost.Estimate times the cell's noise factor, bit for bit.
+func TestCollectMatchesReferenceEstimate(t *testing.T) {
+	o := smallOptions()
+	d, err := Collect(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Collect(refOpts)
+	profiles, err := Traces(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("record counts differ: %d vs %d", a.Len(), b.Len())
-	}
-	for _, tp := range a.Tuples() {
-		for _, cfg := range opt.All() {
-			sa, sb := a.Samples(tp, cfg), b.Samples(tp, cfg)
-			if len(sa) != len(sb) {
-				t.Fatalf("%v/%v: sample counts differ", tp, cfg)
-			}
-			for i := range sa {
-				if sa[i] != sb[i] {
-					t.Fatalf("%v/%v sample %d: columnar %x != reference %x",
-						tp, cfg, i, sa[i], sb[i])
+	cells := 0
+	for _, ch := range o.Chips {
+		for _, tp := range profiles {
+			tuple := dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input}
+			for _, cfg := range opt.All() {
+				base := cost.Estimate(ch, cfg, tp)
+				factors := fault.NoiseFactors(cellKey(o.Seed, ch.Name, tp.App, tp.Input, cfg), 0, o.Runs, ch.NoiseSigma)
+				got := d.Samples(tuple, cfg)
+				if len(got) != len(factors) {
+					t.Fatalf("%v/%v: %d samples, want %d", tuple, cfg, len(got), len(factors))
 				}
+				for i, f := range factors {
+					if want := base * f; got[i] != want {
+						t.Fatalf("%v/%v sample %d: columnar %x != reference %x", tuple, cfg, i, got[i], want)
+					}
+				}
+				cells++
 			}
 		}
+	}
+	if cells != d.Len() {
+		t.Fatalf("checked %d cells, dataset holds %d", cells, d.Len())
 	}
 }
 
@@ -143,19 +148,6 @@ func TestValidateOption(t *testing.T) {
 	o.Validate = true
 	if _, err := Collect(o); err != nil {
 		t.Fatalf("validation should pass for correct apps: %v", err)
-	}
-}
-
-func TestProgressOutput(t *testing.T) {
-	o := smallOptions()
-	var buf bytes.Buffer
-	o.Progress = &buf
-	if _, err := Collect(o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "traced bfs-wl on m-rand") {
-		t.Errorf("progress output missing trace lines: %q", out)
 	}
 }
 

@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,40 +30,6 @@ func tracePairs(o *Options) []tracePair {
 		}
 	}
 	return pairs
-}
-
-// orderedProgress serialises per-pair progress lines back into the
-// canonical pair order, whatever order the workers complete in, so the
-// -v output of a parallel run is byte-identical to a serial run's.
-type orderedProgress struct {
-	w     io.Writer
-	mu    sync.Mutex
-	lines []string
-	ready []bool
-	next  int
-}
-
-func newOrderedProgress(w io.Writer, n int) *orderedProgress {
-	return &orderedProgress{w: w, lines: make([]string, n), ready: make([]bool, n)}
-}
-
-// emit records pair i's line and flushes every line that is now next in
-// order. Write errors abort the run (matching the serial harness).
-func (p *orderedProgress) emit(i int, line string) error {
-	if p.w == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lines[i], p.ready[i] = line, true
-	for p.next < len(p.ready) && p.ready[p.next] {
-		if _, err := io.WriteString(p.w, p.lines[p.next]); err != nil {
-			return fmt.Errorf("measure: progress writer: %w", err)
-		}
-		p.lines[p.next] = ""
-		p.next++
-	}
-	return nil
 }
 
 // Traces obtains the cost-model profile of every (application, input)
@@ -108,7 +73,7 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 		workers = 1
 	}
 
-	// The first failure (validation, progress write) cancels the pool;
+	// The first failure (a validation error) cancels the pool;
 	// o.Ctx cancellation is distinguished from it on the way out.
 	ctx, cancel := context.WithCancel(o.Ctx)
 	defer cancel()
@@ -122,7 +87,6 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 	}
 
 	results := make([]*cost.TraceProfile, len(pairs))
-	prog := newOrderedProgress(o.Progress, len(pairs))
 	var pairsDone atomic.Int64
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -152,14 +116,6 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 				recordWorkload(&o, tr, i)
 				sp.End()
 				results[i] = cost.NewTraceProfile(tr)
-				verb := "traced"
-				if cached {
-					verb = "cached"
-				}
-				if err := prog.emit(i, fmt.Sprintf("%s %s on %s: %d launches, %d edge work\n",
-					verb, tr.App, tr.Input, tr.TotalLaunches(), tr.TotalEdgeWork())); err != nil {
-					fail(err)
-				}
 				if o.Notify != nil {
 					o.Notify(obs.StageTrace, int(pairsDone.Add(1)), len(pairs))
 				}

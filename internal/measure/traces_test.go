@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"gpuport/internal/apps"
@@ -189,23 +187,14 @@ func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 	}
 }
 
-// cancelAfterWriter cancels a context after n progress lines, modelling
-// SIGINT landing mid trace phase.
-type cancelAfterWriter struct {
-	mu     sync.Mutex
-	n      int
-	cancel context.CancelFunc
-	lines  int
-}
-
-func (w *cancelAfterWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.lines += bytes.Count(p, []byte("\n"))
-	if w.lines >= w.n {
-		w.cancel()
+// cancelAfter returns a Notify sink that cancels after n traced pairs,
+// modelling SIGINT landing mid trace phase.
+func cancelAfter(n int, cancel context.CancelFunc) func(string, int, int) {
+	return func(_ string, done, _ int) {
+		if done >= n {
+			cancel()
+		}
 	}
-	return len(p), nil
 }
 
 func TestTracesCancelledMidPhase(t *testing.T) {
@@ -214,7 +203,7 @@ func TestTracesCancelledMidPhase(t *testing.T) {
 	defer cancel()
 	o.Ctx = ctx
 	o.Workers = 2
-	o.Progress = &cancelAfterWriter{n: 2, cancel: cancel}
+	o.Notify = cancelAfter(2, cancel)
 	if _, err := Traces(o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -251,7 +240,7 @@ func TestTracesInterruptedThenResumedBitIdentical(t *testing.T) {
 	interrupted.Ctx = ctx
 	interrupted.TraceCache = store
 	interrupted.Workers = 2
-	interrupted.Progress = &cancelAfterWriter{n: 3, cancel: cancel}
+	interrupted.Notify = cancelAfter(3, cancel)
 	if _, err := Traces(interrupted); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -268,56 +257,6 @@ func TestTracesInterruptedThenResumedBitIdentical(t *testing.T) {
 	datasetsMustMatch(t, base, d, "interrupted-then-resumed")
 	if rep.TraceCacheHits() == 0 {
 		t.Error("resume re-traced everything; the interrupted phase's work was wasted")
-	}
-}
-
-func TestTracesProgressOrderedUnderParallelism(t *testing.T) {
-	o := mediumOptions(t)
-	var serial, parallel bytes.Buffer
-	o.Workers = 1
-	o.Progress = &serial
-	if _, err := Traces(o); err != nil {
-		t.Fatal(err)
-	}
-	o.Workers = 8
-	o.Progress = &parallel
-	if _, err := Traces(o); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatalf("progress output depends on worker count:\nserial:\n%s\nparallel:\n%s", serial.String(), parallel.String())
-	}
-	if !strings.Contains(serial.String(), "traced bfs-wl on t-rand") {
-		t.Errorf("unexpected progress format:\n%s", serial.String())
-	}
-}
-
-func TestTracesProgressMarksCacheHits(t *testing.T) {
-	o := smallOptions()
-	store, err := tracecache.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.TraceCache = store
-	var cold, warm bytes.Buffer
-	o.Progress = &cold
-	if _, err := Traces(o); err != nil {
-		t.Fatal(err)
-	}
-	o.Progress = &warm
-	if _, err := Traces(o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cold.String(), "traced bfs-wl") {
-		t.Errorf("cold run should say traced:\n%s", cold.String())
-	}
-	if !strings.Contains(warm.String(), "cached bfs-wl") {
-		t.Errorf("warm run should say cached:\n%s", warm.String())
-	}
-	// Modulo the verb, the lines carry identical content.
-	norm := func(s string) string { return strings.ReplaceAll(s, "cached ", "traced ") }
-	if norm(cold.String()) != norm(warm.String()) {
-		t.Errorf("cold and warm progress disagree beyond the verb:\n%s\n%s", cold.String(), warm.String())
 	}
 }
 
@@ -362,32 +301,3 @@ func TestTracesValidateFlagPartitionsCache(t *testing.T) {
 		t.Errorf("validating run hit %d unvalidated entries", st.Hits)
 	}
 }
-
-// discardAfterWriter fails writes after the first n lines.
-type failAfterWriter struct {
-	mu    sync.Mutex
-	n     int
-	lines int
-}
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.lines += bytes.Count(p, []byte("\n"))
-	if w.lines > w.n {
-		return 0, errors.New("pipe burst")
-	}
-	return len(p), nil
-}
-
-func TestTracesProgressErrorPropagatesParallel(t *testing.T) {
-	o := mediumOptions(t)
-	o.Workers = 4
-	o.Progress = &failAfterWriter{n: 2}
-	_, err := Traces(o)
-	if err == nil || !strings.Contains(err.Error(), "progress writer") {
-		t.Fatalf("err = %v, want progress writer failure", err)
-	}
-}
-
-var _ io.Writer = (*failAfterWriter)(nil)

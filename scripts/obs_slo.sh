@@ -3,9 +3,9 @@
 # Evaluates request-latency, queue-wait and cache-hit floors against
 # the NDJSON stream serve_smoke.sh left behind, proves the gate is
 # live by checking that an injected latency regression breaches it,
-# and records the observations (with their floors as -floor twins) as
-# BENCH_obs.json via benchcheck so the serve job's run page carries
-# the numbers. Writes slo-report.txt for artifact upload.
+# and records the observations as BENCH_slo.json via benchcheck so the
+# serve job's run page carries the numbers. `obsview slo` is the only
+# floor check. Writes slo-report.txt for artifact upload.
 #
 # Floors are generous: CI runners are slow and shared, and this gate
 # exists to catch collapses (a handler suddenly blocking, the queue
@@ -32,13 +32,9 @@ if go run ./cmd/obsview slo "${FLOORS[@]}" -inject-latency-ns 3000000000 \
 fi
 echo "   breach detected, gate is live"
 
-echo "== recording SLO observations and gates (BENCH_obs.json)"
-go run ./cmd/benchcheck -in slo-bench.out -json BENCH_obs.json \
-    ${BENCHMD:+-md "$BENCHMD"} \
-    -maxratio 'BenchmarkSLO/submit-latency-p50-floor,BenchmarkSLO/submit-latency-p50,1.0' \
-    -maxratio 'BenchmarkSLO/submit-latency-p99-floor,BenchmarkSLO/submit-latency-p99,1.0' \
-    -maxratio 'BenchmarkSLO/queue-wait-p99-floor,BenchmarkSLO/queue-wait-p99,1.0' \
-    -maxratio 'BenchmarkSLO/cache-hit-permicro,BenchmarkSLO/cache-hit-permicro-floor,1.0'
+echo "== recording SLO observations (BENCH_slo.json)"
+go run ./cmd/benchcheck -in slo-bench.out -json BENCH_slo.json \
+    ${BENCHMD:+-md "$BENCHMD"}
 rm -f slo-bench.out
 
 echo "== obs-slo passed"
