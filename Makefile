@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build fmt-check lint staticgate lockgraph test race conform conform-mutate fuzz cover ci bench bench-fault bench-trace bench-obs bench-cost bench-ci profile serve-smoke obs-slo clean
+.PHONY: all vet build fmt-check staticgate lockgraph test race conform conform-mutate fuzz cover perfbench-test ci bench bench-fault bench-trace bench-obs bench-cost bench-ci profile serve-smoke obs-slo clean
 
 # BENCHMD, when set, makes every benchcheck invocation append its
 # markdown results table (benchmark, ns/op, gate, verdict) to that
@@ -15,24 +15,27 @@ vet:
 build:
 	$(GO) build ./...
 
-# fmt-check fails (listing the files) if anything is not gofmt-clean.
+# fmt-check fails (listing the files) if anything is not gofmt-clean,
+# or if gofmt cannot parse a file outside testdata/ (the loader's
+# unparsable fixtures live there on purpose).
 fmt-check:
-	@unformatted=$$(gofmt -l .); \
+	@broken=$$(gofmt -l . 2>&1 >/dev/null | grep -Ev '^([^:]*/)?testdata/'); \
+	if [ -n "$$broken" ]; then \
+		echo "gofmt cannot parse:"; echo "$$broken"; exit 1; \
+	fi; \
+	unformatted=$$(gofmt -l . 2>/dev/null); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# lint runs the repo-local style gate (see cmd/lintgate): gofmt
-# cleanliness and the file-level rules (no unsafe, tracked t.Skip).
-lint:
-	$(GO) run ./cmd/lintgate .
-
-# staticgate runs the type-aware whole-program gate (see
-# internal/staticlint): wall-clock and randomness confinement, error
-# handling, float comparisons, context propagation, mutex hygiene,
-# obs naming, and the determinism proof over the named root set. The
-# committed baseline may only shrink, and the zero budget keeps it
-# empty.
+# staticgate runs the repository's one lint gate (see
+# internal/staticlint): the type-aware whole-program rules (wall-clock
+# and randomness confinement, error handling, float comparisons,
+# context propagation, mutex hygiene, obs naming, the determinism proof
+# over the named root set) and the file-level rules over every file in
+# the tree, test files included (no unsafe, tracked t.Skip, no stray
+# files under cmd/). The committed baseline may only shrink, and the
+# zero budget keeps it empty.
 staticgate:
 	$(GO) run ./cmd/staticgate -baseline .staticgate-baseline.json -baseline-budget 0 .
 
@@ -94,8 +97,15 @@ cover:
 		-floor gpuport/internal/staticlint,92
 	@rm -f cover.out
 
+# perfbench-test vets and tests the repository benchmark (_perfbench/, its
+# own module, which ./... does not reach), so an internal API change
+# cannot break the benchmark unnoticed.
+perfbench-test:
+	$(GO) -C _perfbench vet ./...
+	$(GO) -C _perfbench test ./...
+
 # ci is the full gate: everything a change must pass before merging.
-ci: vet build fmt-check lint staticgate test race conform conform-mutate cover
+ci: vet build fmt-check staticgate test race conform conform-mutate cover perfbench-test
 
 # serve-smoke boots gpuportd, drives a full campaign over real HTTP,
 # polls it to completion and diffs the served CSV against the gpuport

@@ -36,10 +36,10 @@ func TestList(t *testing.T) {
 		t.Fatalf("exit %d, stderr %s", code, errb.String())
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 13 {
-		t.Fatalf("-list printed %d analyzers, want 13:\n%s", len(lines), out.String())
+	if len(lines) != 16 {
+		t.Fatalf("-list printed %d analyzers, want 16:\n%s", len(lines), out.String())
 	}
-	for _, name := range []string{"ctxprop", "detpure", "errcheck", "floatcmp", "globalrand", "goleak", "lockguard", "lockorder", "maprange", "mutexlock", "obsliteral", "obsnames", "walltime"} {
+	for _, name := range []string{"ctxprop", "detpure", "errcheck", "floatcmp", "globalrand", "goleak", "lockguard", "lockorder", "maprange", "mutexlock", "nounsafe", "obsliteral", "obsnames", "skipref", "strayfile", "walltime"} {
 		if !strings.Contains(out.String(), name+" ") {
 			t.Errorf("-list missing analyzer %s", name)
 		}

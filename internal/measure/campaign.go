@@ -99,9 +99,6 @@ type Env struct {
 	// Checkpoint names the CSV shard file making the execution
 	// resumable; cells already persisted there are not re-measured.
 	Checkpoint string
-	// CheckpointEvery flushes the checkpoint after this many completed
-	// (chip, trace) jobs (default 4).
-	CheckpointEvery int
 }
 
 // Run executes the campaign under ctx with the given bindings and
@@ -128,9 +125,6 @@ func (c *Campaign) Run(ctx context.Context, env Env) (*dataset.Dataset, *Report,
 	}
 	if env.Checkpoint != "" {
 		o.Checkpoint = env.Checkpoint
-	}
-	if env.CheckpointEvery > 0 {
-		o.CheckpointEvery = env.CheckpointEvery
 	}
 	return CollectReport(o)
 }

@@ -20,12 +20,10 @@ import (
 // therefore scheduling-dependent, which is fine because resume loads it
 // into a keyed index.
 type checkpoint struct {
-	mu      sync.Mutex
-	f       *os.File
-	cw      *csv.Writer
-	pending int
-	every   int
-	err     string
+	mu  sync.Mutex
+	f   *os.File
+	cw  *csv.Writer
+	err string
 }
 
 // openCheckpoint opens (or creates) the shard file at path and returns
@@ -38,7 +36,7 @@ type checkpoint struct {
 // cell not yet persisted", not as a fatal error. Malformed rows are
 // skipped; if the file does not end in a newline, one is inserted so
 // appended rows stay parseable.
-func openCheckpoint(path string, runs, every int) (*checkpoint, *dataset.Dataset, error) {
+func openCheckpoint(path string, runs int) (*checkpoint, *dataset.Dataset, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
@@ -52,7 +50,7 @@ func openCheckpoint(path string, runs, every int) (*checkpoint, *dataset.Dataset
 	if err != nil {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
-	ck := &checkpoint{f: f, cw: csv.NewWriter(f), every: every}
+	ck := &checkpoint{f: f, cw: csv.NewWriter(f)}
 	if len(raw) == 0 {
 		header := []string{"chip", "app", "input", "config"}
 		for i := 0; i < runs; i++ {
@@ -126,7 +124,8 @@ func loadCheckpointRows(raw []byte) *dataset.Dataset {
 	return d
 }
 
-// appendJob persists the freshly measured cells of one completed job.
+// appendJob persists the freshly measured cells of one completed job
+// and flushes them, so a hard kill loses at most the job being written.
 // Resumed cells are already in the file and failed cells have no data;
 // neither is rewritten. A write error disables further checkpointing
 // (the sweep continues; the error surfaces in the report).
@@ -150,13 +149,9 @@ func (ck *checkpoint) appendJob(records []dataset.Record, states []cellState) {
 			return
 		}
 	}
-	ck.pending++
-	if ck.pending >= ck.every {
-		ck.pending = 0
-		ck.cw.Flush()
-		if err := ck.cw.Error(); err != nil {
-			ck.err = err.Error()
-		}
+	ck.cw.Flush()
+	if err := ck.cw.Error(); err != nil {
+		ck.err = err.Error()
 	}
 }
 

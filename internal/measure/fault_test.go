@@ -130,7 +130,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	o := faultyOptions()
 	o.Checkpoint = path
-	o.CheckpointEvery = 1
 	resumed, rep, err := CollectReport(o)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,6 @@ func TestCancelMidSweepThenResume(t *testing.T) {
 	o := faultyOptions()
 	o.Ctx = ctx
 	o.Checkpoint = path
-	o.CheckpointEvery = 1
 	o.Workers = 1
 	d, _, err := CollectReport(o)
 	cancel()
@@ -292,6 +290,32 @@ func TestRetriesHealTransientFaults(t *testing.T) {
 	}
 	if same == 0 {
 		t.Error("no cell survived fault injection untouched; noise streams are entangled")
+	}
+}
+
+// TestCheckpointFlushesEveryJob: a completed job is on disk before the
+// next one completes, so a hard kill loses at most the job being
+// written.
+func TestCheckpointFlushesEveryJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.csv")
+	ck, _, err := openCheckpoint(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := dataset.Record{
+		Key:     dataset.Key{Tuple: dataset.Tuple{Chip: "c", App: "a", Input: "i"}},
+		Samples: []float64{1.5},
+	}
+	ck.appendJob([]dataset.Record{rec}, []cellState{{measured: true}})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loadCheckpointRows(raw); got == nil || got.Len() != 1 {
+		t.Errorf("checkpoint on disk after one job, before close:\n%s", raw)
+	}
+	if msg := ck.close(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

@@ -73,13 +73,10 @@ type Options struct {
 	// the embedded retry/backoff/deadline policy.
 	Faults *fault.Profile
 	// Checkpoint names a CSV file for incremental shard persistence:
-	// completed cells are appended as the sweep runs, and cells already
-	// present are resumed (skipped bit-identically) instead of
-	// re-measured.
+	// completed cells are appended and flushed after every (chip,
+	// trace) job, and cells already present are resumed (skipped
+	// bit-identically) instead of re-measured.
 	Checkpoint string
-	// CheckpointEvery flushes the checkpoint after this many completed
-	// (chip, trace) jobs (default 4).
-	CheckpointEvery int
 
 	// TraceCache, when non-nil, short-circuits the trace phase through
 	// the content-addressed store: pairs whose traces are cached skip
@@ -97,9 +94,6 @@ func (o *Options) fill() {
 	if o.Ctx == nil {
 		//lint:allow ctxprop Options.fill is the documented default for callers that pass no context
 		o.Ctx = context.Background()
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 4
 	}
 	if o.Obs == nil {
 		o.Obs = obs.New()
@@ -199,7 +193,7 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	var ck *checkpoint
 	var resumeSet *dataset.Dataset
 	if o.Checkpoint != "" {
-		ck, resumeSet, err = openCheckpoint(o.Checkpoint, o.Runs, o.CheckpointEvery)
+		ck, resumeSet, err = openCheckpoint(o.Checkpoint, o.Runs)
 		if err != nil {
 			return nil, nil, err
 		}

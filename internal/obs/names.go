@@ -1,8 +1,8 @@
 package obs
 
 // Every span, event, counter, histogram and attribute name used by the
-// instrumented packages is declared here. The lintgate rule
-// "obs-names" enforces that call sites pass one of these constants (or
+// instrumented packages is declared here. The staticlint rule
+// "obsnames" enforces that call sites pass one of these constants (or
 // a value computed from the workload, e.g. a kernel name) rather than
 // an ad-hoc string literal: exported artifacts are golden-tested
 // byte-for-byte, so a renamed or misspelled name is a silent schema

@@ -37,9 +37,6 @@ type Config struct {
 	// there makes a resubmitted campaign resume instead of restart.
 	// Empty disables persistence and resumability.
 	JobDir string
-	// CheckpointEvery flushes a job's checkpoint after this many
-	// completed (chip, trace) sweep jobs (0 means the measure default).
-	CheckpointEvery int
 	// Obs is the daemon-lifetime recorder behind /metrics and the debug
 	// trace: each runner records one campaign span per job on its lane,
 	// and a finished job's recorder (spans, counters, histograms, stage
@@ -410,7 +407,6 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	}
 	if s.cfg.JobDir != "" {
 		env.Checkpoint = s.checkpointPath(j.id)
-		env.CheckpointEvery = s.cfg.CheckpointEvery
 	}
 	jctx, jcancel := context.WithCancel(ctx)
 	defer jcancel()

@@ -220,7 +220,7 @@ func TestShutdownMidJobThenResume(t *testing.T) {
 	jobDir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	a, err := New(Config{Ctx: ctx, JobDir: jobDir, CheckpointEvery: 1})
+	a, err := New(Config{Ctx: ctx, JobDir: jobDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,11 @@ func Analyzers() []*Analyzer {
 		{Name: "lockorder", Doc: "the global lock-acquisition graph is cycle-free; staticgate -lockgraph emits it as JSON/DOT", Run: runLockOrder},
 		{Name: "maprange", Doc: "no map iteration feeding an encoder or an ordered collection without a sort", Run: runMapRange},
 		{Name: "mutexlock", Doc: "no mutex copies; every Lock has a matching Unlock in the same function", Run: runMutexLock},
+		{Name: "nounsafe", Doc: "no unsafe import in any file of the tree, test and tag-excluded files included", Run: runNoUnsafe},
 		{Name: "obsliteral", Doc: "string literals in the server layers must not duplicate obs name constants (use the constant)", Run: runObsLiteral},
 		{Name: "obsnames", Doc: "obs span/counter/event/attr names must be constants declared in the obs package", Run: runObsNames},
+		{Name: "skipref", Doc: "t.Skip/Skipf/SkipNow in test files must carry an issue reference (#N) or URL in a string literal", Run: runSkipRef},
+		{Name: "strayfile", Doc: "no extensionless (stray or built) file under cmd/", Run: runStrayFile},
 		{Name: "walltime", Doc: "time.Now/Since confined to the instrumentation layers and entry points", Run: runWallTime},
 	}
 }
@@ -614,11 +617,10 @@ var obsNameArg = map[string]int{
 	"Bool":        0,
 }
 
-// runObsNames is the typed re-implementation of lintgate's obs-names
-// rule: any constant-valued name reaching an obs recorder must be a
-// single named constant declared in the obs package itself. Unlike the
-// old syntactic rule this catches aliased imports, concatenated
-// literals and locally declared constants; computed (non-constant)
+// runObsNames requires any constant-valued name reaching an obs
+// recorder to be a single named constant declared in the obs package
+// itself, however it is spelled (aliased import, concatenated
+// literals, a locally declared constant); computed (non-constant)
 // names such as kernel names remain allowed.
 func runObsNames(pass *Pass) {
 	obsPkgPath := pass.Prog.ModulePath + "/" + pass.Config.ObsPath

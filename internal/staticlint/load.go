@@ -22,8 +22,10 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +59,16 @@ type Program struct {
 	// Packages is sorted by import path, so every per-package walk in
 	// the engine is deterministic.
 	Packages []*Package
+	// Files is every .go file under the root outside testdata/ and
+	// dot-directories, sorted by path: the package files above plus,
+	// parsed but not type-checked, the _test.go files, the files a
+	// build tag excludes and the files under _-prefixed directories.
+	// The file-level rules read this; the typed analyzers read
+	// Packages.
+	Files []*ast.File
+	// OtherFiles holds the module-relative slash paths, sorted, of the
+	// non-.go files in the same walk.
+	OtherFiles []string
 
 	byPath map[string]*Package
 }
@@ -111,7 +123,9 @@ type parsedPkg struct {
 // Load parses and type-checks every non-test package under root,
 // which must contain a go.mod naming the module. Directories named
 // testdata, hidden directories and _-prefixed directories are skipped,
-// matching the go tool.
+// matching the go tool. Every other .go file outside testdata/ and
+// hidden directories is parsed without type-checking (see
+// Program.Files).
 //
 // Loading is parallel in two phases - every package parses
 // concurrently, then type-checking proceeds in dependency waves with
@@ -128,11 +142,15 @@ func Load(root string) (*Program, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	dirs, err := packageDirs(absRoot)
+	tree, err := walkTree(absRoot)
 	if err != nil {
 		return nil, err
 	}
-	parsed, err := parseAll(fset, absRoot, modulePath, dirs)
+	parsed, err := parseAll(fset, absRoot, modulePath, tree.pkgDirs)
+	if err != nil {
+		return nil, err
+	}
+	files, err := parseRest(fset, parsed, tree.goFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +168,8 @@ func Load(root string) (*Program, error) {
 		Fset:       fset,
 		ModulePath: modulePath,
 		Root:       absRoot,
+		Files:      files,
+		OtherFiles: tree.otherFiles,
 		byPath:     map[string]*Package{},
 	}
 	for _, pkg := range ld.pkgs {
@@ -353,31 +373,72 @@ func readModulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("staticlint: no module line in %s", gomod)
 }
 
-// packageDirs lists, in sorted order, every directory under root that
-// holds at least one non-test .go file.
-func packageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+// tree is one walk of the module, outside testdata/ and hidden
+// directories. Every list is sorted.
+type tree struct {
+	pkgDirs    []string // absolute directories of the packages go build sees
+	goFiles    []string // absolute paths of every .go file
+	otherFiles []string // module-relative slash paths of the rest
+}
+
+// walkTree walks root once. Files under a _-prefixed directory are
+// listed but form no package, just as the go tool ignores them.
+func walkTree(root string) (*tree, error) {
+	t := &tree{}
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if n := len(dirs); n == 0 || dirs[n-1] != dir {
-				dirs = append(dirs, dir)
-			}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		if !strings.HasSuffix(rel, ".go") {
+			t.otherFiles = append(t.otherFiles, rel)
+			return nil
 		}
+		t.goFiles = append(t.goFiles, p)
+		if dir := path.Dir(rel); strings.HasSuffix(rel, "_test.go") || strings.HasPrefix(dir, "_") || strings.Contains(dir, "/_") {
+			return nil
+		}
+		t.pkgDirs = append(t.pkgDirs, filepath.Dir(p))
 		return nil
 	})
-	sort.Strings(dirs)
-	return dirs, err
+	sort.Strings(t.pkgDirs)
+	t.pkgDirs = slices.Compact(t.pkgDirs)
+	sort.Strings(t.goFiles)
+	sort.Strings(t.otherFiles)
+	return t, err
+}
+
+// parseRest parses, without type-checking, every .go file the package
+// parse did not take, and returns all files sorted by path. On failure
+// the error from the first path in sorted order wins.
+func parseRest(fset *token.FileSet, parsed []*parsedPkg, goFiles []string) ([]*ast.File, error) {
+	typed := map[string]*ast.File{}
+	for _, pp := range parsed {
+		for _, f := range pp.pkg.Files {
+			typed[fset.Position(f.Package).Filename] = f
+		}
+	}
+	files := make([]*ast.File, 0, len(goFiles))
+	for _, name := range goFiles {
+		if f := typed[name]; f != nil {
+			files = append(files, f)
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("staticlint: %w", err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // Import implements types.Importer. Module-local paths are served

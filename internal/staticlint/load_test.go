@@ -82,6 +82,7 @@ func TestLoadErrors(t *testing.T) {
 		{"cgo", filepath.Join("testdata", "src", "badcgo"), "cgo is not supported"},
 		{"type error", filepath.Join("testdata", "src", "badtypes"), "type-checking"},
 		{"parse error", filepath.Join("testdata", "src", "badparse"), "expected"},
+		{"parse error in a parse-only file", filepath.Join("testdata", "src", "badtestparse"), "p_test.go"},
 		{"import cycle", filepath.Join("testdata", "src", "cycle"), "import cycle"},
 		{"missing local import", filepath.Join("testdata", "src", "badimport"), "badimport/internal/nothere"},
 	}

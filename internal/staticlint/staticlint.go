@@ -54,13 +54,17 @@ type Pass struct {
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Prog.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Rule:    p.analyzer.Name,
-		File:    p.Prog.FileName(pos),
-		Line:    position.Line,
-		Col:     position.Column,
-		Message: fmt.Sprintf(format, args...),
-	})
+	p.report(p.Prog.FileName(pos), position.Line, position.Column, fmt.Sprintf(format, args...))
+}
+
+// reportFile records a diagnostic about a whole file that has no
+// syntax tree (one of Program.OtherFiles), anchored at 1:1.
+func (p *Pass) reportFile(name, msg string) {
+	p.report(name, 1, 1, msg)
+}
+
+func (p *Pass) report(file string, line, col int, msg string) {
+	*p.diags = append(*p.diags, Diagnostic{Rule: p.analyzer.Name, File: file, Line: line, Col: col, Message: msg})
 }
 
 // InScope reports whether a module-relative package path falls under
@@ -194,38 +198,37 @@ func (s suppressions) allows(d Diagnostic) bool {
 
 var allowPattern = regexp.MustCompile(`^//\s*lint:allow\s*(.*)$`)
 
-// collectSuppressions scans every comment for //lint:allow markers.
+// collectSuppressions scans every comment of every file in
+// Program.Files for //lint:allow markers.
 // A marker must name a rule and give a reason; a bare marker is a
 // "lint" diagnostic appended to diags.
 func collectSuppressions(prog *Program, diags []Diagnostic) (suppressions, []Diagnostic) {
 	sup := suppressions{}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					m := allowPattern.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					fields := strings.Fields(m[1])
-					if len(fields) < 2 {
-						diags = append(diags, Diagnostic{
-							Rule: "lint", File: prog.FileName(c.Pos()),
-							Line: pos.Line, Col: pos.Column,
-							Message: "//lint:allow needs a rule name and a reason (//lint:allow <rule> <why>)",
-						})
-						continue
-					}
-					name := prog.FileName(c.Pos())
-					if sup[name] == nil {
-						sup[name] = map[int]map[string]bool{}
-					}
-					if sup[name][pos.Line] == nil {
-						sup[name][pos.Line] = map[string]bool{}
-					}
-					sup[name][pos.Line][fields[0]] = true
+	for _, file := range prog.Files {
+		for _, cg := range file.Comments {
+			for _, c := range cg.List {
+				m := allowPattern.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
 				}
+				pos := prog.Fset.Position(c.Pos())
+				fields := strings.Fields(m[1])
+				if len(fields) < 2 {
+					diags = append(diags, Diagnostic{
+						Rule: "lint", File: prog.FileName(c.Pos()),
+						Line: pos.Line, Col: pos.Column,
+						Message: "//lint:allow needs a rule name and a reason (//lint:allow <rule> <why>)",
+					})
+					continue
+				}
+				name := prog.FileName(c.Pos())
+				if sup[name] == nil {
+					sup[name] = map[int]map[string]bool{}
+				}
+				if sup[name][pos.Line] == nil {
+					sup[name][pos.Line] = map[string]bool{}
+				}
+				sup[name][pos.Line][fields[0]] = true
 			}
 		}
 	}

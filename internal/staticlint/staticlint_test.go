@@ -107,6 +107,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 			"internal/mu/mu.go:28", // value receiver
 			"internal/mu/mu.go:34", // assignment copy
 		},
+		"nounsafe": {
+			"_tools/tool.go:5",                     // _-prefixed directory, parsed only
+			"internal/nounsafe/nounsafe.go:6",      // type-checked file
+			"internal/nounsafe/nounsafe_test.go:5", // test file, parsed only
+			"internal/nounsafe/tagged.go:5",        // build-tag-excluded file, parsed only
+		},
 		"obsliteral": {
 			"internal/obsemit/emit.go:29", // raw literal duplicating obs.CtrHits (tag on :23 exempt)
 		},
@@ -115,7 +121,14 @@ func TestAnalyzerFixtures(t *testing.T) {
 			"internal/obsemit/emit.go:14", // constant from the wrong package
 			"internal/obsemit/emit.go:17", // literal attr key
 		},
-		"walltime": {"internal/wall/wall.go:8"},
+		"skipref": {
+			"internal/skips/skips_test.go:6",  // bare Skip
+			"internal/skips/skips_test.go:22", // Skipf without a reference
+			"internal/skips/skips_test.go:26", // SkipNow
+			"internal/skips/skips_test.go:30", // b.Skip
+		},
+		"strayfile": {"cmd/app/stray:1"}, // NOTES.md beside it and scripts/helper pass
+		"walltime":  {"internal/wall/wall.go:8"},
 	}
 	if len(want) != len(staticlint.Analyzers()) {
 		t.Fatalf("fixture expectations cover %d analyzers, engine ships %d", len(want), len(staticlint.Analyzers()))
@@ -182,6 +195,10 @@ func TestSuppressions(t *testing.T) {
 	r := staticlint.Run(prog, fixtureConfig(), staticlint.AnalyzersByName([]string{"errcheck"}))
 	if r.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1 (errs.Suppressed)", r.Suppressed)
+	}
+	// Suppressions reach the parse-only files too.
+	if sr := staticlint.Run(prog, fixtureConfig(), staticlint.AnalyzersByName([]string{"skipref"})); sr.Suppressed != 1 {
+		t.Errorf("skipref suppressed = %d, want 1 (skips_test.go TestSuppressed)", sr.Suppressed)
 	}
 	var lint []string
 	for _, d := range r.Diagnostics {
