@@ -111,7 +111,8 @@ ci: vet build fmt-check staticgate test race conform conform-mutate cover perfbe
 # polls it to completion and diffs the served CSV against the gpuport
 # CLI's dataset for the same seed - the end-to-end proof that the
 # daemon is a pure transport. A second overlapping campaign exercises
-# the shared trace cache. Leaves gpuportd-metrics.prom,
+# the shared trace cache, and a restart over the same job dir must
+# serve the study from its persisted entry. Leaves gpuportd-metrics.prom,
 # gpuportd-obs-trace.json and the live gpuportd-stream.ndjson telemetry
 # capture behind for upload (and for obs-slo).
 serve-smoke:

@@ -28,6 +28,20 @@ import (
 	"gpuport/internal/tracecache"
 )
 
+// Connection timeouts of the HTTP front end: a client that never
+// finishes its request headers, or leaves a keep-alive connection idle,
+// is cut off. There is deliberately no write timeout, because
+// result?wait=1, /events and /debug/obs-stream are long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer serves h with the daemon's connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -105,7 +119,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "gpuportd listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -107,7 +107,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	ds, _, err := camp.Run(context.Background(), measure.Env{})
+	ds, err := measure.Collect(camp.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +136,21 @@ func TestDaemonRejectsArgs(t *testing.T) {
 	err := run(context.Background(), []string{"sweep"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unexpected argument") {
 		t.Fatalf("err = %v, want unexpected argument", err)
+	}
+}
+
+// TestHTTPServerTimeouts pins the front end's connection timeouts: a
+// header and an idle deadline, and no read or write deadline, which
+// would cut off the long-lived wait, event and stream responses.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v, want none", hs.ReadTimeout, hs.WriteTimeout)
 	}
 }

@@ -70,7 +70,9 @@ func ServerCampaignDifferential(ctx context.Context, seed uint64, trials int) er
 		if serr != nil {
 			return fmt.Errorf("server-diff trial %d: generated spec invalid: %w", trial, serr)
 		}
-		ds, _, err := camp.Run(ctx, measure.Env{})
+		o := camp.Options()
+		o.Ctx = ctx
+		ds, err := measure.Collect(o)
 		if err != nil {
 			return fmt.Errorf("server-diff trial %d: CLI path: %w", trial, err)
 		}

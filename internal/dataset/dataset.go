@@ -266,31 +266,42 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	d := New()
 	for i, row := range rows[1:] {
-		if len(row) < 5 {
-			return nil, fmt.Errorf("dataset: row %d has %d fields", i+2, len(row))
-		}
-		cfg, err := opt.Parse(row[3])
+		rec, err := ParseRecord(row)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: row %d: %w", i+2, err)
-		}
-		rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}}
-		for _, f := range row[4:] {
-			if strings.TrimSpace(f) == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: row %d: %w", i+2, err)
-			}
-			if v <= 0 {
-				return nil, fmt.Errorf("dataset: row %d: non-positive sample %v", i+2, v)
-			}
-			rec.Samples = append(rec.Samples, v)
-		}
-		if len(rec.Samples) == 0 {
-			return nil, fmt.Errorf("dataset: row %d: no samples", i+2)
 		}
 		d.Add(rec)
 	}
 	return d, nil
+}
+
+// ParseRecord parses one dataset CSV row (chip, app, input, config,
+// then the samples): blank sample fields are skipped, every sample
+// must be a positive float, and at least one must be present.
+func ParseRecord(row []string) (Record, error) {
+	if len(row) < 5 {
+		return Record{}, fmt.Errorf("%d fields, want at least 5", len(row))
+	}
+	cfg, err := opt.Parse(row[3])
+	if err != nil {
+		return Record{}, err
+	}
+	rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}}
+	for _, f := range row[4:] {
+		if strings.TrimSpace(f) == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return Record{}, err
+		}
+		if v <= 0 {
+			return Record{}, fmt.Errorf("non-positive sample %v", v)
+		}
+		rec.Samples = append(rec.Samples, v)
+	}
+	if len(rec.Samples) == 0 {
+		return Record{}, fmt.Errorf("no samples")
+	}
+	return rec, nil
 }

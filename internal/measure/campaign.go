@@ -1,14 +1,9 @@
 package measure
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-
-	"gpuport/internal/dataset"
-	"gpuport/internal/obs"
-	"gpuport/internal/tracecache"
 )
 
 // Campaign is one portability study as a resumable job object: the
@@ -18,10 +13,11 @@ import (
 // workers, cache, recorder, checkpoint file). The identity is
 // content-addressed by Fingerprint, so two campaigns with equal
 // fingerprints produce bit-identical datasets and a finished result can
-// be served from a cache without re-running anything; the bindings are
-// supplied per execution through Env, so the same campaign can run,
-// be cancelled, and resume later under a different context and worker
-// budget while remaining the same job.
+// be served from a cache without re-running anything. An execution
+// sets its bindings on a copy from Options and runs it through
+// CollectReport, so the same campaign can run, be cancelled, and resume
+// later under a different context and worker budget while remaining
+// the same job.
 type Campaign struct {
 	o Options
 }
@@ -29,7 +25,7 @@ type Campaign struct {
 // NewCampaign resolves the semantic grid of o (nil axes become the
 // full study axes) and captures it as a job object. Runtime bindings
 // present in o (context, cache, recorder, workers, checkpoint) are
-// carried along as defaults and overridden per execution by Env.
+// kept and returned by Options.
 func NewCampaign(o Options) *Campaign {
 	o.fillGrid()
 	return &Campaign{o: o}
@@ -79,52 +75,4 @@ func (c *Campaign) Fingerprint() string {
 	}
 	field("faults=" + c.o.Faults.String())
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Env binds one execution of a campaign to runtime resources. Every
-// field is optional; the zero value runs the campaign standalone with
-// the defaults captured at NewCampaign time.
-type Env struct {
-	// Workers caps the trace and cost-evaluation worker pools
-	// (0 means GOMAXPROCS). The dataset is bit-identical either way.
-	Workers int
-	// TraceCache short-circuits the trace phase through the shared
-	// content-addressed store; safe for concurrent campaigns.
-	TraceCache *tracecache.Store
-	// Obs receives the execution's stage timings, counters and spans.
-	// Give each execution its own recorder for per-job isolation.
-	Obs *obs.Recorder
-	// Notify receives coarse progress events (see Options.Notify).
-	Notify func(phase string, done, total int)
-	// Checkpoint names the CSV shard file making the execution
-	// resumable; cells already persisted there are not re-measured.
-	Checkpoint string
-}
-
-// Run executes the campaign under ctx with the given bindings and
-// returns the dataset plus the per-cell collection report. The dataset
-// depends only on the campaign's identity: re-running, resuming from
-// the checkpoint, sharing the trace cache with concurrent campaigns
-// and changing the worker count all produce the same bits.
-func (c *Campaign) Run(ctx context.Context, env Env) (*dataset.Dataset, *Report, error) {
-	o := c.o
-	if ctx != nil {
-		o.Ctx = ctx
-	}
-	if env.Workers != 0 {
-		o.Workers = env.Workers
-	}
-	if env.TraceCache != nil {
-		o.TraceCache = env.TraceCache
-	}
-	if env.Obs != nil {
-		o.Obs = env.Obs
-	}
-	if env.Notify != nil {
-		o.Notify = env.Notify
-	}
-	if env.Checkpoint != "" {
-		o.Checkpoint = env.Checkpoint
-	}
-	return CollectReport(o)
 }

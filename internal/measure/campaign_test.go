@@ -1,8 +1,6 @@
 package measure
 
 import (
-	"bytes"
-	"context"
 	"sync"
 	"testing"
 
@@ -82,33 +80,6 @@ func TestConfigsSubspaceBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCampaignRunMatchesCollect proves the job object is a pure
-// re-packaging: Campaign.Run with a zero Env produces the same CSV
-// bytes as the one-shot Collect entry point.
-func TestCampaignRunMatchesCollect(t *testing.T) {
-	direct, err := Collect(smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, rep, err := NewCampaign(smallOptions()).Run(context.Background(), Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("campaign incomplete: %d/%d", rep.Measured, rep.Cells)
-	}
-	var a, b bytes.Buffer
-	if err := direct.WriteCSV(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Campaign.Run CSV differs from Collect CSV")
 	}
 }
 

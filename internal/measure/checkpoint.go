@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"gpuport/internal/dataset"
-	"gpuport/internal/opt"
 )
 
 // checkpoint appends completed cells to a CSV shard file as the sweep
@@ -90,33 +89,10 @@ func loadCheckpointRows(raw []byte) *dataset.Dataset {
 		if err != nil {
 			continue
 		}
-		if len(row) < 5 || row[0] == "chip" {
-			continue
+		// The header row fails to parse like any damaged row.
+		if rec, err := dataset.ParseRecord(row); err == nil {
+			d.Add(rec)
 		}
-		cfg, err := opt.Parse(row[3])
-		if err != nil {
-			continue
-		}
-		rec := dataset.Record{Key: dataset.Key{
-			Tuple:  dataset.Tuple{Chip: row[0], App: row[1], Input: row[2]},
-			Config: cfg,
-		}}
-		ok := true
-		for _, field := range row[4:] {
-			if strings.TrimSpace(field) == "" {
-				continue
-			}
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil || v <= 0 {
-				ok = false
-				break
-			}
-			rec.Samples = append(rec.Samples, v)
-		}
-		if !ok || len(rec.Samples) == 0 {
-			continue
-		}
-		d.Add(rec)
 	}
 	if d.Len() == 0 {
 		return nil

@@ -40,6 +40,8 @@ const (
 	CtrJobsCompleted = "jobs-completed"
 	CtrJobsFailed    = "jobs-failed"
 	CtrJobsCanceled  = "jobs-canceled"
+	// Finished jobs whose job-directory entry failed to write.
+	CtrJobsPersistErrors = "jobs-persist-errors"
 )
 
 // Span names.

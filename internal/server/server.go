@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,11 +32,14 @@ type Config struct {
 	// TraceCache is the content-addressed trace store shared by every
 	// campaign; nil disables cross-campaign trace reuse.
 	TraceCache *tracecache.Store
-	// JobDir persists terminal results (<id>.status.json,
-	// <id>.result.csv) and in-flight checkpoints (<id>.ckpt). A result
-	// found there is served without re-measuring; a checkpoint found
-	// there makes a resubmitted campaign resume instead of restart.
-	// Empty disables persistence and resumability.
+	// JobDir persists each finished job as one verified entry,
+	// <id>.done (the canonical status line, then the result CSV, in the
+	// trace cache's checksummed entry format), and each in-flight
+	// campaign's checkpoint, <id>.ckpt. An entry found there is served
+	// without re-measuring, and a damaged one is deleted and computed
+	// again; a checkpoint found there makes a resubmitted campaign
+	// resume instead of restart. Empty disables persistence and
+	// resumability.
 	JobDir string
 	// Obs is the daemon-lifetime recorder behind /metrics and the debug
 	// trace: each runner records one campaign span per job on its lane,
@@ -399,17 +403,17 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 		jrec.EnableSim()
 	}
 	jrec.ForwardTo(s.rec, j.trace, span.ID())
-	env := measure.Env{
-		Workers:    s.cfg.Workers,
-		TraceCache: s.cfg.TraceCache,
-		Obs:        jrec,
-		Notify:     j.notify,
-	}
-	if s.cfg.JobDir != "" {
-		env.Checkpoint = s.checkpointPath(j.id)
-	}
 	jctx, jcancel := context.WithCancel(ctx)
 	defer jcancel()
+	o := j.camp.Options()
+	o.Ctx = jctx
+	o.Workers = s.cfg.Workers
+	o.TraceCache = s.cfg.TraceCache
+	o.Obs = jrec
+	o.Notify = j.notify
+	if s.cfg.JobDir != "" {
+		o.Checkpoint = s.checkpointPath(j.id)
+	}
 	j.mu.Lock()
 	j.cancel = jcancel
 	if j.canceling {
@@ -418,7 +422,7 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	}
 	j.mu.Unlock()
 
-	ds, rep, err := j.camp.Run(jctx, env)
+	ds, rep, err := measure.CollectReport(o)
 	// Adoption folds the whole job recorder - counters, histograms,
 	// stage timers and (when tracing) its spans and events, re-parented
 	// under the campaign span as one connected trace - into the daemon
@@ -464,64 +468,52 @@ func (s *Server) checkpointPath(id string) string {
 	return filepath.Join(s.cfg.JobDir, id+".ckpt")
 }
 
-// persist writes the terminal status and result bytes atomically and
-// retires the checkpoint. Persistence failures are recorded on the
-// daemon recorder but do not fail the job: the in-memory result is
-// still valid. Caller holds j.mu (reads only pinned terminal bytes).
+// entryPath names the job's finished-result entry.
+func (s *Server) entryPath(id string) string {
+	return filepath.Join(s.cfg.JobDir, id+".done")
+}
+
+// persist stores the finished job as one verified entry - the
+// canonical status line followed by the result CSV - and retires the
+// checkpoint. A failed write is counted on the daemon recorder but does
+// not fail the job: the in-memory result is still valid. Caller holds
+// j.mu (reads only pinned terminal bytes).
 func (s *Server) persist(j *Job) {
 	if s.cfg.JobDir == "" {
 		return
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.JobDir, j.id+".result.csv"), j.result); err != nil {
-		return
-	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.JobDir, j.id+".status.json"), j.status); err != nil {
+	entry := make([]byte, 0, len(j.status)+len(j.result))
+	entry = append(append(entry, j.status...), j.result...)
+	if err := tracecache.WriteEntry(s.entryPath(j.id), entry); err != nil {
+		s.rec.Add(obs.CtrJobsPersistErrors, 1)
 		return
 	}
 	_ = os.Remove(s.checkpointPath(j.id)) // best-effort: a stale ckpt only costs a resume
 }
 
 // loadPersisted returns the terminal bytes persisted for id by an
-// earlier run (possibly of an earlier server process). The status must
-// parse and be done; anything less is treated as a miss.
+// earlier run (possibly of an earlier server process). The entry must
+// verify and hold a done status for id; anything less is a miss. A
+// damaged entry is deleted, so the campaign is computed again and
+// stored afresh.
 func (s *Server) loadPersisted(id string) (status, result []byte, ok bool) {
 	if s.cfg.JobDir == "" {
 		return nil, nil, false
 	}
-	status, err := os.ReadFile(filepath.Join(s.cfg.JobDir, id+".status.json"))
+	path := s.entryPath(id)
+	entry, err := tracecache.ReadEntry(path)
 	if err != nil {
+		if errors.Is(err, tracecache.ErrCorrupt) {
+			_ = os.Remove(path) // best-effort heal; a stuck entry misses again next time
+		}
 		return nil, nil, false
 	}
-	result, err = os.ReadFile(filepath.Join(s.cfg.JobDir, id+".result.csv"))
-	if err != nil {
-		return nil, nil, false
-	}
+	// The status is one compact JSON line; the result CSV follows it.
+	nl := bytes.IndexByte(entry, '\n') + 1
 	var st Status
-	if json.Unmarshal(status, &st) != nil || st.State != StateDone || st.ID != id {
+	if json.Unmarshal(entry[:nl], &st) != nil || st.State != StateDone || st.ID != id {
 		return nil, nil, false
 	}
-	return status, result, true
-}
-
-// writeFileAtomic writes data via a temp file and rename, so readers
-// (and crashed writers) never observe a partial file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close() // best-effort: the write error is the one worth reporting
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	// The cap keeps an append to the status from overwriting the result.
+	return entry[:nl:nl], entry[nl:], true
 }

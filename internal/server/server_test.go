@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +36,7 @@ func referenceBytes(t *testing.T, spec Spec) []byte {
 	if errs != nil {
 		t.Fatal(errs)
 	}
-	ds, _, err := camp.Run(context.Background(), measure.Env{})
+	ds, err := measure.Collect(camp.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +165,139 @@ func TestCacheServedAfterRestart(t *testing.T) {
 	}
 }
 
+// TestDamagedJobEntryIsRecomputed proves the job directory never
+// serves a wrong byte: whatever happened to a finished job's entry
+// between two server processes, the resubmit is computed afresh,
+// answers the reference bytes and leaves a new verified entry.
+func TestDamagedJobEntryIsRecomputed(t *testing.T) {
+	rewrite := func(t *testing.T, path string, mangle func([]byte) []byte) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, mangle(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, entry string, ja *Job)
+	}{
+		{"truncated", func(t *testing.T, entry string, _ *Job) {
+			rewrite(t, entry, func(raw []byte) []byte { return raw[:len(raw)/2] })
+		}},
+		{"payload byte flipped", func(t *testing.T, entry string, _ *Job) {
+			// The last sample's final digit: still a well-formed CSV.
+			rewrite(t, entry, func(raw []byte) []byte { raw[len(raw)-2] ^= 0x01; return raw })
+		}},
+		{"stale version", func(t *testing.T, entry string, _ *Job) {
+			rewrite(t, entry, func(raw []byte) []byte {
+				return bytes.Replace(raw, []byte("gpuport-tracecache 1 "), []byte("gpuport-tracecache 0 "), 1)
+			})
+		}},
+		{"deleted", func(t *testing.T, entry string, _ *Job) {
+			if err := os.Remove(entry); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"old layout", func(t *testing.T, entry string, ja *Job) {
+			// An older daemon left the status body and the result CSV
+			// as two unverified files.
+			if err := os.Remove(entry); err != nil {
+				t.Fatal(err)
+			}
+			result, _ := ja.Result()
+			for _, f := range []struct {
+				kind, ext string
+				body      []byte
+			}{{"status", "json", ja.StatusBytes()}, {"result", "csv", result}} {
+				path := filepath.Join(filepath.Dir(entry), ja.ID()+"."+f.kind+"."+f.ext)
+				if err := os.WriteFile(path, f.body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	want := referenceBytes(t, testSpec())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobDir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			a, err := New(Config{Ctx: ctx, JobDir: jobDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ja := submit(t, a, testSpec())
+			waitDone(t, ja)
+			a.Close()
+			entry := filepath.Join(jobDir, ja.ID()+".done")
+			des, err := os.ReadDir(jobDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(des) != 1 || des[0].Name() != filepath.Base(entry) {
+				t.Fatalf("job dir holds %v, want only %s", des, filepath.Base(entry))
+			}
+			tc.damage(t, entry, ja)
+
+			b := newTestServer(t, Config{JobDir: jobDir})
+			jb := submit(t, b, testSpec())
+			waitDone(t, jb)
+			if jb.State() != StateDone || jb.Source() != SourceFresh {
+				t.Fatalf("state %s from %s, want done from fresh", jb.State(), jb.Source())
+			}
+			got, errs := jb.Result()
+			if errs != nil {
+				t.Fatal(errs)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("recomputed result differs from reference")
+			}
+			payload, err := tracecache.ReadEntry(entry)
+			if err != nil {
+				t.Fatalf("no verified entry after recompute: %v", err)
+			}
+			if !bytes.Equal(payload, slices.Concat(jb.StatusBytes(), want)) {
+				t.Fatal("new entry is not the status line followed by the result")
+			}
+		})
+	}
+}
+
+// TestPersistFailureCounted proves a job whose entry cannot be written
+// still finishes: the failure is counted on the daemon recorder and
+// the in-memory result is served byte-identical.
+func TestPersistFailureCounted(t *testing.T) {
+	jobDir := t.TempDir()
+	s := newTestServer(t, Config{JobDir: jobDir})
+	_, camp, errs := testSpec().Resolve()
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	// A directory in the entry's place fails the write's final rename,
+	// while the checkpoint beside it still works.
+	if err := os.Mkdir(filepath.Join(jobDir, camp.Fingerprint()[:16]+".done"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j := submit(t, s, testSpec())
+	waitDone(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("state = %s, want done: %s", j.State(), j.StatusBytes())
+	}
+	if got := s.Snapshot().Summary.Counter(obs.CtrJobsPersistErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.CtrJobsPersistErrors, got)
+	}
+	got, errs := j.Result()
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	if want := referenceBytes(t, testSpec()); !bytes.Equal(got, want) {
+		t.Fatal("result served after a persist failure differs from reference")
+	}
+}
+
 // TestResumeFromCheckpoint proves deterministic resumption: a partial
 // checkpoint left behind by an interrupted execution is loaded instead
 // of re-measured, and the finished result is byte-identical to an
@@ -184,9 +319,9 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	if errs != nil {
 		t.Fatal(errs)
 	}
-	_, prep, err := pcamp.Run(context.Background(), measure.Env{
-		Checkpoint: filepath.Join(jobDir, id+".ckpt"),
-	})
+	po := pcamp.Options()
+	po.Checkpoint = filepath.Join(jobDir, id+".ckpt")
+	_, prep, err := measure.CollectReport(po)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,16 @@
 // readers and writers (including across processes). Total size is
 // capped: after each write the least-recently-used entries are evicted
 // until the store fits the budget.
+//
+// WriteEntry and ReadEntry export the entry codec for any payload. The
+// campaign server's job directory stores each finished job as one such
+// entry, so the daemon keeps a single verified on-disk format.
 package tracecache
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -155,12 +160,15 @@ func (s *Store) path(k Key) string {
 // fails: any problem at all falls back to "not cached".
 func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	path := s.path(k)
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	payload, err := ReadEntry(path)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	}
-	tr, err := decodeEntry(raw)
+	var tr *irgl.Trace
+	if err == nil {
+		tr, err = irgl.ReadTraceJSON(bytes.NewReader(payload))
+	}
 	if err != nil {
 		_ = os.Remove(path) // best-effort heal; a stuck entry re-misses next time
 		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
@@ -192,16 +200,27 @@ func (s *Store) put(k Key, tr *irgl.Trace) error {
 	if err != nil {
 		return fmt.Errorf("tracecache: encode: %w", err)
 	}
-	entry := appendHeader(nil, payload)
-	entry = append(entry, payload...)
+	return WriteEntry(s.path(k), payload)
+}
 
-	// Write-then-rename keeps concurrent readers (and other processes)
-	// from ever observing a partial entry.
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+// ErrCorrupt marks an entry file that was read but failed
+// verification: truncated, bit-flipped, a stale format version, or not
+// an entry at all.
+var ErrCorrupt = errors.New("tracecache: corrupt entry")
+
+// WriteEntry writes payload to path as one self-verifying entry: the
+// header line, then the payload. The bytes go to a temp file in path's
+// directory that is then renamed into place, so concurrent readers (and
+// other processes) never observe a partial entry.
+func WriteEntry(path string, payload []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
-	_, werr := tmp.Write(entry)
+	_, werr := tmp.Write(appendHeader(nil, payload))
+	if werr == nil {
+		_, werr = tmp.Write(payload)
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		_ = os.Remove(tmp.Name()) // best-effort cleanup; the write error takes precedence
@@ -210,11 +229,23 @@ func (s *Store) put(k Key, tr *irgl.Trace) error {
 		}
 		return fmt.Errorf("tracecache: write: %w", werr)
 	}
-	if err := os.Rename(tmp.Name(), s.path(k)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		_ = os.Remove(tmp.Name()) // best-effort cleanup; the write error takes precedence
 		return fmt.Errorf("tracecache: %w", err)
 	}
 	return nil
+}
+
+// ReadEntry reads the entry at path and returns its verified payload.
+// A file that cannot be read returns the os error unchanged (a missing
+// one satisfies errors.Is(err, fs.ErrNotExist)); a file that fails
+// verification returns an error wrapping ErrCorrupt.
+func ReadEntry(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return verifyEntry(raw)
 }
 
 // appendHeader appends the entry header for payload to dst.
@@ -223,29 +254,40 @@ func appendHeader(dst, payload []byte) []byte {
 	return fmt.Appendf(dst, "%s %d %x %d\n", headerMagic, formatVersion, sum, len(payload))
 }
 
-// decodeEntry verifies and decodes one entry file.
-func decodeEntry(raw []byte) (*irgl.Trace, error) {
+// verifyEntry checks one entry file's header against its payload and
+// returns the payload.
+func verifyEntry(raw []byte) ([]byte, error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("tracecache: truncated header")
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	fields := strings.Fields(string(raw[:nl]))
 	if len(fields) != 4 || fields[0] != headerMagic {
-		return nil, fmt.Errorf("tracecache: malformed header")
+		return nil, fmt.Errorf("%w: malformed header", ErrCorrupt)
 	}
 	if v, err := strconv.Atoi(fields[1]); err != nil || v != formatVersion {
-		return nil, fmt.Errorf("tracecache: stale format version %q", fields[1])
+		return nil, fmt.Errorf("%w: stale format version %q", ErrCorrupt, fields[1])
 	}
 	wantLen, err := strconv.Atoi(fields[3])
 	if err != nil {
-		return nil, fmt.Errorf("tracecache: malformed length")
+		return nil, fmt.Errorf("%w: malformed length", ErrCorrupt)
 	}
 	payload := raw[nl+1:]
 	if len(payload) != wantLen {
-		return nil, fmt.Errorf("tracecache: truncated payload: %d of %d bytes", len(payload), wantLen)
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(payload), wantLen)
 	}
 	if sum := sha256.Sum256(payload); fmt.Sprintf("%x", sum) != fields[2] {
-		return nil, fmt.Errorf("tracecache: checksum mismatch")
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, nil
+}
+
+// decodeEntry is Get's verify-and-decode step over an in-memory entry
+// file: the FuzzEntryDecode target and a determinism root of the codec.
+func decodeEntry(raw []byte) (*irgl.Trace, error) {
+	payload, err := verifyEntry(raw)
+	if err != nil {
+		return nil, err
 	}
 	return irgl.ReadTraceJSON(bytes.NewReader(payload))
 }

@@ -8,7 +8,10 @@
 # (its traces were already produced by the full study, so it must
 # generate cache hits). Also scrapes /metrics and the daemon's Chrome
 # trace, and leaves the NDJSON stream capture behind, so CI can upload
-# them as artifacts and `make obs-slo` can evaluate SLO floors.
+# them as artifacts and `make obs-slo` can evaluate SLO floors. Finally
+# it restarts the daemon over the same job directory and trace cache:
+# the resubmitted study must be answered from the persisted entry, byte
+# for byte.
 #
 # Requires: curl, jq, go. Run from the repository root (`make
 # serve-smoke`).
@@ -37,21 +40,27 @@ echo "== building gpuportd and gpuport"
 go build -o "$WORKDIR/gpuportd" ./cmd/gpuportd
 go build -o "$WORKDIR/gpuport" ./cmd/gpuport
 
-echo "== booting gpuportd"
-"$WORKDIR/gpuportd" -listen 127.0.0.1:0 \
-    -jobdir "$WORKDIR/jobs" -trace-cache "$WORKDIR/cache" \
-    > "$WORKDIR/daemon.log" &
-DAEMON_PID=$!
+# boot starts gpuportd over the shared job dir and trace cache, logging
+# to $1, and sets DAEMON_PID and BASE.
+boot() {
+    local log=$1
+    : > "$log" # exists before the banner poll reads it
+    "$WORKDIR/gpuportd" -listen 127.0.0.1:0 \
+        -jobdir "$WORKDIR/jobs" -trace-cache "$WORKDIR/cache" > "$log" &
+    DAEMON_PID=$!
+    BASE=""
+    for _ in $(seq 1 100); do
+        BASE=$(sed -n 's/^gpuportd listening on //p' "$log" | head -1)
+        [ -n "$BASE" ] && break
+        kill -0 "$DAEMON_PID" 2>/dev/null || { cat "$log"; echo "daemon died"; exit 1; }
+        sleep 0.1
+    done
+    [ -n "$BASE" ] || { echo "daemon never printed its listen banner"; exit 1; }
+    echo "   $BASE"
+}
 
-BASE=""
-for _ in $(seq 1 100); do
-    BASE=$(sed -n 's/^gpuportd listening on //p' "$WORKDIR/daemon.log" | head -1)
-    [ -n "$BASE" ] && break
-    kill -0 "$DAEMON_PID" 2>/dev/null || { cat "$WORKDIR/daemon.log"; echo "daemon died"; exit 1; }
-    sleep 0.1
-done
-[ -n "$BASE" ] || { echo "daemon never printed its listen banner"; exit 1; }
-echo "   $BASE"
+echo "== booting gpuportd"
+boot "$WORKDIR/daemon.log"
 
 curl -fsS "$BASE/healthz" > /dev/null
 
@@ -119,5 +128,19 @@ STREAM_PID=""
 grep -q '"kind":"span"' gpuportd-stream.ndjson
 grep -q '"kind":"counter"' gpuportd-stream.ndjson
 echo "   stream capture: $(wc -l < gpuportd-stream.ndjson) events"
+
+echo "== restarting gpuportd over the same job dir and trace cache"
+kill -INT "$DAEMON_PID"
+wait "$DAEMON_PID"
+boot "$WORKDIR/daemon2.log"
+
+echo "== resubmitting the full study (must be served from the job dir)"
+curl -fsS -D "$WORKDIR/resubmit.headers" -o /dev/null -X POST "$BASE/v1/campaigns" \
+    -H 'Content-Type: application/json' -d "{\"seed\":$SEED,\"runs\":$RUNS}"
+tr -d '\r' < "$WORKDIR/resubmit.headers" | grep -qi '^X-Gpuportd-Source: cache$' ||
+    { cat "$WORKDIR/resubmit.headers"; echo "resubmit was not served from cache"; exit 1; }
+curl -fsS "$BASE/v1/campaigns/$ID/result" -o "$WORKDIR/restart.csv"
+cmp "$WORKDIR/restart.csv" "$WORKDIR/cli.csv"
+echo "   cache-served and byte-identical ($(wc -c < "$WORKDIR/restart.csv") bytes)"
 
 echo "== serve smoke passed"
