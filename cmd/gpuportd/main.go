@@ -61,7 +61,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	cacheMB := fs.Int("trace-cache-mb", 0, "trace cache size cap in MiB (default 256)")
 	obsTick := fs.Duration("obs-tick", 10*time.Second, "telemetry sampling period for the time-series store (0 disables ticking)")
 	obsSim := fs.Bool("obs-sim", false, "capture the simulated kernel timeline in the debug trace (bulky)")
-	obsWindow := fs.Int("obs-window", 0, "telemetry ticks retained per time series (default 360)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,12 +73,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		rec.EnableSim()
 	}
 	cfg := server.Config{
-		Ctx:           ctx,
-		Campaigns:     *campaigns,
-		Workers:       *workers,
-		JobDir:        *jobDir,
-		Obs:           rec,
-		MetricsWindow: *obsWindow,
+		Ctx:       ctx,
+		Campaigns: *campaigns,
+		Workers:   *workers,
+		JobDir:    *jobDir,
+		Obs:       rec,
 	}
 	if *cacheDir != "" {
 		store, err := tracecache.Open(*cacheDir, int64(*cacheMB)<<20)

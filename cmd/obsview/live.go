@@ -158,10 +158,13 @@ func tail(w io.Writer, path string, top, every int) error {
 	return nil
 }
 
+// sloEndpoint is the endpoint whose request latency slo evaluates: only
+// the server's Submit opens http-request spans.
+const sloEndpoint = "submit"
+
 // sloConfig is one SLO evaluation: floors at zero are not checked.
 type sloConfig struct {
-	endpoint      string
-	p50MS, p99MS  float64 // request-latency floors for the endpoint
+	p50MS, p99MS  float64 // request-latency floors for sloEndpoint
 	queueP99MS    float64 // queue-wait p99 floor
 	cacheHitMin   float64 // trace-cache hit ratio floor (0..1)
 	injectLatency int64   // test hook: ns added to every latency sample
@@ -171,7 +174,7 @@ type sloConfig struct {
 
 // sloObservations is what slo measures from a stream or trace.
 type sloObservations struct {
-	latencyNS []int64 // per-request latency for the chosen endpoint
+	latencyNS []int64 // per-request latency for sloEndpoint
 	queueNS   []int64 // per-job queue-wait
 	hits      float64
 	misses    float64
@@ -195,7 +198,7 @@ func quantileNS(samples []int64, q float64) int64 {
 }
 
 // loadSLOStream reads observations from an NDJSON stream capture.
-func loadSLOStream(path, endpoint string) (*sloObservations, error) {
+func loadSLOStream(path string) (*sloObservations, error) {
 	in, err := openInput(path)
 	if err != nil {
 		return nil, err
@@ -217,7 +220,7 @@ func loadSLOStream(path, endpoint string) (*sloObservations, error) {
 		case obs.StreamSpan:
 			switch ev.Name {
 			case obs.SpanHTTPRequest:
-				if ev.Attrs[obs.AttrEndpoint] == endpoint {
+				if ev.Attrs[obs.AttrEndpoint] == sloEndpoint {
 					o.latencyNS = append(o.latencyNS, ev.DurNS)
 				}
 			case obs.SpanQueueWait:
@@ -238,7 +241,7 @@ func loadSLOStream(path, endpoint string) (*sloObservations, error) {
 // loadSLOTrace reads the same observations from a raw Chrome trace
 // export (/debug/obs-trace): request and queue-wait span durations are
 // microseconds there, counters are counter events.
-func loadSLOTrace(td *traceData, raw []byte, endpoint string) (*sloObservations, error) {
+func loadSLOTrace(td *traceData, raw []byte) (*sloObservations, error) {
 	var doc struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}
@@ -255,7 +258,7 @@ func loadSLOTrace(td *traceData, raw []byte, endpoint string) (*sloObservations,
 		}
 		switch ev.Name {
 		case obs.SpanHTTPRequest:
-			if ep, _ := ev.Args[obs.AttrEndpoint].(string); ep == endpoint {
+			if ep, _ := ev.Args[obs.AttrEndpoint].(string); ep == sloEndpoint {
 				o.latencyNS = append(o.latencyNS, int64(ev.Dur*1e3))
 			}
 		case obs.SpanQueueWait:
@@ -267,17 +270,17 @@ func loadSLOTrace(td *traceData, raw []byte, endpoint string) (*sloObservations,
 
 // loadSLO sniffs the input format: a Chrome trace is one JSON object
 // with a traceEvents array; anything else is treated as NDJSON.
-func loadSLO(path, endpoint string) (*sloObservations, error) {
+func loadSLO(path string) (*sloObservations, error) {
 	if path != "-" {
 		if raw, err := os.ReadFile(path); err == nil && isChromeTrace(raw) {
 			td, err := loadTrace(path)
 			if err != nil {
 				return nil, err
 			}
-			return loadSLOTrace(td, raw, endpoint)
+			return loadSLOTrace(td, raw)
 		}
 	}
-	return loadSLOStream(path, endpoint)
+	return loadSLOStream(path)
 }
 
 func isChromeTrace(raw []byte) bool {
@@ -291,7 +294,7 @@ const nsPerMS = 1e6
 
 // slo evaluates the floors and returns an error listing every breach.
 func slo(w io.Writer, path string, cfg sloConfig) error {
-	o, err := loadSLO(path, cfg.endpoint)
+	o, err := loadSLO(path)
 	if err != nil {
 		return err
 	}
@@ -321,8 +324,8 @@ func slo(w io.Writer, path string, cfg sloConfig) error {
 				name, float64(observedNS)/nsPerMS, floorMS))
 		}
 	}
-	check(cfg.endpoint+" p50", p50, cfg.p50MS, len(o.latencyNS))
-	check(cfg.endpoint+" p99", p99, cfg.p99MS, len(o.latencyNS))
+	check(sloEndpoint+" p50", p50, cfg.p50MS, len(o.latencyNS))
+	check(sloEndpoint+" p99", p99, cfg.p99MS, len(o.latencyNS))
 	check("queue-wait p99", queueP99, cfg.queueP99MS, len(o.queueNS))
 	if cfg.cacheHitMin > 0 {
 		if o.hits+o.misses == 0 {
@@ -334,8 +337,8 @@ func slo(w io.Writer, path string, cfg sloConfig) error {
 
 	var rep strings.Builder
 	t := report.NewTable("SLO evaluation: "+path, "Indicator", "Observed", "Floor", "Samples").RightAlign(1, 2, 3)
-	t.Row(cfg.endpoint+" p50", fmt.Sprintf("%.3fms", float64(p50)/nsPerMS), floorCell(cfg.p50MS, "ms"), len(o.latencyNS))
-	t.Row(cfg.endpoint+" p99", fmt.Sprintf("%.3fms", float64(p99)/nsPerMS), floorCell(cfg.p99MS, "ms"), len(o.latencyNS))
+	t.Row(sloEndpoint+" p50", fmt.Sprintf("%.3fms", float64(p50)/nsPerMS), floorCell(cfg.p50MS, "ms"), len(o.latencyNS))
+	t.Row(sloEndpoint+" p99", fmt.Sprintf("%.3fms", float64(p99)/nsPerMS), floorCell(cfg.p99MS, "ms"), len(o.latencyNS))
 	t.Row("queue-wait p99", fmt.Sprintf("%.3fms", float64(queueP99)/nsPerMS), floorCell(cfg.queueP99MS, "ms"), len(o.queueNS))
 	t.Row("cache-hit ratio", fmt.Sprintf("%.3f", hitRatio), floorCell(cfg.cacheHitMin, " min"), int(o.hits+o.misses))
 	t.Render(&rep)
@@ -390,8 +393,8 @@ func writeSLOBench(cfg sloConfig, p50, p99, queueP99 int64, hitRatio float64) er
 	line := func(name string, v int64) {
 		fmt.Fprintf(&b, "BenchmarkSLO/%s 1 %d ns/op\n", name, clamp(v))
 	}
-	line(cfg.endpoint+"-latency-p50", p50)
-	line(cfg.endpoint+"-latency-p99", p99)
+	line(sloEndpoint+"-latency-p50", p50)
+	line(sloEndpoint+"-latency-p99", p99)
 	line("queue-wait-p99", queueP99)
 	line("cache-hit-permicro", int64(hitRatio*1e6))
 	return os.WriteFile(cfg.benchPath, []byte(b.String()), 0o644)

@@ -23,11 +23,12 @@
 // tail flags (after the subcommand): -every N re-renders the table
 // every N closed spans (0 = once, at end of stream).
 //
-// slo flags (after the subcommand): -endpoint, -p50-ms, -p99-ms,
-// -queue-p99-ms, -cache-hit-min set the floors (zero disables a
-// check); -bench and -report write go-bench observations and the
-// human report to files; -inject-latency-ns adds synthetic latency to
-// every request sample, the hook CI uses to prove the gate fails on
+// slo flags (after the subcommand): -p50-ms, -p99-ms, -queue-p99-ms,
+// -cache-hit-min set the floors (zero disables a check); the latency
+// floors apply to the submit endpoint, the only one that opens request
+// spans. -bench and -report write go-bench observations and the human
+// report to files; -inject-latency-ns adds synthetic latency to every
+// request sample, the hook CI uses to prove the gate fails on
 // regressions.
 //
 // Self time is a span's duration minus the duration of its children
@@ -102,7 +103,6 @@ func run(args []string, w io.Writer) error {
 	case "slo":
 		sfs := flag.NewFlagSet("obsview slo", flag.ContinueOnError)
 		cfg := sloConfig{}
-		sfs.StringVar(&cfg.endpoint, "endpoint", "submit", "endpoint whose request latency is evaluated")
 		sfs.Float64Var(&cfg.p50MS, "p50-ms", 0, "p50 request-latency floor in ms (0 disables)")
 		sfs.Float64Var(&cfg.p99MS, "p99-ms", 0, "p99 request-latency floor in ms (0 disables)")
 		sfs.Float64Var(&cfg.queueP99MS, "queue-p99-ms", 0, "p99 queue-wait floor in ms (0 disables)")

@@ -6,17 +6,15 @@
 //	-list             print the analyzers and exit
 //	-only a,b,c       run only the named analyzers
 //	-json             write the report as byte-stable JSON to stdout
-//	-baseline FILE    committed debt ledger (default .staticgate-baseline.json
-//	                  under the root); findings in it pass, findings not in
-//	                  it fail, entries that no longer fire fail (the ledger
-//	                  may only shrink)
-//	-baseline-budget N  fail if the ledger holds more than N entries; CI
-//	                  pins this to 0 so the ledger cannot quietly grow
 //	-lockgraph BASE   also write the whole-program lock-acquisition
 //	                  graph as BASE.json and BASE.dot (byte-stable
 //	                  across runs; CI uploads them as artifacts)
 //
-// Exit status: 0 clean, 1 findings or baseline drift, 2 usage or load
+// A finding is silenced only by a //lint:allow <rule> <reason> comment
+// on its line or the line above; lock copies are go vet's copylocks
+// check, not this gate's.
+//
+// Exit status: 0 clean, 1 any unsuppressed finding, 2 usage or load
 // errors.
 package main
 
@@ -25,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"gpuport/internal/staticlint"
@@ -42,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list analyzers and exit")
 		only     = fs.String("only", "", "comma-separated analyzer names to run (default all)")
 		jsonOut  = fs.Bool("json", false, "write the report as byte-stable JSON to stdout")
-		baseline = fs.String("baseline", "", "baseline file (default <root>/.staticgate-baseline.json)")
-		budget   = fs.Int("baseline-budget", -1, "fail if the baseline holds more than this many entries (-1 disables)")
 		lockBase = fs.String("lockgraph", "", "write the lock-acquisition graph to BASE.json and BASE.dot")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,28 +71,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		root = fs.Arg(0)
 	}
-	blPath := *baseline
-	if blPath == "" {
-		blPath = filepath.Join(root, ".staticgate-baseline.json")
-	}
-	bl, err := staticlint.ReadBaseline(blPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "staticgate:", err)
-		return 2
-	}
-	if *budget >= 0 && len(bl.Entries) > *budget {
-		fmt.Fprintf(stderr, "staticgate: baseline holds %d entries, budget is %d (the ledger may only shrink)\n",
-			len(bl.Entries), *budget)
-		return 1
-	}
-
 	prog, err := staticlint.Load(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "staticgate:", err)
 		return 2
 	}
 	result := staticlint.Run(prog, staticlint.DefaultConfig(), analyzers)
-	fresh, stale := bl.Apply(result)
 
 	if *lockBase != "" {
 		if err := writeLockGraph(prog, *lockBase); err != nil {
@@ -120,11 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, staticlint.RenderText(result))
 	}
 
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "staticgate: stale baseline entry no longer fires (delete it): %s: %s: %s\n", e.File, e.Rule, e.Message)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "staticgate: %d new finding(s), %d stale baseline entr(ies)\n", len(fresh), len(stale))
+	if len(result.Diagnostics) > 0 {
 		return 1
 	}
 	return 0

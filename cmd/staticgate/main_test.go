@@ -10,26 +10,6 @@ import (
 
 const fixtureRoot = "../../internal/staticlint/testdata/src/fixture"
 
-// writeBaseline drops a baseline JSON into a temp dir and returns its
-// path, so fixture runs never touch a committed ledger.
-func writeBaseline(t *testing.T, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// The fixture's errcheck-only findings, as baseline entries. The bare
-// //lint:allow pragma at errs.go:32 is scanned on every run, so any
-// passing fixture baseline must carry its "lint" finding too.
-const fixtureErrcheckBaseline = `{"entries":[
-  {"rule":"errcheck","file":"internal/errs/errs.go","message":"error result silently dropped (assign it and handle or propagate it)"},
-  {"rule":"errcheck","file":"internal/errs/errs.go","message":"error result silently dropped (assign it and handle or propagate it)"},
-  {"rule":"lint","file":"internal/errs/errs.go","message":"//lint:allow needs a rule name and a reason (//lint:allow <rule> <why>)"}
-]}`
-
 func TestList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
@@ -73,16 +53,8 @@ func TestLoadFailure(t *testing.T) {
 	}
 }
 
-func TestBadBaselineFile(t *testing.T) {
-	bl := writeBaseline(t, "{nope")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-baseline", bl, fixtureRoot}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr %s", code, errb.String())
-	}
-}
-
 // TestRepoClean is the gate's reason to exist: the repository itself
-// analyses clean against its committed (empty) baseline.
+// analyses clean, every exception an explained //lint:allow.
 func TestRepoClean(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"../.."}, &out, &errb); code != 0 {
@@ -94,57 +66,23 @@ func TestRepoClean(t *testing.T) {
 }
 
 func TestFixtureFindingsFail(t *testing.T) {
-	bl := writeBaseline(t, `{"entries":[]}`)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "errcheck", "-baseline", bl, fixtureRoot}, &out, &errb); code != 1 {
+	if code := run([]string{"-only", "errcheck", fixtureRoot}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	if !strings.Contains(errb.String(), "3 new finding(s), 0 stale baseline entr(ies)") {
-		t.Errorf("stderr = %q", errb.String())
-	}
-}
-
-func TestBaselineAbsorbsFindings(t *testing.T) {
-	bl := writeBaseline(t, fixtureErrcheckBaseline)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "errcheck", "-baseline", bl, fixtureRoot}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, want 0; stderr %s", code, errb.String())
-	}
-}
-
-func TestStaleBaselineEntryFails(t *testing.T) {
-	stale := strings.Replace(fixtureErrcheckBaseline, "]}",
-		`,{"rule":"errcheck","file":"internal/errs/gone.go","message":"paid off"}]}`, 1)
-	bl := writeBaseline(t, stale)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "errcheck", "-baseline", bl, fixtureRoot}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "stale baseline entry no longer fires (delete it): internal/errs/gone.go") {
-		t.Errorf("stderr = %q", errb.String())
-	}
-}
-
-func TestBaselineBudget(t *testing.T) {
-	bl := writeBaseline(t, fixtureErrcheckBaseline)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-only", "errcheck", "-baseline", bl, "-baseline-budget", "0", fixtureRoot}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "baseline holds 3 entries, budget is 0") {
-		t.Errorf("stderr = %q", errb.String())
+	if !strings.HasSuffix(out.String(), "staticgate: 3 finding(s), 1 suppressed\n") {
+		t.Errorf("stdout = %q", out.String())
 	}
 }
 
 // TestLockGraphArtifact: -lockgraph writes a JSON and a DOT rendering
 // of the lock-acquisition graph, byte-identical across runs.
 func TestLockGraphArtifact(t *testing.T) {
-	bl := writeBaseline(t, `{"entries":[]}`)
 	readPair := func(base string) (string, string) {
 		t.Helper()
 		var out, errb bytes.Buffer
 		// The fixture has findings (exit 1); the artifact is written anyway.
-		if code := run([]string{"-only", "lockorder", "-baseline", bl, "-lockgraph", base, fixtureRoot}, &out, &errb); code != 1 {
+		if code := run([]string{"-only", "lockorder", "-lockgraph", base, fixtureRoot}, &out, &errb); code != 1 {
 			t.Fatalf("exit %d, want 1; stderr %s", code, errb.String())
 		}
 		j, err := os.ReadFile(base + ".json")
@@ -182,10 +120,9 @@ func TestLockGraphArtifact(t *testing.T) {
 // TestLockGraphWriteFailure: an unwritable base path is a load-class
 // error (exit 2), not a silent skip.
 func TestLockGraphWriteFailure(t *testing.T) {
-	bl := writeBaseline(t, `{"entries":[]}`)
 	var out, errb bytes.Buffer
 	base := filepath.Join(t.TempDir(), "no", "such", "dir", "lockgraph")
-	if code := run([]string{"-only", "lockorder", "-baseline", bl, "-lockgraph", base, fixtureRoot}, &out, &errb); code != 2 {
+	if code := run([]string{"-only", "lockorder", "-lockgraph", base, fixtureRoot}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr %s", code, errb.String())
 	}
 	if !strings.Contains(errb.String(), "lockgraph:") {
@@ -195,8 +132,7 @@ func TestLockGraphWriteFailure(t *testing.T) {
 
 // TestJSONStable: two -json runs over the same tree are byte-identical.
 func TestJSONStable(t *testing.T) {
-	bl := writeBaseline(t, `{"entries":[]}`)
-	args := []string{"-only", "errcheck", "-json", "-baseline", bl, fixtureRoot}
+	args := []string{"-only", "errcheck", "-json", fixtureRoot}
 	var out1, out2, errb bytes.Buffer
 	if code := run(args, &out1, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1 (findings present); stderr %s", code, errb.String())

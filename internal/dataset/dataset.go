@@ -226,19 +226,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			maxSamples = len(r.Samples)
 		}
 	}
-	header := []string{"chip", "app", "input", "config"}
-	for i := 0; i < maxSamples; i++ {
-		header = append(header, fmt.Sprintf("run%d", i+1))
-	}
-	if err := cw.Write(header); err != nil {
+	if err := cw.Write(Header(maxSamples)); err != nil {
 		return err
 	}
 	for _, r := range d.records {
-		row := []string{r.Chip, r.App, r.Input, r.Config.String()}
-		for _, s := range r.Samples {
-			row = append(row, strconv.FormatFloat(s, 'g', 17, 64))
-		}
-		if err := cw.Write(row); err != nil {
+		if err := cw.Write(FormatRecord(r)); err != nil {
 			return err
 		}
 	}
@@ -273,6 +265,29 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		d.Add(rec)
 	}
 	return d, nil
+}
+
+// Header is the dataset CSV header for rows of up to runs samples:
+// chip, app, input, config, then run1..runN.
+func Header(runs int) []string {
+	h := make([]string, 0, 4+runs)
+	h = append(h, "chip", "app", "input", "config")
+	for i := 0; i < runs; i++ {
+		h = append(h, fmt.Sprintf("run%d", i+1))
+	}
+	return h
+}
+
+// FormatRecord renders one record as a dataset CSV row, the inverse of
+// ParseRecord: chip, app, input, the config's String, then every
+// sample at 17 significant digits, which round-trips the float exactly.
+func FormatRecord(r Record) []string {
+	row := make([]string, 0, 4+len(r.Samples))
+	row = append(row, r.Chip, r.App, r.Input, r.Config.String())
+	for _, s := range r.Samples {
+		row = append(row, strconv.FormatFloat(s, 'g', 17, 64))
+	}
+	return row
 }
 
 // ParseRecord parses one dataset CSV row (chip, app, input, config,

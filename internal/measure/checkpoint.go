@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -13,8 +12,9 @@ import (
 )
 
 // checkpoint appends completed cells to a CSV shard file as the sweep
-// runs. The format is the dataset CSV format (ReadCSV-compatible), so a
-// finished checkpoint doubles as a saved dataset. Appends from worker
+// runs. Header and rows are written by dataset.Header and
+// dataset.FormatRecord, as Dataset.WriteCSV writes them, so a finished
+// checkpoint doubles as a saved dataset. Appends from worker
 // goroutines are serialised by a mutex; row order in the file is
 // therefore scheduling-dependent, which is fine because resume loads it
 // into a keyed index.
@@ -51,11 +51,7 @@ func openCheckpoint(path string, runs int) (*checkpoint, *dataset.Dataset, error
 	}
 	ck := &checkpoint{f: f, cw: csv.NewWriter(f)}
 	if len(raw) == 0 {
-		header := []string{"chip", "app", "input", "config"}
-		for i := 0; i < runs; i++ {
-			header = append(header, fmt.Sprintf("run%d", i+1))
-		}
-		if err := ck.cw.Write(header); err != nil {
+		if err := ck.cw.Write(dataset.Header(runs)); err != nil {
 			_ = f.Close() // best-effort: the write error is the one worth reporting
 			return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 		}
@@ -115,12 +111,7 @@ func (ck *checkpoint) appendJob(records []dataset.Record, states []cellState) {
 		if !states[k].measured || states[k].resumed {
 			continue
 		}
-		r := &records[k]
-		row := []string{r.Chip, r.App, r.Input, r.Config.String()}
-		for _, s := range r.Samples {
-			row = append(row, strconv.FormatFloat(s, 'g', 17, 64))
-		}
-		if err := ck.cw.Write(row); err != nil {
+		if err := ck.cw.Write(dataset.FormatRecord(records[k])); err != nil {
 			ck.err = err.Error()
 			return
 		}

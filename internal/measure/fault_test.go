@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,6 +319,40 @@ func TestCheckpointFlushesEveryJob(t *testing.T) {
 	if msg := ck.close(); msg != "" {
 		t.Fatal(msg)
 	}
+}
+
+// TestFinishedCheckpointIsTheDataset pins the claim that a finished
+// checkpoint doubles as a saved dataset: with one worker, a fresh run's
+// checkpoint file is byte-identical to WriteCSV of the dataset the run
+// returned. With more workers only the row order may differ.
+func TestFinishedCheckpointIsTheDataset(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		o := smallOptions()
+		o.Workers = workers
+		o.Checkpoint = filepath.Join(t.TempDir(), "ck.csv")
+		d, err := Collect(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(o.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := string(raw), string(datasetCSV(t, d))
+		if workers > 1 {
+			got, want = sortedLines(got), sortedLines(want)
+		}
+		if got != want {
+			t.Errorf("workers=%d: finished checkpoint differs from the dataset's CSV", workers)
+		}
+	}
+}
+
+// sortedLines returns s with its lines in sorted order.
+func sortedLines(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 func TestCheckpointHealsTruncatedRow(t *testing.T) {

@@ -208,136 +208,105 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		inj = fault.NewInjector(*o.Faults, names, len(profiles)*nc)
 	}
 
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
 	var jobsDone atomic.Int64
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ji := range next {
-				if ctx.Err() != nil {
-					continue // drain without starting new work
-				}
-				ch := o.Chips[jobs[ji].chipIdx]
-				tp := profiles[jobs[ji].traceIdx]
-				// Span identity is (chip, app, input); the worker id is
-				// only the export lane (see traces.go).
-				jobSpan := sweepSpan.StartSpan(obs.SpanSweepJob, w,
-					obs.String(obs.AttrChip, ch.Name),
-					obs.String(obs.AttrApp, tp.App),
-					obs.String(obs.AttrInput, tp.Input))
-				// Fault accounting is batched worker-locally per job and
-				// folded in once: counters and histograms are integer, so
-				// the snapshot is identical at any worker count.
-				var fAttempts, fRetries, fQuar int64
-				var attemptsHist, waitHist obs.Hist
-				// Each goroutine owns a disjoint slice region; no locks
-				// are needed and the final order is deterministic.
-				out := records[ji*nc : (ji+1)*nc]
-				st := cells[ji*nc : (ji+1)*nc]
-				fresh := false
-				// The evaluator applies the chip to the shared columns;
-				// built lazily so fully resumed or faulted jobs never
-				// pay for it, and per-goroutine because its shape memo
-				// is unguarded.
-				var ev *columnar.Evaluator
-				for k, cfg := range configs {
-					dkey := dataset.Key{
-						Tuple:  dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input},
-						Config: cfg,
-					}
-					if inj != nil && inj.Dropped(ch.Name, jobs[ji].traceIdx*nc+k) {
-						st[k] = cellState{failed: fault.Dropout}
-						continue
-					}
-					key := cellKey(o.Seed, ch.Name, tp.App, tp.Input, cfg)
-					var factors []float64
-					if inj != nil {
-						res := inj.MeasureCell(key, o.Runs, ch.NoiseSigma)
-						st[k] = cellState{
-							attempts:    res.Attempts,
-							quarantined: res.Quarantined,
-							waitNS:      res.WaitNS,
-							failed:      res.Failed,
-						}
-						fAttempts += int64(res.Attempts)
-						fRetries += int64(res.Attempts - 1)
-						fQuar += int64(res.Quarantined)
-						attemptsHist.Observe(int64(res.Attempts))
-						waitHist.Observe(int64(res.WaitNS))
-						res.Emit(o.Obs, jobSpan.ID(), obs.String(obs.AttrConfig, cfg.String()))
-						if res.Failed != fault.None {
-							continue
-						}
-						factors = res.Factors
-					} else {
-						st[k] = cellState{attempts: 1}
-					}
-					st[k].measured = true
-					var prior []float64
-					if resumeSet != nil {
-						prior = resumeSet.Samples(dkey.Tuple, cfg)
-					}
-					if prior != nil {
-						// Resumed from checkpoint: skip the expensive
-						// cost evaluation; the fault outcome above was
-						// replayed so the report stays bit-identical.
-						st[k].resumed = true
-						out[k] = dataset.Record{Key: dkey, Samples: prior}
-						continue
-					}
-					if ev == nil {
-						ev = columnar.NewEvaluator(ch, cols[jobs[ji].traceIdx])
-					}
-					base := ev.Estimate(cfg)
-					if factors == nil {
-						factors = fault.NoiseFactors(key, 0, o.Runs, ch.NoiseSigma)
-					}
-					samples := make([]float64, len(factors))
-					for i, f := range factors {
-						samples[i] = base * f
-					}
-					out[k] = dataset.Record{Key: dkey, Samples: samples}
-					fresh = true
-				}
-				if inj != nil {
-					o.Obs.Add(obs.CtrFaultAttempts, fAttempts)
-					o.Obs.Add(obs.CtrFaultRetries, fRetries)
-					o.Obs.Add(obs.CtrFaultQuarantined, fQuar)
-					o.Obs.MergeHist(obs.HistCellAttempts, &attemptsHist)
-					o.Obs.MergeHist(obs.HistCellWaitNS, &waitHist)
-				}
-				jobSpan.End()
-				if ck != nil && fresh {
-					ck.appendJob(out, st)
-				}
-				if o.Notify != nil {
-					o.Notify(obs.StageSweep, int(jobsDone.Add(1)), len(jobs))
-				}
+	runPool(ctx, o.Workers, len(jobs), func(w, ji int) {
+		ch := o.Chips[jobs[ji].chipIdx]
+		tp := profiles[jobs[ji].traceIdx]
+		// Span identity is (chip, app, input); the worker id is
+		// only the export lane (see traces.go).
+		jobSpan := sweepSpan.StartSpan(obs.SpanSweepJob, w,
+			obs.String(obs.AttrChip, ch.Name),
+			obs.String(obs.AttrApp, tp.App),
+			obs.String(obs.AttrInput, tp.Input))
+		// Fault accounting is batched worker-locally per job and
+		// folded in once: counters and histograms are integer, so
+		// the snapshot is identical at any worker count.
+		var fAttempts, fRetries, fQuar int64
+		var attemptsHist, waitHist obs.Hist
+		// Each job owns a disjoint slice region; no locks are
+		// needed and the final order is deterministic.
+		out := records[ji*nc : (ji+1)*nc]
+		st := cells[ji*nc : (ji+1)*nc]
+		fresh := false
+		// The evaluator applies the chip to the shared columns;
+		// built lazily so fully resumed or faulted jobs never
+		// pay for it, and per job because its shape memo is
+		// unguarded.
+		var ev *columnar.Evaluator
+		for k, cfg := range configs {
+			dkey := dataset.Key{
+				Tuple:  dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input},
+				Config: cfg,
 			}
-		}(w)
-	}
-feed:
-	for ji := range jobs {
-		select {
-		case next <- ji:
-		case <-ctx.Done():
-			break feed
+			if inj != nil && inj.Dropped(ch.Name, jobs[ji].traceIdx*nc+k) {
+				st[k] = cellState{failed: fault.Dropout}
+				continue
+			}
+			key := cellKey(o.Seed, ch.Name, tp.App, tp.Input, cfg)
+			var factors []float64
+			if inj != nil {
+				res := inj.MeasureCell(key, o.Runs, ch.NoiseSigma)
+				st[k] = cellState{
+					attempts:    res.Attempts,
+					quarantined: res.Quarantined,
+					waitNS:      res.WaitNS,
+					failed:      res.Failed,
+				}
+				fAttempts += int64(res.Attempts)
+				fRetries += int64(res.Attempts - 1)
+				fQuar += int64(res.Quarantined)
+				attemptsHist.Observe(int64(res.Attempts))
+				waitHist.Observe(int64(res.WaitNS))
+				res.Emit(o.Obs, jobSpan.ID(), obs.String(obs.AttrConfig, cfg.String()))
+				if res.Failed != fault.None {
+					continue
+				}
+				factors = res.Factors
+			} else {
+				st[k] = cellState{attempts: 1}
+			}
+			st[k].measured = true
+			var prior []float64
+			if resumeSet != nil {
+				prior = resumeSet.Samples(dkey.Tuple, cfg)
+			}
+			if prior != nil {
+				// Resumed from checkpoint: skip the expensive
+				// cost evaluation; the fault outcome above was
+				// replayed so the report stays bit-identical.
+				st[k].resumed = true
+				out[k] = dataset.Record{Key: dkey, Samples: prior}
+				continue
+			}
+			if ev == nil {
+				ev = columnar.NewEvaluator(ch, cols[jobs[ji].traceIdx])
+			}
+			base := ev.Estimate(cfg)
+			if factors == nil {
+				factors = fault.NoiseFactors(key, 0, o.Runs, ch.NoiseSigma)
+			}
+			samples := make([]float64, len(factors))
+			for i, f := range factors {
+				samples[i] = base * f
+			}
+			out[k] = dataset.Record{Key: dkey, Samples: samples}
+			fresh = true
 		}
-	}
-	close(next)
-	wg.Wait()
+		if inj != nil {
+			o.Obs.Add(obs.CtrFaultAttempts, fAttempts)
+			o.Obs.Add(obs.CtrFaultRetries, fRetries)
+			o.Obs.Add(obs.CtrFaultQuarantined, fQuar)
+			o.Obs.MergeHist(obs.HistCellAttempts, &attemptsHist)
+			o.Obs.MergeHist(obs.HistCellWaitNS, &waitHist)
+		}
+		jobSpan.End()
+		if ck != nil && fresh {
+			ck.appendJob(out, st)
+		}
+		if o.Notify != nil {
+			o.Notify(obs.StageSweep, int(jobsDone.Add(1)), len(jobs))
+		}
+	})
 
 	sweepSpan.End()
 	stopSweep()
@@ -404,4 +373,41 @@ feed:
 	rep.Pipeline = o.Obs.Summary()
 	rep.Obs = o.Obs.Snapshot()
 	return d, rep, nil
+}
+
+// runPool calls work(worker, i) for every i in [0, n) on a pool of
+// goroutines: workers of them (0 means GOMAXPROCS), clamped to 1..n.
+// Items are handed out in index order; once ctx is done no further item
+// starts, and runPool returns when every started item has finished.
+// Callers keep their own error handling, and keep results bit-identical
+// at any worker count by writing each item to a pre-assigned slot.
+func runPool(ctx context.Context, workers, n int, work func(worker, i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range next {
+				if ctx.Err() != nil {
+					continue // drain without starting new work
+				}
+				work(w, i)
+			}
+		}(w)
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
 }

@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -62,17 +61,6 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 		}
 	}
 
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	// The first failure (a validation error) cancels the pool;
 	// o.Ctx cancellation is distinguished from it on the way out.
 	ctx, cancel := context.WithCancel(o.Ctx)
@@ -88,50 +76,29 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 
 	results := make([]*cost.TraceProfile, len(pairs))
 	var pairsDone atomic.Int64
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain without starting new work
-				}
-				p := pairs[i]
-				// Span identity comes from (app, input); the worker id is
-				// only the export lane, so the trace canonicalises
-				// identically at any worker count.
-				sp := phase.StartSpan(obs.SpanTracePair, w,
-					obs.String(obs.AttrApp, p.app.Name), obs.String(obs.AttrInput, p.in.Name))
-				tr, cached, err := traceOne(&o, p, fps[p.in])
-				if err != nil {
-					sp.End()
-					fail(err)
-					continue
-				}
-				if cached {
-					sp.Event(obs.EvTraceCached)
-				}
-				recordWorkload(&o, tr, i)
-				sp.End()
-				results[i] = cost.NewTraceProfile(tr)
-				if o.Notify != nil {
-					o.Notify(obs.StageTrace, int(pairsDone.Add(1)), len(pairs))
-				}
-			}
-		}(w)
-	}
-feed:
-	for i := range pairs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	runPool(ctx, o.Workers, len(pairs), func(w, i int) {
+		p := pairs[i]
+		// Span identity comes from (app, input); the worker id is
+		// only the export lane, so the trace canonicalises
+		// identically at any worker count.
+		sp := phase.StartSpan(obs.SpanTracePair, w,
+			obs.String(obs.AttrApp, p.app.Name), obs.String(obs.AttrInput, p.in.Name))
+		tr, cached, err := traceOne(&o, p, fps[p.in])
+		if err != nil {
+			sp.End()
+			fail(err)
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		if cached {
+			sp.Event(obs.EvTraceCached)
+		}
+		recordWorkload(&o, tr, i)
+		sp.End()
+		results[i] = cost.NewTraceProfile(tr)
+		if o.Notify != nil {
+			o.Notify(obs.StageTrace, int(pairsDone.Add(1)), len(pairs))
+		}
+	})
 
 	if err := o.Ctx.Err(); err != nil {
 		return nil, err

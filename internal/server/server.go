@@ -47,9 +47,6 @@ type Config struct {
 	// timers) is adopted into it as one connected request trace. When
 	// nil a private recorder is created.
 	Obs *obs.Recorder
-	// MetricsWindow is how many telemetry ticks the in-process
-	// time-series store retains per series (0 means the tsdb default).
-	MetricsWindow int
 }
 
 // Server schedules campaign jobs onto a fixed pool of runners. Jobs
@@ -101,7 +98,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		rec:    cfg.Obs,
-		tsdb:   tsdb.New(cfg.MetricsWindow),
+		tsdb:   tsdb.New(tsdb.DefaultCapacity),
 		wake:   make(chan struct{}, 1024),
 		jobs:   map[string]*Job{},
 	}

@@ -92,7 +92,7 @@ func Analyzers() []*Analyzer {
 		{Name: "lockguard", Doc: "fields annotated `guarded by <mu>` (and helpers documenting `requires mu held`) are only touched with the guarding mutex provably held, via interprocedural lock-set dataflow", Run: runLockGuard},
 		{Name: "lockorder", Doc: "the global lock-acquisition graph is cycle-free; staticgate -lockgraph emits it as JSON/DOT", Run: runLockOrder},
 		{Name: "maprange", Doc: "no map iteration feeding an encoder or an ordered collection without a sort", Run: runMapRange},
-		{Name: "mutexlock", Doc: "no mutex copies; every Lock has a matching Unlock in the same function", Run: runMutexLock},
+		{Name: "mutexlock", Doc: "every Lock has a matching Unlock in the same function (lock copies are go vet's copylocks)", Run: runMutexLock},
 		{Name: "nounsafe", Doc: "no unsafe import in any file of the tree, test and tag-excluded files included", Run: runNoUnsafe},
 		{Name: "obsliteral", Doc: "string literals in the server layers must not duplicate obs name constants (use the constant)", Run: runObsLiteral},
 		{Name: "obsnames", Doc: "obs span/counter/event/attr names must be constants declared in the obs package", Run: runObsNames},
@@ -444,99 +444,12 @@ func runMutexLock(pass *Pass) {
 	for _, pkg := range pass.Prog.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				checkMutexCopies(pass, pkg, fd)
-				if fd.Body != nil {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 					checkLockPairing(pass, pkg, fd)
 				}
 			}
 		}
 	}
-}
-
-// checkMutexCopies flags signatures and statements that copy a value
-// containing a sync.Mutex or sync.RWMutex.
-func checkMutexCopies(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
-	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	sig := fn.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil && containsMutex(recv.Type(), nil) {
-		pass.Reportf(recv.Pos(), "value receiver copies its lock (use a pointer receiver)")
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if p := sig.Params().At(i); containsMutex(p.Type(), nil) {
-			pass.Reportf(p.Pos(), "parameter %s copies a lock by value (pass a pointer)", p.Name())
-		}
-	}
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if copiesMutexValue(pkg.Info, rhs) {
-					pass.Reportf(rhs.Pos(), "assignment copies a lock by value")
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if tv, ok := pkg.Info.Types[n.Value]; ok && tv.Type != nil && containsMutex(tv.Type, nil) {
-					pass.Reportf(n.Value.Pos(), "range copies a lock-bearing element by value (range over the index instead)")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// copiesMutexValue reports whether evaluating the expression yields a
-// by-value copy of a lock-bearing value: dereferences, plain variable
-// reads and field selections count; fresh composite literals and
-// function results do not (they are the value's one home).
-func copiesMutexValue(info *types.Info, e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	tv, ok := info.Types[ast.Unparen(e)]
-	return ok && tv.Type != nil && tv.Value == nil && !tv.IsType() && containsMutex(tv.Type, nil)
-}
-
-// containsMutex walks a type for a sync.Mutex / sync.RWMutex held by
-// value.
-func containsMutex(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-		return containsMutex(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsMutex(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutex(t.Elem(), seen)
-	}
-	return false
 }
 
 // lockMethods maps the sync lock methods to their unlock partner.

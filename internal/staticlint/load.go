@@ -1,10 +1,11 @@
 // Package staticlint is the repo's whole-program static analysis
 // engine: a module-aware source loader built on go/parser and
-// go/types, a small analyzer framework (positioned diagnostics,
-// //lint:allow suppressions, a shrink-only baseline, byte-stable JSON
-// and text output), and the repo-specific analyzers that prove the
-// determinism invariants the trace cache, conformance engine and
-// canonical observability exports depend on.
+// go/types (go/build picks the files, as for `go build`), a small
+// analyzer framework (positioned diagnostics, //lint:allow as the only
+// exception mechanism, byte-stable JSON and text output), and the
+// repo-specific analyzers that prove the determinism invariants the
+// trace cache, conformance engine and canonical observability exports
+// depend on.
 //
 // Everything here is standard library only. Imports inside the
 // analysed module are resolved from source relative to the module
@@ -16,7 +17,7 @@ package staticlint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -232,14 +233,17 @@ func parsePackage(fset *token.FileSet, root, module, dir string) (*parsedPkg, er
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
+		// The default build context, like a plain `go build`: _-prefixed
+		// files, foreign GOOS/GOARCH suffixes and custom tags
+		// (conformmutate) stay out.
+		match, err := build.Default.MatchFile(dir, name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("staticlint: %w", err)
 		}
-		if !fileSelected(name, src) {
+		if !match {
 			continue
 		}
-		file, err := parser.ParseFile(fset, filepath.Join(dir, name), src, parser.ParseComments)
+		file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("staticlint: %w", err)
 		}
@@ -468,63 +472,4 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("staticlint: package %s: %w", path, err)
 	}
 	return nil, fmt.Errorf("staticlint: package %s has no buildable go files", path)
-}
-
-// fileSelected reports whether a file participates in the default
-// build: its //go:build / +build constraints (and any GOOS/GOARCH
-// filename suffix) must be satisfied with no custom tags set, exactly
-// like a plain `go build` on this machine. This is what keeps the
-// conformmutate-tagged mutation hooks out of the analysed program.
-func fileSelected(name string, src []byte) bool {
-	if !goodOSArchFile(name) {
-		return false
-	}
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if constraint.IsGoBuild(trimmed) || constraint.IsPlusBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				continue
-			}
-			if !expr.Eval(tagSatisfied) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tagSatisfied is the default-build tag oracle: host OS/arch, the gc
-// toolchain, and every go1.N language version are on; custom tags
-// (conformmutate) are off.
-func tagSatisfied(tag string) bool {
-	return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-		strings.HasPrefix(tag, "go1.")
-}
-
-// knownOSArch covers the GOOS/GOARCH filename suffixes that could
-// plausibly appear here; the repo itself has none, so the list only
-// needs to keep foreign-platform files out if one ever lands.
-var knownOSArch = map[string]bool{
-	"linux": true, "darwin": true, "windows": true, "freebsd": true,
-	"netbsd": true, "openbsd": true, "js": true, "wasip1": true,
-	"amd64": true, "arm64": true, "386": true, "arm": true,
-	"riscv64": true, "wasm": true, "ppc64le": true, "s390x": true,
-}
-
-func goodOSArchFile(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	// Consider up to the final two _-separated chunks, matching the go
-	// tool's name_GOOS_GOARCH.go convention.
-	tags := parts[max(1, len(parts)-2):]
-	for _, t := range tags {
-		if knownOSArch[t] && t != runtime.GOOS && t != runtime.GOARCH {
-			return false
-		}
-	}
-	return true
 }

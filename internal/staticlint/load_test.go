@@ -3,6 +3,7 @@ package staticlint_test
 import (
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,17 +33,27 @@ func TestLoadFixtureShape(t *testing.T) {
 	}
 }
 
-// TestBuildTagExclusion: the conformmutate-tagged file must not be in
-// the analysed program (its planted error drop would otherwise fire).
+// TestBuildTagExclusion: the loader type-checks only the files a plain
+// `go build` compiles. The conformmutate-tagged file (its planted error
+// drop would otherwise fire), a foreign-GOOS file and a _-prefixed file
+// stay out of the package, but are still parsed for the file-level
+// rules.
 func TestBuildTagExclusion(t *testing.T) {
 	prog := loadFixture(t)
 	errs := prog.PackageByRel("internal/errs")
 	if errs == nil {
 		t.Fatal("internal/errs not loaded")
 	}
-	for _, name := range errs.FileNames {
-		if strings.HasSuffix(name, "mutate.go") {
-			t.Fatalf("conformmutate-tagged file was loaded: %s", name)
+	parsed := map[string]bool{}
+	for _, f := range prog.Files {
+		parsed[prog.FileName(f.Package)] = true
+	}
+	for _, name := range []string{"internal/errs/mutate.go", "internal/errs/errs_plan9.go", "internal/errs/_draft.go"} {
+		if !parsed[name] {
+			t.Errorf("%s is not in Program.Files", name)
+		}
+		if slices.Contains(errs.FileNames, name) {
+			t.Errorf("%s was type-checked, but go build skips it", name)
 		}
 	}
 }

@@ -24,13 +24,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// key identifies a diagnostic for baseline matching. Line and column
-// are deliberately excluded so unrelated edits above a baselined
-// finding do not churn the baseline.
-func (d Diagnostic) key() string {
-	return d.Rule + "\x00" + d.File + "\x00" + d.Message
-}
-
 // Analyzer is one named rule set run over the whole program.
 type Analyzer struct {
 	// Name is the rule name diagnostics carry and //lint:allow refers to.
