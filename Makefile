@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build fmt-check staticgate lockgraph test race conform conform-mutate fuzz cover perfbench-test ci bench bench-fault bench-trace bench-obs bench-cost bench-ci profile serve-smoke obs-slo clean
+.PHONY: all vet build fmt-check staticgate lockgraph test race conform conform-mutate fuzz cover perfbench-test ci bench-trace bench-obs bench-cost bench-ci profile serve-smoke obs-slo clean
 
 # BENCHMD, when set, makes every benchcheck invocation append its
 # markdown results table (benchmark, ns/op, gate, verdict) to that
@@ -106,7 +106,9 @@ perfbench-test:
 	$(GO) -C _perfbench test ./...
 
 # ci is the full gate: everything a change must pass before merging.
-ci: vet build fmt-check staticgate test race conform conform-mutate cover perfbench-test
+# The test suite runs under race and under cover, so test is not
+# repeated here.
+ci: vet build fmt-check staticgate race conform conform-mutate cover perfbench-test
 
 # serve-smoke boots gpuportd, drives a full campaign over real HTTP,
 # polls it to completion and diffs the served CSV against the gpuport
@@ -119,23 +121,14 @@ ci: vet build fmt-check staticgate test race conform conform-mutate cover perfbe
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# obs-slo is the SLO regression gate: it runs the serve smoke, then
-# evaluates request-latency / queue-wait / cache-hit floors against the
-# captured telemetry stream with `obsview slo`, proves the gate trips
-# on an injected latency regression, and records the observations as
-# BENCH_slo.json via benchcheck. Leaves slo-report.txt behind for
-# upload.
+# obs-slo is the SLO regression gate: it runs the serve smoke, reads
+# submit p50/p99 and queue-wait p99 from the captured telemetry stream
+# with `obsview slo`, and bounds each by k times its value in the
+# committed BENCH_slo.json with benchcheck -maxratio; a negative check
+# proves a 10x regression trips both submit gates. Leaves
+# slo-report.txt behind for upload.
 obs-slo: serve-smoke
 	BENCHMD='$(BENCHMD)' ./scripts/obs_slo.sh
-
-bench:
-	$(GO) test -bench=. -benchmem .
-
-# bench-fault guards the zero-overhead claim of the fault-injected
-# collect path: no-fault-layer and zero-rate-faults must be within
-# noise of each other.
-bench-fault:
-	$(GO) test -run xxx -bench BenchmarkCollectFaultOverhead -benchtime 20x .
 
 # bench-trace records the trace-pipeline benchmarks in BENCH_trace.json
 # and enforces the pipeline's speedup claims: a warm cache is >= 10x
@@ -185,15 +178,17 @@ bench-cost:
 		-maxratio 'BenchmarkSweepColumnar,BenchmarkColumnarBuild,0.5'
 	@rm -f bench-cost.out
 
-# bench-ci is the benchmark-regression job: the full suite recorded as
-# BENCH_ci.json, gated on the fault-layer overhead claim (zero-rate
-# faults within noise of no fault layer; 1.5x absorbs CI jitter), plus
-# the bench-cost sweep-throughput gates.
-bench-ci: bench-cost
-	$(GO) test -run xxx -bench=. -benchtime 10x -benchmem . | tee bench-ci.out
+# bench-ci is the benchmark-regression job: every benchmark that has no
+# target of its own (bench-trace, bench-obs and bench-cost record the
+# seven it skips), recorded as BENCH_ci.json and gated on the
+# fault-layer overhead claim (zero-rate faults within noise of no fault
+# layer; 1.5x absorbs CI jitter).
+bench-ci:
+	$(GO) test -run xxx -bench=. \
+		-skip '^(BenchmarkTraces|BenchmarkTracesParallel|BenchmarkTracesCached|BenchmarkSpanOverhead|BenchmarkSweepReference|BenchmarkSweepColumnar|BenchmarkColumnarBuild)$$' \
+		-benchtime 10x -benchmem . | tee bench-ci.out
 	$(GO) run ./cmd/benchcheck -in bench-ci.out -json BENCH_ci.json $(BENCHMD_FLAG) \
-		-maxratio 'BenchmarkCollectFaultOverhead/no-fault-layer,BenchmarkCollectFaultOverhead/zero-rate-faults,1.5' \
-		-speedup 'BenchmarkTraces,BenchmarkTracesCached,10.0'
+		-maxratio 'BenchmarkCollectFaultOverhead/no-fault-layer,BenchmarkCollectFaultOverhead/zero-rate-faults,1.5'
 	@rm -f bench-ci.out
 
 clean:

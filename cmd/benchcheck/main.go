@@ -1,7 +1,7 @@
 // Command benchcheck parses `go test -bench` text output, records the
 // results as JSON, and enforces relative performance gates between
-// named benchmarks. It is the regression tripwire behind `make
-// bench-trace` and `make bench-ci`: absolute nanoseconds vary across
+// named benchmarks. It is the one bound syntax behind every `make
+// bench-*` target and `make obs-slo`: absolute nanoseconds vary across
 // machines, but the *ratios* the design guarantees (parallel tracing
 // beats serial, a warm cache beats cold tracing, the zero-rate fault
 // layer costs nothing) must hold everywhere they can be observed.
@@ -20,7 +20,10 @@
 // GOMAXPROCS suffix Go appends to benchmark names.
 //
 // -maxratio asserts ns/op(probe) / ns/op(base) <= maxfactor; it gates
-// overhead claims such as "zero-rate fault injection is free".
+// overhead claims such as "zero-rate fault injection is free". The base
+// need not be a sibling benchmark: `make obs-slo` feeds a committed
+// record's results in under other names, so "observed <= k x recorded"
+// is a -maxratio too.
 //
 // When the input carries repeats of the same benchmark (go test
 // -count=N), assertions bind on the minimum ns/op per name,

@@ -2,10 +2,9 @@ package main
 
 // Live-stream consumers: "obsview tail" follows an NDJSON telemetry
 // stream (gpuportd /debug/obs-stream) and renders a rolling top-spans
-// table; "obsview slo" evaluates latency, queue-wait and cache-hit
-// service-level floors against either a stream capture or a Chrome
-// trace, optionally emitting the observations in go-bench format so
-// benchcheck can record and gate them.
+// table; "obsview slo" reports the latency, queue-wait and cache-hit
+// service-level indicators a stream capture observed, optionally as
+// go-bench lines so benchcheck can record and bound them.
 
 import (
 	"bufio"
@@ -158,21 +157,13 @@ func tail(w io.Writer, path string, top, every int) error {
 	return nil
 }
 
-// sloEndpoint is the endpoint whose request latency slo evaluates: only
-// the server's Submit opens http-request spans.
+// sloEndpoint is the endpoint whose request latency slo reports: only
+// the server's Submit opens http-request spans. Submit opens the span
+// after Spec.Resolve and Campaign.Fingerprint have run, so the figure
+// excludes input resolution.
 const sloEndpoint = "submit"
 
-// sloConfig is one SLO evaluation: floors at zero are not checked.
-type sloConfig struct {
-	p50MS, p99MS  float64 // request-latency floors for sloEndpoint
-	queueP99MS    float64 // queue-wait p99 floor
-	cacheHitMin   float64 // trace-cache hit ratio floor (0..1)
-	injectLatency int64   // test hook: ns added to every latency sample
-	benchPath     string  // go-bench-format observations ("" disables)
-	reportPath    string  // human report copy ("" disables)
-}
-
-// sloObservations is what slo measures from a stream or trace.
+// sloObservations is what slo measures from a stream.
 type sloObservations struct {
 	latencyNS []int64 // per-request latency for sloEndpoint
 	queueNS   []int64 // per-job queue-wait
@@ -238,68 +229,22 @@ func loadSLOStream(path string) (*sloObservations, error) {
 	return o, sc.Err()
 }
 
-// loadSLOTrace reads the same observations from a raw Chrome trace
-// export (/debug/obs-trace): request and queue-wait span durations are
-// microseconds there, counters are counter events.
-func loadSLOTrace(td *traceData, raw []byte) (*sloObservations, error) {
-	var doc struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, err
-	}
-	o := &sloObservations{
-		hits:   td.counters[obs.CtrCacheHits],
-		misses: td.counters[obs.CtrCacheMisses],
-	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		switch ev.Name {
-		case obs.SpanHTTPRequest:
-			if ep, _ := ev.Args[obs.AttrEndpoint].(string); ep == sloEndpoint {
-				o.latencyNS = append(o.latencyNS, int64(ev.Dur*1e3))
-			}
-		case obs.SpanQueueWait:
-			o.queueNS = append(o.queueNS, int64(ev.Dur*1e3))
-		}
-	}
-	return o, nil
-}
-
-// loadSLO sniffs the input format: a Chrome trace is one JSON object
-// with a traceEvents array; anything else is treated as NDJSON.
-func loadSLO(path string) (*sloObservations, error) {
-	if path != "-" {
-		if raw, err := os.ReadFile(path); err == nil && isChromeTrace(raw) {
-			td, err := loadTrace(path)
-			if err != nil {
-				return nil, err
-			}
-			return loadSLOTrace(td, raw)
-		}
-	}
-	return loadSLOStream(path)
-}
-
-func isChromeTrace(raw []byte) bool {
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	return json.Unmarshal(raw, &doc) == nil && doc.TraceEvents != nil
-}
-
 const nsPerMS = 1e6
 
-// slo evaluates the floors and returns an error listing every breach.
-func slo(w io.Writer, path string, cfg sloConfig) error {
-	o, err := loadSLO(path)
+// slo reports the indicators the stream observed, copying the report
+// to reportPath and go-bench lines to benchPath when they are set. A
+// latency indicator without samples is an error: its go-bench line
+// would read the clamped 1ns and pass any bound.
+func slo(w io.Writer, path, benchPath, reportPath string) error {
+	o, err := loadSLOStream(path)
 	if err != nil {
 		return err
 	}
-	for i := range o.latencyNS {
-		o.latencyNS[i] += cfg.injectLatency
+	if len(o.latencyNS) == 0 {
+		return fmt.Errorf("%s: no %s %s span", path, sloEndpoint, obs.SpanHTTPRequest)
+	}
+	if len(o.queueNS) == 0 {
+		return fmt.Errorf("%s: no %s span", path, obs.SpanQueueWait)
 	}
 
 	p50 := quantileNS(o.latencyNS, 0.50)
@@ -310,79 +255,32 @@ func slo(w io.Writer, path string, cfg sloConfig) error {
 		hitRatio = o.hits / total
 	}
 
-	var breaches []string
-	check := func(name string, observedNS int64, floorMS float64, samples int) {
-		if floorMS <= 0 {
-			return
-		}
-		if samples == 0 {
-			breaches = append(breaches, fmt.Sprintf("%s: no samples", name))
-			return
-		}
-		if float64(observedNS) > floorMS*nsPerMS {
-			breaches = append(breaches, fmt.Sprintf("%s: %.3fms exceeds floor %.3fms",
-				name, float64(observedNS)/nsPerMS, floorMS))
-		}
-	}
-	check(sloEndpoint+" p50", p50, cfg.p50MS, len(o.latencyNS))
-	check(sloEndpoint+" p99", p99, cfg.p99MS, len(o.latencyNS))
-	check("queue-wait p99", queueP99, cfg.queueP99MS, len(o.queueNS))
-	if cfg.cacheHitMin > 0 {
-		if o.hits+o.misses == 0 {
-			breaches = append(breaches, "cache-hit ratio: no cache traffic")
-		} else if hitRatio < cfg.cacheHitMin {
-			breaches = append(breaches, fmt.Sprintf("cache-hit ratio: %.3f below floor %.3f", hitRatio, cfg.cacheHitMin))
-		}
-	}
-
 	var rep strings.Builder
-	t := report.NewTable("SLO evaluation: "+path, "Indicator", "Observed", "Floor", "Samples").RightAlign(1, 2, 3)
-	t.Row(sloEndpoint+" p50", fmt.Sprintf("%.3fms", float64(p50)/nsPerMS), floorCell(cfg.p50MS, "ms"), len(o.latencyNS))
-	t.Row(sloEndpoint+" p99", fmt.Sprintf("%.3fms", float64(p99)/nsPerMS), floorCell(cfg.p99MS, "ms"), len(o.latencyNS))
-	t.Row("queue-wait p99", fmt.Sprintf("%.3fms", float64(queueP99)/nsPerMS), floorCell(cfg.queueP99MS, "ms"), len(o.queueNS))
-	t.Row("cache-hit ratio", fmt.Sprintf("%.3f", hitRatio), floorCell(cfg.cacheHitMin, " min"), int(o.hits+o.misses))
+	t := report.NewTable("SLO observations: "+path, "Indicator", "Observed", "Samples").RightAlign(1, 2)
+	t.Row(sloEndpoint+" p50", fmt.Sprintf("%.3fms", float64(p50)/nsPerMS), len(o.latencyNS))
+	t.Row(sloEndpoint+" p99", fmt.Sprintf("%.3fms", float64(p99)/nsPerMS), len(o.latencyNS))
+	t.Row("queue-wait p99", fmt.Sprintf("%.3fms", float64(queueP99)/nsPerMS), len(o.queueNS))
+	t.Row("cache-hit ratio", fmt.Sprintf("%.3f", hitRatio), int(o.hits+o.misses))
 	t.Render(&rep)
-	for _, b := range breaches {
-		fmt.Fprintf(&rep, "BREACH %s\n", b)
-	}
-	if len(breaches) == 0 {
-		fmt.Fprintln(&rep, "all SLOs met")
-	}
 	fmt.Fprint(w, rep.String())
-	if cfg.reportPath != "" {
-		if err := os.WriteFile(cfg.reportPath, []byte(rep.String()), 0o644); err != nil {
+	if reportPath != "" {
+		if err := os.WriteFile(reportPath, []byte(rep.String()), 0o644); err != nil {
 			return err
 		}
 	}
-
-	if cfg.benchPath != "" {
-		if err := writeSLOBench(cfg, p50, p99, queueP99, hitRatio); err != nil {
-			return err
-		}
-	}
-	if len(breaches) > 0 {
-		return fmt.Errorf("%d SLO breach(es)", len(breaches))
+	if benchPath != "" {
+		return writeSLOBench(benchPath, p50, p99, queueP99, hitRatio)
 	}
 	return nil
 }
 
-func floorCell(v float64, unit string) string {
-	if v <= 0 {
-		return "-"
-	}
-	if unit == "ms" {
-		return fmt.Sprintf("%.3fms", v)
-	}
-	return fmt.Sprintf("%.3f%s", v, unit)
-}
-
 // writeSLOBench records the observations as go-bench lines, the format
-// benchcheck folds into a BENCH record. The floors are not repeated
-// there: slo itself already fails on any breach. Values are clamped to
-// >= 1: benchcheck rejects zero ns/op, and the ratio-style metrics are
-// scaled by 1e6 to survive the integer format. Names avoid trailing
-// "-<digits>" (benchcheck strips those as GOMAXPROCS suffixes).
-func writeSLOBench(cfg sloConfig, p50, p99, queueP99 int64, hitRatio float64) error {
+// benchcheck reads; `make obs-slo` bounds them against the committed
+// BENCH_slo.json. Values are clamped to >= 1: benchcheck rejects zero
+// ns/op, and the ratio-style metrics are scaled by 1e6 to survive the
+// integer format. Names avoid trailing "-<digits>" (benchcheck strips
+// those as GOMAXPROCS suffixes).
+func writeSLOBench(path string, p50, p99, queueP99 int64, hitRatio float64) error {
 	clamp := func(v int64) int64 {
 		if v < 1 {
 			return 1
@@ -397,5 +295,5 @@ func writeSLOBench(cfg sloConfig, p50, p99, queueP99 int64, hitRatio float64) er
 	line(sloEndpoint+"-latency-p99", p99)
 	line("queue-wait-p99", queueP99)
 	line("cache-hit-permicro", int64(hitRatio*1e6))
-	return os.WriteFile(cfg.benchPath, []byte(b.String()), 0o644)
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

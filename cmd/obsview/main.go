@@ -1,8 +1,8 @@
-// Command obsview summarises, compares and gates the telemetry
-// gpuport and gpuportd export. It answers the questions a trace viewer
-// is too heavyweight for in a terminal workflow: "where did this run
-// spend its time", "what changed between these two runs", "what is the
-// daemon doing right now", and "did this run meet its latency floors".
+// Command obsview summarises and compares the telemetry gpuport and
+// gpuportd export. It answers the questions a trace viewer is too
+// heavyweight for in a terminal workflow: "where did this run spend
+// its time", "what changed between these two runs", "what is the
+// daemon doing right now", and "what latencies did this run observe".
 //
 // Usage:
 //
@@ -12,9 +12,9 @@
 //	                                  deltas, plus counter deltas
 //	obsview tail stream.ndjson        follow a /debug/obs-stream capture
 //	                                  ("-" for stdin), rolling top table
-//	obsview slo stream.ndjson         evaluate SLO floors against a
-//	                                  stream capture or a Chrome trace;
-//	                                  nonzero exit on any breach
+//	obsview slo stream.ndjson         report the SLO indicators a
+//	                                  stream capture observed; nonzero
+//	                                  exit when one has no samples
 //
 // Flags (before the subcommand):
 //
@@ -23,13 +23,10 @@
 // tail flags (after the subcommand): -every N re-renders the table
 // every N closed spans (0 = once, at end of stream).
 //
-// slo flags (after the subcommand): -p50-ms, -p99-ms, -queue-p99-ms,
-// -cache-hit-min set the floors (zero disables a check); the latency
-// floors apply to the submit endpoint, the only one that opens request
-// spans. -bench and -report write go-bench observations and the human
-// report to files; -inject-latency-ns adds synthetic latency to every
-// request sample, the hook CI uses to prove the gate fails on
-// regressions.
+// slo flags (after the subcommand): -bench and -report write the
+// observations as go-bench lines and the human report to files. slo
+// sets no bounds: `make obs-slo` bounds the go-bench lines with
+// benchcheck -maxratio against the committed BENCH_slo.json.
 //
 // Self time is a span's duration minus the duration of its children
 // (linked through the id/parent span attributes the exporter writes),
@@ -65,7 +62,7 @@ func run(args []string, w io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: obsview [-top N] summary <trace.json> | diff <old.json> <new.json> | tail <stream.ndjson> | slo <stream.ndjson|trace.json>")
+		return fmt.Errorf("usage: obsview [-top N] summary <trace.json> | diff <old.json> <new.json> | tail <stream.ndjson> | slo <stream.ndjson>")
 	}
 	switch rest[0] {
 	case "summary":
@@ -102,21 +99,15 @@ func run(args []string, w io.Writer) error {
 		return tail(w, tfs.Arg(0), *top, *every)
 	case "slo":
 		sfs := flag.NewFlagSet("obsview slo", flag.ContinueOnError)
-		cfg := sloConfig{}
-		sfs.Float64Var(&cfg.p50MS, "p50-ms", 0, "p50 request-latency floor in ms (0 disables)")
-		sfs.Float64Var(&cfg.p99MS, "p99-ms", 0, "p99 request-latency floor in ms (0 disables)")
-		sfs.Float64Var(&cfg.queueP99MS, "queue-p99-ms", 0, "p99 queue-wait floor in ms (0 disables)")
-		sfs.Float64Var(&cfg.cacheHitMin, "cache-hit-min", 0, "minimum trace-cache hit ratio 0..1 (0 disables)")
-		sfs.Int64Var(&cfg.injectLatency, "inject-latency-ns", 0, "test hook: ns added to every request-latency sample")
-		sfs.StringVar(&cfg.benchPath, "bench", "", "write observations as go-bench lines to this file")
-		sfs.StringVar(&cfg.reportPath, "report", "", "write the evaluation report to this file too")
+		benchPath := sfs.String("bench", "", "write observations as go-bench lines to this file")
+		reportPath := sfs.String("report", "", "write the report to this file too")
 		if err := sfs.Parse(rest[1:]); err != nil {
 			return err
 		}
 		if sfs.NArg() != 1 {
-			return fmt.Errorf("usage: obsview slo [flags] <stream.ndjson | trace.json | ->")
+			return fmt.Errorf("usage: obsview slo [-bench f] [-report f] <stream.ndjson | ->")
 		}
-		return slo(w, sfs.Arg(0), cfg)
+		return slo(w, sfs.Arg(0), *benchPath, *reportPath)
 	default:
 		return fmt.Errorf("unknown command %q (summary, diff, tail or slo)", rest[0])
 	}

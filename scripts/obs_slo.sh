@@ -1,40 +1,70 @@
 #!/usr/bin/env bash
 # obs_slo.sh - the SLO gate over the serve-smoke telemetry capture.
-# Evaluates request-latency, queue-wait and cache-hit floors against
-# the NDJSON stream serve_smoke.sh left behind, proves the gate is
-# live by checking that an injected latency regression breaches it,
-# and records the observations as BENCH_slo.json via benchcheck so the
-# serve job's run page carries the numbers. `obsview slo` is the only
-# floor check. Writes slo-report.txt for artifact upload.
+# `obsview slo` reads the NDJSON stream serve_smoke.sh left behind and
+# writes submit p50/p99, queue-wait p99 and the cache-hit ratio as
+# go-bench lines. benchcheck bounds each latency by k times its value in
+# the committed BENCH_slo.json, with the same -maxratio syntax as every
+# bench gate: the record's results go in first, renamed
+# BenchmarkSLORecord/*, then the run's BenchmarkSLO/* lines. benchcheck
+# folds repeats to the per-name minimum, so each bound is k times the
+# fastest recorded run. A negative check feeds the record against
+# itself times 10 and requires both submit gates to fail. Writes
+# slo-report.txt (observations, then verdicts) for upload.
 #
-# Floors are generous: CI runners are slow and shared, and this gate
-# exists to catch collapses (a handler suddenly blocking, the queue
-# jamming, the trace cache never hitting), not microsecond drift.
+# The submit latency is the request span, which Submit opens after
+# Spec.Resolve and Campaign.Fingerprint: it excludes input resolution.
 #
-# Requires: go. Run from the repository root (`make obs-slo`, which
+# Each k is the record's max/min for that indicator times a 3x margin
+# for the CI runner, rounded up; the margin is not measured on a runner.
+# Both submit k stay below 10, so a 10x regression trips them.
+#
+# BENCH_slo.json is an input: this script never rewrites it, or a
+# failing run would become its own reference. To re-record it on
+# purpose, on the host whose figures it should hold:
+#   1. run `make serve-smoke` at least 10 times;
+#   2. after each run i, run
+#      `go run ./cmd/obsview slo -bench run-$i.out gpuportd-stream.ndjson`;
+#   3. run `cat run-*.out | go run ./cmd/benchcheck -json BENCH_slo.json`;
+#   4. re-derive each k below from the new record.
+#
+# Requires: go, jq. Run from the repository root (`make obs-slo`, which
 # runs serve-smoke first).
 set -euo pipefail
 
 STREAM=gpuportd-stream.ndjson
+RECORD=BENCH_slo.json
 [ -s "$STREAM" ] || { echo "missing $STREAM - run make serve-smoke first"; exit 1; }
 
-FLOORS=(-p50-ms 250 -p99-ms 2000 -queue-p99-ms 10000 -cache-hit-min 0.01)
+GATES=(
+    -maxratio BenchmarkSLORecord/submit-latency-p50,BenchmarkSLO/submit-latency-p50,9
+    -maxratio BenchmarkSLORecord/submit-latency-p99,BenchmarkSLO/submit-latency-p99,8
+    -maxratio BenchmarkSLORecord/queue-wait-p99,BenchmarkSLO/queue-wait-p99,12
+)
 
-echo "== evaluating SLO floors against $STREAM"
-go run ./cmd/obsview slo "${FLOORS[@]}" \
-    -bench slo-bench.out -report slo-report.txt "$STREAM"
+# record prints the committed results as go-bench lines, each renamed
+# from BenchmarkSLO/ to $1 and its value multiplied by $2.
+record() {
+    jq -r --arg p "$1" --argjson k "$2" \
+        '.results[] | "\(.name | sub("^BenchmarkSLO/"; $p)) 1 \(.ns_per_op * $k) ns/op"' "$RECORD"
+}
 
-echo "== negative check: an injected 3s regression must breach"
-if go run ./cmd/obsview slo "${FLOORS[@]}" -inject-latency-ns 3000000000 \
-    "$STREAM" > /dev/null 2>&1; then
-    echo "injected latency regression was NOT caught - the gate is dead"
-    exit 1
-fi
-echo "   breach detected, gate is live"
+echo "== observing SLO indicators in $STREAM"
+go run ./cmd/obsview slo -bench slo-bench.out -report slo-report.txt "$STREAM"
 
-echo "== recording SLO observations (BENCH_slo.json)"
-go run ./cmd/benchcheck -in slo-bench.out -json BENCH_slo.json \
-    ${BENCHMD:+-md "$BENCHMD"}
+echo "== bounding them against $RECORD"
+{ record BenchmarkSLORecord/ 1; cat slo-bench.out; } |
+    go run ./cmd/benchcheck "${GATES[@]}" ${BENCHMD:+-md "$BENCHMD"} | tee -a slo-report.txt
 rm -f slo-bench.out
+
+echo "== negative check: the record times 10 must fail both submit gates"
+if neg=$({ record BenchmarkSLORecord/ 1; record BenchmarkSLO/ 10; } |
+    go run ./cmd/benchcheck "${GATES[@]}" 2>&1); then
+    echo "$neg"; echo "benchcheck passed a 10x regression - the gate is dead"; exit 1
+fi
+for g in submit-latency-p50 submit-latency-p99; do
+    grep -q "^FAIL ratio BenchmarkSLO/$g " <<< "$neg" ||
+        { echo "$neg"; echo "a 10x $g regression did not FAIL"; exit 1; }
+done
+echo "   both submit gates FAIL, the gate is live"
 
 echo "== obs-slo passed"

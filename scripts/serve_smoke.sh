@@ -5,13 +5,13 @@
 # polls status to completion, fetches the result CSV and diffs it
 # byte-for-byte against the gpuport CLI's dataset for the same seed.
 # A second, overlapping campaign then exercises the shared trace cache
-# (its traces were already produced by the full study, so it must
-# generate cache hits). Also scrapes /metrics and the daemon's Chrome
-# trace, and leaves the NDJSON stream capture behind, so CI can upload
-# them as artifacts and `make obs-slo` can evaluate SLO floors. Finally
-# it restarts the daemon over the same job directory and trace cache:
-# the resubmitted study must be answered from the persisted entry, byte
-# for byte.
+# (its traces were already produced by the full study, so its 3 pairs
+# must hit where the study's 51 missed). Also scrapes /metrics and the
+# daemon's Chrome trace, and leaves the NDJSON stream capture behind, so
+# CI can upload them as artifacts and `make obs-slo` can bound the SLO
+# indicators. Finally it restarts the daemon over the same job directory
+# and trace cache: the resubmitted study must be answered from the
+# persisted entry, byte for byte.
 #
 # Requires: curl, jq, go. Run from the repository root (`make
 # serve-smoke`).
@@ -118,7 +118,9 @@ echo "== scraping observability artifacts"
 curl -fsS "$BASE/metrics" -o gpuportd-metrics.prom
 curl -fsS "$BASE/debug/obs-trace" -o gpuportd-obs-trace.json
 grep -q 'gpuport_counter_total{name="jobs-completed"} 2' gpuportd-metrics.prom
-grep -q 'gpuport_counter_total{name="trace-cache-hits"}' gpuportd-metrics.prom
+grep -qxF 'gpuport_counter_total{name="trace-cache-hits"} 3' gpuportd-metrics.prom &&
+    grep -qxF 'gpuport_counter_total{name="trace-cache-misses"} 51' gpuportd-metrics.prom ||
+    { grep trace-cache gpuportd-metrics.prom; echo "want 3 trace-cache hits and 51 misses"; exit 1; }
 jq -e '.traceEvents | length > 0' gpuportd-obs-trace.json > /dev/null
 
 # Stop the stream capture and check it caught the campaigns' journey.
