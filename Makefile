@@ -93,7 +93,7 @@ cover:
 		-floor gpuport/internal/cost/columnar,95 \
 		-floor gpuport/internal/irgl,89 \
 		-floor gpuport/internal/measure,86 \
-		-floor gpuport/internal/obs/tsdb,90 \
+		-floor gpuport/internal/obs,68 \
 		-floor gpuport/internal/server,85 \
 		-floor gpuport/internal/staticlint,92
 	@rm -f cover.out

@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	jobDir := fs.String("jobdir", "", "directory for persisted results and checkpoints (enables cache answers and resume)")
 	cacheDir := fs.String("trace-cache", "", "directory for the shared content-addressed trace cache (created if missing)")
 	cacheMB := fs.Int("trace-cache-mb", 0, "trace cache size cap in MiB (default 256)")
-	obsTick := fs.Duration("obs-tick", 10*time.Second, "telemetry sampling period for the time-series store (0 disables ticking)")
 	obsSim := fs.Bool("obs-sim", false, "capture the simulated kernel timeline in the debug trace (bulky)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,24 +91,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	defer srv.Close()
-
-	if *obsTick > 0 {
-		// The daemon owns the telemetry clock: the store itself never
-		// reads wall time, so tests can tick it virtually instead.
-		go func() {
-			t := time.NewTicker(*obsTick)
-			defer t.Stop()
-			start := time.Now()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					srv.Sample(now.Sub(start).Nanoseconds())
-				}
-			}
-		}()
-	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {

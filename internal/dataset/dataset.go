@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -292,7 +293,7 @@ func FormatRecord(r Record) []string {
 
 // ParseRecord parses one dataset CSV row (chip, app, input, config,
 // then the samples): blank sample fields are skipped, every sample
-// must be a positive float, and at least one must be present.
+// must be a finite positive float, and at least one must be present.
 func ParseRecord(row []string) (Record, error) {
 	if len(row) < 5 {
 		return Record{}, fmt.Errorf("%d fields, want at least 5", len(row))
@@ -310,8 +311,8 @@ func ParseRecord(row []string) (Record, error) {
 		if err != nil {
 			return Record{}, err
 		}
-		if v <= 0 {
-			return Record{}, fmt.Errorf("non-positive sample %v", v)
+		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return Record{}, fmt.Errorf("sample %v is not a finite positive number", v)
 		}
 		rec.Samples = append(rec.Samples, v)
 	}

@@ -138,6 +138,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad float":    "chip,app,input,config,run1\nc,a,i,baseline,xx\n",
 		"no samples":   "chip,app,input,config,run1\nc,a,i,baseline,\n",
 		"neg sample":   "chip,app,input,config,run1\nc,a,i,baseline,-5\n",
+		"nan sample":   "chip,app,input,config,run1\nc,a,i,baseline,NaN\n",
+		"inf sample":   "chip,app,input,config,run1\nc,a,i,baseline,+Inf\n",
 		"short record": "chip,app,input,config,run1\nc,a\n",
 	}
 	for name, in := range cases {

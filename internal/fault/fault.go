@@ -153,10 +153,17 @@ func Heavy() *Profile {
 	return (&Profile{Transient: 0.10, Hang: 0.02, Corrupt: 0.05, Dropout: 1}).Fill()
 }
 
+// maxRetries caps the retries key. Every attempt appends one trail
+// entry, so an unbounded count would let one spec hold a runner and
+// grow its memory without limit.
+const maxRetries = 64
+
 // Parse reads a fault spec: "none" (or "") for no injection, a preset
 // name ("light", "heavy"), or comma-separated key=value pairs
 // (transient, hang, corrupt, dropout, seed, retries, backoff, cap,
 // timeout). A preset may be followed by overrides: "heavy,seed=9".
+// Float values must be finite and non-negative, and retries at most
+// 64.
 func Parse(spec string) (*Profile, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" {
@@ -188,9 +195,12 @@ func Parse(spec string) (*Profile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fault: %s=%q: %w", key, val, err)
 			}
-			if key == "seed" {
+			switch {
+			case key == "seed":
 				p.Seed = n
-			} else {
+			case n > maxRetries:
+				return nil, fmt.Errorf("fault: retries must be at most %d, got %d", maxRetries, n)
+			default:
 				p.MaxRetries = int(n)
 			}
 		case "transient", "hang", "corrupt", "dropout", "backoff", "cap", "timeout":
@@ -198,8 +208,8 @@ func Parse(spec string) (*Profile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fault: %s=%q: %w", key, val, err)
 			}
-			if f < 0 {
-				return nil, fmt.Errorf("fault: %s must be non-negative, got %v", key, f)
+			if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("fault: %s must be finite and non-negative, got %v", key, f)
 			}
 			switch key {
 			case "transient":

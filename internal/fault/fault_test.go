@@ -35,12 +35,17 @@ func TestParsePresetsAndSpecs(t *testing.T) {
 	if p.MaxRetries != 4 || p.BackoffNS != 1e6 {
 		t.Errorf("defaults not filled: %+v", p)
 	}
+	if p, err = Parse("retries=64"); err != nil || p.MaxRetries != 64 {
+		t.Errorf("Parse(retries=64) = %+v, %v; want the cap accepted", p, err)
+	}
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"transient", "transient=x", "nope=1", "transient=-0.1",
 		"corrupt=1.5", "transient=0.7,hang=0.7",
+		"transient=NaN", "hang=nan", "backoff=Inf", "cap=+Inf", "timeout=infinity",
+		"retries=65", "retries=9223372036854775807",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)

@@ -148,15 +148,82 @@ func TestCanonicalMetricsDegenerate(t *testing.T) {
 	if got := CanonicalMetrics(nil); len(got) != 0 {
 		t.Errorf("CanonicalMetrics(nil) = %q, want empty", got)
 	}
-	onlyRT := "# TYPE " + RealtimePrefix + "gauge gauge\n" +
-		RealtimePrefix + `gauge{name="queue-depth"} 3` + "\n" +
-		`gpuport_stage_seconds{stage="trace"} 0.5` + "\n"
-	if got := CanonicalMetrics([]byte(onlyRT)); len(got) != 0 {
+	var onlyRT bytes.Buffer
+	lat := Hist{Name: TSLatencyPrefix + "submit"}
+	lat.Observe(5000)
+	if err := WriteRealtime(&onlyRT, []Counter{{Name: TSQueueDepth, Value: 3}}, []Hist{lat}); err != nil {
+		t.Fatal(err)
+	}
+	onlyRT.WriteString(`gpuport_stage_seconds{stage="trace"} 0.5` + "\n")
+	if got := CanonicalMetrics(onlyRT.Bytes()); len(got) != 0 {
 		t.Errorf("all-wall-clock exposition canonicalised to %q, want empty", got)
 	}
 	passthrough := "garbage line\ngpuport_counter_total{name=\"x\"} 1"
 	if got := string(CanonicalMetrics([]byte(passthrough))); got != passthrough {
 		t.Errorf("passthrough mangled:\n got %q\nwant %q", got, passthrough)
+	}
+}
+
+// TestWriteRealtimeCanonical pins the realtime block's layout: series
+// sorted by name whatever the input order, cumulative buckets whose
+// +Inf equals the count, the right sum, every line under the realtime
+// prefix (so CanonicalMetrics strips all of it), and the same bytes
+// for the same input.
+func TestWriteRealtimeCanonical(t *testing.T) {
+	gauges := []Counter{{Name: "z-gauge", Value: 9}, {Name: "a-gauge", Value: 1}}
+	z, a := Hist{Name: "z-lat"}, Hist{Name: "a-lat"}
+	for _, v := range []int64{3, 100, 100, 1 << 40} {
+		a.Observe(v)
+	}
+	z.Observe(7)
+	write := func() []byte {
+		var buf bytes.Buffer
+		if err := WriteRealtime(&buf, gauges, []Hist{z, a}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	raw := write()
+	out := string(raw)
+
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, RealtimePrefix) && !strings.HasPrefix(line, "# TYPE "+RealtimePrefix) {
+			t.Fatalf("line escapes realtime prefix: %q", line)
+		}
+	}
+	if got := CanonicalMetrics(raw); len(got) != 0 {
+		t.Fatalf("CanonicalMetrics left realtime content behind:\n%s", got)
+	}
+	for _, pair := range [][2]string{
+		{`gauge{name="a-gauge"}`, `gauge{name="z-gauge"}`},
+		{`hist_count{name="a-lat"}`, `hist_count{name="z-lat"}`},
+	} {
+		if ia, iz := strings.Index(out, pair[0]), strings.Index(out, pair[1]); ia < 0 || iz < 0 || ia > iz {
+			t.Fatalf("%s not written before %s:\n%s", pair[0], pair[1], out)
+		}
+	}
+	for _, want := range []string{
+		"# TYPE gpuport_rt_gauge gauge\n",
+		`gpuport_rt_gauge{name="a-gauge"} 1`,
+		`gpuport_rt_gauge{name="z-gauge"} 9`,
+		"# TYPE gpuport_rt_hist histogram\n",
+		`gpuport_rt_hist_bucket{name="a-lat",le="1"} 0`,
+		`gpuport_rt_hist_bucket{name="a-lat",le="4"} 1`,
+		`gpuport_rt_hist_bucket{name="a-lat",le="64"} 1`,
+		`gpuport_rt_hist_bucket{name="a-lat",le="256"} 3`,
+		`gpuport_rt_hist_bucket{name="a-lat",le="1073741824"} 3`,
+		`gpuport_rt_hist_bucket{name="a-lat",le="+Inf"} 4`,
+		`gpuport_rt_hist_sum{name="a-lat"} 1099511627979`,
+		`gpuport_rt_hist_count{name="a-lat"} 4`,
+		`gpuport_rt_hist_bucket{name="z-lat",le="+Inf"} 1`,
+		`gpuport_rt_hist_sum{name="z-lat"} 7`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if again := write(); !bytes.Equal(raw, again) {
+		t.Fatal("WriteRealtime is not byte-stable for the same input")
 	}
 }
 

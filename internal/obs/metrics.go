@@ -21,9 +21,10 @@ import (
 const stageSecondsFamily = "gpuport_stage_seconds"
 
 // RealtimePrefix marks metric families whose values derive from wall
-// clock or sampling cadence (the tsdb time-series exposition: request
-// latencies, per-tick gauges). Everything under the prefix is stripped
-// by CanonicalMetrics, the same contract gpuport_stage_seconds has.
+// clock or live server state (WriteRealtime's block: request
+// latencies, queue and runner gauges). Everything under the prefix is
+// stripped by CanonicalMetrics, the same contract gpuport_stage_seconds
+// has.
 const RealtimePrefix = "gpuport_rt_"
 
 // WriteMetrics writes the snapshot as Prometheus text exposition.
@@ -40,19 +41,7 @@ func WriteMetrics(w io.Writer, s *Snapshot) error {
 		}
 	}
 
-	if len(s.Hists) > 0 {
-		fmt.Fprintf(bw, "# TYPE gpuport_hist histogram\n")
-		for _, h := range s.Hists {
-			var cum int64
-			for i, b := range HistBounds {
-				cum += h.Buckets[i]
-				fmt.Fprintf(bw, "gpuport_hist_bucket{name=%q,le=%q} %d\n", h.Name, strconv.FormatInt(b, 10), cum)
-			}
-			fmt.Fprintf(bw, "gpuport_hist_bucket{name=%q,le=\"+Inf\"} %d\n", h.Name, h.Count)
-			fmt.Fprintf(bw, "gpuport_hist_sum{name=%q} %d\n", h.Name, h.Sum)
-			fmt.Fprintf(bw, "gpuport_hist_count{name=%q} %d\n", h.Name, h.Count)
-		}
-	}
+	writeHists(bw, "gpuport_hist", s.Hists)
 
 	// Span population per (track, name): deterministic (identities and
 	// counts are scheduling-independent), unlike span durations, which
@@ -113,10 +102,51 @@ func WriteMetrics(w io.Writer, s *Snapshot) error {
 	return bw.Flush()
 }
 
+// writeHists writes one histogram family: each histogram's cumulative
+// buckets over the fixed HistBounds ladder, then +Inf, sum and count.
+func writeHists(bw *bufio.Writer, family string, hists []Hist) {
+	if len(hists) == 0 {
+		return
+	}
+	fmt.Fprintf(bw, "# TYPE %s histogram\n", family)
+	for _, h := range hists {
+		var cum int64
+		for i, b := range HistBounds {
+			cum += h.Buckets[i]
+			fmt.Fprintf(bw, "%s_bucket{name=%q,le=%q} %d\n", family, h.Name, strconv.FormatInt(b, 10), cum)
+		}
+		fmt.Fprintf(bw, "%s_bucket{name=%q,le=\"+Inf\"} %d\n", family, h.Name, h.Count)
+		fmt.Fprintf(bw, "%s_sum{name=%q} %d\n", family, h.Name, h.Sum)
+		fmt.Fprintf(bw, "%s_count{name=%q} %d\n", family, h.Name, h.Count)
+	}
+}
+
+// WriteRealtime writes live gauges and histograms as Prometheus text
+// exposition under RealtimePrefix: gpuport_rt_gauge and gpuport_rt_hist,
+// each sorted by name. CanonicalMetrics strips the whole block, since
+// its values vary run to run, but the layout is canonical: the same
+// input always writes the same bytes.
+func WriteRealtime(w io.Writer, gauges []Counter, hists []Hist) error {
+	gauges = append([]Counter(nil), gauges...)
+	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
+	hists = append([]Hist(nil), hists...)
+	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
+
+	bw := bufio.NewWriter(w)
+	if len(gauges) > 0 {
+		fmt.Fprintf(bw, "# TYPE %sgauge gauge\n", RealtimePrefix)
+		for _, g := range gauges {
+			fmt.Fprintf(bw, "%sgauge{name=%q} %d\n", RealtimePrefix, g.Name, g.Value)
+		}
+	}
+	writeHists(bw, RealtimePrefix+"hist", hists)
+	return bw.Flush()
+}
+
 // CanonicalMetrics strips the wall-clock lines (the stage-seconds
-// gauge family, every RealtimePrefix time-series family, and their
-// TYPE headers) from an exposition, leaving the deterministic
-// remainder for byte comparison.
+// gauge family, every RealtimePrefix family, and their TYPE headers)
+// from an exposition, leaving the deterministic remainder for byte
+// comparison.
 func CanonicalMetrics(raw []byte) []byte {
 	var out bytes.Buffer
 	for _, line := range strings.SplitAfter(string(raw), "\n") {

@@ -143,8 +143,8 @@ const (
 	LaneHTTP = "http"
 )
 
-// Time-series names (internal/obs/tsdb series sampled by the campaign
-// server on each telemetry tick).
+// Realtime series names (the campaign server's WriteRealtime block,
+// read from live server state at scrape time).
 const (
 	// TSQueueDepth gauges the number of campaigns waiting in the
 	// scheduling queue.

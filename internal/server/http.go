@@ -27,7 +27,7 @@ const (
 )
 
 // Endpoint labels: the obs.AttrEndpoint attribute on request spans and
-// the suffix of per-endpoint latency series (obs.TSLatencyPrefix).
+// the suffix of per-endpoint latency histograms (obs.TSLatencyPrefix).
 const (
 	endpointSubmit    = "submit"
 	endpointList      = "list"
@@ -71,17 +71,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// timed observes the handler's latency into the endpoint's time-series
-// histogram. The clock is the recorder's (time.Now is confined to the
-// instrumentation layers), and the series lives under the realtime
-// prefix, so latency never touches canonical artifacts. The streaming
-// endpoints' "latency" is connection lifetime; /debug/obs-stream is
-// not timed at all, since watching the stream should not feed it.
+// timed observes the handler's latency into the endpoint's histogram.
+// The clock is the recorder's (time.Now is confined to the
+// instrumentation layers), and /metrics writes the histograms under
+// the realtime prefix, so latency never touches canonical artifacts.
+// The streaming endpoints' "latency" is connection lifetime;
+// /debug/obs-stream is not timed at all, since watching the stream
+// should not feed it.
 func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	name := obs.TSLatencyPrefix + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := s.rec.NowNS()
 		h(w, r)
-		s.tsdb.Observe(obs.TSLatencyPrefix+endpoint, s.rec.NowNS()-start)
+		d := s.rec.NowNS() - start
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := range s.latency {
+			if s.latency[i].Name == name {
+				s.latency[i].Observe(d)
+				return
+			}
+		}
+		hist := obs.Hist{Name: name}
+		hist.Observe(d)
+		s.latency = append(s.latency, hist)
 	}
 }
 
@@ -218,11 +231,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	gauges := []obs.Counter{
+		{Name: obs.TSQueueDepth, Value: int64(s.q.len())},
+		{Name: obs.TSRunnersBusy, Value: s.busy},
+	}
+	hists := append([]obs.Hist(nil), s.latency...)
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Deterministic families first, then the realtime (gpuport_rt_)
-	// time-series block, which CanonicalMetrics strips.
-	_ = obs.WriteMetrics(w, s.Snapshot()) // best-effort: client may have gone away
-	_ = s.tsdb.WriteMetrics(w)            // best-effort: client may have gone away
+	// block, which CanonicalMetrics strips.
+	_ = obs.WriteMetrics(w, s.Snapshot())   // best-effort: client may have gone away
+	_ = obs.WriteRealtime(w, gauges, hists) // best-effort: client may have gone away
 }
 
 // handleObsStream serves the recorder's live telemetry as NDJSON: one

@@ -201,6 +201,7 @@ func TestHTTPErrorTable(t *testing.T) {
 		{"malformed graph spec", "POST", "/v1/campaigns", `{"inputs":["twitter-2010"]}`, 400, "bad_spec", "inputs", "unknown input"},
 		{"bad fault profile", "POST", "/v1/campaigns", `{"faults":"explode=yes"}`, 400, "bad_spec", "faults", "unknown spec key"},
 		{"runs out of range", "POST", "/v1/campaigns", `{"runs":65}`, 400, "bad_spec", "runs", "1..64"},
+		{"retries out of range", "POST", "/v1/campaigns", `{"faults":"transient=1,retries=65"}`, 400, "bad_spec", "faults", "at most 64"},
 		{"status of unknown id", "GET", "/v1/campaigns/deadbeef00000000", "", 404, "unknown_campaign", "", "deadbeef"},
 		{"result of unknown id", "GET", "/v1/campaigns/deadbeef00000000/result", "", 404, "unknown_campaign", "", ""},
 		{"events of unknown id", "GET", "/v1/campaigns/deadbeef00000000/events", "", 404, "unknown_campaign", "", ""},

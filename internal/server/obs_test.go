@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpuport/internal/obs"
@@ -158,14 +161,13 @@ func TestConnectedTraceGolden(t *testing.T) {
 }
 
 // TestCanonicalMetricsStableAcrossRuns proves the /metrics surface -
-// with the realtime tsdb block stripped alongside the stage-seconds
+// with the realtime block stripped alongside the stage-seconds
 // family - is byte-identical across runs and worker counts too.
 func TestCanonicalMetricsStableAcrossRuns(t *testing.T) {
 	fetch := func(workers int) []byte {
 		s, ts := httpServer(t, Config{Campaigns: 2, Workers: workers, Obs: obs.New().EnableSim()})
 		j := submit(t, s, testSpec())
 		waitDone(t, j)
-		s.Sample(1_000_000_000) // realtime block must not leak into canonical bytes
 		_, metrics := get(t, ts.URL+"/metrics")
 		return obs.CanonicalMetrics(metrics)
 	}
@@ -181,14 +183,58 @@ func TestCanonicalMetricsStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestServerSampleTelemetry drives the virtual-clock tick and checks
-// the time-series store and its /metrics block.
-func TestServerSampleTelemetry(t *testing.T) {
+// metricLines scrapes /metrics and returns its lines as a set.
+func metricLines(t *testing.T, url string) map[string]bool {
+	t.Helper()
+	_, body := get(t, url+"/metrics")
+	lines := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		lines[line] = true
+	}
+	return lines
+}
+
+// TestServerRealtimeMetrics reads the realtime block at scrape time:
+// the gauges follow the live queue and runner state with no sampling
+// tick, and the submit's latency and the campaign's trace-cache miss
+// show once the campaign has finished.
+func TestServerRealtimeMetrics(t *testing.T) {
+	s, ts := pausedServer(t)
+	var ids []string
+	for seed := 1; seed <= 3; seed++ {
+		j := submit(t, s, Spec{Seed: uint64(seed), Chips: []string{"M4000"}, Apps: []string{"bfs-wl"}, Inputs: []string{"rand-8k"}})
+		ids = append(ids, j.ID())
+	}
+	lines := metricLines(t, ts.URL)
+	for _, want := range []string{
+		obs.RealtimePrefix + `gauge{name="queue-depth"} 3`,
+		obs.RealtimePrefix + `gauge{name="runners-busy"} 0`,
+	} {
+		if !lines[want] {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	req, err := http.NewRequest("DELETE", ts.URL+"/v1/campaigns/"+ids[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("cancel status = %d", resp.StatusCode)
+	}
+	if want := obs.RealtimePrefix + `gauge{name="queue-depth"} 2`; !metricLines(t, ts.URL)[want] {
+		t.Errorf("metrics missing %q after the cancel", want)
+	}
+
 	cache, err := tracecache.Open(t.TempDir(), 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := httpServer(t, Config{TraceCache: cache})
+	_, ts = httpServer(t, Config{TraceCache: cache})
 	resp, body := postJSON(t, ts.URL+"/v1/campaigns", testSpecJSON)
 	if resp.StatusCode != 200 {
 		t.Fatalf("submit status = %d: %s", resp.StatusCode, body)
@@ -197,38 +243,75 @@ func TestServerSampleTelemetry(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	j, ok := s.Get(st.ID)
-	if !ok {
-		t.Fatal("submitted job not registered")
+	if resp, result := get(t, ts.URL+"/v1/campaigns/"+st.ID+"/result?wait=1"); resp.StatusCode != 200 {
+		t.Fatalf("result status = %d: %s", resp.StatusCode, result)
 	}
-	waitDone(t, j)
-
-	s.Sample(1_000_000_000)
-	s.Sample(2_000_000_000)
-	store := s.Metrics()
-	if store.Ticks() != 2 {
-		t.Fatalf("Ticks = %d, want 2", store.Ticks())
-	}
-	if pts := store.Window(obs.TSQueueDepth, 4); len(pts) != 2 || pts[1].Value != 0 {
-		t.Fatalf("queue-depth window = %+v, want 2 samples ending at 0", pts)
-	}
-	// The submit was timed by the HTTP middleware.
-	if h, ok := store.Total(obs.TSLatencyPrefix + endpointSubmit); !ok || h.Count != 1 {
-		t.Fatalf("submit latency total = %+v,%v, want one observation", h, ok)
-	}
-	// The campaign traced two (chip, pair) jobs against an empty cache:
-	// misses were mirrored from the daemon recorder by Sample.
-	if v := store.Value(obs.CtrCacheMisses); v < 1 {
-		t.Fatalf("mirrored %s = %d, want >= 1", obs.CtrCacheMisses, v)
-	}
-
-	_, metrics := get(t, ts.URL+"/metrics")
+	lines = metricLines(t, ts.URL)
 	for _, want := range []string{
-		obs.RealtimePrefix + `gauge{name="queue-depth"} 0`,
-		obs.RealtimePrefix + `counter_total{name="ticks"} 2`,
-		obs.RealtimePrefix + `hist_count{name="http-latency:submit"}`,
+		obs.RealtimePrefix + `hist_count{name="http-latency:submit"} 1`,
+		`gpuport_counter_total{name="trace-cache-misses"} 1`,
 	} {
-		if !strings.Contains(string(metrics), want) {
+		if !lines[want] {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestRealtimeMetricsUnderRace serves requests on several endpoints
+// while other goroutines scrape /metrics; run with -race it proves the
+// latency histograms are race-free, and no observation is lost: each
+// endpoint's final count equals its request count.
+func TestRealtimeMetricsUnderRace(t *testing.T) {
+	_, ts := pausedServer(t)
+	const clients, requests, scrapers = 3, 20, 2
+	paths := map[string]string{
+		endpointHealthz: "/healthz",
+		endpointList:    "/v1/campaigns",
+		endpointStatus:  "/v1/campaigns/deadbeef00000000",
+		endpointResult:  "/v1/campaigns/deadbeef00000000/result",
+	}
+	fetch := func(path string) {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	var wg sync.WaitGroup
+	for _, path := range paths {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < requests; i++ {
+					fetch(path)
+				}
+			}()
+		}
+	}
+	for c := 0; c < scrapers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				fetch("/metrics")
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The final scrape is observed only after it has been written, so
+	// it reports the concurrent scrapes alone.
+	lines := metricLines(t, ts.URL)
+	counts := map[string]int{endpointMetrics: scrapers * requests}
+	for endpoint := range paths {
+		counts[endpoint] = clients * requests
+	}
+	for endpoint, n := range counts {
+		want := fmt.Sprintf(`%shist_count{name="%s%s"} %d`, obs.RealtimePrefix, obs.TSLatencyPrefix, endpoint, n)
+		if !lines[want] {
 			t.Errorf("metrics missing %q", want)
 		}
 	}

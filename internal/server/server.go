@@ -13,7 +13,6 @@ import (
 
 	"gpuport/internal/measure"
 	"gpuport/internal/obs"
-	"gpuport/internal/obs/tsdb"
 	"gpuport/internal/tracecache"
 )
 
@@ -59,7 +58,6 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	rec    *obs.Recorder
-	tsdb   *tsdb.Store
 	wg     sync.WaitGroup
 
 	// wake nudges idle runners when work arrives. Buffered with
@@ -73,6 +71,9 @@ type Server struct {
 	seq    uint64          // guarded by mu
 	busy   int64           // guarded by mu
 	closed bool            // guarded by mu
+	// latency holds one request-latency histogram per timed endpoint,
+	// added on the endpoint's first request.
+	latency []obs.Hist // guarded by mu
 }
 
 // New starts a server: it validates the config, prepares the job
@@ -98,7 +99,6 @@ func New(cfg Config) (*Server, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		rec:    cfg.Obs,
-		tsdb:   tsdb.New(tsdb.DefaultCapacity),
 		wake:   make(chan struct{}, 1024),
 		jobs:   map[string]*Job{},
 	}
@@ -134,7 +134,6 @@ func (s *Server) Close() {
 		j.mu.Unlock()
 		s.rec.Add(obs.CtrJobsCanceled, 1)
 	}
-	s.tsdb.Set(obs.TSQueueDepth, 0)
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
@@ -144,39 +143,11 @@ func (s *Server) Close() {
 // (counters, campaign spans, folded per-job totals).
 func (s *Server) Snapshot() *obs.Snapshot { return s.rec.Snapshot() }
 
-// Obs returns the daemon-lifetime recorder (the live-stream source).
-func (s *Server) Obs() *obs.Recorder { return s.rec }
-
-// Metrics returns the server's in-process time-series store.
-func (s *Server) Metrics() *tsdb.Store { return s.tsdb }
-
-// Sample takes one telemetry tick at the given timestamp: it refreshes
-// the queue-depth gauge, mirrors the trace-cache counters into the
-// time-series store and snapshots every series into its ring. The
-// caller owns the clock (the daemon ticks wall time, tests tick a
-// virtual clock), so the store itself never reads one.
-func (s *Server) Sample(tsNS int64) {
-	s.mu.Lock()
-	depth := int64(s.q.len())
-	s.mu.Unlock()
-	s.tsdb.Set(obs.TSQueueDepth, depth)
-	for _, c := range s.rec.Summary().Counters {
-		switch c.Name {
-		case obs.CtrCacheHits, obs.CtrCacheMisses, obs.CtrCacheMismatches,
-			obs.CtrCachePutErrors, obs.CtrCacheEvictions, obs.CtrCacheCorrupt:
-			s.tsdb.Mark(c.Name, c.Value)
-		}
-	}
-	s.tsdb.Tick(tsNS)
-}
-
-// setBusy moves the runners-busy gauge by delta.
+// setBusy moves the busy-runner count by delta.
 func (s *Server) setBusy(delta int64) {
 	s.mu.Lock()
 	s.busy += delta
-	b := s.busy
 	s.mu.Unlock()
-	s.tsdb.Set(obs.TSRunnersBusy, b)
 }
 
 // Get returns the job with the given id.
@@ -295,7 +266,6 @@ func (s *Server) Submit(spec Spec) (j *Job, body []byte, errs *Error) {
 	s.rec.Add(obs.CtrJobsSubmitted, 1)
 	enq.End()
 	req.Event(obs.EvSubmitOutcome, obs.String(obs.AttrOutcome, outcome))
-	s.tsdb.Set(obs.TSQueueDepth, int64(s.q.len()))
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -319,7 +289,6 @@ func (s *Server) Cancel(id string) (*Job, *Error) {
 		j.finishLocked(StateCanceled)
 		j.mu.Unlock()
 		s.rec.Add(obs.CtrJobsCanceled, 1)
-		s.tsdb.Set(obs.TSQueueDepth, int64(s.q.len()))
 		return j, nil
 	}
 	j.mu.Lock()
@@ -348,7 +317,6 @@ func (s *Server) next() *Job {
 	j.state = StateRunning
 	j.publishLocked(Event{State: StateRunning})
 	j.mu.Unlock()
-	s.tsdb.Set(obs.TSQueueDepth, int64(s.q.len()))
 	return j
 }
 

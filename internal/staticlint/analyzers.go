@@ -46,7 +46,7 @@ func DefaultConfig() Config {
 			"gpuport/internal/obs.CanonicalMetrics",
 			"gpuport/internal/obs.NewTraceID",
 			"gpuport/internal/obs.StreamEvent.AppendNDJSON",
-			"gpuport/internal/obs/tsdb.Store.WriteMetrics",
+			"gpuport/internal/obs.WriteRealtime",
 			// The campaign server: job identity (content-addressed
 			// fingerprints), spec resolution and the scheduling queue
 			// must be wall-clock- and randomness-free, or cached
@@ -74,7 +74,6 @@ func DefaultConfig() Config {
 			"gpuport/internal/server.Job",
 			"gpuport/internal/tracecache.Store",
 			"gpuport/internal/obs.Recorder",
-			"gpuport/internal/obs/tsdb.Store",
 		},
 		GoLeakScope: []string{"internal/server", "internal/measure", "internal/obs"},
 	}

@@ -274,7 +274,7 @@ func TestProofSetNames(t *testing.T) {
 		"gpuport/internal/obs.CanonicalMetrics",
 		"gpuport/internal/obs.NewTraceID",
 		"gpuport/internal/obs.StreamEvent.AppendNDJSON",
-		"gpuport/internal/obs/tsdb.Store.WriteMetrics",
+		"gpuport/internal/obs.WriteRealtime",
 		"gpuport/internal/measure.Campaign.Fingerprint",
 		"gpuport/internal/server.Spec.Resolve",
 		"gpuport/internal/server.queue.*",
