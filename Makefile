@@ -91,11 +91,13 @@ cover:
 		-floor gpuport/internal/conform,88 \
 		-floor gpuport/internal/cost,92 \
 		-floor gpuport/internal/cost/columnar,95 \
+		-floor gpuport/internal/dataset,94 \
 		-floor gpuport/internal/irgl,89 \
 		-floor gpuport/internal/measure,86 \
 		-floor gpuport/internal/obs,68 \
 		-floor gpuport/internal/server,85 \
-		-floor gpuport/internal/staticlint,92
+		-floor gpuport/internal/staticlint,92 \
+		-floor gpuport/internal/stats,97
 	@rm -f cover.out
 
 # perfbench-test vets and tests the repository benchmark (_perfbench/, its

@@ -25,13 +25,24 @@ const (
 // Slowdown; otherwise NoChange. The returned ratio is baseline mean /
 // cfg mean (above 1.0 means cfg is faster).
 func Classify(d *dataset.Dataset, t dataset.Tuple, cfg opt.Config) (Outcome, float64) {
-	base := d.Samples(t, opt.Config{})
-	cur := d.Samples(t, cfg)
-	if base == nil || cur == nil {
+	tid, ok1 := d.TupleID(t)
+	cid, ok2 := cfg.ID()
+	if !ok1 || !ok2 {
 		return NoChange, 1
 	}
-	ratio := stats.Mean(base) / stats.Mean(cur)
-	if cfg.IsBaseline() || !stats.SignificantlyDifferent(base, cur) {
+	return classify(d, tid, cid)
+}
+
+// classify is Classify over a tuple ID and a config ID, reading the
+// cells' cached means and confidence intervals.
+func classify(d *dataset.Dataset, tid, cid int) (Outcome, float64) {
+	base, ok1 := d.Stat(tid, 0)
+	cur, ok2 := d.Stat(tid, cid)
+	if !ok1 || !ok2 {
+		return NoChange, 1
+	}
+	ratio := base.Mean / cur.Mean
+	if cid == 0 || !stats.Separated(base.CI, cur.CI) {
 		return NoChange, ratio
 	}
 	if ratio > 1 {
@@ -44,8 +55,12 @@ func Classify(d *dataset.Dataset, t dataset.Tuple, cfg opt.Config) (Outcome, flo
 // speedup over baseline on t. The paper excludes the ~43% of tests
 // where no optimisation helps from its strategy comparison (Figure 3).
 func Improvable(d *dataset.Dataset, t dataset.Tuple) bool {
-	for _, cfg := range opt.NonBaseline() {
-		if out, _ := Classify(d, t, cfg); out == Speedup {
+	tid, ok := d.TupleID(t)
+	if !ok {
+		return false
+	}
+	for cid := 1; cid < opt.NumConfigs; cid++ {
+		if out, _ := classify(d, tid, cid); out == Speedup {
 			return true
 		}
 	}
@@ -161,13 +176,13 @@ type ConfigRank struct {
 // geomean). This reproduces Table III and exposes why "do no harm" and
 // "fewest slowdowns" fail as portable-policy constructions.
 func RankConfigs(d *dataset.Dataset) []ConfigRank {
-	tuples := d.Tuples()
+	tids := tupleIDs(d, d.Tuples())
 	var out []ConfigRank
-	for _, cfg := range opt.NonBaseline() {
-		r := ConfigRank{Config: cfg, MaxSpeedup: 1}
-		var ratios []float64
-		for _, t := range tuples {
-			outc, ratio := Classify(d, t, cfg)
+	for cid := 1; cid < opt.NumConfigs; cid++ {
+		r := ConfigRank{Config: opt.ByID(cid), MaxSpeedup: 1}
+		ratios := make([]float64, 0, len(tids))
+		for _, tid := range tids {
+			outc, ratio := classify(d, tid, cid)
 			switch outc {
 			case Speedup:
 				r.Speedups++

@@ -33,6 +33,20 @@ func TestClassify(t *testing.T) {
 	if out, ratio := Classify(d, tp, opt.Config{}); out != NoChange || ratio != 1 {
 		t.Errorf("baseline vs baseline: %v %v", out, ratio)
 	}
+	// Absent cells classify as NoChange at ratio 1: an unknown tuple,
+	// and configs outside the space (no opt ID), which must not panic.
+	for _, tc := range []struct {
+		tuple dataset.Tuple
+		cfg   opt.Config
+	}{
+		{dataset.Tuple{Chip: "zz", App: "a", Input: "i"}, opt.Config{SG: true}},
+		{tp, opt.Config{FG: 3}},
+		{tp, opt.Config{SG: true, FG: 255}},
+	} {
+		if out, ratio := Classify(d, tc.tuple, tc.cfg); out != NoChange || ratio != 1 {
+			t.Errorf("%v under %+v: %v %v, want absent", tc.tuple, tc.cfg, out, ratio)
+		}
+	}
 }
 
 func TestImprovable(t *testing.T) {

@@ -15,6 +15,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpuport/internal/dataset"
@@ -241,27 +242,42 @@ func OptsForPartition(d *dataset.Dataset, tuples []dataset.Tuple) []FlagDecision
 	return optsForPartition(d, tuples, true)
 }
 
+// optsForPartition runs Algorithm 1 over the partition's tuple IDs and
+// the dataset's cached cell statistics. Tuples without data are
+// skipped, as their comparisons would be.
 func optsForPartition(d *dataset.Dataset, tuples []dataset.Tuple, gated bool) []FlagDecision {
+	tids := tupleIDs(d, tuples)
+	// One ratio buffer serves every flag: a pair's two configs differ in
+	// the flag, so a flag has at most NumConfigs/2 pairs. b is
+	// Algorithm 1's list of 1.0s.
+	a := make([]float64, 0, opt.NumConfigs/2*len(tids))
+	b := make([]float64, cap(a))
+	for i := range b {
+		b[i] = 1.0
+	}
 	decisions := make([]FlagDecision, 0, len(opt.Flags()))
 	for _, f := range opt.Flags() {
-		var a, b []float64
-		for _, os := range opt.SettingsWith(f) {
-			dis := os.With(f, false)
-			for _, t := range tuples {
-				en := d.Samples(t, os)
-				di := d.Samples(t, dis)
-				if en == nil || di == nil {
+		a = a[:0]
+		pairs := opt.MirrorsOf(f)
+		for p := 0; p < pairs.Len(); p++ {
+			on, off := pairs.At(p)
+			for _, tid := range tids {
+				en, ok1 := d.Stat(tid, on)
+				di, ok2 := d.Stat(tid, off)
+				if !ok1 || !ok2 {
 					continue
 				}
-				if gated && !stats.SignificantlyDifferent(en, di) {
+				if gated && !stats.Separated(en.CI, di.CI) {
 					continue
 				}
-				a = append(a, stats.Mean(en)/stats.Mean(di))
-				b = append(b, 1.0)
+				a = append(a, en.Mean/di.Mean)
 			}
 		}
+		// The MWU result and the median depend only on the multiset of
+		// ratios; sorting once makes both of their sorts linear.
+		slices.Sort(a)
 		dec := FlagDecision{Flag: f, Comparisons: len(a)}
-		res := stats.MannWhitneyU(a, b)
+		res := stats.MannWhitneyU(a, b[:len(a)])
 		dec.P = res.P
 		dec.CL = res.CL
 		dec.MedianRatio = stats.Median(a)
@@ -272,6 +288,18 @@ func optsForPartition(d *dataset.Dataset, tuples []dataset.Tuple, gated bool) []
 		decisions = append(decisions, dec)
 	}
 	return decisions
+}
+
+// tupleIDs maps tuples to their dataset IDs, dropping tuples d has no
+// records for.
+func tupleIDs(d *dataset.Dataset, tuples []dataset.Tuple) []int {
+	out := make([]int, 0, len(tuples))
+	for _, t := range tuples {
+		if tid, ok := d.TupleID(t); ok {
+			out = append(out, tid)
+		}
+	}
+	return out
 }
 
 // configFromDecisions assembles the recommended configuration. If both

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuport/internal/dataset"
@@ -216,5 +217,35 @@ func TestPartitionKeyString(t *testing.T) {
 func TestDimsCount(t *testing.T) {
 	if (Dims{}).Count() != 0 || (Dims{Chip: true, Input: true}).Count() != 2 {
 		t.Error("Count wrong")
+	}
+}
+
+// TestSpecialiseAllocsIndependentOfGrid pins the dense layout's win:
+// Algorithm 1 reads each cell's cached statistics, so one global
+// Specialise allocates the same handful of buffers over a 1-chip grid
+// (51 tuples) and a 4-chip grid (204 tuples) - nothing per comparison.
+func TestSpecialiseAllocsIndependentOfGrid(t *testing.T) {
+	const bound = 64
+	apps := make([]string, 17)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("app%02d", i)
+	}
+	inputs := []string{"road", "social", "random"}
+	factor := func(tp dataset.Tuple, f opt.Flag) float64 {
+		switch {
+		case f == opt.FlagSG:
+			return 0.8
+		case f == opt.FlagWG && tp.Input == "road":
+			return 1.3
+		default:
+			return 1.0
+		}
+	}
+	for _, chips := range [][]string{{"c1"}, {"c1", "c2", "c3", "c4"}} {
+		d := synthDataset(grid(chips, apps, inputs), factor)
+		allocs := testing.AllocsPerRun(5, func() { Specialise(d, Dims{}) })
+		if allocs > bound {
+			t.Errorf("%d chips: Specialise(global) allocates %.0f times, want <= %d", len(chips), allocs, bound)
+		}
 	}
 }

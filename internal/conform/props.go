@@ -52,7 +52,8 @@ type Property struct {
 // Properties returns the registry in canonical (report) order: the
 // historical reference-engine properties first (names unchanged), then
 // a "-columnar" twin of every engine-scoped property evaluating the
-// columnar engine, then the reference-vs-columnar differential. Twins
+// columnar engine, then the reference-vs-columnar differential and the
+// dense-vs-reference analysis differential. Twins
 // draw independent seed streams (propSeed is keyed by name), so adding
 // them shifts nothing the reference instances observe.
 func Properties() []Property {
@@ -71,6 +72,10 @@ func Properties() []Property {
 		Name:  "engine-columnar-differential",
 		Doc:   "reference and columnar cost engines produce bit-identical model times on randomized traces across every chip and configuration, shrinking any mismatch to a minimal trace",
 		Check: checkEngineDifferential,
+	}, Property{
+		Name:  "analysis-dense-differential",
+		Doc:   "Algorithm 1, Classify and Improvable over dense IDs and cached cell statistics match the string-keyed reference bit for bit on random partial datasets, gated and ungated, at every specialisation",
+		Check: checkAnalysisDifferential,
 	})
 	return out
 }

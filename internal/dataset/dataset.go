@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"gpuport/internal/opt"
+	"gpuport/internal/stats"
 )
 
 // Tuple identifies one test: a chip, application, input triple (the
@@ -54,10 +56,30 @@ func (r *Record) Mean() float64 {
 	return s / float64(len(r.Samples))
 }
 
-// Dataset is the indexed collection of records.
+// Stat is one cell's cached summary: the mean of its samples and their
+// 95% confidence interval, computed once by Add with stats.Mean and
+// stats.CI95.
+type Stat struct {
+	Mean float64
+	CI   stats.Interval
+}
+
+// cell is one slab entry.
+type cell struct {
+	samples []float64
+	stat    Stat
+	present bool
+}
+
+// Dataset is the collection of records, stored in one slab of cells
+// indexed by (tuple ID x config ID). Tuple IDs are dense and assigned
+// in first-insertion order; config IDs are opt's (opt.Config.ID). Add
+// maintains every derived structure, so reads never build state.
 type Dataset struct {
-	records []Record
-	index   map[Key]int
+	tuples []Tuple // by tuple ID
+	sorted []int32 // tuple IDs in Tuples order
+	cells  []cell  // cell (tid, cid) at tid*opt.NumConfigs + cid
+	order  []int32 // slab indexes of the present cells in first-insertion order
 
 	chips  []string
 	apps   []string
@@ -65,21 +87,56 @@ type Dataset struct {
 }
 
 // New returns an empty dataset.
-func New() *Dataset {
-	return &Dataset{index: make(map[Key]int)}
+func New() *Dataset { return &Dataset{} }
+
+// Add inserts or replaces the record for its key. A config outside the
+// optimisation space (see opt.Config.ID) panics: it has no cell.
+func (d *Dataset) Add(rec Record) {
+	cid, ok := rec.Config.ID()
+	if !ok {
+		panic(fmt.Sprintf("dataset: config %v with FG=%d is outside the optimisation space", rec.Config, rec.Config.FG))
+	}
+	tid, ok := d.TupleID(rec.Tuple)
+	if !ok {
+		tid = d.addTuple(rec.Tuple)
+	}
+	i := tid*opt.NumConfigs + cid
+	c := &d.cells[i]
+	if !c.present {
+		c.present = true
+		d.order = append(d.order, int32(i))
+	}
+	c.samples = rec.Samples
+	c.stat = Stat{Mean: stats.Mean(rec.Samples), CI: stats.CI95(rec.Samples)}
 }
 
-// Add inserts or replaces the record for its key.
-func (d *Dataset) Add(rec Record) {
-	if i, ok := d.index[rec.Key]; ok {
-		d.records[i] = rec
-		return
+// addTuple assigns t the next tuple ID, grows the slab by one row and
+// inserts the ID into the sorted order.
+func (d *Dataset) addTuple(t Tuple) int {
+	tid := len(d.tuples)
+	d.tuples = append(d.tuples, t)
+	d.cells = append(d.cells, make([]cell, opt.NumConfigs)...)
+	d.sorted = slices.Insert(d.sorted, d.search(t), int32(tid))
+	d.chips = addUnique(d.chips, t.Chip)
+	d.apps = addUnique(d.apps, t.App)
+	d.inputs = addUnique(d.inputs, t.Input)
+	return tid
+}
+
+// search returns the position in the sorted order where t is, or
+// would be inserted.
+func (d *Dataset) search(t Tuple) int {
+	return sort.Search(len(d.sorted), func(k int) bool { return !tupleLess(d.tuples[d.sorted[k]], t) })
+}
+
+func tupleLess(a, b Tuple) bool {
+	if a.Chip != b.Chip {
+		return a.Chip < b.Chip
 	}
-	d.index[rec.Key] = len(d.records)
-	d.records = append(d.records, rec)
-	d.chips = addUnique(d.chips, rec.Chip)
-	d.apps = addUnique(d.apps, rec.App)
-	d.inputs = addUnique(d.inputs, rec.Input)
+	if a.App != b.App {
+		return a.App < b.App
+	}
+	return a.Input < b.Input
 }
 
 func addUnique(xs []string, x string) []string {
@@ -91,8 +148,38 @@ func addUnique(xs []string, x string) []string {
 	return append(xs, x)
 }
 
+// TupleID returns t's dense tuple ID, or false when t has no records.
+func (d *Dataset) TupleID(t Tuple) (int, bool) {
+	k := d.search(t)
+	if k < len(d.sorted) && d.tuples[d.sorted[k]] == t {
+		return int(d.sorted[k]), true
+	}
+	return 0, false
+}
+
+// Stat returns the cached summary of cell (tuple ID, config ID), with
+// ok=false when the cell has no samples (where Samples returns nil).
+func (d *Dataset) Stat(tid, cid int) (Stat, bool) {
+	c := &d.row(tid)[cid]
+	return c.stat, c.samples != nil
+}
+
+// lookup returns the slab entry for a key, or nil when the tuple is
+// unknown or the config lies outside the optimisation space.
+func (d *Dataset) lookup(t Tuple, cfg opt.Config) *cell {
+	cid, ok := cfg.ID()
+	if !ok {
+		return nil
+	}
+	tid, ok := d.TupleID(t)
+	if !ok {
+		return nil
+	}
+	return &d.row(tid)[cid]
+}
+
 // Len returns the number of records.
-func (d *Dataset) Len() int { return len(d.records) }
+func (d *Dataset) Len() int { return len(d.order) }
 
 // Chips, Apps and Inputs return the dimension values in insertion order.
 func (d *Dataset) Chips() []string  { return append([]string(nil), d.chips...) }
@@ -101,8 +188,8 @@ func (d *Dataset) Inputs() []string { return append([]string(nil), d.inputs...) 
 
 // Samples returns the timed runs for a key, or nil when absent.
 func (d *Dataset) Samples(t Tuple, cfg opt.Config) []float64 {
-	if i, ok := d.index[Key{t, cfg}]; ok {
-		return d.records[i].Samples
+	if c := d.lookup(t, cfg); c != nil {
+		return c.samples
 	}
 	return nil
 }
@@ -110,31 +197,19 @@ func (d *Dataset) Samples(t Tuple, cfg opt.Config) []float64 {
 // Mean returns the mean runtime for a key, or NaN-free 0 with ok=false
 // when absent.
 func (d *Dataset) Mean(t Tuple, cfg opt.Config) (float64, bool) {
-	if i, ok := d.index[Key{t, cfg}]; ok {
-		return d.records[i].Mean(), true
+	if c := d.lookup(t, cfg); c != nil && c.present {
+		return c.stat.Mean, true
 	}
 	return 0, false
 }
 
-// Tuples returns all distinct tuples in deterministic order.
+// Tuples returns all distinct tuples in deterministic order (by chip,
+// then app, then input).
 func (d *Dataset) Tuples() []Tuple {
-	seen := map[Tuple]bool{}
-	var out []Tuple
-	for _, r := range d.records {
-		if !seen[r.Tuple] {
-			seen[r.Tuple] = true
-			out = append(out, r.Tuple)
-		}
+	out := make([]Tuple, len(d.sorted))
+	for k, tid := range d.sorted {
+		out[k] = d.tuples[tid]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Chip != out[j].Chip {
-			return out[i].Chip < out[j].Chip
-		}
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
-		}
-		return out[i].Input < out[j].Input
-	})
 	return out
 }
 
@@ -142,8 +217,8 @@ func (d *Dataset) Tuples() []Tuple {
 // Tuples.
 func (d *Dataset) TuplesWhere(keep func(Tuple) bool) []Tuple {
 	var out []Tuple
-	for _, t := range d.Tuples() {
-		if keep(t) {
+	for _, tid := range d.sorted {
+		if t := d.tuples[tid]; keep(t) {
 			out = append(out, t)
 		}
 	}
@@ -153,32 +228,41 @@ func (d *Dataset) TuplesWhere(keep func(Tuple) bool) []Tuple {
 // BestConfig returns the configuration with the lowest mean runtime for
 // the tuple (the per-tuple oracle) and that runtime.
 func (d *Dataset) BestConfig(t Tuple) (opt.Config, float64, bool) {
-	best := opt.Config{}
-	bestTime := 0.0
-	found := false
-	for _, cfg := range opt.All() {
-		m, ok := d.Mean(t, cfg)
-		if !ok {
+	tid, ok := d.TupleID(t)
+	if !ok {
+		return opt.Config{}, 0, false
+	}
+	best, bestTime, found := 0, 0.0, false
+	for cid, c := range d.row(tid) {
+		if !c.present {
 			continue
 		}
-		if !found || m < bestTime {
-			best, bestTime, found = cfg, m, true
+		if !found || c.stat.Mean < bestTime {
+			best, bestTime, found = cid, c.stat.Mean, true
 		}
 	}
-	return best, bestTime, found
+	return opt.ByID(best), bestTime, found
+}
+
+// row returns the slab row of tuple tid, indexed by config ID.
+func (d *Dataset) row(tid int) []cell {
+	return d.cells[tid*opt.NumConfigs : (tid+1)*opt.NumConfigs]
 }
 
 // TupleCoverage returns the fraction of the configuration grid that has
 // data for the tuple (1 for a fully swept tuple, 0 for an absent one).
 func (d *Dataset) TupleCoverage(t Tuple) float64 {
-	configs := opt.All()
+	tid, ok := d.TupleID(t)
+	if !ok {
+		return 0
+	}
 	have := 0
-	for _, cfg := range configs {
-		if _, ok := d.index[Key{t, cfg}]; ok {
+	for _, c := range d.row(tid) {
+		if c.present {
 			have++
 		}
 	}
-	return float64(have) / float64(len(configs))
+	return float64(have) / opt.NumConfigs
 }
 
 // Coverage returns the fraction of the chips x apps x inputs x configs
@@ -188,11 +272,11 @@ func (d *Dataset) TupleCoverage(t Tuple) float64 {
 // report (internal/measure) is the authoritative account of the
 // intended sweep.
 func (d *Dataset) Coverage() float64 {
-	grid := len(d.chips) * len(d.apps) * len(d.inputs) * len(opt.All())
+	grid := len(d.chips) * len(d.apps) * len(d.inputs) * opt.NumConfigs
 	if grid == 0 {
 		return 1
 	}
-	return float64(len(d.records)) / float64(grid)
+	return float64(len(d.order)) / float64(grid)
 }
 
 // MissingCells lists every (tuple, config) hole in the grid spanned by
@@ -200,14 +284,14 @@ func (d *Dataset) Coverage() float64 {
 // order. A complete dataset returns nil.
 func (d *Dataset) MissingCells() []Key {
 	var out []Key
-	configs := opt.All()
 	for _, ch := range d.chips {
 		for _, app := range d.apps {
 			for _, in := range d.inputs {
 				t := Tuple{Chip: ch, App: app, Input: in}
-				for _, cfg := range configs {
-					if _, ok := d.index[Key{t, cfg}]; !ok {
-						out = append(out, Key{t, cfg})
+				tid, ok := d.TupleID(t)
+				for cid := 0; cid < opt.NumConfigs; cid++ {
+					if !ok || !d.row(tid)[cid].present {
+						out = append(out, Key{t, opt.ByID(cid)})
 					}
 				}
 			}
@@ -216,22 +300,28 @@ func (d *Dataset) MissingCells() []Key {
 	return out
 }
 
+// record rebuilds the record stored at slab index i.
+func (d *Dataset) record(i int32) Record {
+	tid, cid := int(i)/opt.NumConfigs, int(i)%opt.NumConfigs
+	return Record{Key: Key{d.tuples[tid], opt.ByID(cid)}, Samples: d.cells[i].samples}
+}
+
 // WriteCSV serialises the dataset: header then one row per record with
 // samples in fixed columns.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
 	maxSamples := 0
-	for _, r := range d.records {
-		if len(r.Samples) > maxSamples {
-			maxSamples = len(r.Samples)
+	for _, i := range d.order {
+		if n := len(d.cells[i].samples); n > maxSamples {
+			maxSamples = n
 		}
 	}
 	if err := cw.Write(Header(maxSamples)); err != nil {
 		return err
 	}
-	for _, r := range d.records {
-		if err := cw.Write(FormatRecord(r)); err != nil {
+	for _, i := range d.order {
+		if err := cw.Write(FormatRecord(d.record(i))); err != nil {
 			return err
 		}
 	}

@@ -2,10 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"gpuport/internal/opt"
+	"gpuport/internal/stats"
 )
 
 func sample(t Tuple, cfg opt.Config, xs ...float64) Record {
@@ -172,5 +175,93 @@ func TestRecordMean(t *testing.T) {
 func TestTupleString(t *testing.T) {
 	if got := tup("c", "a", "i").String(); got != "c/a/i" {
 		t.Errorf("tuple string = %q", got)
+	}
+}
+
+// TestConfigsOutsideSpace: a config with no opt ID (an FG value past
+// FG8) reads as absent everywhere, and adding it panics naming it.
+func TestConfigsOutsideSpace(t *testing.T) {
+	d := buildSmall()
+	t1 := tup("chipA", "app1", "in1")
+	for _, cfg := range []opt.Config{{FG: 3}, {SG: true, FG: 255}} {
+		if s := d.Samples(t1, cfg); s != nil {
+			t.Errorf("%+v: Samples = %v, want nil", cfg, s)
+		}
+		if m, ok := d.Mean(t1, cfg); ok {
+			t.Errorf("%+v: Mean = %v, present", cfg, m)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("FG=%d", cfg.FG); !strings.Contains(msg, want) {
+					t.Errorf("%+v: Add panic %q does not name %s", cfg, msg, want)
+				}
+			}()
+			d.Add(sample(t1, cfg, 1))
+		}()
+	}
+	if c := d.TupleCoverage(t1); c != 3.0/opt.NumConfigs || d.Len() != 5 {
+		t.Errorf("rejected adds changed the dataset: coverage %v, len %d", c, d.Len())
+	}
+}
+
+// TestCellStats: Add caches each cell's mean and 95% CI, bit-identical
+// to stats.Mean and stats.CI95 of its samples, and a replacement
+// refreshes them; a missing cell has no stats.
+func TestCellStats(t *testing.T) {
+	d := buildSmall()
+	t1 := tup("chipA", "app1", "in1")
+	tid, ok := d.TupleID(t1)
+	if !ok {
+		t.Fatal("TupleID misses an added tuple")
+	}
+	if _, ok := d.TupleID(tup("chipA", "app1", "zz")); ok {
+		t.Error("TupleID found an absent tuple")
+	}
+	check := func(cfg opt.Config, xs []float64) {
+		t.Helper()
+		cid, _ := cfg.ID()
+		st, ok := d.Stat(tid, cid)
+		ci := stats.CI95(xs)
+		if !ok || math.Float64bits(st.Mean) != math.Float64bits(stats.Mean(xs)) ||
+			math.Float64bits(st.CI.Lo) != math.Float64bits(ci.Lo) || math.Float64bits(st.CI.Hi) != math.Float64bits(ci.Hi) {
+			t.Errorf("%v: Stat = %+v, %v; want mean %v, CI %+v", cfg, st, ok, stats.Mean(xs), ci)
+		}
+	}
+	check(opt.Config{SG: true}, []float64{50, 51, 49})
+	d.Add(sample(t1, opt.Config{SG: true}, 7, 9))
+	check(opt.Config{SG: true}, []float64{7, 9})
+	if _, ok := d.Stat(tid, opt.NumConfigs-1); ok {
+		t.Error("a missing cell reports stats")
+	}
+}
+
+// TestInsertionOrders: Tuples is sorted however records arrive, while
+// WriteCSV keeps first-insertion row order, a replaced record in place.
+func TestInsertionOrders(t *testing.T) {
+	d := New()
+	keys := []Key{
+		{tup("c2", "a", "i"), opt.Config{WG: true}},
+		{tup("c1", "b", "i"), opt.Config{}},
+		{tup("c1", "a", "j"), opt.Config{SG: true}},
+		{tup("c2", "a", "i"), opt.Config{}},
+		{tup("c1", "a", "i"), opt.Config{}},
+	}
+	for i, k := range keys {
+		d.Add(Record{Key: k, Samples: []float64{float64(i + 1)}})
+	}
+	d.Add(Record{Key: keys[1], Samples: []float64{9}})
+	want := []Tuple{tup("c1", "a", "i"), tup("c1", "a", "j"), tup("c1", "b", "i"), tup("c2", "a", "i")}
+	if got := d.Tuples(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Tuples = %v, want %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantCSV := "chip,app,input,config,run1\n" +
+		"c2,a,i,wg,1\nc1,b,i,baseline,9\nc1,a,j,sg,3\nc2,a,i,baseline,4\nc1,a,i,baseline,5\n"
+	if buf.String() != wantCSV {
+		t.Errorf("CSV =\n%s\nwant\n%s", buf.String(), wantCSV)
 	}
 }

@@ -164,6 +164,11 @@ func Collect(o Options) (*dataset.Dataset, error) {
 // degrades gracefully to the covered cells.
 func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	o.fill()
+	for _, cfg := range o.Configs {
+		if _, ok := cfg.ID(); !ok {
+			return nil, nil, fmt.Errorf("measure: config %v with FG=%d is outside the optimisation space", cfg, cfg.FG)
+		}
+	}
 	ctx := o.Ctx
 	profiles, err := Traces(o)
 	if err != nil {

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"strings"
 	"testing"
 
 	"gpuport/internal/apps"
@@ -140,6 +141,26 @@ func TestSeedChangesNoiseNotScale(t *testing.T) {
 	}
 	if same > diff/10 {
 		t.Errorf("suspiciously many identical samples across seeds: %d vs %d", same, diff)
+	}
+}
+
+// TestCollectRejectsConfigsOutsideSpace: a config with no opt ID (an
+// FG value past FG8) is refused before any work, naming the value; its
+// CSV row would collide with its FG-off twin.
+func TestCollectRejectsConfigsOutsideSpace(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  opt.Config
+		want string
+	}{
+		{opt.Config{FG: 3}, "FG=3"},
+		{opt.Config{SG: true, FG: 255}, "sg with FG=255"},
+	} {
+		o := smallOptions()
+		o.Configs = []opt.Config{{}, tc.cfg}
+		_, _, err := CollectReport(o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.want)
+		}
 	}
 }
 

@@ -90,39 +90,58 @@ type Device struct {
 	WorkgroupSize int
 }
 
-// lru is a tiny exact-LRU cache of memory lines.
+// lru is a tiny exact-LRU cache of memory lines: a chip's CU cache
+// holds a handful of lines, so two parallel slices scanned linearly
+// beat any index.
 type lru struct {
-	cap   int
-	tick  int64
-	lines map[int64]int64 // line -> last use tick
+	n     int     // lines held: lines[:n]
+	tick  int64   // touches so far
+	lines []int64 // cached lines; len(lines) is the capacity
+	used  []int64 // used[i] is the tick of lines[i]'s last touch
 }
 
-func newLRU(capacity int) *lru {
+// lruStackLines is the capacity Run's stack-resident buffer covers;
+// every study chip fits, a larger cache allocates its own.
+const lruStackLines = 8
+
+// newLRU returns an empty cache of the given capacity (at least one
+// line), keeping its bookkeeping in buf when buf holds two slots per
+// line.
+func newLRU(capacity int, buf []int64) *lru {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lru{cap: capacity, lines: make(map[int64]int64, capacity+1)}
+	if len(buf) < 2*capacity {
+		buf = make([]int64, 2*capacity)
+	}
+	return &lru{lines: buf[:capacity], used: buf[capacity : 2*capacity]}
 }
+
+// reset empties the cache.
+func (c *lru) reset() { c.n, c.tick = 0, 0 }
 
 // touch returns true on a hit; on a miss the line is inserted, evicting
 // the least recently used line if needed.
 func (c *lru) touch(line int64) bool {
 	c.tick++
-	if _, ok := c.lines[line]; ok {
-		c.lines[line] = c.tick
-		return true
+	for i, l := range c.lines[:c.n] {
+		if l == line {
+			c.used[i] = c.tick
+			return true
+		}
 	}
-	if len(c.lines) >= c.cap {
-		var oldest int64
-		var oldestTick int64 = 1 << 62
-		for l, t := range c.lines {
-			if t < oldestTick {
-				oldest, oldestTick = l, t
+	slot := c.n
+	if c.n < len(c.lines) {
+		c.n++
+	} else {
+		slot = 0
+		for i, t := range c.used {
+			if t < c.used[slot] {
+				slot = i
 			}
 		}
-		delete(c.lines, oldest)
 	}
-	c.lines[line] = c.tick
+	c.lines[slot], c.used[slot] = line, c.tick
 	return false
 }
 
@@ -172,6 +191,8 @@ func (d *Device) Run(k Kernel) Result {
 	}
 
 	atomicAddrs := map[int64]int{}
+	var buf [2 * lruStackLines]int64
+	cache := newLRU(d.Chip.CacheLinesPerCU, buf[:])
 
 	for wgID := 0; wgID < numWGs; wgID++ {
 		base := wgID * wg
@@ -180,7 +201,7 @@ func (d *Device) Run(k Kernel) Result {
 			lanesInWG = wg
 		}
 		subgroups := (lanesInWG + sg - 1) / sg
-		cache := newLRU(d.Chip.CacheLinesPerCU)
+		cache.reset()
 
 		maxDrift := 0
 		if k.BarrierEvery == 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpuport/internal/chip"
+	"gpuport/internal/stats"
 )
 
 func mustChip(t *testing.T, name string) chip.Chip {
@@ -16,7 +17,7 @@ func mustChip(t *testing.T, name string) chip.Chip {
 }
 
 func TestLRUBasics(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU(2, nil)
 	if c.touch(1) {
 		t.Error("first touch should miss")
 	}
@@ -34,7 +35,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUMinCapacity(t *testing.T) {
-	c := newLRU(0) // clamped to 1
+	c := newLRU(0, nil) // clamped to 1
 	c.touch(5)
 	if !c.touch(5) {
 		t.Error("single-slot cache should hold the last line")
@@ -42,6 +43,57 @@ func TestLRUMinCapacity(t *testing.T) {
 	c.touch(6)
 	if c.touch(5) {
 		t.Error("single-slot cache should have evicted 5")
+	}
+}
+
+// mapLRU is the map-backed exact LRU the slice cache replaced; it is
+// the reference for TestLRUMatchesMapReference.
+type mapLRU struct {
+	cap   int
+	tick  int64
+	lines map[int64]int64 // line -> last use tick
+}
+
+func (c *mapLRU) touch(line int64) bool {
+	c.tick++
+	if _, ok := c.lines[line]; ok {
+		c.lines[line] = c.tick
+		return true
+	}
+	if len(c.lines) >= c.cap {
+		var oldest int64
+		var oldestTick int64 = 1 << 62
+		for l, t := range c.lines {
+			if t < oldestTick {
+				oldest, oldestTick = l, t
+			}
+		}
+		delete(c.lines, oldest)
+	}
+	c.lines[line] = c.tick
+	return false
+}
+
+// TestLRUMatchesMapReference replays random line streams at capacities
+// 1 to 8 through the slice cache and the map reference, requiring the
+// same hit/miss sequence; a reset between streams must leave no trace.
+// A cache past the stack buffer's capacity allocates its own.
+func TestLRUMatchesMapReference(t *testing.T) {
+	r := stats.NewRNG(5)
+	var buf [2 * lruStackLines]int64
+	for capacity := 1; capacity <= lruStackLines+2; capacity++ {
+		c := newLRU(capacity, buf[:])
+		for stream := 0; stream < 20; stream++ {
+			c.reset()
+			ref := &mapLRU{cap: capacity, lines: map[int64]int64{}}
+			span := 1 + r.Intn(3*capacity) // distinct lines in play
+			for step := 0; step < 400; step++ {
+				line := int64(r.Intn(span))
+				if got, want := c.touch(line), ref.touch(line); got != want {
+					t.Fatalf("cap %d stream %d step %d line %d: hit=%v, reference %v", capacity, stream, step, line, got, want)
+				}
+			}
+		}
 	}
 }
 

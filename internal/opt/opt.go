@@ -220,23 +220,27 @@ func Parse(s string) (Config, error) {
 	return c, nil
 }
 
-// All returns all 96 configurations (baseline first) in a deterministic
-// order: by number of enabled flags, then lexicographically by name.
-func All() []Config {
-	var out []Config
-	for _, fg := range []FG{FGOff, FG1, FG8} {
-		for bits := 0; bits < 32; bits++ {
-			out = append(out, Config{
-				CoopCV:  bits&1 != 0,
-				SG:      bits&2 != 0,
-				WG:      bits&4 != 0,
-				FG:      fg,
-				OiterGB: bits&8 != 0,
-				SZ256:   bits&16 != 0,
-			})
-		}
+// NumConfigs is the size of the optimisation space.
+const NumConfigs = 96
+
+// The configuration table, built once: table holds the 96 configs in
+// All order, so a config's dense ID is its index and the baseline is ID
+// 0; ids maps a config's field encoding to its ID; mirrors holds each
+// flag's mirror pairs as IDs.
+var (
+	table   = sortedConfigs()
+	ids     = indexConfigs()
+	mirrors = mirrorPairs()
+)
+
+// sortedConfigs enumerates the space by field encoding and orders it by
+// number of enabled flags, then lexicographically by name.
+func sortedConfigs() [NumConfigs]Config {
+	var out [NumConfigs]Config
+	for enc := range out {
+		out[enc] = decode(enc)
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.Slice(out[:], func(i, j int) bool {
 		ni, nj := len(out[i].EnabledFlags()), len(out[j].EnabledFlags())
 		if ni != nj {
 			return ni < nj
@@ -246,26 +250,101 @@ func All() []Config {
 	return out
 }
 
-// NonBaseline returns the 95 optimisation combinations.
-func NonBaseline() []Config {
-	all := All()
-	out := make([]Config, 0, len(all)-1)
-	for _, c := range all {
-		if !c.IsBaseline() {
-			out = append(out, c)
+func indexConfigs() [NumConfigs]uint8 {
+	var out [NumConfigs]uint8
+	for id, c := range table {
+		enc, _ := c.encode()
+		out[enc] = uint8(id)
+	}
+	return out
+}
+
+func mirrorPairs() [numFlags]Mirrors {
+	var out [numFlags]Mirrors
+	for _, f := range Flags() {
+		for id, c := range table {
+			if c.Has(f) {
+				off, _ := c.With(f, false).ID()
+				out[f].on = append(out[f].on, uint8(id))
+				out[f].off = append(out[f].off, uint8(off))
+			}
 		}
 	}
 	return out
 }
 
+// encode packs the config's fields into 0..95: the five binary flags in
+// the low bits, FG above them. A config outside the space (an FG value
+// past FG8) has no encoding.
+func (c Config) encode() (int, bool) {
+	if c.FG > FG8 {
+		return 0, false
+	}
+	enc := int(c.FG) << 5
+	for bit, on := range [5]bool{c.CoopCV, c.SG, c.WG, c.OiterGB, c.SZ256} {
+		if on {
+			enc |= 1 << bit
+		}
+	}
+	return enc, true
+}
+
+func decode(enc int) Config {
+	return Config{
+		CoopCV:  enc&1 != 0,
+		SG:      enc&2 != 0,
+		WG:      enc&4 != 0,
+		OiterGB: enc&8 != 0,
+		SZ256:   enc&16 != 0,
+		FG:      FG(enc >> 5),
+	}
+}
+
+// ID returns the config's dense ID, its index in All (the baseline is
+// 0). A config outside the 96 has no ID.
+func (c Config) ID() (int, bool) {
+	enc, ok := c.encode()
+	if !ok {
+		return 0, false
+	}
+	return int(ids[enc]), true
+}
+
+// ByID returns the config with the given dense ID.
+func ByID(id int) Config { return table[id] }
+
+// All returns all 96 configurations (baseline first) in a deterministic
+// order: by number of enabled flags, then lexicographically by name.
+// The slice is a fresh copy.
+func All() []Config { return append([]Config(nil), table[:]...) }
+
+// NonBaseline returns the 95 optimisation combinations (IDs 1..95).
+func NonBaseline() []Config { return append([]Config(nil), table[1:]...) }
+
 // SettingsWith returns every configuration that enables flag f
 // (ALL_OPT_SETTINGS of Algorithm 1, line 11).
 func SettingsWith(f Flag) []Config {
 	var out []Config
-	for _, c := range All() {
+	for _, c := range table {
 		if c.Has(f) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
+
+// Mirrors is one flag's mirror pairs (Algorithm 1, lines 11-12) as
+// config IDs, in SettingsWith order: pair i is the i-th config enabling
+// the flag and its mirror setting with the flag disabled. The table is
+// shared and read-only.
+type Mirrors struct{ on, off []uint8 }
+
+// MirrorsOf returns flag f's mirror-pair table.
+func MirrorsOf(f Flag) Mirrors { return mirrors[f] }
+
+// Len returns the number of pairs.
+func (m Mirrors) Len() int { return len(m.on) }
+
+// At returns pair i: the ID of the config enabling the flag and the ID
+// of its mirror.
+func (m Mirrors) At(i int) (on, off int) { return int(m.on[i]), int(m.off[i]) }

@@ -166,3 +166,54 @@ func TestFlagStringRoundTrip(t *testing.T) {
 		t.Error("unknown flag name should error")
 	}
 }
+
+// TestConfigIDs: a config's dense ID is its index in All (the baseline
+// is 0) and ByID inverts it; a config outside the space (an FG value
+// past FG8) has no ID.
+func TestConfigIDs(t *testing.T) {
+	for i, c := range All() {
+		if id, ok := c.ID(); !ok || id != i || ByID(id) != c {
+			t.Errorf("%v: ID = %d, %v; want %d", c, id, ok, i)
+		}
+	}
+	for _, tc := range []struct {
+		cfg Config
+		id  int
+		ok  bool
+	}{
+		{Config{}, 0, true},
+		{Config{SG: true}, 5, true},
+		{Config{FG: 3}, 0, false},
+		{Config{SG: true, FG: 255}, 0, false},
+	} {
+		if id, ok := tc.cfg.ID(); id != tc.id || ok != tc.ok {
+			t.Errorf("%+v: ID = %d, %v; want %d, %v", tc.cfg, id, ok, tc.id, tc.ok)
+		}
+	}
+}
+
+// TestAllReturnsCopies: callers may modify what All and NonBaseline
+// return without touching the table.
+func TestAllReturnsCopies(t *testing.T) {
+	all, nb := All(), NonBaseline()
+	all[0], nb[0] = Config{SG: true}, Config{}
+	if !All()[0].IsBaseline() || NonBaseline()[0].IsBaseline() {
+		t.Fatal("modifying a returned slice changed the configuration table")
+	}
+}
+
+// TestMirrorsMatchSettingsWith: pair i of a flag's mirror table is
+// SettingsWith(f)[i] and its With(f, false) mirror, as IDs.
+func TestMirrorsMatchSettingsWith(t *testing.T) {
+	for _, f := range Flags() {
+		m, settings := MirrorsOf(f), SettingsWith(f)
+		if m.Len() != len(settings) {
+			t.Fatalf("%v: %d mirror pairs, %d settings", f, m.Len(), len(settings))
+		}
+		for i, c := range settings {
+			if on, off := m.At(i); ByID(on) != c || ByID(off) != c.With(f, false) {
+				t.Errorf("%v pair %d = (%v, %v), want (%v, %v)", f, i, ByID(on), ByID(off), c, c.With(f, false))
+			}
+		}
+	}
+}

@@ -62,7 +62,12 @@ func CI95(xs []float64) Interval {
 // runtimes enter the Mann-Whitney A/B lists, filtering out pure noise
 // before the rank test sees it.
 func SignificantlyDifferent(a, b []float64) bool {
-	ia, ib := CI95(a), CI95(b)
+	return Separated(CI95(a), CI95(b))
+}
+
+// Separated is SignificantlyDifferent over intervals already computed
+// by CI95: true when both are defined and disjoint.
+func Separated(ia, ib Interval) bool {
 	if math.IsNaN(ia.Lo) || math.IsNaN(ib.Lo) {
 		return false
 	}

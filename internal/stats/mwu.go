@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // MWUResult reports the outcome of a two-sided Mann-Whitney U test.
@@ -46,49 +46,39 @@ func MannWhitneyU(a, b []float64) MWUResult {
 		return res
 	}
 
-	type obs struct {
-		v     float64
-		fromA bool
-	}
-	all := make([]obs, 0, na+nb)
-	for _, v := range a {
-		all = append(all, obs{v, true})
-	}
-	for _, v := range b {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	sa := append([]float64(nil), a...)
+	sb := append([]float64(nil), b...)
+	slices.Sort(sa)
+	slices.Sort(sb)
 
-	// Assign mid-ranks to tied groups and accumulate the tie
-	// correction term sum(t^3 - t).
+	// Merge the sorted samples one tie group at a time, in ascending
+	// order. A group of t observations at 0-based merged positions
+	// pos..pos+t-1 shares the mid-rank pos + (t+1)/2; the rank sum of A
+	// and the tie correction term sum(t^3 - t) accumulate per group.
+	// Every rank is a half-integer, so both sums are exact.
 	n := na + nb
-	ranks := make([]float64, n)
-	tieTerm := 0.0
-	for i := 0; i < n; {
-		j := i
-		//lint:allow floatcmp tie groups need exact equality; a tolerance would merge distinct ranks
-		for j < n && all[j].v == all[i].v {
-			j++
+	ra, tieTerm := 0.0, 0.0
+	for i, j, pos := 0, 0, 0; pos < n; {
+		ga, gb := i, j
+		// Open the group at the smaller head, then extend it over both
+		// samples' runs of that value.
+		var v float64
+		if j == nb || (i < na && sa[i] <= sb[j]) {
+			v, i = sa[i], i+1
+		} else {
+			v, j = sb[j], j+1
 		}
-		// Observations i..j-1 are tied; mid-rank is the average of
-		// ranks i+1..j (1-based).
-		mid := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			ranks[k] = mid
-		}
-		t := float64(j - i)
+		i, j = tieEnd(sa, i, v), tieEnd(sb, j, v)
+		t := i - ga + j - gb
+		mid := float64(2*pos+t+1) / 2
+		ra += float64(i-ga) * mid
 		if t > 1 {
-			tieTerm += t*t*t - t
+			ft := float64(t)
+			tieTerm += ft*ft*ft - ft
 		}
-		i = j
+		pos += t
 	}
 
-	ra := 0.0
-	for i, o := range all {
-		if o.fromA {
-			ra += ranks[i]
-		}
-	}
 	fa, fb := float64(na), float64(nb)
 	ua := ra - fa*(fa+1)/2 // U statistic counting pairs where a > b (+half ties)
 	// CL as defined above wants P(a < b), which is 1 - ua/(na*nb).
@@ -119,6 +109,16 @@ func MannWhitneyU(a, b []float64) MWUResult {
 		res.P = 1
 	}
 	return res
+}
+
+// tieEnd returns the end of the run of values equal to v that starts
+// at s[k] in the sorted sample s.
+func tieEnd(s []float64, k int, v float64) int {
+	//lint:allow floatcmp tie groups need exact equality; a tolerance would merge distinct ranks
+	for k < len(s) && s[k] == v {
+		k++
+	}
+	return k
 }
 
 // normSF is the standard normal survival function 1 - Phi(x).

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +158,124 @@ func TestMWUPValueInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refMannWhitneyU is the struct-slice implementation MannWhitneyU
+// replaced: one sort.Slice over tagged observations, then a scan
+// assigning mid-ranks per tie group. It is the bit-identity reference.
+func refMannWhitneyU(a, b []float64) MWUResult {
+	na, nb := len(a), len(b)
+	res := MWUResult{NA: na, NB: nb, P: math.NaN(), CL: math.NaN()}
+	if na == 0 || nb == 0 {
+		return res
+	}
+	type obs struct {
+		v     float64
+		fromA bool
+	}
+	all := make([]obs, 0, na+nb)
+	for _, v := range a {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range b {
+		all = append(all, obs{v, false})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	n := na + nb
+	ranks := make([]float64, n)
+	tieTerm := 0.0
+	for i := 0; i < n; {
+		j := i
+		for j < n && all[j].v == all[i].v {
+			j++
+		}
+		mid := float64(i+j+1) / 2
+		for k := i; k < j; k++ {
+			ranks[k] = mid
+		}
+		t := float64(j - i)
+		if t > 1 {
+			tieTerm += t*t*t - t
+		}
+		i = j
+	}
+	ra := 0.0
+	for i, o := range all {
+		if o.fromA {
+			ra += ranks[i]
+		}
+	}
+	fa, fb := float64(na), float64(nb)
+	ua := ra - fa*(fa+1)/2
+	res.U = fa*fb - ua
+	res.CL = res.U / (fa * fb)
+	mu := fa * fb / 2
+	fn := float64(n)
+	varU := fa * fb / 12 * ((fn + 1) - tieTerm/(fn*(fn-1)))
+	if varU <= 0 {
+		res.Z = 0
+		res.P = 1
+		return res
+	}
+	d := ua - mu
+	switch {
+	case d > 0:
+		d -= 0.5
+	case d < 0:
+		d += 0.5
+	}
+	z := d / math.Sqrt(varU)
+	res.Z = z
+	res.P = 2 * normSF(math.Abs(z))
+	if res.P > 1 {
+		res.P = 1
+	}
+	return res
+}
+
+// TestMWUBitIdenticalToReference: the sort-and-merge MannWhitneyU
+// returns the reference's U, Z, P and CL to the bit on heavily tied
+// samples (values from a small set that includes the exact 1.0s
+// Algorithm 1 feeds as b), at sizes 0 to 3000, in both argument orders.
+func TestMWUBitIdenticalToReference(t *testing.T) {
+	r := NewRNG(23)
+	values := []float64{0.25, 0.5, 0.9, 0.999, 1.0, 1.0, 1.0, 1.001, 1.1, 2.0, 7.5}
+	draw := func(n int, onesOnly bool) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch {
+			case onesOnly:
+				xs[i] = 1.0
+			case r.Intn(8) == 0:
+				xs[i] = r.Float64() * 3 // untied values between the ties
+			default:
+				xs[i] = values[r.Intn(len(values))]
+			}
+		}
+		return xs
+	}
+	size := func() int {
+		if r.Intn(4) == 0 {
+			return r.Intn(3001)
+		}
+		return r.Intn(40)
+	}
+	same := func(x, y MWUResult) bool {
+		return x.NA == y.NA && x.NB == y.NB &&
+			math.Float64bits(x.U) == math.Float64bits(y.U) &&
+			math.Float64bits(x.Z) == math.Float64bits(y.Z) &&
+			math.Float64bits(x.P) == math.Float64bits(y.P) &&
+			math.Float64bits(x.CL) == math.Float64bits(y.CL)
+	}
+	for trial := 0; trial < 300; trial++ {
+		a := draw(size(), false)
+		b := draw(size(), trial%2 == 0)
+		for _, pair := range [][2][]float64{{a, b}, {b, a}} {
+			got, want := MannWhitneyU(pair[0], pair[1]), refMannWhitneyU(pair[0], pair[1])
+			if !same(got, want) {
+				t.Fatalf("trial %d (na=%d nb=%d): got %+v, reference %+v", trial, len(pair[0]), len(pair[1]), got, want)
+			}
+		}
 	}
 }
