@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/conform -run '^$$' -fuzz '^FuzzConformTrial$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/tracecache -run '^$$' -fuzz '^FuzzEntryDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # cover enforces statement-coverage floors on the packages carrying the
 # study's correctness burden (see cmd/covercheck). Floors sit a few

@@ -23,7 +23,19 @@ const fingerprintVersion = 2
 // tag, with explicit length prefixes so that (RowPtr, Dst) boundary
 // shifts cannot collide. Changing the scheme requires bumping
 // fingerprintVersion.
+//
+// The process-shared inputs (InputByName) are hashed once, when they
+// are generated, and return that memo; every other graph is hashed on
+// each call.
 func (g *Graph) Fingerprint() string {
+	if g.fp != "" {
+		return g.fp
+	}
+	return g.fingerprint()
+}
+
+// fingerprint hashes the graph's content; see Fingerprint.
+func (g *Graph) fingerprint() string {
 	h := sha256.New()
 	// Values are staged in a chunk buffer: hashing the CSR arrays in
 	// 32 KiB blocks instead of one Write per value keeps fingerprinting

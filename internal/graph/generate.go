@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 
 	"gpuport/internal/stats"
 )
@@ -22,40 +23,87 @@ const (
 	RandomDegree = 8
 )
 
+// namedInput is one row of the input table: an input's name and how to
+// generate it.
+type namedInput struct {
+	name     string
+	generate func(name string) *Graph
+}
+
+// inputTable lists every named input: the study's three standard
+// inputs (Table VIII), then the three extended ones. Each row's
+// generator, size and seed are written down only here.
+var inputTable = [...]namedInput{
+	{"usa.ny", func(n string) *Graph { return GenerateRoad(n, RoadGridSide, 1001) }},
+	{"soc-pokec", func(n string) *Graph { return GenerateRMAT(n, SocialScale, SocialEdgeFactor, 2002) }},
+	{"rand-8k", func(n string) *Graph { return GenerateUniform(n, RandomNodes, RandomDegree, 3003) }},
+	{"usa.bay", func(n string) *Graph { return GenerateRoad(n, 150, 4004) }},
+	{"soc-lj", func(n string) *Graph { return GenerateRMAT(n, SocialScale, 12, 5005) }},
+	{"rand-16k", func(n string) *Graph { return GenerateUniform(n, 16384, 6, 6006) }},
+}
+
+// numStandard is how many leading inputTable rows are standard inputs.
+const numStandard = 3
+
+// sharedInputs holds, per inputTable row, the process-shared instance
+// InputByName returns: generated on first use, fingerprinted once, and
+// never modified afterwards.
+var sharedInputs = func() (s [len(inputTable)]func() *Graph) {
+	for i, in := range inputTable {
+		s[i] = sync.OnceValue(func() *Graph {
+			g := in.generate(in.name)
+			g.fp = g.fingerprint()
+			return g
+		})
+	}
+	return s
+}()
+
+// generateInputs builds a fresh graph for each row.
+func generateInputs(rows []namedInput) []*Graph {
+	gs := make([]*Graph, len(rows))
+	for i, in := range rows {
+		gs[i] = in.generate(in.name)
+	}
+	return gs
+}
+
 // StandardInputs generates the study's three inputs with fixed seeds:
 // a usa.ny-like road network, an RMAT social network, and a uniform
 // random graph. Deterministic: repeated calls return identical graphs.
-func StandardInputs() []*Graph {
-	return []*Graph{
-		GenerateRoad("usa.ny", RoadGridSide, 1001),
-		GenerateRMAT("soc-pokec", SocialScale, SocialEdgeFactor, 2002),
-		GenerateUniform("rand-8k", RandomNodes, RandomDegree, 3003),
-	}
-}
+// Every call builds new graphs, which the caller owns;
+// SharedStandardInputs returns the process-shared instances instead.
+func StandardInputs() []*Graph { return generateInputs(inputTable[:numStandard]) }
 
 // ExtendedInputs generates a second instance of each input class with
 // different sizes and seeds. They are not part of the paper's study;
 // the robustness tooling uses them to test whether recommendations
 // derived on the standard inputs transfer to fresh inputs of the same
-// classes (a domain-shift experiment).
-func ExtendedInputs() []*Graph {
-	return []*Graph{
-		GenerateRoad("usa.bay", 150, 4004),
-		GenerateRMAT("soc-lj", SocialScale, 12, 5005),
-		GenerateUniform("rand-16k", 16384, 6, 6006),
+// classes (a domain-shift experiment). Like StandardInputs, every call
+// builds new graphs.
+func ExtendedInputs() []*Graph { return generateInputs(inputTable[numStandard:]) }
+
+// SharedStandardInputs returns the process-shared instances of the
+// three standard inputs, in StandardInputs order: the graphs
+// InputByName returns for their names. The slice is new on every call;
+// the graphs are not, and must not be modified.
+func SharedStandardInputs() []*Graph {
+	gs := make([]*Graph, numStandard)
+	for i := range gs {
+		gs[i] = sharedInputs[i]()
 	}
+	return gs
 }
 
-// InputByName regenerates a standard or extended input by name.
+// InputByName returns the process-shared instance of a standard or
+// extended input: generated and fingerprinted on the first request for
+// its name, then the same graph on every call. Callers share it, so it
+// must not be modified; StandardInputs and ExtendedInputs build
+// private graphs.
 func InputByName(name string) (*Graph, error) {
-	for _, g := range StandardInputs() {
-		if g.Name == name {
-			return g, nil
-		}
-	}
-	for _, g := range ExtendedInputs() {
-		if g.Name == name {
-			return g, nil
+	for i := range inputTable {
+		if inputTable[i].name == name {
+			return sharedInputs[i](), nil
 		}
 	}
 	return nil, fmt.Errorf("graph: unknown input %q", name)

@@ -30,6 +30,11 @@ type Graph struct {
 	// applications ignore it; generators always populate it so every
 	// application can run on every input.
 	Weight []int32
+
+	// fp memoises Fingerprint. Only the process-shared inputs set it,
+	// once, when they are generated (they are never modified after);
+	// it is empty on every other graph.
+	fp string
 }
 
 // Class is the structural family of an input graph. The paper's three

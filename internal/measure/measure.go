@@ -39,7 +39,8 @@ type Options struct {
 	Seed uint64
 	// Runs is the number of timed samples per cell (the paper: 3).
 	Runs int
-	// Chips, Apps, Inputs restrict the sweep; nil means all.
+	// Chips, Apps, Inputs restrict the sweep; nil means all (for Inputs,
+	// the process-shared standard inputs, never modified).
 	Chips  []chip.Chip
 	Apps   []apps.App
 	Inputs []*graph.Graph
@@ -116,7 +117,7 @@ func (o *Options) fillGrid() {
 		o.Apps = apps.All()
 	}
 	if o.Inputs == nil {
-		o.Inputs = graph.StandardInputs()
+		o.Inputs = graph.SharedStandardInputs()
 	}
 	if o.Configs == nil {
 		o.Configs = opt.All()

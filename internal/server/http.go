@@ -122,12 +122,22 @@ func unknown(id string) *Error {
 	return &Error{Status: http.StatusNotFound, Code: "unknown_campaign", Message: fmt.Sprintf("no campaign %q", id)}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a submit body: one JSON Spec within the first
+// maxBodyBytes, unknown fields rejected.
+func decodeSpec(body io.Reader) (Spec, *Error) {
 	var spec Spec
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, &Error{Status: http.StatusBadRequest, Code: "bad_json", Message: err.Error()})
+		return spec, &Error{Status: http.StatusBadRequest, Code: "bad_json", Message: err.Error()}
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, errs := decodeSpec(r.Body)
+	if errs != nil {
+		writeError(w, errs)
 		return
 	}
 	j, body, errs := s.Submit(spec)

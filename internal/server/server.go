@@ -322,24 +322,20 @@ func (s *Server) next() *Job {
 
 // runner is one campaign-execution loop. After finishing a job it
 // re-polls the queue before blocking, so a wake dropped while it was
-// busy cannot strand queued work.
+// busy cannot strand queued work. It checks ctx before every dequeue:
+// a runner of a server whose context is already done never takes a
+// job, however late it is first scheduled.
 func (s *Server) runner(ctx context.Context, lane int) {
 	defer s.wg.Done()
-	for {
-		j := s.next()
-		if j == nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.wake:
-				continue
-			}
+	for ctx.Err() == nil {
+		if j := s.next(); j != nil {
+			s.runJob(ctx, lane, j)
+			continue
 		}
-		s.runJob(ctx, lane, j)
 		select {
 		case <-ctx.Done():
 			return
-		default:
+		case <-s.wake:
 		}
 	}
 }
