@@ -92,22 +92,24 @@ func (d LOODimension) trainDims() Dims {
 // involving v (specialised over the remaining two dimensions, with the
 // training set's global configuration as a fallback for partitions the
 // training data never produced), then scores it on v's improvable
-// tests against the per-test oracle.
+// tests against the per-test oracle. Every fold reads one ratio index,
+// and computes its fallback only when a held-out test needs it.
 func CrossValidate(d *dataset.Dataset, dim LOODimension) []LOOResult {
 	oracle := Oracle(d)
 	trainDims := dim.trainDims()
+	x := newRatioIndex(d, tupleIDs(d, d.Tuples()), true)
 	var out []LOOResult
 	for _, held := range dim.values(d) {
 		held := held
 		train := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) != held })
 		test := improvableSubset(d, d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held }))
 
-		spec := specialise(d, trainDims, train, true)
+		spec := x.specialise(d, trainDims, train)
 		table := make(map[PartitionKey]opt.Config, len(spec.Partitions))
 		for _, p := range spec.Partitions {
 			table[p.Key] = p.Config
 		}
-		fallback := configFromDecisions(OptsForPartition(d, train))
+		var fallback *opt.Config
 
 		predictor := &Strategy{
 			Name: "loo-" + dim.String(),
@@ -115,7 +117,11 @@ func CrossValidate(d *dataset.Dataset, dim LOODimension) []LOOResult {
 				if cfg, ok := table[trainDims.keyFor(t)]; ok {
 					return cfg
 				}
-				return fallback
+				if fallback == nil {
+					cfg := configFromDecisions(x.decisions(tupleIDs(d, train)))
+					fallback = &cfg
+				}
+				return *fallback
 			},
 		}
 		eval := EvaluateStrategy(d, predictor, oracle, test)

@@ -33,9 +33,9 @@ type SamplingPoint struct {
 // random test subsets of increasing size and reports agreement with the
 // full-data recommendations. Deterministic for a given seed.
 func SamplingCurve(d *dataset.Dataset, dims Dims, fractions []float64, trials int, seed uint64) []SamplingPoint {
-	full := Specialise(d, dims)
-	fullDec := decisionTable(full)
 	tuples := d.Tuples()
+	x := newRatioIndex(d, tupleIDs(d, tuples), true)
+	fullDec := decisionTable(x.specialise(d, dims, tuples))
 	rng := stats.NewRNG(seed)
 
 	var out []SamplingPoint
@@ -55,7 +55,7 @@ func SamplingCurve(d *dataset.Dataset, dims Dims, fractions []float64, trials in
 			for i := 0; i < n; i++ {
 				subset[i] = tuples[perm[i]]
 			}
-			sub := specialise(d, dims, subset, true)
+			sub := x.specialise(d, dims, subset)
 			agree, undecided := compareDecisions(fullDec, sub)
 			sumAgree += agree
 			sumUndecided += undecided

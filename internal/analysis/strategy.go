@@ -15,12 +15,10 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gpuport/internal/dataset"
 	"gpuport/internal/opt"
-	"gpuport/internal/stats"
 )
 
 // Alpha is the significance level used throughout the study.
@@ -184,7 +182,8 @@ type Specialisation struct {
 // Specialise partitions d along dims and derives a recommendation per
 // partition (Algorithm 1, SPECIALISE_FOR_*).
 func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
-	return specialise(d, dims, d.Tuples(), true)
+	tuples := d.Tuples()
+	return newRatioIndex(d, tupleIDs(d, tuples), true).specialise(d, dims, tuples)
 }
 
 // SpecialiseUngated is the ablation variant of Specialise that skips
@@ -193,11 +192,12 @@ func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
 // buys (see BenchmarkAblationSignificanceGate); it is not part of the
 // paper's methodology.
 func SpecialiseUngated(d *dataset.Dataset, dims Dims) *Specialisation {
-	return specialise(d, dims, d.Tuples(), false)
+	tuples := d.Tuples()
+	return newRatioIndex(d, tupleIDs(d, tuples), false).specialise(d, dims, tuples)
 }
 
 // specialise runs Algorithm 1 over tuples, partitioned along dims.
-func specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple, gated bool) *Specialisation {
+func (x *ratioIndex) specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple) *Specialisation {
 	parts := map[PartitionKey][]dataset.Tuple{}
 	var order []PartitionKey
 	for _, t := range tuples {
@@ -222,7 +222,7 @@ func specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple, gated boo
 	table := make(map[PartitionKey]opt.Config, len(order))
 	for _, k := range order {
 		p := Partition{Key: k, Tuples: parts[k]}
-		p.Decisions = optsForPartition(d, p.Tuples, gated)
+		p.Decisions = x.decisions(tupleIDs(d, p.Tuples))
 		p.Config = configFromDecisions(p.Decisions)
 		table[k] = p.Config
 		spec.Partitions = append(spec.Partitions, p)
@@ -237,57 +237,11 @@ func specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple, gated boo
 // OptsForPartition implements Algorithm 1's OPTS_FOR_PARTITION: for
 // every flag, gather normalised runtimes from all mirror-pair
 // configuration comparisons with significant differences, and enable
-// the flag when the MWU test confirms a median speedup.
+// the flag when the MWU test confirms a median speedup. Tuples without
+// data are skipped, as their comparisons would be.
 func OptsForPartition(d *dataset.Dataset, tuples []dataset.Tuple) []FlagDecision {
-	return optsForPartition(d, tuples, true)
-}
-
-// optsForPartition runs Algorithm 1 over the partition's tuple IDs and
-// the dataset's cached cell statistics. Tuples without data are
-// skipped, as their comparisons would be.
-func optsForPartition(d *dataset.Dataset, tuples []dataset.Tuple, gated bool) []FlagDecision {
 	tids := tupleIDs(d, tuples)
-	// One ratio buffer serves every flag: a pair's two configs differ in
-	// the flag, so a flag has at most NumConfigs/2 pairs. b is
-	// Algorithm 1's list of 1.0s.
-	a := make([]float64, 0, opt.NumConfigs/2*len(tids))
-	b := make([]float64, cap(a))
-	for i := range b {
-		b[i] = 1.0
-	}
-	decisions := make([]FlagDecision, 0, len(opt.Flags()))
-	for _, f := range opt.Flags() {
-		a = a[:0]
-		pairs := opt.MirrorsOf(f)
-		for p := 0; p < pairs.Len(); p++ {
-			on, off := pairs.At(p)
-			for _, tid := range tids {
-				en, ok1 := d.Stat(tid, on)
-				di, ok2 := d.Stat(tid, off)
-				if !ok1 || !ok2 {
-					continue
-				}
-				if gated && !stats.Separated(en.CI, di.CI) {
-					continue
-				}
-				a = append(a, en.Mean/di.Mean)
-			}
-		}
-		// The MWU result and the median depend only on the multiset of
-		// ratios; sorting once makes both of their sorts linear.
-		slices.Sort(a)
-		dec := FlagDecision{Flag: f, Comparisons: len(a)}
-		res := stats.MannWhitneyU(a, b[:len(a)])
-		dec.P = res.P
-		dec.CL = res.CL
-		dec.MedianRatio = stats.Median(a)
-		if res.Significant(Alpha) {
-			dec.Confident = true
-			dec.Enabled = dec.MedianRatio < 1.0
-		}
-		decisions = append(decisions, dec)
-	}
-	return decisions
+	return newRatioIndex(d, tids, true).decisions(tids)
 }
 
 // tupleIDs maps tuples to their dataset IDs, dropping tuples d has no

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -127,38 +128,57 @@ func (b *Builder) AddUndirected(u, v, weight int32) {
 // Build produces the CSR graph. Edges are sorted by (src, dst); within a
 // node's adjacency list destinations are strictly increasing, which the
 // triangle-counting applications rely on.
+//
+// The sort is a counting sort by source into one uint64 key per edge
+// (dst, then weight with its sign bit flipped so keys order like the
+// signed weights), then a sort of each row's keys. The first key of a
+// run of equal destinations carries the smallest weight, so dropping
+// the rest of the run keeps it.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].Src != b.edges[j].Src {
-			return b.edges[i].Src < b.edges[j].Src
-		}
-		if b.edges[i].Dst != b.edges[j].Dst {
-			return b.edges[i].Dst < b.edges[j].Dst
-		}
-		return b.edges[i].Weight < b.edges[j].Weight
-	})
-
+	n := b.numNodes
 	g := &Graph{
 		Name:   b.name,
 		Class:  b.class,
-		RowPtr: make([]int32, b.numNodes+1),
+		RowPtr: make([]int32, n+1),
 	}
-	var prev Edge
-	first := true
 	for _, e := range b.edges {
-		if e.Src == e.Dst {
-			continue // drop self-loops
-		}
-		if !first && e.Src == prev.Src && e.Dst == prev.Dst {
-			continue // drop parallel edges (sorted so smallest weight kept)
-		}
-		g.Dst = append(g.Dst, e.Dst)
-		g.Weight = append(g.Weight, e.Weight)
 		g.RowPtr[e.Src+1]++
-		prev, first = e, false
 	}
-	for i := 1; i <= b.numNodes; i++ {
+	for i := 1; i <= n; i++ {
 		g.RowPtr[i] += g.RowPtr[i-1]
+	}
+	next := slices.Clone(g.RowPtr[:n])
+	keys := make([]uint64, len(b.edges))
+	for _, e := range b.edges {
+		keys[next[e.Src]] = uint64(e.Dst)<<32 | uint64(uint32(e.Weight)^1<<31)
+		next[e.Src]++
+	}
+
+	// Sort each row and compact it in place; RowPtr[u] turns from the
+	// row's start in keys into its start in the graph.
+	w := int32(0)
+	for u, lo := 0, int32(0); u < n; u++ {
+		hi := g.RowPtr[u+1]
+		row := keys[lo:hi]
+		slices.Sort(row)
+		g.RowPtr[u] = w
+		prev := uint64(1) << 32 // above every dst
+		for _, k := range row {
+			if dst := k >> 32; dst != prev && dst != uint64(u) {
+				keys[w] = k
+				w++
+				prev = dst
+			}
+		}
+		lo = hi
+	}
+	g.RowPtr[n] = w
+	if w > 0 {
+		g.Dst, g.Weight = make([]int32, w), make([]int32, w)
+		for i, k := range keys[:w] {
+			g.Dst[i] = int32(k >> 32)
+			g.Weight[i] = int32(uint32(k) ^ 1<<31)
+		}
 	}
 	return g
 }

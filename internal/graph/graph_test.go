@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +149,77 @@ func TestBuilderProducesValidGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refBuild is the builder Build replaced, kept as its reference: one
+// sort.Slice of every edge by (src, dst, weight), then a scan dropping
+// self-loops and all but the first of each run of parallel edges.
+func refBuild(b *Builder) *Graph {
+	edges := slices.Clone(b.edges)
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].Src != edges[j].Src {
+			return edges[i].Src < edges[j].Src
+		}
+		if edges[i].Dst != edges[j].Dst {
+			return edges[i].Dst < edges[j].Dst
+		}
+		return edges[i].Weight < edges[j].Weight
+	})
+	g := &Graph{Name: b.name, Class: b.class, RowPtr: make([]int32, b.numNodes+1)}
+	var prev Edge
+	first := true
+	for _, e := range edges {
+		if e.Src == e.Dst {
+			continue
+		}
+		if !first && e.Src == prev.Src && e.Dst == prev.Dst {
+			continue
+		}
+		g.Dst = append(g.Dst, e.Dst)
+		g.Weight = append(g.Weight, e.Weight)
+		g.RowPtr[e.Src+1]++
+		prev, first = e, false
+	}
+	for i := 1; i <= b.numNodes; i++ {
+		g.RowPtr[i] += g.RowPtr[i-1]
+	}
+	return g
+}
+
+// TestBuildMatchesReference: on random edge soups - 0- and 1-node
+// graphs, isolated nodes, self-loops, parallel edges with different
+// weights (extremes and negatives included) - Build's RowPtr, Dst and
+// Weight equal the sort.Slice reference's.
+func TestBuildMatchesReference(t *testing.T) {
+	r := stats.NewRNG(8)
+	weights := []int32{math.MinInt32, -7, -1, 0, 1, 2, 3, 100, math.MaxInt32}
+	for trial := 0; trial < 500; trial++ {
+		n := trial
+		if n > 1 {
+			n = r.Intn(60)
+		}
+		b := NewBuilder("soup", ClassRandom, n)
+		// Sources come from a random prefix of the nodes, so the
+		// rest are isolated.
+		srcs := 1 + r.Intn(n+1)
+		for m := r.Intn(6*n + 1); n > 0 && m > 0; m-- {
+			src, dst := int32(r.Intn(min(srcs, n))), int32(r.Intn(n))
+			if r.Intn(8) == 0 {
+				dst = src
+			}
+			for copies := 1 + r.Intn(3); copies > 0; copies-- {
+				b.AddEdge(src, dst, weights[r.Intn(len(weights))])
+			}
+		}
+		want, got := refBuild(b), b.Build()
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Dst, want.Dst) || !slices.Equal(got.Weight, want.Weight) {
+			t.Fatalf("trial %d (%d nodes, %d edges): got RowPtr %v Dst %v Weight %v, reference %v %v %v",
+				trial, n, len(b.edges), got.RowPtr, got.Dst, got.Weight, want.RowPtr, want.Dst, want.Weight)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 

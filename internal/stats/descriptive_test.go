@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +49,42 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	Median(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Errorf("Median mutated its input: %v", in)
+	}
+}
+
+// TestMedianInPlaceMatchesMedian: on heavily tied random inputs of
+// every size from 0 to 300 (odd and even, 0, 1 and 2 included), and on
+// sorted and reversed ones, MedianInPlace returns Median's bits and
+// only reorders its input.
+func TestMedianInPlaceMatchesMedian(t *testing.T) {
+	r := NewRNG(31)
+	for trial := 0; trial < 1000; trial++ {
+		n := trial
+		if n > 300 {
+			n = r.Intn(3000)
+		}
+		distinct := 1 + r.Intn(n+1) // few distinct values: many duplicates
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(1+r.Intn(distinct)) / 8
+		}
+		switch trial % 5 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		want := Median(xs)
+		in := append([]float64(nil), xs...)
+		got := MedianInPlace(in)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (n=%d): MedianInPlace = %v, Median = %v", trial, n, got, want)
+		}
+		sort.Float64s(xs)
+		sort.Float64s(in)
+		if !slices.Equal(in, xs) {
+			t.Fatalf("trial %d (n=%d): MedianInPlace changed the values, not just their order", trial, n)
+		}
 	}
 }
 

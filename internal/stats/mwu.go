@@ -41,11 +41,6 @@ func (r MWUResult) Significant(alpha float64) bool {
 // empty inputs the result carries P = NaN (never significant).
 func MannWhitneyU(a, b []float64) MWUResult {
 	na, nb := len(a), len(b)
-	res := MWUResult{NA: na, NB: nb, P: math.NaN(), CL: math.NaN()}
-	if na == 0 || nb == 0 {
-		return res
-	}
-
 	sa := append([]float64(nil), a...)
 	sb := append([]float64(nil), b...)
 	slices.Sort(sa)
@@ -79,6 +74,36 @@ func MannWhitneyU(a, b []float64) MWUResult {
 		pos += t
 	}
 
+	return mwuFromRanks(na, nb, ra, tieTerm)
+}
+
+// MannWhitneyUOnes is MannWhitneyU(a, b) for b holding nb copies of
+// 1.0, computed from counts instead of a sort: a holds below values
+// under 1.0, ones equal to it and above over it, and ties is
+// Σ(t³−t) over the tie groups of a's values other than 1.0. This is
+// Algorithm 1's test, where b is a list of 1.0s as long as a.
+//
+// In the merged sample the values under 1.0 hold ranks 1..below
+// whatever their tie groups, the 1.0 group of t = ones+nb shares the
+// mid-rank below+(t+1)/2, and the values over 1.0 hold the ranks after
+// it. So A's rank sum is a closed form of the counts, twice it is an
+// integer, and the tie term adds the 1.0 group's t³−t to ties. Both
+// are the exact values MannWhitneyU accumulates, so the result is
+// bit-identical to it.
+func MannWhitneyUOnes(below, ones, above, nb int, ties int64) MWUResult {
+	l, e, g := int64(below), int64(ones), int64(above)
+	t := e + int64(nb)
+	twoRa := l*(l+1) + e*(2*l+t+1) + g*(2*(l+t)+g+1)
+	return mwuFromRanks(below+ones+above, nb, float64(twoRa)/2, float64(ties+t*t*t-t))
+}
+
+// mwuFromRanks finishes a test from A's rank sum ra in the merged
+// sample and the tie term Σ(t³−t) over its tie groups.
+func mwuFromRanks(na, nb int, ra, tieTerm float64) MWUResult {
+	res := MWUResult{NA: na, NB: nb, P: math.NaN(), CL: math.NaN()}
+	if na == 0 || nb == 0 {
+		return res
+	}
 	fa, fb := float64(na), float64(nb)
 	ua := ra - fa*(fa+1)/2 // U statistic counting pairs where a > b (+half ties)
 	// CL as defined above wants P(a < b), which is 1 - ua/(na*nb).
@@ -86,7 +111,7 @@ func MannWhitneyU(a, b []float64) MWUResult {
 	res.CL = res.U / (fa * fb)
 
 	mu := fa * fb / 2
-	fn := float64(n)
+	fn := float64(na + nb)
 	varU := fa * fb / 12 * ((fn + 1) - tieTerm/(fn*(fn-1)))
 	if varU <= 0 {
 		// All observations identical: no evidence of any difference.

@@ -234,10 +234,34 @@ func refMannWhitneyU(a, b []float64) MWUResult {
 	return res
 }
 
+// onesCounts returns MannWhitneyUOnes' arguments for a: how many of its
+// values lie below, at and above 1.0, and Σ(t³−t) over the tie groups
+// of its values other than 1.0.
+func onesCounts(a []float64) (below, ones, above int, ties int64) {
+	groups := map[float64]int64{}
+	for _, v := range a {
+		switch {
+		case v < 1:
+			below++
+		case v > 1:
+			above++
+		default:
+			ones++
+			continue
+		}
+		groups[v]++
+	}
+	for _, t := range groups {
+		ties += t*t*t - t
+	}
+	return below, ones, above, ties
+}
+
 // TestMWUBitIdenticalToReference: the sort-and-merge MannWhitneyU
 // returns the reference's U, Z, P and CL to the bit on heavily tied
 // samples (values from a small set that includes the exact 1.0s
 // Algorithm 1 feeds as b), at sizes 0 to 3000, in both argument orders.
+// Where b is all 1.0s, so does the count-based MannWhitneyUOnes.
 func TestMWUBitIdenticalToReference(t *testing.T) {
 	r := NewRNG(23)
 	values := []float64{0.25, 0.5, 0.9, 0.999, 1.0, 1.0, 1.0, 1.001, 1.1, 2.0, 7.5}
@@ -275,6 +299,14 @@ func TestMWUBitIdenticalToReference(t *testing.T) {
 			got, want := MannWhitneyU(pair[0], pair[1]), refMannWhitneyU(pair[0], pair[1])
 			if !same(got, want) {
 				t.Fatalf("trial %d (na=%d nb=%d): got %+v, reference %+v", trial, len(pair[0]), len(pair[1]), got, want)
+			}
+		}
+		if trial%2 == 0 {
+			below, ones, above, ties := onesCounts(a)
+			got, want := MannWhitneyUOnes(below, ones, above, len(b), ties), refMannWhitneyU(a, b)
+			if !same(got, want) {
+				t.Fatalf("trial %d (na=%d nb=%d, counts %d/%d/%d, ties %d): MannWhitneyUOnes %+v, reference %+v",
+					trial, len(a), len(b), below, ones, above, ties, got, want)
 			}
 		}
 	}
