@@ -183,18 +183,21 @@ bench-cost:
 
 # bench-ci is the benchmark-regression job: every benchmark that has no
 # target of its own (bench-trace, bench-obs and bench-cost record the
-# seven it skips), recorded as BENCH_ci.json and gated on two claims:
+# seven it skips), recorded as BENCH_ci.json and gated on three claims:
 # the fault-layer overhead (zero-rate faults within noise of no fault
-# layer; 1.5x absorbs CI jitter), and leave-one-out prediction reading
-# one ratio index (its six chip folds cost under 5x one Table IX; with
-# ratios and the fallback recomputed per fold they cost 10-13x).
+# layer; 1.5x absorbs CI jitter), leave-one-out prediction reading one
+# ratio index (its six chip folds cost under 5x one Table IX; with
+# ratios and the fallback recomputed per fold they cost 10-13x), and
+# Table X simulating one workgroup per class (under 10x one Table IX;
+# simulating every workgroup costs ~50x).
 bench-ci:
 	$(GO) test -run xxx -bench=. \
 		-skip '^(BenchmarkTraces|BenchmarkTracesParallel|BenchmarkTracesCached|BenchmarkSpanOverhead|BenchmarkSweepReference|BenchmarkSweepColumnar|BenchmarkColumnarBuild)$$' \
 		-benchtime 10x -benchmem . | tee bench-ci.out
 	$(GO) run ./cmd/benchcheck -in bench-ci.out -json BENCH_ci.json $(BENCHMD_FLAG) \
 		-maxratio 'BenchmarkCollectFaultOverhead/no-fault-layer,BenchmarkCollectFaultOverhead/zero-rate-faults,1.5' \
-		-maxratio 'BenchmarkTable9,BenchmarkCrossValidate,5'
+		-maxratio 'BenchmarkTable9,BenchmarkCrossValidate,5' \
+		-maxratio 'BenchmarkTable9,BenchmarkTableX,10'
 	@rm -f bench-ci.out
 
 clean:

@@ -72,10 +72,10 @@ func MemDivergence(ch chip.Chip) Speedup {
 				// Strided sharing: in each iteration all lanes of a
 				// workgroup touch the same small block, so an
 				// in-sync workgroup reuses two cache lines per round
-				// while a drifted one spreads across the window.
-				wg := lane / 128
-				l := lane % 128
-				return ocl.Access{Addr: int64(wg*32*(MDivgRounds+2) + round*32 + l%32)}
+				// while a drifted one spreads across the window. Where
+				// the block sits does not matter: every workgroup
+				// starts with an empty cache.
+				return ocl.Access{Addr: int64(round*32 + lane%32)}
 			},
 			BarrierEvery: barrier,
 		}

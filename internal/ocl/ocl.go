@@ -16,6 +16,11 @@
 //     coop-cv-style staging or by a JIT that combines automatically;
 //   - barrier costs at workgroup granularity.
 //
+// A kernel describes one workgroup: At maps a workgroup-local lane and
+// a logical round to an access. At must be a pure function of its
+// arguments: Device.Run simulates one full workgroup and the partial
+// last one, if any, and replays them for the others.
+//
 // The main study's cost model (internal/cost) works at trace level; this
 // package exists so the paper's microbenchmarks (Table X, Figure 5) run
 // as actual kernels over the simulated hierarchy rather than as closed-
@@ -57,8 +62,9 @@ type Kernel struct {
 	Items int
 	// Rounds is the per-lane loop trip count.
 	Rounds int
-	// At returns the access of global lane `lane` in its logical round
-	// `round`.
+	// At returns the access of workgroup-local lane `lane` in its
+	// logical round `round`. It must be a pure function of (lane,
+	// round): Run calls it for at most two workgroups.
 	At func(lane, round int) Access
 	// BarrierEvery inserts a workgroup barrier every N logical rounds,
 	// re-aligning subgroup drift; 0 means no barriers (subgroups drift
@@ -162,6 +168,17 @@ func (d *Device) driftOf(subgroup, rounds int) int {
 }
 
 // Run simulates the kernel and returns its result.
+//
+// Workgroups are independent in this model: each starts with an empty
+// cache, atomics combine only within one physical round of one
+// workgroup, drift and barriers depend only on the subgroup index and
+// Rounds, and time is summed over workgroups. As At takes the
+// workgroup-local lane, all workgroups with the same lane count charge
+// the same counts and the same time addends. Run simulates one full
+// workgroup and the partial last one, if any, records each one's
+// addends in the order they were charged, and replays them once per
+// workgroup onto the running time. Replaying rather than multiplying
+// keeps TimeNS bit-identical to simulating every workgroup.
 func (d *Device) Run(k Kernel) Result {
 	wg := d.WorkgroupSize
 	if wg <= 0 {
@@ -177,9 +194,6 @@ func (d *Device) Run(k Kernel) Result {
 	if sg > wg {
 		sg = wg
 	}
-	var res Result
-
-	numWGs := (k.Items + wg - 1) / wg
 	// Combining factor: explicit (coop-cv) or JIT-automatic. A factor
 	// at or below one means combining degenerates to plain atomics
 	// (MALI's subgroup size of 1).
@@ -189,102 +203,38 @@ func (d *Device) Run(k Kernel) Result {
 			combineFactor = f
 		}
 	}
-
-	atomicAddrs := map[int64]int{}
 	var buf [2 * lruStackLines]int64
-	cache := newLRU(d.Chip.CacheLinesPerCU, buf[:])
+	sim := &workgroupSim{
+		d: d, k: k, sg: sg, combineFactor: combineFactor,
+		staging: k.CombineAtomics && combineFactor > 1,
+		cache:   newLRU(d.Chip.CacheLinesPerCU, buf[:]),
+	}
 
-	for wgID := 0; wgID < numWGs; wgID++ {
-		base := wgID * wg
-		lanesInWG := k.Items - base
-		if lanesInWG > wg {
-			lanesInWG = wg
+	var res Result
+	total := 0.0 // a local accumulator, not res.TimeNS, keeps the replay in a register
+	for _, class := range [2]struct{ lanes, workgroups int }{{wg, k.Items / wg}, {k.Items % wg, 1}} {
+		if class.lanes <= 0 || class.workgroups <= 0 {
+			continue
 		}
-		subgroups := (lanesInWG + sg - 1) / sg
-		cache.reset()
-
-		maxDrift := 0
-		if k.BarrierEvery == 0 {
-			for s := 0; s < subgroups; s++ {
-				if dr := d.driftOf(s, k.Rounds); dr > maxDrift {
-					maxDrift = dr
-				}
-			}
-		}
-		physRounds := k.Rounds + maxDrift
-
-		for pr := 0; pr < physRounds; pr++ {
-			for a := range atomicAddrs {
-				delete(atomicAddrs, a)
-			}
-			for s := 0; s < subgroups; s++ {
-				drift := 0
-				if k.BarrierEvery == 0 {
-					drift = d.driftOf(s, k.Rounds)
-				}
-				logical := pr - drift
-				if logical < 0 || logical >= k.Rounds {
-					continue
-				}
-				laneLo := s * sg
-				laneHi := laneLo + sg
-				if laneHi > lanesInWG {
-					laneHi = lanesInWG
-				}
-				for l := laneLo; l < laneHi; l++ {
-					acc := k.At(base+l, logical)
-					if acc.Addr < 0 {
-						continue
-					}
-					if acc.Atomic {
-						atomicAddrs[acc.Addr]++
-						continue
-					}
-					line := acc.Addr * ElemBytes / LineBytes
-					if cache.touch(line) {
-						res.Hits++
-						res.TimeNS += d.Chip.LocalMemNS
-					} else {
-						res.Misses++
-						res.TimeNS += d.Chip.LineFetchNS
-					}
-				}
-			}
-
-			// Atomics: same-address atomics combine by the subgroup
-			// factor; distinct addresses serialise on the RMW unit.
-			for _, count := range atomicAddrs {
-				groups := int(float64(count)/combineFactor + 0.9999)
-				if groups < 1 {
-					groups = 1
-				}
-				if groups >= count {
-					groups = count
-				}
-				res.Atomics += int64(groups)
-				res.CombinedAtomics += int64(count - groups)
-				res.TimeNS += float64(groups) * d.Chip.AtomicNS
-				if k.CombineAtomics && combineFactor > 1 {
-					// Explicit combining stages values through local
-					// memory and subgroup barriers.
-					res.TimeNS += float64(count) * d.Chip.LocalMemNS * stagingCostFactor
-					sgCount := (count + sg - 1) / sg
-					res.TimeNS += float64(2*sgCount) * d.Chip.SubgroupBarrierNS
-				}
-			}
-
-			// Barriers re-align the workgroup.
-			if k.BarrierEvery > 0 && (pr+1)%k.BarrierEvery == 0 {
-				res.Barriers++
-				res.TimeNS += d.Chip.WorkgroupBarrierNS
+		counts, addends := sim.run(class.lanes)
+		n := int64(class.workgroups)
+		res.Hits += n * counts.Hits
+		res.Misses += n * counts.Misses
+		res.Atomics += n * counts.Atomics
+		res.CombinedAtomics += n * counts.CombinedAtomics
+		res.Barriers += n * counts.Barriers
+		for i := 0; i < class.workgroups; i++ {
+			for _, a := range addends {
+				total += a
 			}
 		}
 	}
+	res.TimeNS = total
 
 	// The loop above accumulated time as if workgroups ran back to
 	// back; compute units execute them concurrently, so divide by the
 	// achieved parallelism (capped by the number of workgroups).
-	parallel := numWGs
+	parallel := (k.Items + wg - 1) / wg
 	if parallel > d.Chip.CUs {
 		parallel = d.Chip.CUs
 	}
@@ -292,4 +242,126 @@ func (d *Device) Run(k Kernel) Result {
 		res.TimeNS /= float64(parallel)
 	}
 	return res
+}
+
+// atomicCount is one address's atomic operations in a physical round.
+type atomicCount struct {
+	addr  int64
+	count int
+}
+
+// workgroupSim simulates single workgroups of one kernel on one device.
+type workgroupSim struct {
+	d             *Device
+	k             Kernel
+	sg            int
+	combineFactor float64
+	staging       bool // explicit combining: local-memory staging and subgroup barriers
+	cache         *lru
+	atomics       []atomicCount // the current round's atomics, in first-touch order
+}
+
+// run simulates one workgroup of the given lanes and returns its counts
+// (TimeNS left 0) and its time charges in the order they were made.
+func (s *workgroupSim) run(lanes int) (counts Result, addends []float64) {
+	d, k, sg := s.d, s.k, s.sg
+	subgroups := (lanes + sg - 1) / sg
+	s.cache.reset()
+
+	maxDrift := 0
+	if k.BarrierEvery == 0 {
+		for sub := 0; sub < subgroups; sub++ {
+			if dr := d.driftOf(sub, k.Rounds); dr > maxDrift {
+				maxDrift = dr
+			}
+		}
+	}
+	physRounds := k.Rounds + maxDrift
+
+	// Each lane-round charges at most one plain access or shares one
+	// atomic group (one addend, three with staging); barriers add one
+	// each. Sizing the record to that bound means it never grows, and
+	// the bound is exact for a kernel of plain accesses.
+	perLaneRound, barriers := 1, 0
+	if s.staging {
+		perLaneRound = 3
+	}
+	if k.BarrierEvery > 0 {
+		barriers = physRounds / k.BarrierEvery
+	}
+	addends = make([]float64, 0, lanes*k.Rounds*perLaneRound+barriers)
+
+	for pr := 0; pr < physRounds; pr++ {
+		s.atomics = s.atomics[:0]
+		for sub := 0; sub < subgroups; sub++ {
+			drift := 0
+			if k.BarrierEvery == 0 {
+				drift = d.driftOf(sub, k.Rounds)
+			}
+			logical := pr - drift
+			if logical < 0 || logical >= k.Rounds {
+				continue
+			}
+			laneHi := min(sub*sg+sg, lanes)
+			for l := sub * sg; l < laneHi; l++ {
+				acc := k.At(l, logical)
+				if acc.Addr < 0 {
+					continue
+				}
+				if acc.Atomic {
+					s.touchAtomic(acc.Addr)
+					continue
+				}
+				if s.cache.touch(acc.Addr * ElemBytes / LineBytes) {
+					counts.Hits++
+					addends = append(addends, d.Chip.LocalMemNS)
+				} else {
+					counts.Misses++
+					addends = append(addends, d.Chip.LineFetchNS)
+				}
+			}
+		}
+
+		// Atomics: same-address atomics combine by the subgroup
+		// factor; distinct addresses serialise on the RMW unit, in the
+		// order the round first touched them.
+		for _, a := range s.atomics {
+			groups := int(float64(a.count)/s.combineFactor + 0.9999)
+			if groups < 1 {
+				groups = 1
+			}
+			if groups >= a.count {
+				groups = a.count
+			}
+			counts.Atomics += int64(groups)
+			counts.CombinedAtomics += int64(a.count - groups)
+			addends = append(addends, float64(groups)*d.Chip.AtomicNS)
+			if s.staging {
+				// Explicit combining stages values through local
+				// memory and subgroup barriers.
+				sgCount := (a.count + sg - 1) / sg
+				addends = append(addends,
+					float64(a.count)*d.Chip.LocalMemNS*stagingCostFactor,
+					float64(2*sgCount)*d.Chip.SubgroupBarrierNS)
+			}
+		}
+
+		// Barriers re-align the workgroup.
+		if k.BarrierEvery > 0 && (pr+1)%k.BarrierEvery == 0 {
+			counts.Barriers++
+			addends = append(addends, d.Chip.WorkgroupBarrierNS)
+		}
+	}
+	return counts, addends
+}
+
+// touchAtomic counts one atomic on addr in the current round.
+func (s *workgroupSim) touchAtomic(addr int64) {
+	for i := range s.atomics {
+		if s.atomics[i].addr == addr {
+			s.atomics[i].count++
+			return
+		}
+	}
+	s.atomics = append(s.atomics, atomicCount{addr: addr, count: 1})
 }

@@ -243,7 +243,7 @@ func TestWorkgroupParallelism(t *testing.T) {
 			Name:         "wgs",
 			Items:        items,
 			Rounds:       4,
-			At:           func(lane, round int) Access { return Access{Addr: int64(lane % 128)} },
+			At:           func(lane, round int) Access { return Access{Addr: int64(lane)} },
 			BarrierEvery: 1,
 		}
 	}
@@ -265,8 +265,7 @@ func TestMALIDivergenceSensitivity(t *testing.T) {
 			Items:  2048,
 			Rounds: 32,
 			At: func(lane, round int) Access {
-				wg := lane / 128
-				return Access{Addr: int64(wg*4096 + round*32 + lane%32)}
+				return Access{Addr: int64(round*32 + lane%32)}
 			},
 			BarrierEvery: barrier,
 		})
@@ -282,6 +281,236 @@ func TestMALIDivergenceSensitivity(t *testing.T) {
 	for _, other := range []string{chip.M4000, chip.GTX1080, chip.HD5500, chip.IRIS, chip.R9} {
 		if r := ratio(other); r > mali/2 {
 			t.Errorf("%s barrier benefit %v should be far below MALI's %v", other, r, mali)
+		}
+	}
+}
+
+// refRun is the simulator without workgroup classes, kept as the
+// reference for Run: it simulates every workgroup of a kernel whose At
+// takes global lanes. A round's atomics are
+// charged in first-touch order, as in Run, and each product is rounded
+// by an explicit float64 conversion before it is added: the Go spec
+// lets a compiler fuse x*y+z into one multiply-add unless a conversion
+// forces the rounding, and Run's recorded addends are rounded products.
+func refRun(d *Device, k Kernel) Result {
+	wg := d.WorkgroupSize
+	if wg <= 0 {
+		wg = 128
+	}
+	if wg > d.Chip.MaxWorkgroup {
+		wg = d.Chip.MaxWorkgroup
+	}
+	sg := d.Chip.SubgroupSize
+	if sg < 1 {
+		sg = 1
+	}
+	if sg > wg {
+		sg = wg
+	}
+	var res Result
+
+	numWGs := (k.Items + wg - 1) / wg
+	combineFactor := 1.0
+	if k.CombineAtomics || d.Chip.JITCombinesAtomics {
+		if f := float64(sg) * d.Chip.CombineEfficiency; f > 1 {
+			combineFactor = f
+		}
+	}
+
+	var atomicAddrs []atomicCount
+	var buf [2 * lruStackLines]int64
+	cache := newLRU(d.Chip.CacheLinesPerCU, buf[:])
+
+	for wgID := 0; wgID < numWGs; wgID++ {
+		base := wgID * wg
+		lanesInWG := k.Items - base
+		if lanesInWG > wg {
+			lanesInWG = wg
+		}
+		subgroups := (lanesInWG + sg - 1) / sg
+		cache.reset()
+
+		maxDrift := 0
+		if k.BarrierEvery == 0 {
+			for s := 0; s < subgroups; s++ {
+				if dr := d.driftOf(s, k.Rounds); dr > maxDrift {
+					maxDrift = dr
+				}
+			}
+		}
+		physRounds := k.Rounds + maxDrift
+
+		for pr := 0; pr < physRounds; pr++ {
+			atomicAddrs = atomicAddrs[:0]
+			for s := 0; s < subgroups; s++ {
+				drift := 0
+				if k.BarrierEvery == 0 {
+					drift = d.driftOf(s, k.Rounds)
+				}
+				logical := pr - drift
+				if logical < 0 || logical >= k.Rounds {
+					continue
+				}
+				laneLo := s * sg
+				laneHi := laneLo + sg
+				if laneHi > lanesInWG {
+					laneHi = lanesInWG
+				}
+				for l := laneLo; l < laneHi; l++ {
+					acc := k.At(base+l, logical)
+					if acc.Addr < 0 {
+						continue
+					}
+					if acc.Atomic {
+						i := 0
+						for i < len(atomicAddrs) && atomicAddrs[i].addr != acc.Addr {
+							i++
+						}
+						if i == len(atomicAddrs) {
+							atomicAddrs = append(atomicAddrs, atomicCount{addr: acc.Addr})
+						}
+						atomicAddrs[i].count++
+						continue
+					}
+					line := acc.Addr * ElemBytes / LineBytes
+					if cache.touch(line) {
+						res.Hits++
+						res.TimeNS += d.Chip.LocalMemNS
+					} else {
+						res.Misses++
+						res.TimeNS += d.Chip.LineFetchNS
+					}
+				}
+			}
+
+			for _, a := range atomicAddrs {
+				count := a.count
+				groups := int(float64(count)/combineFactor + 0.9999)
+				if groups < 1 {
+					groups = 1
+				}
+				if groups >= count {
+					groups = count
+				}
+				res.Atomics += int64(groups)
+				res.CombinedAtomics += int64(count - groups)
+				res.TimeNS += float64(float64(groups) * d.Chip.AtomicNS)
+				if k.CombineAtomics && combineFactor > 1 {
+					res.TimeNS += float64(float64(count) * d.Chip.LocalMemNS * stagingCostFactor)
+					sgCount := (count + sg - 1) / sg
+					res.TimeNS += float64(float64(2*sgCount) * d.Chip.SubgroupBarrierNS)
+				}
+			}
+
+			if k.BarrierEvery > 0 && (pr+1)%k.BarrierEvery == 0 {
+				res.Barriers++
+				res.TimeNS += d.Chip.WorkgroupBarrierNS
+			}
+		}
+	}
+
+	parallel := numWGs
+	if parallel > d.Chip.CUs {
+		parallel = d.Chip.CUs
+	}
+	if parallel > 1 {
+		res.TimeNS /= float64(parallel)
+	}
+	return res
+}
+
+// globalLanes rewrites a kernel for refRun: global lane n is local lane
+// n%wg.
+func globalLanes(k Kernel, wg int) Kernel {
+	at := k.At
+	k.At = func(lane, round int) Access { return at(lane%wg, round) }
+	return k
+}
+
+// randomKernel draws a kernel whose At reads a random table over
+// workgroup lanes [0, wg) and rounds: idle rounds, plain accesses over
+// a few more lines than any chip caches, and atomics on a handful of
+// addresses. Items often leave a partial last workgroup.
+func randomKernel(r *stats.RNG, wg int) Kernel {
+	rounds := r.Intn(7)
+	table := make([]Access, wg*rounds)
+	span := 1 + r.Intn(200)
+	atomicAddrs := 1 + r.Intn(4)
+	idle, atomic := r.Float64()/3, r.Float64()/2
+	for i := range table {
+		switch x := r.Float64(); {
+		case x < idle:
+			table[i] = NoAccess
+		case x < idle+atomic:
+			table[i] = Access{Addr: int64(r.Intn(atomicAddrs)), Atomic: true}
+		default:
+			table[i] = Access{Addr: int64(r.Intn(span))}
+		}
+	}
+	return Kernel{
+		Name:           "random",
+		Items:          1 + r.Intn(wg*(1+2048/wg)),
+		Rounds:         rounds,
+		At:             func(lane, round int) Access { return table[lane*rounds+round] },
+		BarrierEvery:   r.Intn(4),
+		CombineAtomics: r.Intn(2) == 0,
+	}
+}
+
+// TestRunMatchesReference is the differential check on workgroup
+// classes: on every chip and workgroup size, random kernels must give
+// the same Result as refRun simulating every workgroup, every float
+// field bit-identical. Rounds that touch several atomic addresses pin
+// the first-touch charging order.
+func TestRunMatchesReference(t *testing.T) {
+	r := stats.NewRNG(21)
+	for _, ch := range chip.All() {
+		for _, size := range []int{0, 16, 32, 64, 128, 256} {
+			d := &Device{Chip: ch, WorkgroupSize: size}
+			wg := size
+			if wg == 0 {
+				wg = 128
+			}
+			wg = min(wg, ch.MaxWorkgroup)
+			for trial := 0; trial < 100; trial++ {
+				k := randomKernel(r, wg)
+				got, want := d.Run(k), refRun(d, globalLanes(k, wg))
+				if got != want {
+					t.Fatalf("%s wg=%d trial %d (items %d, rounds %d, barrier every %d, combine %v):\n got %+v\nwant %+v",
+						ch.Name, size, trial, k.Items, k.Rounds, k.BarrierEvery, k.CombineAtomics, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAtCalledOncePerClass pins the optimisation as an exact count:
+// Run calls At for one full workgroup and the partial last one, not
+// for every workgroup.
+func TestAtCalledOncePerClass(t *testing.T) {
+	d := &Device{Chip: mustChip(t, chip.MALI)}
+	calls := 0
+	k := Kernel{
+		Name:   "mdivg-shaped",
+		Rounds: 64,
+		At: func(lane, round int) Access {
+			calls++
+			return Access{Addr: int64(round*32 + lane%32)}
+		},
+	}
+	for _, tc := range []struct {
+		name        string
+		items, want int
+	}{
+		{"128 full workgroups", 128 * 128, 128 * 64},
+		{"20 full and a 5-lane tail", 20*128 + 5, 128*64 + 5*64},
+		{"a 5-lane tail alone", 5, 5 * 64},
+	} {
+		calls = 0
+		k.Items = tc.items
+		d.Run(k)
+		if calls != tc.want {
+			t.Errorf("%s: At called %d times, want %d", tc.name, calls, tc.want)
 		}
 	}
 }

@@ -20,6 +20,9 @@ func DefaultConfig() Config {
 			// The cost model: conform properties and the study's tables
 			// assume Estimate is a pure function of its arguments.
 			"gpuport/internal/cost.Estimate",
+			// Table X: REPORT.md, a byte golden, prints the microbenchmark
+			// kernels' times from the ocl simulator.
+			"gpuport/internal/microbench.TableX",
 			// The columnar engine: measure's datasets are bit-identical
 			// to the reference path only if build, chip application and
 			// per-config assembly are all deterministic.

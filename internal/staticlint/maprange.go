@@ -115,8 +115,9 @@ func classifyAssign(info *types.Info, rng *ast.RangeStmt, loopVars map[types.Obj
 		}
 		if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 			// Compound assignment: commutative on integers, not on
-			// floats.
-			if isFloat(obj.Type()) {
+			// floats. The lvalue's own type decides, so x.f += v and
+			// *p += v count by the field's and the pointee's type.
+			if t := info.TypeOf(lhs); t != nil && isFloat(t) {
 				note("float-accum")
 			}
 			continue

@@ -1,6 +1,6 @@
 // Package det hosts the determinism-proof fixture roots: two clean
-// roots, one that reaches the wall clock two hops down, and one whose
-// map iteration order leaks into a float sum.
+// roots, one that reaches the wall clock two hops down, and two whose
+// map iteration order leaks into a float sum, one via a struct field.
 package det
 
 import "fixture/internal/wall"
@@ -32,4 +32,16 @@ func checkSum(ns []int) int {
 		total += Good(n)
 	}
 	return total
+}
+
+type tally struct{ total float64 }
+
+// BadFieldOrder folds map values into a float struct field: the field's
+// type, not the struct variable's, makes it an order-dependent sum.
+func BadFieldOrder(m map[string]float64) float64 {
+	var t tally
+	for _, v := range m {
+		t.total += v
+	}
+	return t.total
 }
