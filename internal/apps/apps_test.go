@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuport/internal/graph"
@@ -160,6 +161,20 @@ func TestTriangleVariantsAgree(t *testing.T) {
 		if got := out.(int64); got != want {
 			t.Errorf("%s on K10 = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestOrientByDegreeOnDirectedGraph: a directed 4-cycle keeps three of
+// its four edges, more than the half its slab is sized for, and every
+// row must survive the slab moving.
+func TestOrientByDegreeOnDirectedGraph(t *testing.T) {
+	b := graph.NewBuilder("t-dcycle", graph.ClassRandom, 4)
+	for u := int32(0); u < 4; u++ {
+		b.AddEdge(u, (u+1)%4, 1)
+	}
+	want := [][]int32{{1}, {2}, {3}, {}}
+	if got := orientByDegree(b.Build()); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("orientByDegree = %v, want %v", got, want)
 	}
 }
 

@@ -22,11 +22,12 @@ func runBFSWL(g *graph.Graph) (*irgl.Trace, any) {
 		k := rt.Launch("bfs_relax")
 		k.ForAll(wl.Items(), func(it *irgl.Item, u int32) {
 			du := dist[u]
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				if it.AtomicMin(dist, v, du+1) {
 					it.Push(wl, v)
 				}
-			})
+			}
 		})
 		k.End()
 		return wl.Swap() > 0
@@ -51,7 +52,8 @@ func runBFSTopo(g *graph.Graph) (*irgl.Trace, any) {
 			if dist[u] != level {
 				return
 			}
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				// Benign race in the GPU original: plain write of
 				// level+1; all writers write the same value.
 				if dist[v] > level+1 {
@@ -59,7 +61,7 @@ func runBFSTopo(g *graph.Graph) (*irgl.Trace, any) {
 					it.RandomAccess(1)
 					changed = true
 				}
-			})
+			}
 		})
 		k.End()
 		return changed
@@ -98,11 +100,12 @@ func runBFSHybrid(g *graph.Graph) (*irgl.Trace, any) {
 			k := rt.Launch("bfs_push")
 			k.ForAll(wl.Items(), func(it *irgl.Item, u int32) {
 				du := dist[u]
-				it.VisitEdges(u, func(v, w int32) {
+				dst, _ := it.Edges(u)
+				for _, v := range dst {
 					if it.AtomicMin(dist, v, du+1) {
 						it.Push(wl, v)
 					}
-				})
+				}
 			})
 			k.End()
 			return wl.Swap() > 0
@@ -157,9 +160,10 @@ func runBFSTP(g *graph.Graph) (*irgl.Trace, any) {
 		level := int32(iter)
 		ke := rt.Launch("bfs_expand")
 		ke.ForAll(frontier.Items(), func(it *irgl.Item, u int32) {
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				it.Push(expand, v)
-			})
+			}
 		})
 		ke.End()
 		expand.Swap()

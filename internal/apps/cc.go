@@ -21,14 +21,15 @@ func runCCSV(g *graph.Graph) (*irgl.Trace, any) {
 		hook := rt.Launch("cc_hook")
 		hook.ForAllNodes(func(it *irgl.Item, u int32) {
 			cu := comp[u]
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				cv := comp[v]
 				if cu < cv {
 					if it.AtomicMin(comp, cv, cu) {
 						changed = true
 					}
 				}
-			})
+			}
 		})
 		hook.End()
 
@@ -70,11 +71,12 @@ func runCCWL(g *graph.Graph) (*irgl.Trace, any) {
 		k := rt.Launch("cc_prop")
 		k.ForAll(wl.Items(), func(it *irgl.Item, u int32) {
 			cu := comp[u]
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				if it.AtomicMin(comp, v, cu) {
 					it.Push(wl, v)
 				}
-			})
+			}
 		})
 		k.End()
 		return wl.Swap() > 0

@@ -61,11 +61,12 @@ func runMISWL(g *graph.Graph) (*irgl.Trace, any) {
 				return
 			}
 			isMax := true
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				if prev[v] == misUndecided && misBeats(prio[v], v, prio[u], u) {
 					isMax = false
 				}
-			})
+			}
 			if isMax {
 				status[u] = misIn
 			}
@@ -77,11 +78,12 @@ func runMISWL(g *graph.Graph) (*irgl.Trace, any) {
 		ko.ForAll(wl.Items(), func(it *irgl.Item, u int32) {
 			switch status[u] {
 			case misIn:
-				it.VisitEdges(u, func(v, w int32) {
+				dst, _ := it.Edges(u)
+				for _, v := range dst {
 					if status[v] == misUndecided {
 						it.AtomicCAS(status, v, misUndecided, misOut)
 					}
-				})
+				}
 			case misUndecided:
 				it.Work(1)
 				it.Push(wl, u)
@@ -111,11 +113,12 @@ func runMISTopo(g *graph.Graph) (*irgl.Trace, any) {
 				return
 			}
 			isMax := true
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				if prev[v] == misUndecided && misBeats(prio[v], v, prio[u], u) {
 					isMax = false
 				}
-			})
+			}
 			if isMax {
 				status[u] = misIn
 			}
@@ -127,11 +130,12 @@ func runMISTopo(g *graph.Graph) (*irgl.Trace, any) {
 		ko.ForAllNodes(func(it *irgl.Item, u int32) {
 			switch status[u] {
 			case misIn:
-				it.VisitEdges(u, func(v, w int32) {
+				dst, _ := it.Edges(u)
+				for _, v := range dst {
 					if status[v] == misUndecided {
 						it.AtomicCAS(status, v, misUndecided, misOut)
 					}
-				})
+				}
 			case misUndecided:
 				it.Work(1)
 				remaining = true

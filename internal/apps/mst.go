@@ -51,12 +51,13 @@ func runMSTBoruvka(g *graph.Graph) (*irgl.Trace, any) {
 		findMin := rt.Launch("mst_findmin")
 		findMin.ForAllNodes(func(it *irgl.Item, u int32) {
 			cu := comp[u]
-			it.VisitEdges(u, func(v, w int32) {
+			dst, ws := it.Edges(u)
+			for i, v := range dst {
 				cv := comp[v]
 				if cu != cv {
-					it.AtomicMin64(best, cu, encEdge(w, u, v))
+					it.AtomicMin64(best, cu, encEdge(ws[i], u, v))
 				}
-			})
+			}
 		})
 		findMin.End()
 

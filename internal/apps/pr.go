@@ -32,11 +32,12 @@ func runPRTopo(g *graph.Graph) (*irgl.Trace, any) {
 		k := rt.Launch("pr_pull")
 		k.ForAllNodes(func(it *irgl.Item, u int32) {
 			sum := 0.0
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				if d := g.Degree(v); d > 0 {
 					sum += pr[v] / float64(d)
 				}
-			})
+			}
 			nv := base + prDamping*sum
 			next[u] = nv
 			diff += math.Abs(nv - pr[u])
@@ -86,12 +87,13 @@ func runPRResidual(g *graph.Graph) (*irgl.Trace, any) {
 				return
 			}
 			share := prDamping * r / float64(d)
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				old := it.AtomicAddF(res, v, share)
 				if old+share > eps && it.AtomicCAS(inWL, v, 0, 1) {
 					it.Push(wl, v)
 				}
-			})
+			}
 		})
 		k.End()
 		return wl.Swap() > 0

@@ -21,11 +21,12 @@ func runSSSPWL(g *graph.Graph) (*irgl.Trace, any) {
 		k := rt.Launch("sssp_relax")
 		k.ForAll(wl.Items(), func(it *irgl.Item, u int32) {
 			du := dist[u]
-			it.VisitEdges(u, func(v, w int32) {
-				if it.AtomicMin(dist, v, du+w) {
+			dst, ws := it.Edges(u)
+			for i, v := range dst {
+				if it.AtomicMin(dist, v, du+ws[i]) {
 					it.Push(wl, v)
 				}
-			})
+			}
 		})
 		k.End()
 		return wl.Swap() > 0
@@ -48,11 +49,12 @@ func runSSSPTopo(g *graph.Graph) (*irgl.Trace, any) {
 			if du == Infinity {
 				return
 			}
-			it.VisitEdges(u, func(v, w int32) {
-				if it.AtomicMin(dist, v, du+w) {
+			dst, ws := it.Edges(u)
+			for i, v := range dst {
+				if it.AtomicMin(dist, v, du+ws[i]) {
 					changed = true
 				}
-			})
+			}
 		})
 		k.End()
 		return changed
@@ -99,15 +101,16 @@ func runSSSPNF(g *graph.Graph) (*irgl.Trace, any) {
 					it.Push(far, u)
 					return
 				}
-				it.VisitEdges(u, func(v, w int32) {
-					if it.AtomicMin(dist, v, du+w) {
-						if du+w < threshold {
+				dst, ws := it.Edges(u)
+				for i, v := range dst {
+					if nd := du + ws[i]; it.AtomicMin(dist, v, nd) {
+						if nd < threshold {
 							it.Push(near, v)
 						} else {
 							it.Push(far, v)
 						}
 					}
-				})
+				}
 			})
 			k.End()
 			return near.Swap() > 0

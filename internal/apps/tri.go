@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sort"
-
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
 )
@@ -12,23 +10,25 @@ import (
 // exactly one "apex" orientation, and the heaviest hubs keep the
 // shortest lists - the standard O(m^1.5) preparation all three triangle
 // kernels share (done once on the host, as GPU frameworks do).
+//
+// Each row is u's adjacency list filtered in order, so it is strictly
+// increasing like the graph's own rows (Build and Validate guarantee
+// those), which the kernels' searches and merges need. The rows are
+// capped subslices of one slab. A symmetric graph, as every study input
+// is, keeps exactly half its edges; on any other graph append may move
+// the slab, which leaves the rows already cut intact.
 func orientByDegree(g *graph.Graph) [][]int32 {
 	n := g.NumNodes()
 	out := make([][]int32, n)
-	less := func(a, b int32) bool {
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da < db
-		}
-		return a < b
-	}
+	slab := make([]int32, 0, g.NumEdges()/2)
 	for u := int32(0); int(u) < n; u++ {
+		du, start := g.Degree(u), len(slab)
 		for _, v := range g.Neighbors(u) {
-			if less(u, v) {
-				out[u] = append(out[u], v)
+			if dv := g.Degree(v); du < dv || (du == dv && u < v) {
+				slab = append(slab, v)
 			}
 		}
-		sort.Slice(out[u], func(i, j int) bool { return out[u][i] < out[u][j] })
+		out[u] = slab[start:len(slab):len(slab)]
 	}
 	return out
 }
@@ -43,6 +43,9 @@ func runTRIBS(g *graph.Graph) (*irgl.Trace, any) {
 	k := rt.Launch("tri_bs")
 	k.ForAllNodes(func(it *irgl.Item, u int32) {
 		au := adj[u]
+		// Every search step is one work unit and one irregular access;
+		// they are charged once per item.
+		steps := int64(0)
 		for _, v := range au {
 			av := adj[v]
 			for _, w := range au {
@@ -50,7 +53,7 @@ func runTRIBS(g *graph.Graph) (*irgl.Trace, any) {
 					continue
 				}
 				// Binary search w in av.
-				steps := int64(1)
+				steps++
 				lo, hi := 0, len(av)
 				for lo < hi {
 					steps++
@@ -61,13 +64,13 @@ func runTRIBS(g *graph.Graph) (*irgl.Trace, any) {
 						hi = mid
 					}
 				}
-				it.Work(steps)
-				it.RandomAccess(steps)
 				if lo < len(av) && av[lo] == w {
 					count++
 				}
 			}
 		}
+		it.Work(steps)
+		it.RandomAccess(steps)
 	})
 	k.End()
 	// Each triangle {a,b,c} with orientation a->b, a->c, b->c is found

@@ -80,6 +80,7 @@ type Dataset struct {
 	sorted []int32 // tuple IDs in Tuples order
 	cells  []cell  // cell (tid, cid) at tid*opt.NumConfigs + cid
 	order  []int32 // slab indexes of the present cells in first-insertion order
+	last   int     // tuple ID of the latest Add: records arrive grouped by tuple
 
 	chips  []string
 	apps   []string
@@ -96,9 +97,12 @@ func (d *Dataset) Add(rec Record) {
 	if !ok {
 		panic(fmt.Sprintf("dataset: config %v with FG=%d is outside the optimisation space", rec.Config, rec.Config.FG))
 	}
-	tid, ok := d.TupleID(rec.Tuple)
-	if !ok {
-		tid = d.addTuple(rec.Tuple)
+	tid := d.last
+	if tid >= len(d.tuples) || d.tuples[tid] != rec.Tuple {
+		if tid, ok = d.TupleID(rec.Tuple); !ok {
+			tid = d.addTuple(rec.Tuple)
+		}
+		d.last = tid
 	}
 	i := tid*opt.NumConfigs + cid
 	c := &d.cells[i]
@@ -332,30 +336,38 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV deserialises a dataset written by WriteCSV.
+// ReadCSV deserialises a dataset written by WriteCSV. It parses each
+// row as it is read; the reader reuses one row slice, and ParseRecord
+// keeps only its strings.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	rows, err := cr.ReadAll()
+	cr.ReuseRecord = true
+	head, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("dataset: empty CSV")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: empty CSV")
-	}
-	head := rows[0]
 	if len(head) < 5 || head[0] != "chip" || head[3] != "config" {
 		return nil, fmt.Errorf("dataset: unexpected header %v", head)
 	}
 	d := New()
-	for i, row := range rows[1:] {
+	for n := 2; ; n++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return d, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		rec, err := ParseRecord(row)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d: %w", i+2, err)
+			return nil, fmt.Errorf("dataset: row %d: %w", n, err)
 		}
 		d.Add(rec)
 	}
-	return d, nil
 }
 
 // Header is the dataset CSV header for rows of up to runs samples:

@@ -152,6 +152,66 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVInterleavedTuples loads rows that switch tuple on every
+// row, so Add's memo of the latest tuple never hits, and the
+// tuple-grouped rows WriteCSV emits, where it almost always does. Each
+// row's samples name its tuple and config, so both loads must hold
+// every row in its own cell, with equal statistics. A bad row after
+// them is still reported by its row number.
+func TestReadCSVInterleavedTuples(t *testing.T) {
+	tuples := []Tuple{tup("c2", "a", "i"), tup("c1", "b", "i"), tup("c1", "a", "j")}
+	configs := opt.All()[:7]
+	row := func(ti, ci int) string {
+		tp := tuples[ti]
+		return fmt.Sprintf("%s,%s,%s,%s,%d,%d\n", tp.Chip, tp.App, tp.Input, configs[ci], ti+1, ci+1)
+	}
+	grouped := "chip,app,input,config,run1,run2\n"
+	interleaved := grouped
+	for ti := range tuples {
+		for ci := range configs {
+			grouped += row(ti, ci)
+		}
+	}
+	for ci := range configs {
+		for ti := range tuples {
+			interleaved += row(ti, ci)
+		}
+	}
+	var loads [2]*Dataset
+	for k, in := range []string{grouped, interleaved} {
+		d, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Len() != len(tuples)*len(configs) {
+			t.Fatalf("load %d: %d records, want %d", k, d.Len(), len(tuples)*len(configs))
+		}
+		loads[k] = d
+	}
+	for ti, tp := range tuples {
+		for ci, cfg := range configs {
+			want := fmt.Sprint([]float64{float64(ti + 1), float64(ci + 1)})
+			var stats [2]Stat
+			for k, d := range loads {
+				if got := fmt.Sprint(d.Samples(tp, cfg)); got != want {
+					t.Errorf("load %d, %v/%v: samples %s, want %s", k, tp, cfg, got, want)
+				}
+				tid, _ := d.TupleID(tp)
+				cid, _ := cfg.ID()
+				stats[k], _ = d.Stat(tid, cid)
+			}
+			if stats[0] != stats[1] {
+				t.Errorf("%v/%v: grouped %v, interleaved %v", tp, cfg, stats[0], stats[1])
+			}
+		}
+	}
+	bad := interleaved + "c1,a,i,baseline,xx\n"
+	n := len(tuples)*len(configs) + 2
+	if _, err := ReadCSV(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row %d:", n)) {
+		t.Errorf("bad row error %v, want one naming row %d", err, n)
+	}
+}
+
 func TestCSVHeaderRunColumns(t *testing.T) {
 	d := New()
 	d.Add(sample(tup("c", "a", "i"), opt.Config{}, 1, 2, 3, 4))

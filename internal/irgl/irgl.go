@@ -4,10 +4,13 @@
 // The paper's study compiles graph algorithms written in the IrGL DSL
 // down to OpenCL kernels. Here the same algorithms are expressed against
 // this package's operators (ForAll over worklist items or nodes, nested
-// edge visits, atomic read-modify-writes, host-side fixpoint loops). The
-// runtime executes them sequentially - so applications are functionally
-// real and testable - while recording, per kernel launch, exactly the
-// quantities that the paper's optimisations act on (Table VI):
+// edge visits, atomic read-modify-writes, host-side fixpoint loops). An
+// edge visit is Item.Edges: it charges a node's whole edge list at once
+// and hands the kernel the graph's slices, so the kernel's inner loop is
+// plain Go with no call per edge. The runtime executes the operators
+// sequentially - so applications are functionally real and testable -
+// while recording, per kernel launch, exactly the quantities that the
+// paper's optimisations act on (Table VI):
 //
 //   - active items and total edge work (parallelism, launch utilisation),
 //   - the per-item work distribution (load imbalance exploited by the
@@ -237,18 +240,18 @@ func (k *Kernel) recordItem(work int64) {
 	k.stats.WorkHistSum[b] += work
 }
 
-// VisitEdges iterates over the out-edges of u, counting one work unit
+// Edges returns the out-edges of u as its destinations and the weights
+// parallel to them, and charges their visit up front: one work unit
 // and one irregular access per edge (graph applications touch per-
-// destination state, which is uncoalesced by nature).
-func (it *Item) VisitEdges(u int32, f func(v, w int32)) {
+// destination state, which is uncoalesced by nature). The kernel loops
+// over the slices itself. Both alias the graph, like graph.Neighbors,
+// and must not be modified; their capacity ends at u's row.
+func (it *Item) Edges(u int32) (dst, w []int32) {
 	g := it.k.rt.g
-	nbrs := g.Neighbors(u)
-	ws := g.EdgeWeights(u)
-	it.work += int64(len(nbrs))
-	it.k.stats.RandomAccesses += int64(len(nbrs))
-	for i, v := range nbrs {
-		f(v, ws[i])
-	}
+	lo, hi := g.RowPtr[u], g.RowPtr[u+1]
+	it.work += int64(hi - lo)
+	it.k.stats.RandomAccesses += int64(hi - lo)
+	return g.Dst[lo:hi:hi], g.Weight[lo:hi:hi]
 }
 
 // Degree returns the out-degree of u without counting work.

@@ -1,6 +1,7 @@
 package irgl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,7 @@ func TestForAllNodesCountsItems(t *testing.T) {
 	rt := NewRuntime("test", g)
 	k := rt.Launch("k")
 	k.ForAllNodes(func(it *Item, u int32) {
-		it.VisitEdges(u, func(v, w int32) {})
+		it.Edges(u)
 	})
 	k.End()
 	tr := rt.Trace()
@@ -51,6 +52,25 @@ func TestForAllNodesCountsItems(t *testing.T) {
 	if s.LoopID != -1 {
 		t.Errorf("top-level launch LoopID = %d, want -1", s.LoopID)
 	}
+}
+
+// TestEdgesReturnsCappedRows checks that Edges hands out exactly u's
+// row, weights parallel, with no capacity past it, so an append in a
+// kernel cannot overwrite the next node's edges.
+func TestEdgesReturnsCappedRows(t *testing.T) {
+	g := graph.GenerateUniform("edges", 50, 4, 3)
+	rt := NewRuntime("test", g)
+	k := rt.Launch("k")
+	k.ForAllNodes(func(it *Item, u int32) {
+		dst, w := it.Edges(u)
+		if !slices.Equal(dst, g.Neighbors(u)) || !slices.Equal(w, g.EdgeWeights(u)) {
+			t.Errorf("node %d: Edges = %v %v, want %v %v", u, dst, w, g.Neighbors(u), g.EdgeWeights(u))
+		}
+		if cap(dst) != len(dst) || cap(w) != len(w) {
+			t.Errorf("node %d: capacities %d and %d past a row of %d", u, cap(dst), cap(w), len(dst))
+		}
+	})
+	k.End()
 }
 
 func TestIterateTagsLaunches(t *testing.T) {
@@ -118,11 +138,12 @@ func TestAtomicsCountAndWork(t *testing.T) {
 	wl := NewWorklist(5)
 	k := rt.Launch("k")
 	k.ForAll([]int32{0}, func(it *Item, u int32) {
-		it.VisitEdges(u, func(v, w int32) {
+		dst, _ := it.Edges(u)
+		for _, v := range dst {
 			if it.AtomicMin(arr, v, 3) {
 				it.Push(wl, v)
 			}
-		})
+		}
 	})
 	k.End()
 	s := rt.Trace().Launches[0]
@@ -205,7 +226,7 @@ func TestZeroWorkItems(t *testing.T) {
 	k := rt.Launch("k")
 	k.ForAllNodes(func(it *Item, u int32) {
 		if u == 0 {
-			it.VisitEdges(u, func(v, w int32) {})
+			it.Edges(u)
 		}
 		// leaves do nothing
 	})

@@ -16,9 +16,10 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	rt.Iterate("loop", func(iter int) bool {
 		k := rt.Launch("kernel")
 		k.ForAll(wl.Items(), func(it *Item, u int32) {
-			it.VisitEdges(u, func(v, w int32) {
+			dst, _ := it.Edges(u)
+			for _, v := range dst {
 				it.Push(wl, v)
-			})
+			}
 		})
 		k.End()
 		wl.Swap()
@@ -57,7 +58,7 @@ func TestTraceJSONCompactRoundTrip(t *testing.T) {
 	rt := NewRuntime("compact-app", g)
 	k := rt.Launch("kernel")
 	k.ForAllNodes(func(it *Item, u int32) {
-		it.VisitEdges(u, func(v, w int32) {})
+		it.Edges(u)
 	})
 	k.End()
 	tr := rt.Trace()

@@ -234,13 +234,14 @@ func (i *interp) kernelStmt(s Stmt, vars map[string]int64, it *irgl.Item) {
 	case *Foreach:
 		node, _ := i.mustEval(st.Node, vars, it)
 		i.checkNode(st.Tok, node)
-		it.VisitEdges(int32(node), func(v, w int32) {
+		dst, ws := it.Edges(int32(node))
+		for e, v := range dst {
 			vars[st.DstVar] = int64(v)
-			vars[st.WVar] = int64(w)
+			vars[st.WVar] = int64(ws[e])
 			for _, inner := range st.Body.Stmts {
 				i.kernelStmt(inner, vars, it)
 			}
-		})
+		}
 		delete(vars, st.DstVar)
 		delete(vars, st.WVar)
 	case *Push:

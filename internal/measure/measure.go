@@ -124,12 +124,14 @@ func (o *Options) fillGrid() {
 	}
 }
 
-// cellKey is the canonical identity of one measured cell; it keys both
-// the measurement-noise and the fault-decision streams. The format is
-// frozen: attempt-0 noise must reproduce the historical fault-free
+// cellKeyPrefix returns the part of a cell key that every config of
+// one (chip, app, input) job shares. A cell's key, its canonical
+// identity, is that prefix followed by the config's String; it keys
+// both the measurement-noise and the fault-decision streams. The format
+// is frozen: attempt-0 noise must reproduce the historical fault-free
 // stream so that enabling a zero-rate fault profile changes nothing.
-func cellKey(seed uint64, chipName, app, input string, cfg opt.Config) string {
-	return fmt.Sprintf("%d|%s|%s|%s|%s", seed, chipName, app, input, cfg.String())
+func cellKeyPrefix(seed uint64, chipName, app, input string) string {
+	return fmt.Sprintf("%d|%s|%s|%s|", seed, chipName, app, input)
 }
 
 // cellState tracks the fault bookkeeping of one cell slot.
@@ -239,6 +241,7 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		// pay for it, and per job because its shape memo is
 		// unguarded.
 		var ev *columnar.Evaluator
+		keyPrefix := cellKeyPrefix(o.Seed, ch.Name, tp.App, tp.Input)
 		for k, cfg := range configs {
 			dkey := dataset.Key{
 				Tuple:  dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input},
@@ -248,7 +251,7 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 				st[k] = cellState{failed: fault.Dropout}
 				continue
 			}
-			key := cellKey(o.Seed, ch.Name, tp.App, tp.Input, cfg)
+			key := keyPrefix + cfg.String()
 			var factors []float64
 			if inj != nil {
 				res := inj.MeasureCell(key, o.Runs, ch.NoiseSigma)

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestCollectMatchesReferenceEstimate(t *testing.T) {
 			tuple := dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input}
 			for _, cfg := range opt.All() {
 				base := cost.Estimate(ch, cfg, tp)
-				factors := fault.NoiseFactors(cellKey(o.Seed, ch.Name, tp.App, tp.Input, cfg), 0, o.Runs, ch.NoiseSigma)
+				factors := fault.NoiseFactors(cellKeyPrefix(o.Seed, ch.Name, tp.App, tp.Input)+cfg.String(), 0, o.Runs, ch.NoiseSigma)
 				got := d.Samples(tuple, cfg)
 				if len(got) != len(factors) {
 					t.Fatalf("%v/%v: %d samples, want %d", tuple, cfg, len(got), len(factors))
@@ -111,6 +112,21 @@ func TestCollectMatchesReferenceEstimate(t *testing.T) {
 	}
 	if cells != d.Len() {
 		t.Fatalf("checked %d cells, dataset holds %d", cells, d.Len())
+	}
+}
+
+// TestCellKeyMatchesFormat holds a job's key prefix plus a config's
+// name to the frozen cell-key format, for every config at two seeds.
+func TestCellKeyMatchesFormat(t *testing.T) {
+	ch, app, in := chip.All()[0].Name, "bfs-wl", "usa.ny"
+	for _, seed := range []uint64{7, 1<<63 + 5} {
+		prefix := cellKeyPrefix(seed, ch, app, in)
+		for _, cfg := range opt.All() {
+			want := fmt.Sprintf("%d|%s|%s|%s|%s", seed, ch, app, in, cfg.String())
+			if got := prefix + cfg.String(); got != want {
+				t.Errorf("cell key %q, want %q", got, want)
+			}
+		}
 	}
 }
 

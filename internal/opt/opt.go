@@ -188,8 +188,18 @@ func FromFlags(flags []Flag) Config {
 }
 
 // String renders the config as the paper writes it: a comma-separated
-// flag list, or "baseline".
+// flag list, or "baseline". A config in the space reads its name from
+// a table built once; one outside it (an FG value past FG8) is joined
+// on every call.
 func (c Config) String() string {
+	if enc, ok := c.encode(); ok {
+		return names[enc]
+	}
+	return c.join()
+}
+
+// join builds the config's name from its enabled flags.
+func (c Config) join() string {
 	flags := c.EnabledFlags()
 	if len(flags) == 0 {
 		return "baseline"
@@ -226,12 +236,22 @@ const NumConfigs = 96
 // The configuration table, built once: table holds the 96 configs in
 // All order, so a config's dense ID is its index and the baseline is ID
 // 0; ids maps a config's field encoding to its ID; mirrors holds each
-// flag's mirror pairs as IDs.
+// flag's mirror pairs as IDs; names holds each config's String by field
+// encoding.
 var (
 	table   = sortedConfigs()
 	ids     = indexConfigs()
 	mirrors = mirrorPairs()
+	names   = configNames()
 )
+
+func configNames() [NumConfigs]string {
+	var out [NumConfigs]string
+	for enc := range out {
+		out[enc] = decode(enc).join()
+	}
+	return out
+}
 
 // sortedConfigs enumerates the space by field encoding and orders it by
 // number of enabled flags, then lexicographically by name.

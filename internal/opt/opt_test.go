@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,30 @@ func TestParseErrors(t *testing.T) {
 func TestBaselineString(t *testing.T) {
 	if (Config{}).String() != "baseline" {
 		t.Errorf("baseline renders as %q", (Config{}).String())
+	}
+}
+
+// refString is the reference for Config.String: the enabled flags'
+// names joined by commas, or "baseline".
+func refString(c Config) string {
+	var parts []string
+	for _, f := range c.EnabledFlags() {
+		parts = append(parts, f.String())
+	}
+	if len(parts) == 0 {
+		return "baseline"
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestStringMatchesJoin holds the name table to the join for every
+// config in the space, and the fallback for one outside it.
+func TestStringMatchesJoin(t *testing.T) {
+	outside := Config{SG: true, FG: FG8 + 1}
+	for _, c := range append(All(), outside) {
+		if got, want := c.String(), refString(c); got != want {
+			t.Errorf("%+v: String %q, joined %q", c, got, want)
+		}
 	}
 }
 
