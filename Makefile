@@ -189,11 +189,13 @@ bench-cost:
 # ratio index (its six chip folds cost under 5x one Table IX; with
 # ratios and the fallback recomputed per fold they cost 10-13x), and
 # Table X simulating one workgroup per class (under 10x one Table IX;
-# simulating every workgroup costs ~50x).
+# simulating every workgroup costs ~50x). -count 3 repeats feed
+# benchcheck's min-fold, as in bench-cost: at 10 iterations the
+# sub-millisecond rows swing between single runs.
 bench-ci:
 	$(GO) test -run xxx -bench=. \
 		-skip '^(BenchmarkTraces|BenchmarkTracesParallel|BenchmarkTracesCached|BenchmarkSpanOverhead|BenchmarkSweepReference|BenchmarkSweepColumnar|BenchmarkColumnarBuild)$$' \
-		-benchtime 10x -benchmem . | tee bench-ci.out
+		-benchtime 10x -count 3 -benchmem . | tee bench-ci.out
 	$(GO) run ./cmd/benchcheck -in bench-ci.out -json BENCH_ci.json $(BENCHMD_FLAG) \
 		-maxratio 'BenchmarkCollectFaultOverhead/no-fault-layer,BenchmarkCollectFaultOverhead/zero-rate-faults,1.5' \
 		-maxratio 'BenchmarkTable9,BenchmarkCrossValidate,5' \

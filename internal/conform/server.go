@@ -16,7 +16,7 @@ import (
 // Pillar 4 (server/CLI differential): the sweep-as-a-service daemon
 // must be a pure transport. For randomized campaign specs, a campaign
 // submitted to an in-process server (priority queue, runner pool,
-// per-job recorder, checkpointless execution) must produce the exact
+// shared recorder, checkpointless execution) must produce the exact
 // dataset CSV bytes of the same campaign run directly through the
 // measure job object - the CLI path. Cell-for-cell equality is implied
 // by byte equality because the CSV row order is canonical sweep order.

@@ -380,7 +380,6 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	assembleSpan.End()
 	stopAssemble()
 	rep.Pipeline = o.Obs.Summary()
-	rep.Obs = o.Obs.Snapshot()
 	return d, rep, nil
 }
 

@@ -9,19 +9,20 @@ import (
 )
 
 // exportRun collects the small sweep under fault injection with span
-// capture on and returns the canonicalised trace and metrics exports.
-func exportRun(t *testing.T, workers int) (trace, metrics []byte, rep *Report) {
+// capture on and returns the canonicalised trace and metrics exports
+// and the recorder's snapshot.
+func exportRun(t *testing.T, workers int) (trace, metrics []byte, snap *obs.Snapshot) {
 	t.Helper()
 	o := smallOptions()
 	o.Workers = workers
 	o.Faults = (&fault.Profile{Transient: 0.2, Corrupt: 0.1, Seed: 11}).Fill()
 	o.Obs = obs.New().EnableSim()
-	_, rep, err := CollectReport(o)
-	if err != nil {
+	if _, err := Collect(o); err != nil {
 		t.Fatal(err)
 	}
+	snap = o.Obs.Snapshot()
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, rep.Obs); err != nil {
+	if err := obs.WriteChromeTrace(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	canonTrace, err := obs.CanonicalTrace(buf.Bytes())
@@ -29,10 +30,10 @@ func exportRun(t *testing.T, workers int) (trace, metrics []byte, rep *Report) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := obs.WriteMetrics(&buf, rep.Obs); err != nil {
+	if err := obs.WriteMetrics(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	return canonTrace, obs.CanonicalMetrics(buf.Bytes()), rep
+	return canonTrace, obs.CanonicalMetrics(buf.Bytes()), snap
 }
 
 // TestObsExportsDeterministicAcrossWorkers is the determinism golden
@@ -40,8 +41,8 @@ func exportRun(t *testing.T, workers int) (trace, metrics []byte, rep *Report) {
 // wall-clock fields stripped by the canonicalisers - must be
 // byte-identical across runs AND across worker counts, faults and all.
 func TestObsExportsDeterministicAcrossWorkers(t *testing.T) {
-	trace1, metrics1, rep1 := exportRun(t, 1)
-	trace4, metrics4, rep4 := exportRun(t, 4)
+	trace1, metrics1, snap1 := exportRun(t, 1)
+	trace4, metrics4, snap4 := exportRun(t, 4)
 	if !bytes.Equal(trace1, trace4) {
 		t.Errorf("canonical traces differ between 1 and 4 workers:\n%s\n---\n%s", trace1, trace4)
 	}
@@ -52,7 +53,7 @@ func TestObsExportsDeterministicAcrossWorkers(t *testing.T) {
 	// The run must actually have exercised the interesting paths,
 	// otherwise this test proves nothing.
 	var retries int
-	for _, ev := range rep1.Obs.Events {
+	for _, ev := range snap1.Events {
 		if ev.Name == obs.EvRetry {
 			retries++
 		}
@@ -60,15 +61,15 @@ func TestObsExportsDeterministicAcrossWorkers(t *testing.T) {
 	if retries == 0 {
 		t.Error("fault-injected run recorded no retry events")
 	}
-	if rep1.Pipeline.Counter(obs.CtrFaultRetries) == 0 {
+	if snap1.Summary.Counter(obs.CtrFaultRetries) == 0 {
 		t.Errorf("%s = 0 under transient faults", obs.CtrFaultRetries)
 	}
-	if got := rep4.Pipeline.Counter(obs.CtrFaultRetries); got != rep1.Pipeline.Counter(obs.CtrFaultRetries) {
+	if got := snap4.Summary.Counter(obs.CtrFaultRetries); got != snap1.Summary.Counter(obs.CtrFaultRetries) {
 		t.Errorf("retry counters differ across worker counts: %d vs %d",
-			rep1.Pipeline.Counter(obs.CtrFaultRetries), got)
+			snap1.Summary.Counter(obs.CtrFaultRetries), got)
 	}
 	var simSpans, realSpans int
-	for _, sp := range rep1.Obs.Spans {
+	for _, sp := range snap1.Spans {
 		if sp.Track == obs.TrackSim {
 			simSpans++
 		} else {
@@ -90,8 +91,9 @@ func TestObsSpanPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := o.Obs.Snapshot()
 	count := map[string]int{}
-	for _, sp := range rep.Obs.Spans {
+	for _, sp := range snap.Spans {
 		count[sp.Name]++
 	}
 	// 2 apps x 1 input = 2 pairs; 2 chips x 2 pairs = 4 jobs.
@@ -112,9 +114,9 @@ func TestObsSpanPopulation(t *testing.T) {
 		t.Errorf("%s = 0 after a traced run", obs.CtrKernelLaunches)
 	}
 	var frontier *obs.Hist
-	for i := range rep.Obs.Hists {
-		if rep.Obs.Hists[i].Name == obs.HistFrontier {
-			frontier = &rep.Obs.Hists[i]
+	for i := range snap.Hists {
+		if snap.Hists[i].Name == obs.HistFrontier {
+			frontier = &snap.Hists[i]
 		}
 	}
 	if frontier == nil || frontier.Count != rep.Pipeline.Counter(obs.CtrKernelLaunches) {
@@ -124,20 +126,21 @@ func TestObsSpanPopulation(t *testing.T) {
 }
 
 // TestObsDisabledByDefault proves the span layer stays out of the way:
-// a default CollectReport captures counters and stages but no spans.
+// a default recorder (what a nil Options.Obs gets) captures counters
+// and stages but no spans.
 func TestObsDisabledByDefault(t *testing.T) {
-	_, rep, err := CollectReport(smallOptions())
+	o := smallOptions()
+	o.Obs = obs.New()
+	_, rep, err := CollectReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Obs == nil {
-		t.Fatal("report is missing the obs snapshot")
-	}
-	if len(rep.Obs.Spans) != 0 || len(rep.Obs.Events) != 0 {
+	snap := o.Obs.Snapshot()
+	if len(snap.Spans) != 0 || len(snap.Events) != 0 {
 		t.Errorf("default run captured %d spans, %d events",
-			len(rep.Obs.Spans), len(rep.Obs.Events))
+			len(snap.Spans), len(snap.Events))
 	}
-	if rep.Obs.Summary.StageDuration(obs.StageSweep) == 0 {
+	if rep.Pipeline.StageDuration(obs.StageSweep) == 0 {
 		t.Error("stage timers should run even with tracing disabled")
 	}
 }

@@ -57,17 +57,12 @@ type Report struct {
 	// CheckpointError is non-empty when shard persistence failed; the
 	// sweep itself still completed.
 	CheckpointError string
-	// Pipeline is the stage-timing and counter summary of the run:
-	// trace / sweep / assemble wall-clock plus trace-cache hit, miss
-	// and put-error counts. Wall-clock varies run to run, so it is
-	// reported but never feeds the dataset.
+	// Pipeline is the stage-timing and counter summary of the recorder
+	// the run wrote to (Options.Obs): trace / sweep / assemble
+	// wall-clock plus trace-cache hit, miss and put-error counts. A
+	// recorder shared with other work also counts that work. Wall-clock
+	// varies run to run, so it is reported but never feeds the dataset.
 	Pipeline *obs.Summary
-	// Obs is the full observability snapshot of the run: spans, events,
-	// histograms and lane labels in addition to the flat summary. It is
-	// what the -obs-trace / -obs-metrics exports render. Span capture
-	// is off by default; without it the snapshot holds only the always-
-	// on counters and stage timers.
-	Obs *obs.Snapshot
 }
 
 // TraceCacheHits returns the number of trace-phase cache hits.

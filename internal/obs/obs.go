@@ -87,7 +87,17 @@ func (s *Summary) Format(w io.Writer) error {
 // Recorder accumulates stages and counters - and, when tracing is
 // enabled, hierarchical spans, events and histograms (see span.go).
 // Safe for concurrent use; the zero value is NOT usable, call New.
+// A Recorder is a handle on its store: Scope returns another handle on
+// the same store, which files the spans it opens under a request trace.
 type Recorder struct {
+	st *store
+	// trace and parent stamp the spans a scoped view opens (see Scope);
+	// both are 0 on a recorder from New.
+	trace, parent uint64
+}
+
+// store is the state a recorder shares with its scoped views.
+type store struct {
 	// now is the clock; tests may swap it before concurrent use begins.
 	now func() time.Time
 	// tracing/sim gate span capture; set before concurrent use begins.
@@ -107,32 +117,39 @@ type Recorder struct {
 	histIdx map[string]int // guarded by mu
 	lanes   []LaneName     // guarded by mu
 
-	// Live streaming (see stream.go): registered watchers, and the
-	// optional forward target a job recorder mirrors its events into.
-	// The forward fields are set before concurrent use (ForwardTo),
-	// so only the watcher registry is guarded.
+	// Live streaming (see stream.go): the registered watchers.
 	watchers  map[int]chan StreamEvent // guarded by mu
 	nextWatch int                      // guarded by mu
-	fwd       *Recorder
-	fwdTrace  uint64
-	fwdParent uint64
 }
 
 // New returns an empty recorder using the real clock.
 func New() *Recorder {
-	return &Recorder{
+	return &Recorder{st: &store{
 		now:      time.Now,
 		stageIdx: map[string]int{},
 		countIdx: map[string]int{},
 		histIdx:  map[string]int{},
-	}
+	}}
 }
 
 // NewWithClock returns a recorder on an injected clock (tests).
 func NewWithClock(now func() time.Time) *Recorder {
 	r := New()
-	r.now = now
+	r.st.now = now
 	return r
+}
+
+// Scope returns a view of r that records into the same store on the
+// same clock. Every span the view opens carries the trace ID, and
+// every real-track root it opens is parented under parent; span IDs
+// are computed as on r, so a root's ID does not depend on its parent.
+// This is how a campaign's pipeline records into the daemon's
+// recorder as part of the campaign's request trace.
+func (r *Recorder) Scope(trace, parent uint64) *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{st: r.st, trace: trace, parent: parent}
 }
 
 // Start begins timing one section of the named stage; the returned stop
@@ -143,19 +160,19 @@ func (r *Recorder) Start(name string) (stop func()) {
 	if r == nil {
 		return func() {}
 	}
-	t0 := r.now()
+	t0 := r.st.now()
 	return func() {
-		d := r.now().Sub(t0)
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		i, ok := r.stageIdx[name]
+		d := r.st.now().Sub(t0)
+		r.st.mu.Lock()
+		defer r.st.mu.Unlock()
+		i, ok := r.st.stageIdx[name]
 		if !ok {
-			i = len(r.stages)
-			r.stageIdx[name] = i
-			r.stages = append(r.stages, Stage{Name: name})
+			i = len(r.st.stages)
+			r.st.stageIdx[name] = i
+			r.st.stages = append(r.st.stages, Stage{Name: name})
 		}
-		r.stages[i].Duration += d
-		r.stages[i].Calls++
+		r.st.stages[i].Duration += d
+		r.st.stages[i].Calls++
 	}
 }
 
@@ -165,16 +182,16 @@ func (r *Recorder) Add(name string, delta int64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.countIdx[name]
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
+	i, ok := r.st.countIdx[name]
 	if !ok {
-		i = len(r.counters)
-		r.countIdx[name] = i
-		r.counters = append(r.counters, Counter{Name: name})
+		i = len(r.st.counters)
+		r.st.countIdx[name] = i
+		r.st.counters = append(r.st.counters, Counter{Name: name})
 	}
-	r.counters[i].Value += delta
-	r.publishCounterLocked(name, delta, r.counters[i].Value)
+	r.st.counters[i].Value += delta
+	r.st.publishCounterLocked(name, delta, r.st.counters[i].Value)
 }
 
 // Summary snapshots the recorder. The recorder remains usable; later
@@ -183,10 +200,10 @@ func (r *Recorder) Summary() *Summary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
 	return &Summary{
-		Stages:   append([]Stage(nil), r.stages...),
-		Counters: append([]Counter(nil), r.counters...),
+		Stages:   append([]Stage(nil), r.st.stages...),
+		Counters: append([]Counter(nil), r.st.counters...),
 	}
 }

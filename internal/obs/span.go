@@ -163,7 +163,7 @@ func spanID(parent uint64, name string, attrs []Attr) uint64 {
 // Call before concurrent use begins.
 func (r *Recorder) EnableTracing() *Recorder {
 	if r != nil {
-		r.tracing = true
+		r.st.tracing = true
 	}
 	return r
 }
@@ -173,17 +173,17 @@ func (r *Recorder) EnableTracing() *Recorder {
 // Implies EnableTracing.
 func (r *Recorder) EnableSim() *Recorder {
 	if r != nil {
-		r.tracing = true
-		r.sim = true
+		r.st.tracing = true
+		r.st.sim = true
 	}
 	return r
 }
 
 // TracingEnabled reports whether spans and events are being captured.
-func (r *Recorder) TracingEnabled() bool { return r != nil && r.tracing }
+func (r *Recorder) TracingEnabled() bool { return r != nil && r.st.tracing }
 
 // SimEnabled reports whether the simulated timeline is being captured.
-func (r *Recorder) SimEnabled() bool { return r != nil && r.sim }
+func (r *Recorder) SimEnabled() bool { return r != nil && r.st.sim }
 
 // NowNS returns nanoseconds since the recorder's first observation on
 // the recorder's clock. Instrumented packages that may not read the
@@ -198,13 +198,13 @@ func (r *Recorder) NowNS() int64 {
 
 // epochNS returns nanoseconds since the recorder's first observation.
 func (r *Recorder) epochNS() int64 {
-	now := r.now()
-	r.mu.Lock()
-	if r.epoch.IsZero() {
-		r.epoch = now
+	now := r.st.now()
+	r.st.mu.Lock()
+	if r.st.epoch.IsZero() {
+		r.st.epoch = now
 	}
-	d := now.Sub(r.epoch)
-	r.mu.Unlock()
+	d := now.Sub(r.st.epoch)
+	r.st.mu.Unlock()
 	return d.Nanoseconds()
 }
 
@@ -218,13 +218,16 @@ type SpanHandle struct {
 
 // StartSpan opens a root span on the real track. The attributes are
 // part of the span's identity and must make it unique among its
-// siblings (see Span).
+// siblings (see Span). On a scoped view the root carries the view's
+// trace and parent.
 func (r *Recorder) StartSpan(name string, lane int, attrs ...Attr) *SpanHandle {
 	if !r.TracingEnabled() {
 		return nil
 	}
 	return &SpanHandle{r: r, span: Span{
 		ID:      spanID(0, name, attrs),
+		Parent:  r.parent,
+		TraceID: r.trace,
 		Name:    name,
 		Lane:    lane,
 		Attrs:   attrs,
@@ -310,9 +313,9 @@ func (r *Recorder) Event(name string, spanID uint64, attrs ...Attr) {
 }
 
 func (r *Recorder) event(e Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
+	r.st.mu.Lock()
+	r.st.events = append(r.st.events, e)
+	r.st.mu.Unlock()
 }
 
 // End closes the span, recording its duration and notifying any live
@@ -322,14 +325,16 @@ func (h *SpanHandle) End() {
 		return
 	}
 	h.span.DurNS = h.r.epochNS() - h.span.StartNS
-	h.r.mu.Lock()
-	h.r.spans = append(h.r.spans, h.span)
-	h.r.publishSpanLocked(h.span)
-	h.r.mu.Unlock()
+	h.r.st.mu.Lock()
+	h.r.st.spans = append(h.r.st.spans, h.span)
+	h.r.st.publishSpanLocked(h.span)
+	h.r.st.mu.Unlock()
 }
 
 // SimSpan records one completed span on the simulated track with an
-// explicit virtual interval. Returns the span's ID for parenting.
+// explicit virtual interval. Returns the span's ID for parenting. On a
+// scoped view the span carries the view's trace; a root (parent 0)
+// stays unparented.
 func (r *Recorder) SimSpan(lane int, parent uint64, name string, startNS, durNS int64, attrs ...Attr) uint64 {
 	if !r.SimEnabled() {
 		return 0
@@ -337,6 +342,7 @@ func (r *Recorder) SimSpan(lane int, parent uint64, name string, startNS, durNS 
 	s := Span{
 		ID:      spanID(parent, name, attrs),
 		Parent:  parent,
+		TraceID: r.trace,
 		Name:    name,
 		Track:   TrackSim,
 		Lane:    lane,
@@ -344,10 +350,10 @@ func (r *Recorder) SimSpan(lane int, parent uint64, name string, startNS, durNS 
 		StartNS: startNS,
 		DurNS:   durNS,
 	}
-	r.mu.Lock()
-	r.spans = append(r.spans, s)
-	r.publishSpanLocked(s)
-	r.mu.Unlock()
+	r.st.mu.Lock()
+	r.st.spans = append(r.st.spans, s)
+	r.st.publishSpanLocked(s)
+	r.st.mu.Unlock()
 	return s.ID
 }
 
@@ -357,14 +363,14 @@ func (r *Recorder) NameLane(track Track, lane int, name string) {
 	if !r.TracingEnabled() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, ln := range r.lanes {
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
+	for _, ln := range r.st.lanes {
 		if ln.Track == track && ln.Lane == lane {
 			return
 		}
 	}
-	r.lanes = append(r.lanes, LaneName{track, lane, name})
+	r.st.lanes = append(r.st.lanes, LaneName{track, lane, name})
 }
 
 // ObserveHist adds one observation to the named histogram. For bulk
@@ -373,9 +379,9 @@ func (r *Recorder) ObserveHist(name string, v int64) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.histByName(name).Observe(v)
-	r.mu.Unlock()
+	r.st.mu.Lock()
+	r.st.histByName(name).Observe(v)
+	r.st.mu.Unlock()
 }
 
 // MergeHist folds a worker-local histogram into the named one. Sums
@@ -384,20 +390,20 @@ func (r *Recorder) MergeHist(name string, h *Hist) {
 	if r == nil || h == nil || h.Count == 0 {
 		return
 	}
-	r.mu.Lock()
-	r.histByName(name).merge(h)
-	r.mu.Unlock()
+	r.st.mu.Lock()
+	r.st.histByName(name).merge(h)
+	r.st.mu.Unlock()
 }
 
 // histByName returns the named histogram, creating it; callers hold mu.
-func (r *Recorder) histByName(name string) *Hist {
-	i, ok := r.histIdx[name]
+func (s *store) histByName(name string) *Hist {
+	i, ok := s.histIdx[name]
 	if !ok {
-		i = len(r.hists)
-		r.histIdx[name] = i
-		r.hists = append(r.hists, Hist{Name: name})
+		i = len(s.hists)
+		s.histIdx[name] = i
+		s.hists = append(s.hists, Hist{Name: name})
 	}
-	return &r.hists[i]
+	return &s.hists[i]
 }
 
 // Snapshot is the full immutable state of a Recorder: the flat summary
@@ -420,15 +426,15 @@ func (r *Recorder) Snapshot() *Snapshot {
 		return nil
 	}
 	sum := r.Summary()
-	r.mu.Lock()
+	r.st.mu.Lock()
 	s := &Snapshot{
 		Summary: sum,
-		Spans:   append([]Span(nil), r.spans...),
-		Events:  append([]Event(nil), r.events...),
-		Hists:   append([]Hist(nil), r.hists...),
-		Lanes:   append([]LaneName(nil), r.lanes...),
+		Spans:   append([]Span(nil), r.st.spans...),
+		Events:  append([]Event(nil), r.st.events...),
+		Hists:   append([]Hist(nil), r.st.hists...),
+		Lanes:   append([]LaneName(nil), r.st.lanes...),
 	}
-	r.mu.Unlock()
+	r.st.mu.Unlock()
 	s.Counters = append([]Counter(nil), sum.Counters...)
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Spans, func(i, j int) bool {

@@ -96,6 +96,54 @@ func TestSimSpanVirtualClock(t *testing.T) {
 	}
 }
 
+// TestScopeStampsSpans pins what a scoped view adds to the spans it
+// opens: the trace on every span, and the parent on real-track roots
+// only. IDs are the ones the unscoped recorder computes, and the view
+// records into its recorder's store, on its clock.
+func TestScopeStampsSpans(t *testing.T) {
+	r := NewWithClock(fakeClock(time.Millisecond)).EnableSim()
+	campaign := r.StartSpan(SpanCampaign, 0)
+	v := r.Scope(42, campaign.ID())
+	root := v.StartSpan(StageTrace, 0)
+	root.StartSpan(SpanTracePair, 1, String(AttrApp, "bfs-wl")).End()
+	root.End()
+	tl := v.SimSpan(0, 0, SpanSimTimeline, 0, 100)
+	v.SimSpan(0, tl, "kernel_relax", 0, 10)
+	v.Add(CtrKernelLaunches, 1)
+	campaign.End()
+
+	s := r.Snapshot()
+	byName := map[string]Span{}
+	for _, sp := range s.Spans {
+		byName[sp.Name] = sp
+	}
+	for name, want := range map[string]struct{ id, parent, trace uint64 }{
+		SpanCampaign:    {campaign.ID(), 0, 0},
+		StageTrace:      {spanID(0, StageTrace, nil), campaign.ID(), 42},
+		SpanTracePair:   {spanID(root.ID(), SpanTracePair, []Attr{String(AttrApp, "bfs-wl")}), root.ID(), 42},
+		SpanSimTimeline: {spanID(0, SpanSimTimeline, nil), 0, 42},
+		"kernel_relax":  {spanID(tl, "kernel_relax", nil), tl, 42},
+	} {
+		sp, ok := byName[name]
+		if !ok {
+			t.Errorf("no %s span", name)
+			continue
+		}
+		if sp.ID != want.id || sp.Parent != want.parent || sp.TraceID != want.trace {
+			t.Errorf("%s span id/parent/trace = %x/%x/%d, want %x/%x/%d",
+				name, sp.ID, sp.Parent, sp.TraceID, want.id, want.parent, want.trace)
+		}
+	}
+	outer, inner := byName[SpanCampaign], byName[StageTrace]
+	if inner.StartNS < outer.StartNS || inner.StartNS+inner.DurNS > outer.StartNS+outer.DurNS {
+		t.Errorf("scoped root [%d +%d] lies outside its parent [%d +%d]: two clocks",
+			inner.StartNS, inner.DurNS, outer.StartNS, outer.DurNS)
+	}
+	if got := s.Summary.Counter(CtrKernelLaunches); got != 1 {
+		t.Errorf("%s = %d through the view, want 1", CtrKernelLaunches, got)
+	}
+}
+
 func TestHistFixedBounds(t *testing.T) {
 	var h Hist
 	h.Observe(0)

@@ -58,7 +58,8 @@ func (e StreamEvent) AppendNDJSON(dst []byte) []byte {
 // Watch subscribes to the recorder's live event stream. Events are
 // delivered on the returned channel (buffered to buf, minimum 1);
 // events published while the buffer is full are dropped. The cancel
-// function unsubscribes and closes the channel.
+// function unsubscribes and closes the channel. A watcher of r sees
+// the events of every scoped view of r as well.
 func (r *Recorder) Watch(buf int) (<-chan StreamEvent, func()) {
 	if buf < 1 {
 		buf = 1
@@ -68,90 +69,38 @@ func (r *Recorder) Watch(buf int) (<-chan StreamEvent, func()) {
 		close(ch)
 		return ch, func() {}
 	}
-	r.mu.Lock()
-	if r.watchers == nil {
-		r.watchers = map[int]chan StreamEvent{}
+	st := r.st
+	st.mu.Lock()
+	if st.watchers == nil {
+		st.watchers = map[int]chan StreamEvent{}
 	}
-	id := r.nextWatch
-	r.nextWatch++
-	r.watchers[id] = ch
-	r.mu.Unlock()
+	id := st.nextWatch
+	st.nextWatch++
+	st.watchers[id] = ch
+	st.mu.Unlock()
 	return ch, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if _, ok := r.watchers[id]; ok {
-			delete(r.watchers, id)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if _, ok := st.watchers[id]; ok {
+			delete(st.watchers, id)
 			close(ch)
 		}
 	}
 }
 
-// ForwardTo mirrors this recorder's stream events into parent's
-// watchers, stamped as members of the given trace; forwarded span
-// events whose recorded parent is 0 are re-parented under parentSpan.
-// This is how a campaign job's private recorder feeds the daemon's
-// live stream while the job runs: the daemon recorder adopts the
-// job's spans only when the job finishes, but watchers see them close
-// in real time. Call before concurrent use of the recorder begins.
-func (r *Recorder) ForwardTo(parent *Recorder, trace, parentSpan uint64) *Recorder {
-	if r != nil {
-		r.fwd = parent
-		r.fwdTrace = trace
-		r.fwdParent = parentSpan
-	}
-	return r
-}
-
-// watched reports whether any watcher (here or downstream of a
-// forward) would receive a published event. Callers hold r.mu.
-func (r *Recorder) watchedLocked() bool {
-	if len(r.watchers) > 0 {
-		return true
-	}
-	if r.fwd == nil {
-		return false
-	}
-	r.fwd.mu.Lock()
-	n := len(r.fwd.watchers)
-	r.fwd.mu.Unlock()
-	return n > 0
-}
-
-// deliverLocked fans an event out to this recorder's watchers and to
-// the forward target's watchers. Callers hold r.mu (but never
-// r.fwd.mu: forward edges only ever point from job recorders to the
-// daemon recorder, so the lock order r.mu -> r.fwd.mu is acyclic).
-func (r *Recorder) deliverLocked(e StreamEvent) {
-	for _, ch := range r.watchers {
+// deliverLocked fans an event out to the watchers. Callers hold s.mu.
+func (s *store) deliverLocked(e StreamEvent) {
+	for _, ch := range s.watchers {
 		select {
 		case ch <- e:
 		default:
 		}
 	}
-	if r.fwd == nil {
-		return
-	}
-	if e.Kind == StreamSpan {
-		if e.Trace == "" && r.fwdTrace != 0 {
-			e.Trace = hexID(r.fwdTrace)
-		}
-		if e.Parent == "" && r.fwdParent != 0 {
-			e.Parent = hexID(r.fwdParent)
-		}
-	}
-	r.fwd.mu.Lock()
-	for _, ch := range r.fwd.watchers {
-		select {
-		case ch <- e:
-		default:
-		}
-	}
-	r.fwd.mu.Unlock()
 }
 
-// publishSpanLocked emits a span-close event. Callers hold r.mu.
-func (r *Recorder) publishSpanLocked(sp Span) {
-	if !r.watchedLocked() {
+// publishSpanLocked emits a span-close event. Callers hold s.mu.
+func (s *store) publishSpanLocked(sp Span) {
+	if len(s.watchers) == 0 {
 		return
 	}
 	e := StreamEvent{
@@ -173,61 +122,60 @@ func (r *Recorder) publishSpanLocked(sp Span) {
 			e.Attrs[a.Key] = a.Value
 		}
 	}
-	r.deliverLocked(e)
+	s.deliverLocked(e)
 }
 
-// publishCounterLocked emits a counter-delta event. Callers hold r.mu.
-func (r *Recorder) publishCounterLocked(name string, delta, total int64) {
-	if !r.watchedLocked() {
+// publishCounterLocked emits a counter-delta event. Callers hold s.mu.
+func (s *store) publishCounterLocked(name string, delta, total int64) {
+	if len(s.watchers) == 0 {
 		return
 	}
-	r.deliverLocked(StreamEvent{Kind: StreamCounter, Name: name, Delta: delta, Total: total})
+	s.deliverLocked(StreamEvent{Kind: StreamCounter, Name: name, Delta: delta, Total: total})
 }
 
 // MergeStage folds an externally accumulated stage duration into the
-// named stage timer (how a finished job's stage wall-clock reaches the
-// daemon recorder behind /metrics).
+// named stage timer (how Adopt carries a snapshot's stage timers over).
 func (r *Recorder) MergeStage(name string, d time.Duration, calls int) {
 	if r == nil || calls == 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.stageIdx[name]
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
+	i, ok := r.st.stageIdx[name]
 	if !ok {
-		i = len(r.stages)
-		r.stageIdx[name] = i
-		r.stages = append(r.stages, Stage{Name: name})
+		i = len(r.st.stages)
+		r.st.stageIdx[name] = i
+		r.st.stages = append(r.st.stages, Stage{Name: name})
 	}
-	r.stages[i].Duration += d
-	r.stages[i].Calls += calls
+	r.st.stages[i].Duration += d
+	r.st.stages[i].Calls += calls
 }
 
 // Adopt folds another recorder's snapshot into r as one connected
 // trace: adopted spans are stamped with the trace ID, real-track roots
-// are re-parented under parent (the adopting span, typically the
-// runner's campaign span), and events, histograms, counters, stage
-// timers and simulated-track lane names are carried over. Real-track
-// lane names are NOT adopted - worker lanes are scheduling artifacts
-// of the donor and would collide with the adopter's own lanes.
+// are re-parented under parent (the adopting span), and events,
+// histograms, counters, stage timers and simulated-track lane names
+// are carried over. Real-track lane names are NOT adopted - worker
+// lanes are scheduling artifacts of the donor and would collide with
+// the adopter's own lanes. The stamping is the one a scoped view (see
+// Scope) applies as it records.
 //
-// Adopted spans and events are not re-published to watchers: a
-// forwarding recorder (see ForwardTo) already streamed them live.
+// Adopted spans and events are not published to watchers.
 func (r *Recorder) Adopt(s *Snapshot, trace, parent uint64) {
 	if r == nil || s == nil {
 		return
 	}
 	if r.TracingEnabled() {
-		r.mu.Lock()
+		r.st.mu.Lock()
 		for _, sp := range s.Spans {
 			sp.TraceID = trace
 			if sp.Parent == 0 && sp.Track == TrackReal {
 				sp.Parent = parent
 			}
-			r.spans = append(r.spans, sp)
+			r.st.spans = append(r.st.spans, sp)
 		}
-		r.events = append(r.events, s.Events...)
-		r.mu.Unlock()
+		r.st.events = append(r.st.events, s.Events...)
+		r.st.mu.Unlock()
 		for _, ln := range s.Lanes {
 			if ln.Track == TrackSim {
 				r.NameLane(ln.Track, ln.Lane, ln.Name)

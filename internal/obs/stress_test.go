@@ -7,11 +7,11 @@ import (
 )
 
 // TestSpanRecorderStress hammers one recorder from many goroutines -
-// nested spans, events, counters, histograms and sim spans - while
-// other goroutines take snapshots and export them mid-flight. Run
-// under -race (make race / CI) this is the span recorder's
-// concurrency gate, mirroring the trace-cache stress test from the
-// pipeline PR.
+// nested spans, events, counters, histograms and sim spans, half of
+// them through scoped views of it - while other goroutines take
+// snapshots and export them mid-flight. Run under -race (make race /
+// CI) this is the span recorder's concurrency gate, mirroring the
+// trace-cache stress test from the pipeline PR.
 func TestSpanRecorderStress(t *testing.T) {
 	const (
 		workers   = 8
@@ -27,22 +27,26 @@ func TestSpanRecorderStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
+			rec := r
+			if w%2 == 1 {
+				rec = r.Scope(uint64(w), uint64(w))
+			}
 			var local Hist
 			for i := 0; i < rounds; i++ {
-				root := r.StartSpan(SpanTracePair, w, Int(AttrLaunch, int64(w*rounds+i)))
+				root := rec.StartSpan(SpanTracePair, w, Int(AttrLaunch, int64(w*rounds+i)))
 				child := root.StartSpan(SpanSweepJob, w, Int(AttrAttempt, int64(i)))
 				child.Event(EvRetry, Int(AttrAttempt, int64(i%3)))
-				r.Add(CtrFaultAttempts, 1)
-				r.ObserveHist(HistCellAttempts, int64(i%7))
+				rec.Add(CtrFaultAttempts, 1)
+				rec.ObserveHist(HistCellAttempts, int64(i%7))
 				local.Observe(int64(i))
-				tl := r.SimSpan(w, 0, SpanSimTimeline, int64(i), 10, Int(AttrLaunch, int64(w*rounds+i)))
-				r.SimSpan(w, tl, SpanSimTimeline, int64(i), 5, Int(AttrLaunch, int64(i)))
+				tl := rec.SimSpan(w, 0, SpanSimTimeline, int64(i), 10, Int(AttrLaunch, int64(w*rounds+i)))
+				rec.SimSpan(w, tl, SpanSimTimeline, int64(i), 5, Int(AttrLaunch, int64(i)))
 				child.End()
 				root.End()
-				stop := r.Start(StageSweep)
+				stop := rec.Start(StageSweep)
 				stop()
 			}
-			r.MergeHist(HistFrontier, &local)
+			rec.MergeHist(HistFrontier, &local)
 		}(w)
 	}
 

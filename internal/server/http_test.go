@@ -382,6 +382,34 @@ func TestHTTPList(t *testing.T) {
 	}
 }
 
+// TestHTTPListSameWhenCacheServed pins the listing of a finished
+// campaign: a server that serves it from the job directory lists the
+// same bytes, result summary included, as the server that ran it.
+func TestHTTPListSameWhenCacheServed(t *testing.T) {
+	jobDir := t.TempDir()
+	list := func(source string) []byte {
+		s, ts := httpServer(t, Config{JobDir: jobDir})
+		j := submit(t, s, testSpec())
+		waitDone(t, j)
+		if j.Source() != source {
+			t.Fatalf("source = %s, want %s", j.Source(), source)
+		}
+		resp, body := get(t, ts.URL+"/v1/campaigns")
+		if resp.StatusCode != 200 {
+			t.Fatalf("list status = %d: %s", resp.StatusCode, body)
+		}
+		s.Close() // the entry is written before the runner exits
+		return body
+	}
+	fresh := list(SourceFresh)
+	if !bytes.Contains(fresh, []byte(`"result":`)) {
+		t.Fatalf("fresh list has no result summary: %s", fresh)
+	}
+	if cached := list(SourceCache); !bytes.Equal(cached, fresh) {
+		t.Fatalf("cache-served list differs from the fresh one:\n%s\nvs\n%s", cached, fresh)
+	}
+}
+
 // TestHTTPMetricsAndTrace checks the observability endpoints carry the
 // job counters and a Chrome trace after a campaign completes.
 func TestHTTPMetricsAndTrace(t *testing.T) {

@@ -153,7 +153,7 @@ type Job struct {
 	traceDone int                // guarded by mu
 	sweepDone int                // guarded by mu
 	resumed   int                // guarded by mu
-	report    *measure.Report    // guarded by mu
+	summary   *ResultSummary     // guarded by mu; terminal done only
 	result    []byte             // guarded by mu; dataset CSV, terminal done only
 	status    []byte             // guarded by mu; canonical terminal status body
 	errMsg    string             // guarded by mu
@@ -210,14 +210,6 @@ func (j *Job) Resumed() int {
 	return j.resumed
 }
 
-// Report returns the collection report of a fresh run (nil for queued,
-// running and cache-served jobs).
-func (j *Job) Report() *measure.Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
-}
-
 // Result returns the result CSV bytes, or an error when the job is
 // not done.
 func (j *Job) Result() ([]byte, *Error) {
@@ -254,7 +246,7 @@ func (j *Job) Status() Status {
 
 // statusLocked assembles the canonical status view. Callers hold j.mu.
 func (j *Job) statusLocked() Status {
-	st := Status{
+	return Status{
 		ID:          j.id,
 		Fingerprint: j.fp,
 		State:       j.state,
@@ -264,12 +256,9 @@ func (j *Job) statusLocked() Status {
 			TracePairs: j.traceDone, TraceTotal: j.traceTotal,
 			SweepJobs: j.sweepDone, SweepTotal: j.sweepTotal,
 		},
-		Error: j.errMsg,
+		Result: j.summary,
+		Error:  j.errMsg,
 	}
-	if j.report != nil {
-		st.Result = summarize(j.report)
-	}
-	return st
 }
 
 // StatusBytes returns the canonical status body: the persisted bytes

@@ -25,9 +25,9 @@ func TestJobAccessors(t *testing.T) {
 	if len(j.Fingerprint()) != 64 || !strings.HasPrefix(j.Fingerprint(), j.ID()) {
 		t.Errorf("fingerprint %q does not extend id %q", j.Fingerprint(), j.ID())
 	}
-	rep := j.Report()
-	if rep == nil || !rep.Complete() {
-		t.Errorf("report = %+v, want complete", rep)
+	res := j.Status().Result
+	if res == nil || res.Measured != res.Cells || res.Cells != j.Status().Cells {
+		t.Errorf("result = %+v, want every one of the %d cells measured", res, j.Status().Cells)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuport/internal/obs"
 	"gpuport/internal/tracecache"
@@ -365,6 +367,129 @@ func TestHTTPObsStream(t *testing.T) {
 	}
 	if traced == 0 {
 		t.Fatal("no streamed span carried a trace ID")
+	}
+}
+
+// TestPipelineSpansInsideParents holds every real-track span of a
+// campaign to its parent's interval on the daemon's clock. The idle gap
+// before the submit puts that clock well ahead of any clock the
+// campaign could start for itself. queue-wait is exempt: it runs from
+// the enqueue to a runner's dequeue, past the end of its request.
+func TestPipelineSpansInsideParents(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.rec.NowNS() // starts the daemon's clock
+	time.Sleep(20 * time.Millisecond)
+	waitDone(t, submit(t, s, testSpec()))
+
+	byID := map[uint64]obs.Span{}
+	for _, sp := range s.Snapshot().Spans {
+		if sp.Track == obs.TrackReal {
+			byID[sp.ID] = sp
+		}
+	}
+	for _, sp := range byID {
+		if sp.Name == obs.SpanHTTPRequest || sp.Name == obs.SpanCampaign || sp.Name == obs.SpanQueueWait {
+			continue
+		}
+		p, ok := byID[sp.Parent]
+		if !ok {
+			t.Errorf("%s span has no parent in the trace", sp.Name)
+			continue
+		}
+		if sp.StartNS < p.StartNS || sp.StartNS+sp.DurNS > p.StartNS+p.DurNS {
+			t.Errorf("%s span [%d, %d] ns lies outside its parent %s [%d, %d] ns",
+				sp.Name, sp.StartNS, sp.StartNS+sp.DurNS, p.Name, p.StartNS, p.StartNS+p.DurNS)
+		}
+	}
+}
+
+// streamCampaign runs testSpec on a simulating server while reading
+// /debug/obs-stream, and returns the events streamed up to a sentinel
+// (a rejected submit, made once the campaign is done) together with
+// the recorder's snapshot at that point.
+func streamCampaign(t *testing.T) ([]obs.StreamEvent, *obs.Snapshot) {
+	t.Helper()
+	s, ts := httpServer(t, Config{Obs: obs.New().EnableSim()})
+	stream, err := http.Get(ts.URL + "/debug/obs-stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	waitDone(t, submit(t, s, testSpec()))
+	if _, _, errs := s.Submit(Spec{Chips: []string{"H100"}}); errs == nil {
+		t.Fatal("sentinel spec was accepted")
+	}
+	// The campaign streams a few dozen events, far below the watcher's
+	// buffer, so reading them after the fact drops none.
+	var events []obs.StreamEvent
+	sc := bufio.NewScanner(stream.Body)
+	for sc.Scan() {
+		var ev obs.StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if ev.Kind == obs.StreamSpan && ev.Name == obs.SpanHTTPRequest && ev.Trace == "" {
+			return events, s.Snapshot()
+		}
+		events = append(events, ev)
+	}
+	t.Fatalf("stream ended before the sentinel: %v", sc.Err())
+	return nil, nil
+}
+
+// TestStreamCounterDeltasSumToTotals requires the stream to carry each
+// counter increment once: per counter, the streamed deltas add up to
+// the recorder's final value.
+func TestStreamCounterDeltasSumToTotals(t *testing.T) {
+	events, snap := streamCampaign(t)
+	sums := map[string]int64{}
+	for _, ev := range events {
+		if ev.Kind == obs.StreamCounter {
+			sums[ev.Name] += ev.Delta
+		}
+	}
+	if len(snap.Counters) == 0 {
+		t.Fatal("the campaign recorded no counters")
+	}
+	for _, c := range snap.Counters {
+		if sums[c.Name] != c.Value {
+			t.Errorf("counter %s: streamed deltas sum to %d, recorder holds %d", c.Name, sums[c.Name], c.Value)
+		}
+	}
+}
+
+// TestStreamSpanParentsMatchSnapshot requires every streamed span
+// close to name the parent the recorder's snapshot gives that span,
+// on both tracks.
+func TestStreamSpanParentsMatchSnapshot(t *testing.T) {
+	events, snap := streamCampaign(t)
+	hex := func(id uint64) string {
+		if id == 0 {
+			return ""
+		}
+		return "0x" + strconv.FormatUint(id, 16)
+	}
+	parent := map[string]string{}
+	for _, sp := range snap.Spans {
+		parent[hex(sp.ID)] = hex(sp.Parent)
+	}
+	tracks := map[string]int{}
+	for _, ev := range events {
+		if ev.Kind != obs.StreamSpan {
+			continue
+		}
+		tracks[ev.Track]++
+		want, ok := parent[ev.Span]
+		if !ok {
+			t.Errorf("streamed %s span %s is not in the snapshot", ev.Name, ev.Span)
+			continue
+		}
+		if ev.Parent != want {
+			t.Errorf("streamed %s span %s names parent %q, the snapshot %q", ev.Name, ev.Span, ev.Parent, want)
+		}
+	}
+	if tracks[obs.TrackReal.String()] == 0 || tracks[obs.TrackSim.String()] == 0 {
+		t.Fatalf("streamed spans per track = %v, want both tracks", tracks)
 	}
 }
 

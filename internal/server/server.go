@@ -40,19 +40,19 @@ type Config struct {
 	// resume instead of restart. Empty disables persistence and
 	// resumability.
 	JobDir string
-	// Obs is the daemon-lifetime recorder behind /metrics and the debug
-	// trace: each runner records one campaign span per job on its lane,
-	// and a finished job's recorder (spans, counters, histograms, stage
-	// timers) is adopted into it as one connected request trace. When
-	// nil a private recorder is created.
+	// Obs is the daemon-lifetime recorder behind /metrics, the debug
+	// trace and the live stream: each runner records one campaign span
+	// per job on its lane, and the job's pipeline records through a
+	// scoped view of it (obs.Recorder.Scope), as part of the campaign's
+	// request trace. When nil a private recorder is created.
 	Obs *obs.Recorder
 }
 
 // Server schedules campaign jobs onto a fixed pool of runners. Jobs
 // are deduplicated and cached by campaign fingerprint, ordered by
 // (priority, submission sequence), and isolated per execution: each
-// job gets its own cancel scope, observability recorder and checkpoint
-// file, while all jobs share one trace cache.
+// job gets its own cancel scope and checkpoint file, while all jobs
+// share one trace cache and one observability recorder.
 type Server struct {
 	cfg    Config
 	ctx    context.Context
@@ -140,7 +140,7 @@ func (s *Server) Close() {
 }
 
 // Snapshot returns the daemon recorder's observability snapshot
-// (counters, campaign spans, folded per-job totals).
+// (counters, campaign and pipeline spans, stage totals).
 func (s *Server) Snapshot() *obs.Snapshot { return s.rec.Snapshot() }
 
 // setBusy moves the busy-runner count by delta.
@@ -230,7 +230,7 @@ func (s *Server) Submit(spec Spec) (j *Job, body []byte, errs *Error) {
 	j = newJob(id, fp, spec, camp, s.seq)
 	s.seq++
 
-	if status, result, ok := s.loadPersisted(id); ok {
+	if status, summary, result, ok := s.loadPersisted(id); ok {
 		// The job is not yet published (jobs map, queue), so nothing
 		// races here - but the guarded fields are written under j.mu
 		// anyway, keeping the lock discipline uniform and provable.
@@ -238,6 +238,7 @@ func (s *Server) Submit(spec Spec) (j *Job, body []byte, errs *Error) {
 		j.state = StateDone
 		j.source = SourceCache
 		j.status = status
+		j.summary = summary
 		j.result = result
 		j.traceDone, j.sweepDone = j.traceTotal, j.sweepTotal
 		j.mu.Unlock()
@@ -341,9 +342,9 @@ func (s *Server) runner(ctx context.Context, lane int) {
 }
 
 // runJob executes one campaign with per-job isolation: its own cancel
-// scope, its own recorder, its own checkpoint file. The shared trace
-// cache is the only cross-job resource, and it is keyed by content, so
-// sharing never changes bytes.
+// scope and its own checkpoint file. The trace cache and the recorder
+// are shared across jobs; the cache is keyed by content, so sharing
+// never changes bytes.
 func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	s.setBusy(1)
 	defer s.setBusy(-1)
@@ -352,25 +353,15 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	span := s.rec.StartSpan(obs.SpanCampaign, lane, obs.String(obs.AttrJob, j.id)).InTrace(j.trace)
 	span.Link(j.reqSpan)
 
-	// The job's private recorder mirrors the daemon's capture level so
-	// its pipeline spans can be adopted into the request trace when the
-	// job finishes; while it runs, ForwardTo feeds them to live-stream
-	// watchers stamped with the trace and the campaign span as parent.
-	jrec := obs.New()
-	if s.rec.TracingEnabled() {
-		jrec.EnableTracing()
-	}
-	if s.rec.SimEnabled() {
-		jrec.EnableSim()
-	}
-	jrec.ForwardTo(s.rec, j.trace, span.ID())
 	jctx, jcancel := context.WithCancel(ctx)
 	defer jcancel()
 	o := j.camp.Options()
 	o.Ctx = jctx
 	o.Workers = s.cfg.Workers
 	o.TraceCache = s.cfg.TraceCache
-	o.Obs = jrec
+	// The pipeline's spans join the request trace under the campaign
+	// span as they close, on the daemon's clock.
+	o.Obs = s.rec.Scope(j.trace, span.ID())
 	o.Notify = j.notify
 	if s.cfg.JobDir != "" {
 		o.Checkpoint = s.checkpointPath(j.id)
@@ -384,13 +375,8 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	j.mu.Unlock()
 
 	ds, rep, err := measure.CollectReport(o)
-	// Adoption folds the whole job recorder - counters, histograms,
-	// stage timers and (when tracing) its spans and events, re-parented
-	// under the campaign span as one connected trace - into the daemon
-	// recorder behind /metrics and /debug/obs-trace. Both the adoption
-	// and the span close happen before the job turns terminal, so a
-	// client woken by the done channel always sees the full trace.
-	s.rec.Adopt(jrec.Snapshot(), j.trace, span.ID())
+	// The span closes before the job turns terminal, so a client woken
+	// by the done channel always sees the full trace.
 	span.End()
 
 	j.mu.Lock()
@@ -415,7 +401,7 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 			j.finishLocked(StateFailed)
 			break
 		}
-		j.report = rep
+		j.summary = summarize(rep)
 		j.resumed = rep.Resumed
 		j.result = buf.Bytes()
 		s.rec.Add(obs.CtrJobsCompleted, 1)
@@ -453,13 +439,13 @@ func (s *Server) persist(j *Job) {
 }
 
 // loadPersisted returns the terminal bytes persisted for id by an
-// earlier run (possibly of an earlier server process). The entry must
-// verify and hold a done status for id; anything less is a miss. A
-// damaged entry is deleted, so the campaign is computed again and
-// stored afresh.
-func (s *Server) loadPersisted(id string) (status, result []byte, ok bool) {
+// earlier run (possibly of an earlier server process), and the result
+// summary its status line holds. The entry must verify and hold a done
+// status for id; anything less is a miss. A damaged entry is deleted,
+// so the campaign is computed again and stored afresh.
+func (s *Server) loadPersisted(id string) (status []byte, summary *ResultSummary, result []byte, ok bool) {
 	if s.cfg.JobDir == "" {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	path := s.entryPath(id)
 	entry, err := tracecache.ReadEntry(path)
@@ -467,14 +453,14 @@ func (s *Server) loadPersisted(id string) (status, result []byte, ok bool) {
 		if errors.Is(err, tracecache.ErrCorrupt) {
 			_ = os.Remove(path) // best-effort heal; a stuck entry misses again next time
 		}
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	// The status is one compact JSON line; the result CSV follows it.
 	nl := bytes.IndexByte(entry, '\n') + 1
 	var st Status
 	if json.Unmarshal(entry[:nl], &st) != nil || st.State != StateDone || st.ID != id {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	// The cap keeps an append to the status from overwriting the result.
-	return entry[:nl:nl], entry[nl:], true
+	return entry[:nl:nl], st.Result, entry[nl:], true
 }

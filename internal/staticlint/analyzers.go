@@ -76,7 +76,7 @@ func DefaultConfig() Config {
 			"gpuport/internal/server.Server",
 			"gpuport/internal/server.Job",
 			"gpuport/internal/tracecache.Store",
-			"gpuport/internal/obs.Recorder",
+			"gpuport/internal/obs.store",
 		},
 		GoLeakScope: []string{"internal/server", "internal/measure", "internal/obs"},
 	}

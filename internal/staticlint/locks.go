@@ -39,7 +39,7 @@ type guardedField struct {
 // the lock root.path[0].path[1]... must be held by every caller.
 type lockContract struct {
 	root *types.Var // receiver or parameter owning the lock
-	path []string   // field path from root to the mutex ("mu"; "fwd", "mu")
+	path []string   // field path from root to the mutex ("mu"; "st", "mu")
 }
 
 // factProblem is a malformed or unresolvable annotation; lockguard
@@ -200,7 +200,7 @@ func (f *lockFacts) collectContract(pkg *Package, fd *ast.FuncDecl) {
 	f.contracts[fn] = c
 }
 
-// resolveContract maps a contract name ("mu", "j.mu", "r.fwd.mu") to
+// resolveContract maps a contract name ("mu", "j.mu", "r.st.mu") to
 // the receiver or parameter it roots in, validating that the field
 // path ends at a mutex. A bare "mu" means receiver.mu.
 func resolveContract(fn *types.Func, name string) *lockContract {
@@ -281,11 +281,7 @@ func namedOf(t types.Type) *types.Named {
 
 // lockID is the instance-collapsed identity of a lock, used by the
 // lock-order graph: "pkg/path.Type.mu" for struct mutexes,
-// "pkg/path.var" for package-level ones. When a lock is reached
-// through a field of its own declaring type (obs.Recorder.fwd, the
-// forward target), the identity is refined with the field name
-// ("pkg/path.Recorder.mu[fwd]") so the documented parent-before-child
-// order does not read as a self-cycle.
+// "pkg/path.var" for package-level ones.
 type lockID string
 
 // lockIdentity computes the identity of the mutex named by the owner
@@ -310,13 +306,7 @@ func lockIdentity(pkg *Package, e ast.Expr) lockID {
 		if owner == nil || owner.Obj().Pkg() == nil {
 			break
 		}
-		id := owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + v.Name()
-		if bsel, ok := base.(*ast.SelectorExpr); ok {
-			if namedOf(pkg.Info.Types[bsel.X].Type) == owner {
-				id += "[" + bsel.Sel.Name + "]"
-			}
-		}
-		return lockID(id)
+		return lockID(owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + v.Name())
 	case *ast.Ident:
 		if v, ok := pkg.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil {
 			if v.Parent() == v.Pkg().Scope() {
@@ -338,12 +328,9 @@ func contractKey(base string, path []string) string {
 }
 
 // contractLockID computes the lock identity of a contract's mutex by
-// walking the declared field path, mirroring lockIdentity's via-field
-// refinement for paths like r.fwd.mu.
+// walking the declared field path, as lockIdentity names it.
 func contractLockID(pkg *Package, c *lockContract) lockID {
 	t := c.root.Type()
-	var prevOwner *types.Named
-	var prevField string
 	for i, hop := range c.path {
 		owner := namedOf(t)
 		if owner == nil {
@@ -367,13 +354,8 @@ func contractLockID(pkg *Package, c *lockContract) lockID {
 			if owner.Obj().Pkg() == nil {
 				break
 			}
-			id := owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + hop
-			if prevOwner == owner {
-				id += "[" + prevField + "]"
-			}
-			return lockID(id)
+			return lockID(owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + hop)
 		}
-		prevOwner, prevField = namedOf(next), hop
 		t = next
 	}
 	return lockID(pkg.Path + ".(contract)." + contractKey(c.root.Name(), c.path))
