@@ -96,9 +96,11 @@ cover:
 		-floor gpuport/internal/irgl,89 \
 		-floor gpuport/internal/measure,86 \
 		-floor gpuport/internal/obs,68 \
+		-floor gpuport/internal/report,85 \
 		-floor gpuport/internal/server,85 \
 		-floor gpuport/internal/staticlint,92 \
-		-floor gpuport/internal/stats,97
+		-floor gpuport/internal/stats,97 \
+		-floor gpuport/internal/tracecache,87
 	@rm -f cover.out
 
 # perfbench-test vets and tests the repository benchmark (_perfbench/, its

@@ -263,7 +263,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		return printAll(w, s)
+		return printAll(w, s, opts.Obs.Summary())
 	case "dataset":
 		s, err := loader()
 		if err != nil {
@@ -272,7 +272,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err := report.TuplesSummary(w, s.Dataset()); err != nil {
 			return err
 		}
-		if err := printCampaign(w, s); err != nil {
+		if err := printCampaign(w, s, opts.Obs.Summary()); err != nil {
 			return err
 		}
 		if outFile == "" {
@@ -357,7 +357,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		prevMD := report.Markdown
 		report.Markdown = true
 		defer func() { report.Markdown = prevMD }()
-		if err := writeFullReport(f, s, seed); err != nil {
+		if err := writeFullReport(f, s, seed, opts.Obs.Summary()); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "report written to %s\n", path)
@@ -453,12 +453,12 @@ func (e *emit) ln(args ...any) {
 
 // writeFullReport emits the complete study plus the extension
 // experiments as one markdown document.
-func writeFullReport(w io.Writer, s *study.Study, seed uint64) error {
+func writeFullReport(w io.Writer, s *study.Study, seed uint64, pipeline *obs.Summary) error {
 	e := &emit{w: w}
 	e.ln("# gpuport study report")
 	e.ln()
 	e.f("Reproduction of \"One Size Doesn't Fit All\" (IISWC 2019); seed %d.\n\n", seed)
-	e.do(printAll(w, s))
+	e.do(printAll(w, s, pipeline))
 	e.ln("\n## Extension: sampling sufficiency (Section IX future work)")
 	e.ln()
 	pts := s.SamplingCurve(analysis.Dims{Chip: true}, []float64{0.1, 0.2, 0.3, 0.5, 0.75, 1.0}, 5, seed)
@@ -495,7 +495,7 @@ func progressSink(w io.Writer) func(phase string, done, total int) {
 
 // loadOrCollect reads the dataset from inFile or collects it, saving it
 // to outFile when set. A non-nil progress writer receives the
-// collection's per-stage summary.
+// collection's per-stage summary, read from opts.Obs.
 func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Writer) (*study.Study, error) {
 	if inFile != "" {
 		f, err := os.Open(inFile)
@@ -516,11 +516,9 @@ func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Wri
 	if progress != nil {
 		// -v: stage wall-clock (trace vs sweep vs assemble) and cache
 		// counters go to the progress stream, never the report proper.
-		if rep := s.Report(); rep != nil {
-			// Progress logging is advisory; a broken -v stream must not
-			// abort the collection whose results are already in hand.
-			_ = rep.Pipeline.Format(progress)
-		}
+		// Progress logging is advisory; a broken -v stream must not
+		// abort the collection whose results are already in hand.
+		_ = opts.Obs.Summary().Format(progress)
 	}
 	if outFile != "" {
 		f, err := os.Create(outFile)
@@ -537,14 +535,16 @@ func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Wri
 
 // printCampaign renders the collection accounting when there is
 // anything to tell: fault injection, missing cells, resumed cells or
-// checkpoint trouble. Clean non-resumed runs stay silent.
-func printCampaign(w io.Writer, s *study.Study) error {
-	rep := s.Report()
+// checkpoint trouble. Clean non-resumed runs stay silent. pipeline
+// summarises the collection's recorder (opts.Obs); the process ran one
+// collection, so its cache counters are that collection's.
+func printCampaign(w io.Writer, s *study.Study, pipeline *obs.Summary) error {
 	// Trace-cache accounting renders whenever the cache saw traffic
 	// (and nothing otherwise), independently of fault eventfulness.
-	if err := report.TraceCacheSummary(w, rep); err != nil {
+	if err := report.TraceCacheSummary(w, pipeline); err != nil {
 		return err
 	}
+	rep := s.Report()
 	if rep == nil || !rep.Eventful() {
 		return nil
 	}
@@ -555,11 +555,11 @@ func printCampaign(w io.Writer, s *study.Study) error {
 	return e.err
 }
 
-func printAll(w io.Writer, s *study.Study) error {
+func printAll(w io.Writer, s *study.Study, pipeline *obs.Summary) error {
 	d := s.Dataset()
 	e := &emit{w: w}
 	e.do(report.TuplesSummary(w, d))
-	e.do(printCampaign(w, s))
+	e.do(printCampaign(w, s, pipeline))
 	e.ln()
 	e.do(report.Chips(w, chip.All()))
 	e.ln()

@@ -14,6 +14,7 @@ import (
 	"gpuport/internal/chip"
 	"gpuport/internal/graph"
 	"gpuport/internal/measure"
+	"gpuport/internal/obs"
 )
 
 // The dataset-generating commands share one CSV written once, so the
@@ -185,6 +186,40 @@ func TestProgressSink(t *testing.T) {
 	want := []string{"sweep 1/4", "sweep 2/4", "sweep 3/4", "sweep 4/4", "trace 1/2", "trace 2/2"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("progress lines = %q, want %q in some order", got, want)
+	}
+}
+
+// TestVerbosePipelineSummary drives a small collection through
+// loadOrCollect with a progress writer, as -v does: the writer gets the
+// summary of the recorder in opts.Obs, one line per stage and counter.
+func TestVerbosePipelineSummary(t *testing.T) {
+	var buf bytes.Buffer
+	o := measure.Options{
+		Chips:   chip.All()[:2],
+		Apps:    apps.All()[:2],
+		Inputs:  []*graph.Graph{graph.GenerateUniform("p-rand", 300, 4, 1)},
+		Workers: 2,
+		Obs:     obs.New(),
+	}
+	if _, err := loadOrCollect("", "", o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for _, want := range []string{
+		"pipeline: stage " + obs.StageTrace + " ",
+		"pipeline: stage " + obs.StageSweep + " ",
+		"pipeline: stage " + obs.StageAssemble + " ",
+		"pipeline: " + obs.CtrKernelLaunches + " ",
+	} {
+		n := 0
+		for _, l := range lines {
+			if strings.HasPrefix(l, want) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d lines start %q, want 1:\n%s", n, want, buf.String())
+		}
 	}
 }
 

@@ -84,9 +84,9 @@ type Options struct {
 	// execution entirely, and fresh traces are written back. The
 	// resulting dataset is bit-identical to an uncached run.
 	TraceCache *tracecache.Store
-	// Obs receives stage timings (trace, sweep, assemble) and cache
-	// hit/miss counters; nil allocates a private recorder whose summary
-	// lands in the collection report.
+	// Obs receives stage timings (trace, sweep, assemble), cache
+	// hit/miss counters and, when enabled, spans; nil records nothing.
+	// The caller reads what was recorded from the recorder it passed.
 	Obs *obs.Recorder
 }
 
@@ -95,9 +95,6 @@ func (o *Options) fill() {
 	if o.Ctx == nil {
 		//lint:allow ctxprop Options.fill is the documented default for callers that pass no context
 		o.Ctx = context.Background()
-	}
-	if o.Obs == nil {
-		o.Obs = obs.New()
 	}
 }
 
@@ -379,7 +376,6 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	}
 	assembleSpan.End()
 	stopAssemble()
-	rep.Pipeline = o.Obs.Summary()
 	return d, rep, nil
 }
 

@@ -87,8 +87,7 @@ func TestObsExportsDeterministicAcrossWorkers(t *testing.T) {
 func TestObsSpanPopulation(t *testing.T) {
 	o := smallOptions()
 	o.Obs = obs.New().EnableSim()
-	_, rep, err := CollectReport(o)
-	if err != nil {
+	if _, err := Collect(o); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Obs.Snapshot()
@@ -110,7 +109,8 @@ func TestObsSpanPopulation(t *testing.T) {
 		}
 	}
 	// Workload counters are recorded by the always-on layer too.
-	if rep.Pipeline.Counter(obs.CtrKernelLaunches) == 0 {
+	launches := snap.Summary.Counter(obs.CtrKernelLaunches)
+	if launches == 0 {
 		t.Errorf("%s = 0 after a traced run", obs.CtrKernelLaunches)
 	}
 	var frontier *obs.Hist
@@ -119,20 +119,18 @@ func TestObsSpanPopulation(t *testing.T) {
 			frontier = &snap.Hists[i]
 		}
 	}
-	if frontier == nil || frontier.Count != rep.Pipeline.Counter(obs.CtrKernelLaunches) {
+	if frontier == nil || frontier.Count != launches {
 		t.Errorf("frontier hist count = %+v, want one observation per launch (%d)",
-			frontier, rep.Pipeline.Counter(obs.CtrKernelLaunches))
+			frontier, launches)
 	}
 }
 
 // TestObsDisabledByDefault proves the span layer stays out of the way:
-// a default recorder (what a nil Options.Obs gets) captures counters
-// and stages but no spans.
+// a recorder from obs.New captures counters and stages but no spans.
 func TestObsDisabledByDefault(t *testing.T) {
 	o := smallOptions()
 	o.Obs = obs.New()
-	_, rep, err := CollectReport(o)
-	if err != nil {
+	if _, err := Collect(o); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Obs.Snapshot()
@@ -140,7 +138,33 @@ func TestObsDisabledByDefault(t *testing.T) {
 		t.Errorf("default run captured %d spans, %d events",
 			len(snap.Spans), len(snap.Events))
 	}
-	if rep.Pipeline.StageDuration(obs.StageSweep) == 0 {
+	if snap.Summary.StageDuration(obs.StageSweep) == 0 {
 		t.Error("stage timers should run even with tracing disabled")
+	}
+}
+
+// TestRecorderNeverFeedsDataset collects the small sweep, clean and
+// under fault injection, once with no recorder and once with every
+// capture level on: the two CSVs must be byte-identical, because
+// recording never feeds the dataset.
+func TestRecorderNeverFeedsDataset(t *testing.T) {
+	for _, faults := range []*fault.Profile{nil, (&fault.Profile{Transient: 0.2, Corrupt: 0.1, Seed: 11}).Fill()} {
+		csv := func(rec *obs.Recorder) []byte {
+			o := smallOptions()
+			o.Faults = faults
+			o.Obs = rec
+			d, err := Collect(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := d.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		if !bytes.Equal(csv(nil), csv(obs.New().EnableSim())) {
+			t.Errorf("faults %v: the CSV with a recorder differs from the CSV without one", faults != nil)
+		}
 	}
 }

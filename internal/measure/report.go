@@ -3,7 +3,6 @@ package measure
 import (
 	"gpuport/internal/dataset"
 	"gpuport/internal/fault"
-	"gpuport/internal/obs"
 )
 
 // CellFailure explains one missing cell of a partial dataset.
@@ -57,46 +56,6 @@ type Report struct {
 	// CheckpointError is non-empty when shard persistence failed; the
 	// sweep itself still completed.
 	CheckpointError string
-	// Pipeline is the stage-timing and counter summary of the recorder
-	// the run wrote to (Options.Obs): trace / sweep / assemble
-	// wall-clock plus trace-cache hit, miss and put-error counts. A
-	// recorder shared with other work also counts that work. Wall-clock
-	// varies run to run, so it is reported but never feeds the dataset.
-	Pipeline *obs.Summary
-}
-
-// TraceCacheHits returns the number of trace-phase cache hits.
-func (r *Report) TraceCacheHits() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Pipeline.Counter(obs.CtrCacheHits)
-}
-
-// TraceCacheMisses returns the number of trace-phase cache misses.
-func (r *Report) TraceCacheMisses() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Pipeline.Counter(obs.CtrCacheMisses)
-}
-
-// TraceCacheEvictions returns the number of store-level LRU evictions
-// seen by the run (0 unless the store was attached to the recorder).
-func (r *Report) TraceCacheEvictions() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Pipeline.Counter(obs.CtrCacheEvictions)
-}
-
-// TraceCacheHealed returns the number of damaged cache entries the
-// store detected and deleted during the run.
-func (r *Report) TraceCacheHealed() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.Pipeline.Counter(obs.CtrCacheCorrupt)
 }
 
 // Coverage returns the fraction of intended cells that were measured.

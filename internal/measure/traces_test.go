@@ -13,6 +13,7 @@ import (
 	"gpuport/internal/apps"
 	"gpuport/internal/dataset"
 	"gpuport/internal/graph"
+	"gpuport/internal/obs"
 	"gpuport/internal/opt"
 	"gpuport/internal/tracecache"
 )
@@ -84,15 +85,20 @@ func TestTracesColdVsWarmCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.TraceCache = store
-	coldCache := viewProfiles(o, t) // populates the cache
-	warm := viewProfiles(o, t)      // served from the cache
-	profilesEqual(t, cold, coldCache)
-	profilesEqual(t, cold, warm)
-
-	st := store.Stats()
 	wantPairs := int64(len(o.Apps) * len(o.Inputs))
-	if st.Misses != wantPairs || st.Hits != wantPairs {
-		t.Errorf("cache stats = %+v, want %d misses then %d hits", st, wantPairs, wantPairs)
+	for _, run := range []struct {
+		label        string
+		hits, misses int64
+	}{
+		{"cold", 0, wantPairs}, // populates the cache
+		{"warm", wantPairs, 0}, // served from the cache
+	} {
+		o.Obs = obs.New()
+		profilesEqual(t, cold, viewProfiles(o, t))
+		sum := o.Obs.Summary()
+		if hits, misses := sum.Counter(obs.CtrCacheHits), sum.Counter(obs.CtrCacheMisses); hits != run.hits || misses != run.misses {
+			t.Errorf("%s: hits=%d misses=%d, want %d/%d", run.label, hits, misses, run.hits, run.misses)
+		}
 	}
 }
 
@@ -108,12 +114,14 @@ func TestCollectColdVsWarmCacheBitIdentical(t *testing.T) {
 	}
 	o.TraceCache = store
 	for _, label := range []string{"cold", "warm"} {
-		d, rep, err := CollectReport(o)
+		o.Obs = obs.New()
+		d, err := Collect(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		datasetsMustMatch(t, base, d, label)
-		hits, misses := rep.TraceCacheHits(), rep.TraceCacheMisses()
+		sum := o.Obs.Summary()
+		hits, misses := sum.Counter(obs.CtrCacheHits), sum.Counter(obs.CtrCacheMisses)
 		if label == "cold" && (hits != 0 || misses != 2) {
 			t.Errorf("cold: hits=%d misses=%d, want 0/2", hits, misses)
 		}
@@ -150,7 +158,8 @@ func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.TraceCache = store
+	healed := obs.New()
+	o.TraceCache = store.SetObs(healed)
 	viewProfiles(o, t) // populate
 
 	entries, err := filepath.Glob(filepath.Join(dir, "*.trace"))
@@ -176,13 +185,13 @@ func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 	}
 
 	profilesEqual(t, cold, viewProfiles(o, t))
-	if st := store.Stats(); st.Corrupt != int64(len(entries)) {
-		t.Errorf("corrupt entries detected = %d, want %d", st.Corrupt, len(entries))
+	if got := healed.Summary().Counter(obs.CtrCacheCorrupt); got != int64(len(entries)) {
+		t.Errorf("corrupt entries detected = %d, want %d", got, len(entries))
 	}
 	// And the re-trace healed the cache: next run is all hits.
-	before := store.Stats().Hits
+	o.Obs = obs.New()
 	profilesEqual(t, cold, viewProfiles(o, t))
-	if got := store.Stats().Hits - before; got != int64(len(cold)) {
+	if got := o.Obs.Summary().Counter(obs.CtrCacheHits); got != int64(len(cold)) {
 		t.Errorf("healed cache served %d hits, want %d", got, len(cold))
 	}
 }
@@ -250,12 +259,13 @@ func TestTracesInterruptedThenResumedBitIdentical(t *testing.T) {
 
 	resumed := o
 	resumed.TraceCache = store
-	d, rep, err := CollectReport(resumed)
+	resumed.Obs = obs.New()
+	d, err := Collect(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	datasetsMustMatch(t, base, d, "interrupted-then-resumed")
-	if rep.TraceCacheHits() == 0 {
+	if resumed.Obs.Summary().Counter(obs.CtrCacheHits) == 0 {
 		t.Error("resume re-traced everything; the interrupted phase's work was wasted")
 	}
 }
@@ -294,10 +304,11 @@ func TestTracesValidateFlagPartitionsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Validate = true
+	o.Obs = obs.New()
 	if _, err := Traces(o); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Hits != 0 {
-		t.Errorf("validating run hit %d unvalidated entries", st.Hits)
+	if hits := o.Obs.Summary().Counter(obs.CtrCacheHits); hits != 0 {
+		t.Errorf("validating run hit %d unvalidated entries", hits)
 	}
 }

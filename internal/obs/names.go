@@ -103,11 +103,9 @@ const (
 	AttrInput    = "input"
 	AttrChip     = "chip"
 	AttrConfig   = "config"
-	AttrGraphFP  = "graph-fp"
 	AttrCached   = "cached"
 	AttrAttempt  = "attempt"
 	AttrKind     = "kind"
-	AttrWaitNS   = "wait-ns"
 	AttrFrontier = "frontier"
 	AttrEdges    = "edges"
 	AttrPushes   = "pushes"

@@ -5,8 +5,8 @@
 //
 // It deliberately measures only the harness, never the simulated
 // experiment: stage durations are real wall-clock and therefore vary
-// run to run, so they are reported alongside the dataset (in
-// measure.Report and the CLI) but never feed into it.
+// run to run, so they are reported alongside the dataset (the CLI's -v
+// summary) but never feed into it.
 package obs
 
 import (
@@ -141,10 +141,12 @@ func NewWithClock(now func() time.Time) *Recorder {
 
 // Scope returns a view of r that records into the same store on the
 // same clock. Every span the view opens carries the trace ID, and
-// every real-track root it opens is parented under parent; span IDs
-// are computed as on r, so a root's ID does not depend on its parent.
-// This is how a campaign's pipeline records into the daemon's
-// recorder as part of the campaign's request trace.
+// every real-track root it opens is a child of parent, ID included.
+// Simulated-track roots stay unparented but hash parent into their
+// ID too, so two views under different parents never share a span ID.
+// On r itself parent is 0, and IDs are those of an unscoped run. This
+// is how a campaign's pipeline records into the daemon's recorder as
+// part of the campaign's request trace.
 func (r *Recorder) Scope(trace, parent uint64) *Recorder {
 	if r == nil {
 		return nil

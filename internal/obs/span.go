@@ -218,14 +218,15 @@ type SpanHandle struct {
 
 // StartSpan opens a root span on the real track. The attributes are
 // part of the span's identity and must make it unique among its
-// siblings (see Span). On a scoped view the root carries the view's
-// trace and parent.
+// siblings (see Span). On a scoped view the root is a child of the
+// view's parent: it carries the view's trace and parent, and its ID
+// hashes that parent.
 func (r *Recorder) StartSpan(name string, lane int, attrs ...Attr) *SpanHandle {
 	if !r.TracingEnabled() {
 		return nil
 	}
 	return &SpanHandle{r: r, span: Span{
-		ID:      spanID(0, name, attrs),
+		ID:      spanID(r.parent, name, attrs),
 		Parent:  r.parent,
 		TraceID: r.trace,
 		Name:    name,
@@ -334,13 +335,18 @@ func (h *SpanHandle) End() {
 // SimSpan records one completed span on the simulated track with an
 // explicit virtual interval. Returns the span's ID for parenting. On a
 // scoped view the span carries the view's trace; a root (parent 0)
-// stays unparented.
+// stays unparented, but its ID hashes the view's parent, so the same
+// timeline recorded by two campaigns gets two IDs.
 func (r *Recorder) SimSpan(lane int, parent uint64, name string, startNS, durNS int64, attrs ...Attr) uint64 {
 	if !r.SimEnabled() {
 		return 0
 	}
+	idParent := parent
+	if parent == 0 {
+		idParent = r.parent
+	}
 	s := Span{
-		ID:      spanID(parent, name, attrs),
+		ID:      spanID(idParent, name, attrs),
 		Parent:  parent,
 		TraceID: r.trace,
 		Name:    name,

@@ -97,8 +97,8 @@ func TestSimSpanVirtualClock(t *testing.T) {
 }
 
 // TestScopeStampsSpans pins what a scoped view adds to the spans it
-// opens: the trace on every span, and the parent on real-track roots
-// only. IDs are the ones the unscoped recorder computes, and the view
+// opens: the trace on every span, the parent on real-track roots only,
+// and the parent in the ID of every root on both tracks. The view
 // records into its recorder's store, on its clock.
 func TestScopeStampsSpans(t *testing.T) {
 	r := NewWithClock(fakeClock(time.Millisecond)).EnableSim()
@@ -119,9 +119,9 @@ func TestScopeStampsSpans(t *testing.T) {
 	}
 	for name, want := range map[string]struct{ id, parent, trace uint64 }{
 		SpanCampaign:    {campaign.ID(), 0, 0},
-		StageTrace:      {spanID(0, StageTrace, nil), campaign.ID(), 42},
+		StageTrace:      {spanID(campaign.ID(), StageTrace, nil), campaign.ID(), 42},
 		SpanTracePair:   {spanID(root.ID(), SpanTracePair, []Attr{String(AttrApp, "bfs-wl")}), root.ID(), 42},
-		SpanSimTimeline: {spanID(0, SpanSimTimeline, nil), 0, 42},
+		SpanSimTimeline: {spanID(campaign.ID(), SpanSimTimeline, nil), 0, 42},
 		"kernel_relax":  {spanID(tl, "kernel_relax", nil), tl, 42},
 	} {
 		sp, ok := byName[name]

@@ -157,8 +157,9 @@ func (r *Recorder) MergeStage(name string, d time.Duration, calls int) {
 // histograms, counters, stage timers and simulated-track lane names
 // are carried over. Real-track lane names are NOT adopted - worker
 // lanes are scheduling artifacts of the donor and would collide with
-// the adopter's own lanes. The stamping is the one a scoped view (see
-// Scope) applies as it records.
+// the adopter's own lanes. Adopted spans keep the donor's IDs: unlike
+// a scoped view (see Scope), which hashes its parent into the IDs of
+// the roots it opens, Adopt only restamps trace and parent.
 //
 // Adopted spans and events are not published to watchers.
 func (r *Recorder) Adopt(s *Snapshot, trace, parent uint64) {

@@ -3,23 +3,20 @@ package report
 import (
 	"io"
 
-	"gpuport/internal/measure"
 	"gpuport/internal/obs"
 )
 
 // TraceCacheSummary renders the trace-cache traffic of a collection run
-// as a table. Runs without cache activity render nothing, so callers
-// can invoke it unconditionally. Only counters appear here - they are
-// deterministic for a given cache state - while wall-clock stage
-// timings go to the verbose log (obs.Summary.Format).
-func TraceCacheSummary(w io.Writer, rep *measure.Report) error {
-	if rep == nil || rep.Pipeline == nil {
-		return nil
-	}
-	hits, misses := rep.TraceCacheHits(), rep.TraceCacheMisses()
-	putErrs := rep.Pipeline.Counter(obs.CtrCachePutErrors)
-	mismatches := rep.Pipeline.Counter(obs.CtrCacheMismatches)
-	evicted, healed := rep.TraceCacheEvictions(), rep.TraceCacheHealed()
+// as a table, read from the summary of the recorder the run wrote to.
+// A nil summary, or one without cache activity, renders nothing, so
+// callers can invoke it unconditionally. Only counters appear here -
+// they are deterministic for a given cache state - while wall-clock
+// stage timings go to the verbose log (obs.Summary.Format).
+func TraceCacheSummary(w io.Writer, sum *obs.Summary) error {
+	hits, misses := sum.Counter(obs.CtrCacheHits), sum.Counter(obs.CtrCacheMisses)
+	putErrs := sum.Counter(obs.CtrCachePutErrors)
+	mismatches := sum.Counter(obs.CtrCacheMismatches)
+	evicted, healed := sum.Counter(obs.CtrCacheEvictions), sum.Counter(obs.CtrCacheCorrupt)
 	if hits+misses+putErrs+mismatches+evicted+healed == 0 {
 		return nil
 	}

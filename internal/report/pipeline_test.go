@@ -4,25 +4,24 @@ import (
 	"strings"
 	"testing"
 
-	"gpuport/internal/measure"
 	"gpuport/internal/obs"
 )
 
 func TestTraceCacheSummary(t *testing.T) {
 	var b strings.Builder
 	TraceCacheSummary(&b, nil)
-	TraceCacheSummary(&b, &measure.Report{})
-	TraceCacheSummary(&b, &measure.Report{Pipeline: &obs.Summary{}})
+	TraceCacheSummary(&b, &obs.Summary{})
+	TraceCacheSummary(&b, &obs.Summary{Counters: []obs.Counter{{Name: obs.CtrKernelLaunches, Value: 5}}})
 	if b.Len() != 0 {
 		t.Fatalf("inactive cache rendered output:\n%s", b.String())
 	}
 
-	rep := &measure.Report{Pipeline: &obs.Summary{Counters: []obs.Counter{
+	sum := &obs.Summary{Counters: []obs.Counter{
 		{Name: obs.CtrCacheHits, Value: 48},
 		{Name: obs.CtrCacheMisses, Value: 3},
 		{Name: obs.CtrCachePutErrors, Value: 1},
-	}}}
-	TraceCacheSummary(&b, rep)
+	}}
+	TraceCacheSummary(&b, sum)
 	out := b.String()
 	for _, want := range []string{"Trace cache", "48", "3", "94.1%", "write errors"} {
 		if !strings.Contains(out, want) {
@@ -37,13 +36,13 @@ func TestTraceCacheSummary(t *testing.T) {
 
 	// Store-level rows render when the store reported traffic.
 	b.Reset()
-	rep = &measure.Report{Pipeline: &obs.Summary{Counters: []obs.Counter{
+	sum = &obs.Summary{Counters: []obs.Counter{
 		{Name: obs.CtrCacheHits, Value: 10},
 		{Name: obs.CtrCacheMisses, Value: 2},
 		{Name: obs.CtrCacheEvictions, Value: 4},
 		{Name: obs.CtrCacheCorrupt, Value: 1},
-	}}}
-	TraceCacheSummary(&b, rep)
+	}}
+	TraceCacheSummary(&b, sum)
 	out = b.String()
 	for _, want := range []string{"evictions (size cap)", "damaged entries healed"} {
 		if !strings.Contains(out, want) {

@@ -403,6 +403,28 @@ func TestPipelineSpansInsideParents(t *testing.T) {
 	}
 }
 
+// TestCampaignSpanIDsDistinct runs two one-chip campaigns over the
+// same app and input on one simulating daemon. Their pipelines record
+// the same stage, pair and timeline spans, each through its own
+// scoped view, yet no two spans of the daemon's trace, on either
+// track, may share an ID.
+func TestCampaignSpanIDsDistinct(t *testing.T) {
+	s := newTestServer(t, Config{Obs: obs.New().EnableSim()})
+	for _, chipName := range []string{"M4000", "GTX1080"} {
+		spec := testSpec()
+		spec.Chips = []string{chipName}
+		waitDone(t, submit(t, s, spec))
+	}
+	spans := s.Snapshot().Spans
+	ids := map[uint64]bool{}
+	for _, sp := range spans {
+		ids[sp.ID] = true
+	}
+	if len(ids) != len(spans) {
+		t.Errorf("%d spans carry only %d distinct IDs", len(spans), len(ids))
+	}
+}
+
 // streamCampaign runs testSpec on a simulating server while reading
 // /debug/obs-stream, and returns the events streamed up to a sentinel
 // (a rejected submit, made once the campaign is done) together with

@@ -75,7 +75,6 @@ func DefaultConfig() Config {
 		LockGuarded: []string{
 			"gpuport/internal/server.Server",
 			"gpuport/internal/server.Job",
-			"gpuport/internal/tracecache.Store",
 			"gpuport/internal/obs.store",
 		},
 		GoLeakScope: []string{"internal/server", "internal/measure", "internal/obs"},

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"gpuport/internal/obs"
 )
 
 // TestStressMixedOperations drives every public operation concurrently
@@ -12,36 +14,31 @@ import (
 // eviction runs continuously. Invariants, checked under -race:
 //
 //   - no operation panics or corrupts an entry (every hit decodes, so a
-//     torn write would surface as a Corrupt count);
-//   - Purge and eviction racing Put/Get never produce an error other
-//     than a miss;
+//     torn write would surface as a healed-entry count);
+//   - eviction racing Put/Get never produces an error other than a
+//     miss;
 //   - after the storm settles, a final Put/Get round trip still works
 //     and Len agrees with a fresh handle's view of the directory.
 //
 // TestConcurrentAccess covers the simple reader/writer race; this test
-// exists to put eviction, Purge and Len into the mix, which touch the
+// exists to put eviction and Len into the mix, which touch the
 // directory scan paths rather than single entry files.
 func TestStressMixedOperations(t *testing.T) {
 	dir := t.TempDir()
 	tr, key := testTrace(t)
-	entrySize := func() int64 {
-		p, err := tr.AppendJSONCompact(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(len(appendHeader(nil, p)) + len(p))
-	}()
+	size := entrySize(t, tr)
 	// Budget for ~3 entries while writers rotate over 8 keys: eviction
 	// triggers on nearly every Put.
-	s1, err := Open(dir, 3*entrySize)
+	s1, err := Open(dir, 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, 3*entrySize)
+	s2, err := Open(dir, 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := []*Store{s1, s2}
+	rec := obs.New()
+	stores := []*Store{s1.SetObs(rec), s2.SetObs(rec)}
 
 	keys := make([]Key, 8)
 	for i := range keys {
@@ -60,7 +57,7 @@ func TestStressMixedOperations(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				k := keys[(w*7+i)%len(keys)]
 				switch w % 4 {
-				case 0:
+				case 0, 3:
 					if err := s.Put(k, tr); err != nil {
 						t.Errorf("put: %v", err)
 						return
@@ -76,26 +73,14 @@ func TestStressMixedOperations(t *testing.T) {
 						t.Error("get returned a wrong trace")
 						return
 					}
-				case 3:
-					if i%20 == 19 {
-						if err := s.Purge(); err != nil {
-							t.Errorf("purge: %v", err)
-							return
-						}
-					} else if err := s.Put(k, tr); err != nil {
-						t.Errorf("put: %v", err)
-						return
-					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	for _, s := range stores {
-		if st := s.Stats(); st.Corrupt != 0 {
-			t.Errorf("stress storm produced %d corrupt reads (torn write?)", st.Corrupt)
-		}
+	if got := rec.Summary().Counter(obs.CtrCacheCorrupt); got != 0 {
+		t.Errorf("stress storm produced %d corrupt reads (torn write?)", got)
 	}
 
 	// The store must still work after the storm.
@@ -105,7 +90,7 @@ func TestStressMixedOperations(t *testing.T) {
 	if _, ok := s2.Get(keys[0]); !ok {
 		t.Fatal("entry written after the storm is not readable via the second handle")
 	}
-	fresh, err := Open(dir, 3*entrySize)
+	fresh, err := Open(dir, 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ const headerMagic = "gpuport-tracecache"
 // campaign, so eviction only matters for long-lived shared caches.
 const DefaultMaxBytes = 256 << 20
 
-// entryExt suffixes every entry file; Purge and eviction only ever
+// entryExt suffixes every entry file; eviction and Len only ever
 // touch files with this extension.
 const entryExt = ".trace"
 
@@ -86,21 +86,6 @@ func (k Key) id() string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
-// Stats counts store traffic since Open.
-type Stats struct {
-	// Hits and Misses count Get outcomes; a corrupt entry counts as a
-	// miss and additionally as Corrupt.
-	Hits, Misses int64
-	// Corrupt counts entries rejected by verification (truncated,
-	// checksum mismatch, stale format version, undecodable payload).
-	Corrupt int64
-	// Evicted counts entries removed by the LRU size cap.
-	Evicted int64
-	// PutErrors counts failed writes (the pipeline treats these as
-	// non-fatal: the trace is still returned, just not cached).
-	PutErrors int64
-}
-
 // Store is an open trace cache. Safe for concurrent use.
 type Store struct {
 	dir      string
@@ -111,8 +96,8 @@ type Store struct {
 	// (deleted-because-damaged) entries.
 	rec *obs.Recorder
 
-	mu    sync.Mutex
-	stats Stats // guarded by mu
+	// mu serialises evict's directory scans.
+	mu sync.Mutex
 }
 
 // Open opens (creating if necessary) the store rooted at dir. maxBytes
@@ -130,9 +115,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return &Store{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetObs attaches an observability recorder. The store then counts
 // evictions and healed entries (obs.CtrCacheEvictions,
 // obs.CtrCacheCorrupt) and, when tracing is enabled, emits one event
@@ -142,13 +124,6 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) SetObs(rec *obs.Recorder) *Store {
 	s.rec = rec
 	return s
-}
-
-// Stats returns a snapshot of the traffic counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }
 
 func (s *Store) path(k Key) string {
@@ -162,7 +137,6 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	path := s.path(k)
 	payload, err := ReadEntry(path)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
-		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	}
 	var tr *irgl.Trace
@@ -171,7 +145,6 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	}
 	if err != nil {
 		_ = os.Remove(path) // best-effort heal; a stuck entry re-misses next time
-		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
 		s.rec.Add(obs.CtrCacheCorrupt, 1)
 		s.rec.Event(obs.EvCacheHeal, 0, obs.String(obs.AttrPath, filepath.Base(path)))
 		return nil, false
@@ -180,7 +153,6 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	// failed touch only skews eviction order.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	s.count(func(st *Stats) { st.Hits++ })
 	return tr, true
 }
 
@@ -189,7 +161,6 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 // non-fatal - a trace that fails to cache is simply re-traced next run.
 func (s *Store) Put(k Key, tr *irgl.Trace) error {
 	if err := s.put(k, tr); err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return err
 	}
 	return s.evict(s.path(k))
@@ -343,27 +314,8 @@ func (s *Store) evict(keep string) error {
 			continue
 		}
 		total -= e.size
-		s.stats.Evicted++
 		s.rec.Add(obs.CtrCacheEvictions, 1)
 		s.rec.Event(obs.EvCacheEvict, 0, obs.String(obs.AttrPath, filepath.Base(e.path)))
-	}
-	return nil
-}
-
-// Purge removes every entry (but not the directory itself or any
-// foreign files in it). Counters are left running.
-func (s *Store) Purge() error {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("tracecache: purge: %w", err)
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), entryExt) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, de.Name())); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("tracecache: purge: %w", err)
-		}
 	}
 	return nil
 }
@@ -381,10 +333,4 @@ func (s *Store) Len() int {
 		}
 	}
 	return n
-}
-
-func (s *Store) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
 }

@@ -13,6 +13,7 @@ import (
 	"gpuport/internal/apps"
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
+	"gpuport/internal/obs"
 )
 
 func testTrace(t *testing.T) (*irgl.Trace, Key) {
@@ -44,10 +45,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatal("cached trace is not bit-identical to the original")
-	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Corrupt != 0 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss", st)
 	}
 }
 
@@ -111,6 +108,8 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec := obs.New()
+			s.SetObs(rec)
 			if err := s.Put(key, tr); err != nil {
 				t.Fatal(err)
 			}
@@ -128,8 +127,8 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Error("corrupt entry not deleted")
 			}
-			if st := s.Stats(); st.Corrupt != 1 {
-				t.Errorf("Corrupt = %d, want 1", st.Corrupt)
+			if got := rec.Summary().Counter(obs.CtrCacheCorrupt); got != 1 {
+				t.Errorf("%s = %d, want 1", obs.CtrCacheCorrupt, got)
 			}
 			// The slot is reusable: re-put, re-get.
 			if err := s.Put(key, tr); err != nil {
@@ -143,18 +142,26 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	tr, key := testTrace(t)
-	// Budget for roughly three entries of this trace's size.
+// entrySize returns the on-disk size of tr's entry.
+func entrySize(t *testing.T, tr *irgl.Trace) int64 {
+	t.Helper()
 	payload, err := tr.AppendJSONCompact(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entrySize := int64(len(appendHeader(nil, payload)) + len(payload))
-	s, err := Open(t.TempDir(), 3*entrySize+entrySize/2)
+	return int64(len(appendHeader(nil, payload)) + len(payload))
+}
+
+func TestLRUEviction(t *testing.T) {
+	tr, key := testTrace(t)
+	// Budget for roughly three entries of this trace's size.
+	size := entrySize(t, tr)
+	s, err := Open(t.TempDir(), 3*size+size/2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.New()
+	s.SetObs(rec)
 	keys := make([]Key, 5)
 	for i := range keys {
 		keys[i] = key
@@ -175,8 +182,8 @@ func TestLRUEviction(t *testing.T) {
 	if n := s.Len(); n != 3 {
 		t.Fatalf("entries after eviction = %d, want 3", n)
 	}
-	if st := s.Stats(); st.Evicted != 2 {
-		t.Errorf("Evicted = %d, want 2", st.Evicted)
+	if got := rec.Summary().Counter(obs.CtrCacheEvictions); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.CtrCacheEvictions, got)
 	}
 	for i, k := range keys {
 		_, ok := s.Get(k)
@@ -200,32 +207,40 @@ func TestOversizedPutKeepsNewestEntry(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
+// TestEvictionSkipsForeignFiles puts a foreign file larger than the
+// whole budget into the store's directory: it neither counts toward
+// the budget nor is evicted.
+func TestEvictionSkipsForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 0)
+	tr, key := testTrace(t)
+	size := entrySize(t, tr)
+	s, err := Open(dir, 2*size+size/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, key := testTrace(t)
-	if err := s.Put(key, tr); err != nil {
-		t.Fatal(err)
-	}
-	// Foreign files survive a purge.
+	rec := obs.New()
+	s.SetObs(rec)
 	foreign := filepath.Join(dir, "README")
-	if err := os.WriteFile(foreign, []byte("not a trace"), 0o644); err != nil {
+	if err := os.WriteFile(foreign, make([]byte, 4*size), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Purge(); err != nil {
-		t.Fatal(err)
+	// Two entries fit the budget: nothing is evicted. The third
+	// overflows it by one entry, however large the foreign file.
+	for i, wantEvicted := range []int64{0, 0, 1} {
+		k := key
+		k.GraphFP = fmt.Sprintf("gfp1-%04d", i)
+		if err := s.Put(k, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Summary().Counter(obs.CtrCacheEvictions); got != wantEvicted {
+			t.Errorf("after put %d: %s = %d, want %d", i, obs.CtrCacheEvictions, got, wantEvicted)
+		}
 	}
-	if n := s.Len(); n != 0 {
-		t.Errorf("entries after purge = %d, want 0", n)
+	if n := s.Len(); n != 2 {
+		t.Errorf("entries = %d, want 2", n)
 	}
 	if _, err := os.Stat(foreign); err != nil {
-		t.Error("purge removed a foreign file")
-	}
-	if _, ok := s.Get(key); ok {
-		t.Error("hit after purge")
+		t.Errorf("eviction removed a foreign file: %v", err)
 	}
 }
 
@@ -250,6 +265,8 @@ func TestConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.New()
+	s.SetObs(rec)
 	tr, key := testTrace(t)
 	keys := make([]Key, 4)
 	for i := range keys {
@@ -276,7 +293,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Corrupt != 0 {
-		t.Errorf("concurrent access produced %d corrupt reads", st.Corrupt)
+	if got := rec.Summary().Counter(obs.CtrCacheCorrupt); got != 0 {
+		t.Errorf("concurrent access produced %d corrupt reads", got)
 	}
 }

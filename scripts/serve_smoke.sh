@@ -122,6 +122,8 @@ grep -qxF 'gpuport_counter_total{name="trace-cache-hits"} 3' gpuportd-metrics.pr
     grep -qxF 'gpuport_counter_total{name="trace-cache-misses"} 51' gpuportd-metrics.prom ||
     { grep trace-cache gpuportd-metrics.prom; echo "want 3 trace-cache hits and 51 misses"; exit 1; }
 jq -e '.traceEvents | length > 0' gpuportd-obs-trace.json > /dev/null
+# Span IDs are identity: two campaigns' pipelines must not share one.
+jq -e '[.traceEvents[] | select(.ph == "X") | .args.id] | length == (unique | length)' gpuportd-obs-trace.json > /dev/null
 
 # Stop the stream capture and check it caught the campaigns' journey.
 kill "$STREAM_PID" 2>/dev/null || true
