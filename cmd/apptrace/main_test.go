@@ -40,12 +40,11 @@ func TestJSONExport(t *testing.T) {
 	if err := run([]string{"-app", "cc-wl", "-input", "rand-8k", "-json", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	tr, err := irgl.ReadTraceJSON(f)
+	tr, err := irgl.ReadTraceJSON(raw)
 	if err != nil {
 		t.Fatalf("exported trace unreadable: %v", err)
 	}

@@ -88,12 +88,20 @@ func runPRResidual(g *graph.Graph) (*irgl.Trace, any) {
 			}
 			share := prDamping * r / float64(d)
 			dst, _ := it.Edges(u)
+			// One atomic add per edge, plus one flag CAS per edge
+			// whose residual crosses the threshold, charged once.
+			atomics := int64(len(dst))
 			for _, v := range dst {
-				old := it.AtomicAddF(res, v, share)
-				if old+share > eps && it.AtomicCAS(inWL, v, 0, 1) {
-					it.Push(wl, v)
+				res[v] += share
+				if res[v] > eps {
+					atomics++
+					if inWL[v] == 0 {
+						inWL[v] = 1
+						it.Push(wl, v)
+					}
 				}
 			}
+			it.Atomics(atomics)
 		})
 		k.End()
 		return wl.Swap() > 0

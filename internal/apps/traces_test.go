@@ -3,9 +3,11 @@ package apps
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gpuport/internal/graph"
+	"gpuport/internal/irgl"
 )
 
 // pinKey names one pinned trace: an application at a version on a
@@ -80,9 +82,9 @@ func TestStandardTracesPinned(t *testing.T) {
 	for _, in := range inputs {
 		for _, app := range All() {
 			tr, _ := app.Run(in)
-			js, err := tr.AppendJSONCompact(nil)
-			if err != nil {
-				t.Fatal(err)
+			js := tr.AppendJSONCompact(nil)
+			if back, err := irgl.ReadTraceJSON(js); err != nil || !reflect.DeepEqual(back, tr) {
+				t.Errorf("%s on %s: the compact trace does not decode back to the trace (%v)", app.Name, in.Name, err)
 			}
 			key := pinKey{app.Name, app.Version, in.Name}
 			got := fmt.Sprintf("%x", sha256.Sum256(js))

@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"gpuport/internal/opt"
 	"gpuport/internal/stats"
@@ -313,25 +315,22 @@ func (d *Dataset) record(i int32) Record {
 // WriteCSV serialises the dataset: header then one row per record with
 // samples in fixed columns.
 func (d *Dataset) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := csv.NewWriter(bw)
 	maxSamples := 0
 	for _, i := range d.order {
 		if n := len(d.cells[i].samples); n > maxSamples {
 			maxSamples = n
 		}
 	}
-	if err := cw.Write(Header(maxSamples)); err != nil {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(AppendHeader(nil, maxSamples)); err != nil {
 		return err
 	}
+	var row []byte
 	for _, i := range d.order {
-		if err := cw.Write(FormatRecord(d.record(i))); err != nil {
+		row = AppendRecord(row[:0], d.record(i))
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
 	}
 	return bw.Flush()
 }
@@ -370,31 +369,46 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 }
 
-// Header is the dataset CSV header for rows of up to runs samples:
-// chip, app, input, config, then run1..runN.
-func Header(runs int) []string {
-	h := make([]string, 0, 4+runs)
-	h = append(h, "chip", "app", "input", "config")
-	for i := 0; i < runs; i++ {
-		h = append(h, fmt.Sprintf("run%d", i+1))
+// AppendHeader appends the dataset CSV header line for rows of up to
+// runs samples: chip, app, input, config, then run1..runN.
+func AppendHeader(dst []byte, runs int) []byte {
+	dst = append(dst, "chip,app,input,config"...)
+	for i := 1; i <= runs; i++ {
+		dst = strconv.AppendInt(append(dst, ",run"...), int64(i), 10)
 	}
-	return h
+	return append(dst, '\n')
 }
 
-// FormatRecord renders one record as a dataset CSV row, the inverse of
-// ParseRecord: chip, app, input, the config's String, then every
-// sample at 17 significant digits, which round-trips the float exactly.
-func FormatRecord(r Record) []string {
-	row := make([]string, 0, 4+len(r.Samples))
-	row = append(row, r.Chip, r.App, r.Input, r.Config.String())
+// AppendRecord appends one record as a dataset CSV line, the bytes an
+// encoding/csv Writer writes for it: chip, app, input, the config's
+// String, then every sample at 17 significant digits, which round-trips
+// the float exactly.
+func AppendRecord(dst []byte, r Record) []byte {
+	dst = appendField(dst, r.Chip)
+	dst = appendField(append(dst, ','), r.App)
+	dst = appendField(append(dst, ','), r.Input)
+	dst = appendField(append(dst, ','), r.Config.String())
 	for _, s := range r.Samples {
-		row = append(row, strconv.FormatFloat(s, 'g', 17, 64))
+		dst = strconv.AppendFloat(append(dst, ','), s, 'g', 17, 64)
 	}
-	return row
+	return append(dst, '\n')
+}
+
+// appendField appends one CSV field, quoted exactly when an
+// encoding/csv Writer quotes it: when it is `\.`, holds a comma, quote,
+// CR or LF, or begins with a Unicode space.
+func appendField(dst []byte, f string) []byte {
+	first, _ := utf8.DecodeRuneInString(f)
+	if f != `\.` && !strings.ContainsAny(f, ",\"\r\n") && !unicode.IsSpace(first) {
+		return append(dst, f...)
+	}
+	dst = append(append(dst, '"'), strings.ReplaceAll(f, `"`, `""`)...)
+	return append(dst, '"')
 }
 
 // ParseRecord parses one dataset CSV row (chip, app, input, config,
-// then the samples): blank sample fields are skipped, every sample
+// then the samples), as ReadCSV's encoding/csv Reader splits the line
+// AppendRecord wrote: blank sample fields are skipped, every sample
 // must be a finite positive float, and at least one must be present.
 func ParseRecord(row []string) (Record, error) {
 	if len(row) < 5 {

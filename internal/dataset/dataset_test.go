@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -222,6 +224,43 @@ func TestCSVHeaderRunColumns(t *testing.T) {
 	first := strings.SplitN(buf.String(), "\n", 2)[0]
 	if first != "chip,app,input,config,run1,run2,run3,run4" {
 		t.Errorf("header = %q", first)
+	}
+}
+
+// TestAppendRecordMatchesCSVWriter holds the row writer to the bytes an
+// encoding/csv Writer writes for the same fields, over every rule that
+// makes the Writer quote a field.
+func TestAppendRecordMatchesCSVWriter(t *testing.T) {
+	viaCSV := func(row []string) []byte {
+		var buf bytes.Buffer
+		cw := csv.NewWriter(&buf)
+		if err := cw.Write(row); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		return buf.Bytes()
+	}
+	for _, name := range []string{
+		"plain", "", "a,b", `say "hi"`, `"`, "cr\rhere", "lf\nhere", "crlf\r\n", " leading space",
+		"\tleading tab", "trailing space ", `\.`, `\.x`, `x\.`, "\xc2\xa0nbsp", "\xe2\x80\xa8sep", "\xffbad",
+	} {
+		r := sample(tup(name, "app "+name, "in"), opt.Config{SG: true, WG: true}, 1, 0.1, 123456789.125, 5e-324)
+		row := []string{r.Chip, r.App, r.Input, r.Config.String()}
+		for _, s := range r.Samples {
+			row = append(row, strconv.FormatFloat(s, 'g', 17, 64))
+		}
+		if got, want := AppendRecord(nil, r), viaCSV(row); !bytes.Equal(got, want) {
+			t.Errorf("field %q:\n got %q\nwant %q", name, got, want)
+		}
+	}
+	for runs := 0; runs <= 3; runs++ {
+		want := []string{"chip", "app", "input", "config"}
+		for i := 1; i <= runs; i++ {
+			want = append(want, fmt.Sprintf("run%d", i))
+		}
+		if got := AppendHeader(nil, runs); !bytes.Equal(got, viaCSV(want)) {
+			t.Errorf("header for %d runs = %q", runs, got)
+		}
 	}
 }
 

@@ -296,14 +296,13 @@ func (it *Item) AtomicAdd(arr []int32, i int32, delta int32) int32 {
 	return old
 }
 
-// AtomicAddF atomically adds delta to arr[i] (float variant, used by
-// PageRank residual propagation), returning the old value.
-func (it *Item) AtomicAddF(arr []float64, i int32, delta float64) float64 {
-	it.k.stats.AtomicRMWs++
-	it.k.stats.RandomAccesses++
-	old := arr[i]
-	arr[i] += delta
-	return old
+// Atomics records n global atomic RMWs, each with one irregular
+// access, that the kernel performs itself in plain Go: a kernel whose
+// inner loop makes one atomic per edge counts them in a local and
+// charges the row once.
+func (it *Item) Atomics(n int64) {
+	it.k.stats.AtomicRMWs += n
+	it.k.stats.RandomAccesses += n
 }
 
 // AtomicMin64 atomically lowers arr[i] to v; reports whether it

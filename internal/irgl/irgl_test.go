@@ -168,7 +168,6 @@ func TestAtomicSemantics(t *testing.T) {
 	rt := NewRuntime("t", g)
 	k := rt.Launch("k")
 	arr := []int32{5}
-	farr := []float64{1.5}
 	k.ForAll([]int32{0}, func(it *Item, u int32) {
 		if it.AtomicMin(arr, 0, 7) {
 			t.Error("AtomicMin(7) over 5 should not improve")
@@ -185,13 +184,15 @@ func TestAtomicSemantics(t *testing.T) {
 		if it.AtomicCAS(arr, 0, 10, 30) {
 			t.Error("CAS on stale value should fail")
 		}
-		if old := it.AtomicAddF(farr, 0, 0.5); old != 1.5 {
-			t.Errorf("AtomicAddF old = %v, want 1.5", old)
-		}
+		it.Atomics(3)
 	})
 	k.End()
-	if arr[0] != 20 || farr[0] != 2.0 {
-		t.Errorf("final values %d, %v", arr[0], farr[0])
+	if arr[0] != 20 {
+		t.Errorf("final value %d, want 20", arr[0])
+	}
+	// Five atomic calls plus Atomics(3), one irregular access each.
+	if s := k.Stats(); s.AtomicRMWs != 8 || s.RandomAccesses != 8 {
+		t.Errorf("AtomicRMWs, RandomAccesses = %d, %d, want 8, 8", s.AtomicRMWs, s.RandomAccesses)
 	}
 }
 

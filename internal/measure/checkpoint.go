@@ -12,8 +12,8 @@ import (
 )
 
 // checkpoint appends completed cells to a CSV shard file as the sweep
-// runs. Header and rows are written by dataset.Header and
-// dataset.FormatRecord, as Dataset.WriteCSV writes them, so a finished
+// runs. Header and rows are written by dataset.AppendHeader and
+// dataset.AppendRecord, as Dataset.WriteCSV writes them, so a finished
 // checkpoint doubles as a saved dataset. Appends from worker
 // goroutines are serialised by a mutex; row order in the file is
 // therefore scheduling-dependent, which is fine because resume loads it
@@ -21,7 +21,6 @@ import (
 type checkpoint struct {
 	mu  sync.Mutex
 	f   *os.File
-	cw  *csv.Writer
 	err string
 }
 
@@ -49,25 +48,19 @@ func openCheckpoint(path string, runs int) (*checkpoint, *dataset.Dataset, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
-	ck := &checkpoint{f: f, cw: csv.NewWriter(f)}
+	// A new file starts with the header; a truncated final line is
+	// healed so our appends start clean.
+	var start []byte
 	if len(raw) == 0 {
-		if err := ck.cw.Write(dataset.Header(runs)); err != nil {
-			_ = f.Close() // best-effort: the write error is the one worth reporting
-			return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
-		}
-		ck.cw.Flush()
+		start = dataset.AppendHeader(nil, runs)
 	} else if raw[len(raw)-1] != '\n' {
-		// Heal a truncated final line so our appends start clean.
-		if _, err := f.Write([]byte("\n")); err != nil {
-			_ = f.Close() // best-effort: the write error is the one worth reporting
-			return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
-		}
+		start = []byte("\n")
 	}
-	if err := ck.cw.Error(); err != nil {
-		_ = f.Close() // best-effort: the Flush error is the one worth reporting
+	if _, err := f.Write(start); err != nil {
+		_ = f.Close() // best-effort: the write error is the one worth reporting
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
-	return ck, resumed, nil
+	return &checkpoint{f: f}, resumed, nil
 }
 
 // loadCheckpointRows parses shard rows leniently: any row that is not a
@@ -97,40 +90,35 @@ func loadCheckpointRows(raw []byte) *dataset.Dataset {
 }
 
 // appendJob persists the freshly measured cells of one completed job
-// and flushes them, so a hard kill loses at most the job being written.
+// in one write, so a hard kill loses at most the job being written.
 // Resumed cells are already in the file and failed cells have no data;
 // neither is rewritten. A write error disables further checkpointing
 // (the sweep continues; the error surfaces in the report).
 func (ck *checkpoint) appendJob(records []dataset.Record, states []cellState) {
+	var rows []byte
+	for k := range records {
+		if states[k].measured && !states[k].resumed {
+			rows = dataset.AppendRecord(rows, records[k])
+		}
+	}
+	if len(rows) == 0 {
+		return
+	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	if ck.err != "" {
 		return
 	}
-	for k := range records {
-		if !states[k].measured || states[k].resumed {
-			continue
-		}
-		if err := ck.cw.Write(dataset.FormatRecord(records[k])); err != nil {
-			ck.err = err.Error()
-			return
-		}
-	}
-	ck.cw.Flush()
-	if err := ck.cw.Error(); err != nil {
+	if _, err := ck.f.Write(rows); err != nil {
 		ck.err = err.Error()
 	}
 }
 
-// close flushes and closes the shard file, returning the first error
-// encountered over the checkpoint's lifetime ("" when clean).
+// close closes the shard file, returning the first error encountered
+// over the checkpoint's lifetime ("" when clean).
 func (ck *checkpoint) close() string {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.cw.Flush()
-	if err := ck.cw.Error(); err != nil && ck.err == "" {
-		ck.err = err.Error()
-	}
 	if err := ck.f.Close(); err != nil && ck.err == "" {
 		ck.err = err.Error()
 	}

@@ -2,7 +2,15 @@ package tracecache
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+
+	"gpuport/internal/irgl"
 )
 
 // FuzzEntryDecode feeds arbitrary bytes to the entry verifier/decoder.
@@ -28,21 +36,78 @@ func FuzzEntryDecode(f *testing.F) {
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
-		p1, err := tr.AppendJSONCompact(nil)
-		if err != nil {
-			t.Fatalf("decoded trace does not re-encode: %v", err)
-		}
+		p1 := tr.AppendJSONCompact(nil)
 		entry := append(appendHeader(nil, p1), p1...)
 		tr2, err := decodeEntry(entry)
 		if err != nil {
 			t.Fatalf("canonical re-encoding rejected: %v", err)
 		}
-		p2, err := tr2.AppendJSONCompact(nil)
-		if err != nil {
-			t.Fatalf("second re-encoding failed: %v", err)
-		}
-		if !bytes.Equal(p1, p2) {
+		if p2 := tr2.AppendJSONCompact(nil); !bytes.Equal(p1, p2) {
 			t.Fatalf("canonical encoding is not a fixed point:\n%s\n%s", p1, p2)
 		}
 	})
+}
+
+// TestValidCorpusEntriesDecode holds the decoder to entries it did not
+// write: every valid-* file in the fuzz corpus is an entry written by
+// Store.Put while encoding/json was the trace codec. Each must decode to
+// the trace encoding/json decodes from its payload, and re-encode to
+// that payload byte for byte. FuzzEntryDecode alone would pass a decoder
+// that rejects everything.
+func TestValidCorpusEntriesDecode(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzEntryDecode/valid-*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no valid corpus entries (%v)", err)
+	}
+	for _, path := range paths {
+		raw := readCorpusBytes(t, path)
+		tr, err := decodeEntry(raw)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		payload, err := verifyEntry(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref struct {
+			App      string             `json:"app"`
+			Input    string             `json:"input"`
+			Launches []irgl.KernelStats `json:"launches"`
+			Loops    []irgl.LoopStats   `json:"loops"`
+		}
+		if err := json.Unmarshal(payload, &ref); err != nil {
+			t.Fatalf("%s: encoding/json: %v", path, err)
+		}
+		want := &irgl.Trace{App: ref.App, Input: ref.Input, Launches: ref.Launches, Loops: ref.Loops}
+		if !reflect.DeepEqual(tr, want) {
+			t.Errorf("%s: decodes differently from encoding/json", path)
+		}
+		if len(tr.Launches) == 0 || len(tr.Loops) == 0 {
+			t.Errorf("%s: %d launches, %d loops: want a populated trace", path, len(tr.Launches), len(tr.Loops))
+		}
+		if got := tr.AppendJSONCompact(nil); !bytes.Equal(got, payload) {
+			t.Errorf("%s: re-encoding differs from the stored payload", path)
+		}
+	}
+}
+
+// readCorpusBytes returns the one []byte value of a "go test fuzz v1"
+// corpus file.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(v)
 }

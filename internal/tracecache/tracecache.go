@@ -141,7 +141,7 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	}
 	var tr *irgl.Trace
 	if err == nil {
-		tr, err = irgl.ReadTraceJSON(bytes.NewReader(payload))
+		tr, err = irgl.ReadTraceJSON(payload)
 	}
 	if err != nil {
 		_ = os.Remove(path) // best-effort heal; a stuck entry re-misses next time
@@ -160,18 +160,11 @@ func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 // returned for observability but callers are expected to treat them as
 // non-fatal - a trace that fails to cache is simply re-traced next run.
 func (s *Store) Put(k Key, tr *irgl.Trace) error {
-	if err := s.put(k, tr); err != nil {
+	path := s.path(k)
+	if err := WriteEntry(path, tr.AppendJSONCompact(nil)); err != nil {
 		return err
 	}
-	return s.evict(s.path(k))
-}
-
-func (s *Store) put(k Key, tr *irgl.Trace) error {
-	payload, err := tr.AppendJSONCompact(nil)
-	if err != nil {
-		return fmt.Errorf("tracecache: encode: %w", err)
-	}
-	return WriteEntry(s.path(k), payload)
+	return s.evict(path)
 }
 
 // ErrCorrupt marks an entry file that was read but failed
@@ -260,7 +253,7 @@ func decodeEntry(raw []byte) (*irgl.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return irgl.ReadTraceJSON(bytes.NewReader(payload))
+	return irgl.ReadTraceJSON(payload)
 }
 
 // evict removes least-recently-used entries until the store fits

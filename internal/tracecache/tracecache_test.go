@@ -145,10 +145,7 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 // entrySize returns the on-disk size of tr's entry.
 func entrySize(t *testing.T, tr *irgl.Trace) int64 {
 	t.Helper()
-	payload, err := tr.AppendJSONCompact(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := tr.AppendJSONCompact(nil)
 	return int64(len(appendHeader(nil, payload)) + len(payload))
 }
 
