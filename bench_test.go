@@ -119,7 +119,7 @@ func BenchmarkTable9(b *testing.B) {
 	b.ResetTimer()
 	var enabled int
 	for i := 0; i < b.N; i++ {
-		spec := analysis.Specialise(d, analysis.Dims{Chip: true})
+		spec := analysis.NewIndex(d).Specialise(analysis.Dims{Chip: true})
 		enabled = 0
 		for _, p := range spec.Partitions {
 			for _, dec := range p.Decisions {
@@ -214,13 +214,15 @@ func BenchmarkFigure5(b *testing.B) {
 }
 
 // BenchmarkAlgorithm1AllSpecialisations runs Algorithm 1 at every
-// degree of specialisation (the full Section VII computation).
+// degree of specialisation (the full Section VII computation) over one
+// index, as a study does.
 func BenchmarkAlgorithm1AllSpecialisations(b *testing.B) {
 	d := sharedStudy(b).Dataset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		x := analysis.NewIndex(d)
 		for _, dims := range analysis.AllDims() {
-			analysis.Specialise(d, dims)
+			x.Specialise(dims)
 		}
 	}
 }
@@ -401,7 +403,7 @@ func BenchmarkSamplingCurve(b *testing.B) {
 	b.ResetTimer()
 	var agree float64
 	for i := 0; i < b.N; i++ {
-		pts := analysis.SamplingCurve(d, analysis.Dims{Chip: true}, []float64{0.3}, 3, 7)
+		pts := analysis.NewIndex(d).SamplingCurve(analysis.Dims{Chip: true}, []float64{0.3}, 3, 7)
 		agree = pts[0].MeanAgreement
 	}
 	b.ReportMetric(agree*100, "agreement-pct-at-30pct-sample")
@@ -414,7 +416,7 @@ func BenchmarkCrossValidate(b *testing.B) {
 	b.ResetTimer()
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		results := analysis.CrossValidate(d, analysis.LOOChip)
+		results := analysis.NewIndex(d).CrossValidate(analysis.LOOChip)
 		sum := 0.0
 		for _, r := range results {
 			sum += r.Eval.GeoMeanSlowdownVsOracle
@@ -462,7 +464,7 @@ func BenchmarkAblationSignificanceGate(b *testing.B) {
 	var flips float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gated := analysis.Specialise(d, analysis.Dims{Chip: true})
+		gated := analysis.NewIndex(d).Specialise(analysis.Dims{Chip: true})
 		ungated := analysis.SpecialiseUngated(d, analysis.Dims{Chip: true})
 		flips = 0
 		for p := range gated.Partitions {

@@ -132,8 +132,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	agree, undecided := analysis.AgreementBetween(
-		analysis.Specialise(clean, analysis.Dims{Chip: true}),
-		analysis.Specialise(d, analysis.Dims{Chip: true}))
+		analysis.NewIndex(clean).Specialise(analysis.Dims{Chip: true}),
+		analysis.NewIndex(d).Specialise(analysis.Dims{Chip: true}))
 	tau := analysis.RankCorrelation(analysis.RankConfigs(clean), analysis.RankConfigs(d))
 
 	t := report.NewTable("Analysis drift under faults (clean sweep as reference)",

@@ -56,9 +56,11 @@ func classify(d *dataset.Dataset, tid, cid int) (Outcome, float64) {
 // where no optimisation helps from its strategy comparison (Figure 3).
 func Improvable(d *dataset.Dataset, t dataset.Tuple) bool {
 	tid, ok := d.TupleID(t)
-	if !ok {
-		return false
-	}
+	return ok && improvable(d, tid)
+}
+
+// improvable is Improvable over a tuple ID.
+func improvable(d *dataset.Dataset, tid int) bool {
 	for cid := 1; cid < opt.NumConfigs; cid++ {
 		if out, _ := classify(d, tid, cid); out == Speedup {
 			return true
@@ -88,11 +90,31 @@ func (e StrategyEval) Tests() int { return e.Speedups + e.Slowdowns + e.NoChange
 
 // EvaluateStrategy scores one strategy over the given tuples.
 func EvaluateStrategy(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples []dataset.Tuple) StrategyEval {
+	tids := make([]int, len(tuples))
+	for i, t := range tuples {
+		tid, ok := d.TupleID(t)
+		if !ok {
+			tid = -1
+		}
+		tids[i] = tid
+	}
+	return evaluate(d, s, oracle, tuples, tids)
+}
+
+// evaluate is EvaluateStrategy with each tuple's ID looked up: tids[i]
+// is tuples[i]'s, or -1 when d has no records for it.
+func evaluate(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples []dataset.Tuple, tids []int) StrategyEval {
 	ev := StrategyEval{Name: s.Name, MaxSpeedup: 1}
-	var vsBase, vsOracle []float64
-	for _, t := range tuples {
-		cfg := s.Config(t)
-		out, ratio := Classify(d, t, cfg)
+	vsBase := make([]float64, 0, len(tuples))
+	vsOracle := make([]float64, 0, len(tuples))
+	for i, t := range tuples {
+		tid := tids[i]
+		cid, okS := s.Config(t).ID()
+		ocid, okO := oracle.Config(t).ID()
+		out, ratio := NoChange, 1.0
+		if tid >= 0 && okS {
+			out, ratio = classify(d, tid, cid)
+		}
 		switch out {
 		case Speedup:
 			ev.Speedups++
@@ -105,10 +127,13 @@ func EvaluateStrategy(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples 
 		if ratio > ev.MaxSpeedup {
 			ev.MaxSpeedup = ratio
 		}
-		sm, okS := d.Mean(t, cfg)
-		om, okO := d.Mean(t, oracle.Config(t))
-		if okS && okO && om > 0 {
-			vsOracle = append(vsOracle, sm/om)
+		if tid < 0 || !okS || !okO {
+			continue
+		}
+		sm, ok1 := d.Stat(tid, cid)
+		om, ok2 := d.Stat(tid, ocid)
+		if ok1 && ok2 && om.Mean > 0 {
+			vsOracle = append(vsOracle, sm.Mean/om.Mean)
 		}
 	}
 	ev.GeoMeanVsBaseline = stats.GeoMean(vsBase)
@@ -120,8 +145,9 @@ func EvaluateStrategy(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples 
 // the eight Algorithm-1 specialisations, and the oracle.
 func StandardStrategies(d *dataset.Dataset) []*Strategy {
 	out := []*Strategy{Baseline()}
+	x := NewIndex(d)
 	for _, dims := range AllDims() {
-		out = append(out, Specialise(d, dims).Strategy)
+		out = append(out, x.Specialise(dims).Strategy)
 	}
 	out = append(out, Oracle(d))
 	return out
@@ -134,17 +160,19 @@ func StandardStrategies(d *dataset.Dataset) []*Strategy {
 func EvaluateAll(d *dataset.Dataset, strategies []*Strategy) ([]StrategyEval, int) {
 	oracle := findOracle(strategies, d)
 	var tuples []dataset.Tuple
+	var tids []int
 	excluded := 0
 	for _, t := range d.Tuples() {
-		if Improvable(d, t) {
+		if tid, _ := d.TupleID(t); improvable(d, tid) {
 			tuples = append(tuples, t)
+			tids = append(tids, tid)
 		} else {
 			excluded++
 		}
 	}
 	evals := make([]StrategyEval, 0, len(strategies))
 	for _, s := range strategies {
-		evals = append(evals, EvaluateStrategy(d, s, oracle, tuples))
+		evals = append(evals, evaluate(d, s, oracle, tuples, tids))
 	}
 	return evals, excluded
 }

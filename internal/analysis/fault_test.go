@@ -66,8 +66,8 @@ func TestFaultedSweepAgreesWithClean(t *testing.T) {
 		rep.Coverage(), rep.Retried, rep.Quarantined, len(rep.Failures))
 
 	agree, undecided := AgreementBetween(
-		Specialise(clean, Dims{Chip: true}),
-		Specialise(faulted, Dims{Chip: true}))
+		NewIndex(clean).Specialise(Dims{Chip: true}),
+		NewIndex(faulted).Specialise(Dims{Chip: true}))
 	t.Logf("per-chip agreement %.3f (undecided %.3f)", agree, undecided)
 	if agree < FaultAgreementFloor {
 		t.Errorf("per-chip agreement %.3f below documented floor %v",
@@ -103,12 +103,12 @@ func TestAnalysisSurvivesChipDropout(t *testing.T) {
 		t.Error("RankConfigs returned nothing on partial dataset")
 	}
 	for _, dims := range append(AllDims(), Dims{}) {
-		sp := Specialise(d, dims)
+		sp := NewIndex(d).Specialise(dims)
 		if sp == nil || sp.Strategy == nil {
 			t.Fatalf("Specialise(%s) degenerated on partial dataset", dims.Name())
 		}
 	}
-	strategies := []*Strategy{Baseline(), Specialise(d, Dims{Chip: true}).Strategy, Oracle(d)}
+	strategies := []*Strategy{Baseline(), NewIndex(d).Specialise(Dims{Chip: true}).Strategy, Oracle(d)}
 	evals, excluded := EvaluateAll(d, strategies)
 	if len(evals) != len(strategies) {
 		t.Fatalf("EvaluateAll returned %d evals for %d strategies", len(evals), len(strategies))
@@ -128,7 +128,7 @@ func TestAnalysisSurvivesChipDropout(t *testing.T) {
 			surviving = ch.Name
 		}
 	}
-	perChip := Specialise(d, Dims{Chip: true})
+	perChip := NewIndex(d).Specialise(Dims{Chip: true})
 	found := false
 	for _, part := range perChip.Partitions {
 		if part.Key.Chip == surviving {

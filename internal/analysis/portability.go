@@ -105,29 +105,31 @@ type Extreme struct {
 // Extremes computes Table II: per chip, the best and worst single-test
 // configuration effects relative to baseline.
 func Extremes(d *dataset.Dataset) []Extreme {
+	tuples := d.Tuples()
+	tids := tupleIDs(d, tuples)
 	var out []Extreme
 	for _, c := range d.Chips() {
 		e := Extreme{Chip: c, MaxSpeedup: 1, MaxSlowdown: 1}
-		for _, t := range d.Tuples() {
+		for k, t := range tuples {
 			if t.Chip != c {
 				continue
 			}
-			base, ok := d.Mean(t, opt.Config{})
+			base, ok := d.Stat(tids[k], 0)
 			if !ok {
 				continue
 			}
-			for _, cfg := range opt.NonBaseline() {
-				m, ok := d.Mean(t, cfg)
-				if !ok || m <= 0 {
+			for cid := 1; cid < opt.NumConfigs; cid++ {
+				m, ok := d.Stat(tids[k], cid)
+				if !ok || m.Mean <= 0 {
 					continue
 				}
-				if sp := base / m; sp > e.MaxSpeedup {
+				if sp := base.Mean / m.Mean; sp > e.MaxSpeedup {
 					e.MaxSpeedup = sp
-					e.SpeedupApp, e.SpeedupInput, e.SpeedupCfg = t.App, t.Input, cfg
+					e.SpeedupApp, e.SpeedupInput, e.SpeedupCfg = t.App, t.Input, opt.ByID(cid)
 				}
-				if sl := m / base; sl > e.MaxSlowdown {
+				if sl := m.Mean / base.Mean; sl > e.MaxSlowdown {
 					e.MaxSlowdown = sl
-					e.SlowdownApp, e.SlowdownInput, e.SlowdownCfg = t.App, t.Input, cfg
+					e.SlowdownApp, e.SlowdownInput, e.SlowdownCfg = t.App, t.Input, opt.ByID(cid)
 				}
 			}
 		}

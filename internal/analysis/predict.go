@@ -92,19 +92,27 @@ func (d LOODimension) trainDims() Dims {
 // involving v (specialised over the remaining two dimensions, with the
 // training set's global configuration as a fallback for partitions the
 // training data never produced), then scores it on v's improvable
-// tests against the per-test oracle. Every fold reads one ratio index,
-// and computes its fallback only when a held-out test needs it.
-func CrossValidate(d *dataset.Dataset, dim LOODimension) []LOOResult {
+// tests against the per-test oracle. A fold computes its fallback only
+// when a held-out test needs it.
+func (x *Index) CrossValidate(dim LOODimension) []LOOResult {
+	d := x.d
 	oracle := Oracle(d)
 	trainDims := dim.trainDims()
-	x := newRatioIndex(d, tupleIDs(d, d.Tuples()), true)
+	r := x.reader()
 	var out []LOOResult
 	for _, held := range dim.values(d) {
 		held := held
-		train := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) != held })
-		test := improvableSubset(d, d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held }))
+		train := x.positions(func(t dataset.Tuple) bool { return dim.of(t) != held })
+		var test []dataset.Tuple
+		var testIDs []int
+		for _, k := range x.positions(func(t dataset.Tuple) bool { return dim.of(t) == held }) {
+			if improvable(d, x.tids[k]) {
+				test = append(test, x.tuples[k])
+				testIDs = append(testIDs, x.tids[k])
+			}
+		}
 
-		spec := x.specialise(d, trainDims, train)
+		spec := r.specialise(trainDims, train)
 		table := make(map[PartitionKey]opt.Config, len(spec.Partitions))
 		for _, p := range spec.Partitions {
 			table[p.Key] = p.Config
@@ -118,25 +126,15 @@ func CrossValidate(d *dataset.Dataset, dim LOODimension) []LOOResult {
 					return cfg
 				}
 				if fallback == nil {
-					cfg := configFromDecisions(x.decisions(tupleIDs(d, train)))
+					cfg := configFromDecisions(r.decisionsAt(train))
 					fallback = &cfg
 				}
 				return *fallback
 			},
 		}
-		eval := EvaluateStrategy(d, predictor, oracle, test)
+		eval := evaluate(d, predictor, oracle, test, testIDs)
 		eval.Name = "loo-" + dim.String() + "/" + held
 		out = append(out, LOOResult{Held: held, TestCount: len(test), Eval: eval})
-	}
-	return out
-}
-
-func improvableSubset(d *dataset.Dataset, tuples []dataset.Tuple) []dataset.Tuple {
-	var out []dataset.Tuple
-	for _, t := range tuples {
-		if Improvable(d, t) {
-			out = append(out, t)
-		}
 	}
 	return out
 }

@@ -11,16 +11,17 @@ import (
 
 // eagerCrossValidate is CrossValidate's fold loop as it was before the
 // fallback became lazy: every training partition goes through
-// OptsForPartition on its own, and the training set's fallback is
+// Index.OptsForPartition on its own, and the training set's fallback is
 // computed before the fold is scored. It also counts the held-out
 // tests whose training partition is missing, the only ones that read
 // the fallback.
 func eagerCrossValidate(d *dataset.Dataset, dim LOODimension) (out []LOOResult, misses int) {
 	oracle := Oracle(d)
 	trainDims := dim.trainDims()
+	x := NewIndex(d)
 	for _, held := range dim.values(d) {
 		train := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) != held })
-		test := improvableSubset(d, d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held }))
+		test := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held && Improvable(d, t) })
 
 		parts := map[PartitionKey][]dataset.Tuple{}
 		for _, t := range train {
@@ -30,10 +31,10 @@ func eagerCrossValidate(d *dataset.Dataset, dim LOODimension) (out []LOOResult, 
 		table := map[PartitionKey]opt.Config{}
 		for _, t := range train {
 			if k := trainDims.keyFor(t); !hasKey(table, k) {
-				table[k] = configFromDecisions(OptsForPartition(d, parts[k]))
+				table[k] = configFromDecisions(x.OptsForPartition(parts[k]))
 			}
 		}
-		fallback := configFromDecisions(OptsForPartition(d, train))
+		fallback := configFromDecisions(x.OptsForPartition(train))
 		for _, t := range test {
 			if !hasKey(table, trainDims.keyFor(t)) {
 				misses++
@@ -107,7 +108,7 @@ func TestCrossValidateLazyFallbackMatchesEager(t *testing.T) {
 		for i, dim := range dims {
 			want, m := eagerCrossValidate(d, dim)
 			misses[i] += m
-			got := CrossValidate(d, dim)
+			got := NewIndex(d).CrossValidate(dim)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d, %s: %d folds, eager %d", trial, dim, len(got), len(want))
 			}

@@ -9,67 +9,67 @@ import (
 	"gpuport/internal/stats"
 )
 
-// ratioIndex holds what Algorithm 1 reads, computed once per analysis
-// call: for every flag and every tuple the call covers, the tuple's
-// mirror-pair ratios (enabled/disabled mean) that pass the gate, as
-// one run of a single slab, with how many lie below and at 1.0. A
-// partition's MWU test against its list of 1.0s then needs only the
-// summed counts and the tie term (stats.MannWhitneyUOnes), and its
-// median a selection over the gathered runs: no sort.
+// Index holds what Algorithm 1 reads of one dataset, built once by
+// NewIndex: for every flag and every tuple, the tuple's mirror-pair
+// ratios (enabled/disabled mean) that pass the gate, as one run of a
+// single slab, with how many lie below and at 1.0. A partition's MWU
+// test against its list of 1.0s then needs only the summed counts and
+// the tie term (stats.MannWhitneyUOnes), and its median a selection
+// over the gathered runs: no sort.
 //
 // The only tie groups other than the 1.0s come from a value occurring
 // twice within one flag, or from a tuple listed twice (its ratios all
 // repeat). dupes records the flags with such a value, so the tie term
 // is counted only where a group can exist; on the study's datasets no
-// flag has one.
+// flag has one. A partition reads only its own tuples' runs, and a
+// flag marked by tuples outside it only costs a tie count of 0, so one
+// index serves every partition of every analysis of the dataset.
 //
-// An index belongs to one call and is never shared: its scratch fields
-// change as partitions are read.
-type ratioIndex struct {
+// An Index is read-only once built. Each method reads it through a
+// call-local reader holding its scratch, so concurrent calls are safe.
+type Index struct {
+	d      *dataset.Dataset
+	tuples []dataset.Tuple // d.Tuples()
+	tids   []int           // tids[k] is tuples[k]'s tuple ID
+
 	nt    int       // runs exist for tuple IDs 0..nt-1
 	vals  []float64 // run (fi, tid) is vals[start[fi*nt+tid]:start[fi*nt+tid+1]]
 	start []int32
 	below []int32 // per run: ratios below 1.0
 	ones  []int32 // per run: ratios equal to 1.0
 	dupes []bool  // per flag: some value other than 1.0 occurs twice
-
-	// Scratch, reset after each use.
-	seen []bool    // per tuple ID: indexed, or listed in the partition being read
-	buf  []float64 // the partition's ratios for one flag
-	ties tieCounter
 }
 
-// newRatioIndex indexes the tuples tids (repeats allowed), gated by the
-// 95% CI significance test or not.
-func newRatioIndex(d *dataset.Dataset, tids []int, gated bool) *ratioIndex {
-	nt := 0
-	for _, tid := range tids {
-		nt = max(nt, tid+1)
-	}
+// NewIndex indexes every tuple of d, gated by the 95% CI significance
+// test as Algorithm 1 is. The index reads d as it is now, so d must not
+// change while the index is in use.
+func NewIndex(d *dataset.Dataset) *Index { return newIndex(d, true) }
+
+// newIndex indexes every tuple of d, gated or not.
+func newIndex(d *dataset.Dataset, gated bool) *Index {
+	tuples := d.Tuples()
+	nt := len(tuples) // tuple IDs are dense
 	flags := opt.Flags()
-	x := &ratioIndex{
-		nt:    nt,
-		start: make([]int32, len(flags)*nt+1),
-		below: make([]int32, len(flags)*nt),
-		ones:  make([]int32, len(flags)*nt),
-		dupes: make([]bool, len(flags)),
-		seen:  make([]bool, nt),
-	}
-	for _, tid := range tids {
-		x.seen[tid] = true
+	x := &Index{
+		d:      d,
+		tuples: tuples,
+		tids:   tupleIDs(d, tuples),
+		nt:     nt,
+		start:  make([]int32, len(flags)*nt+1),
+		below:  make([]int32, len(flags)*nt),
+		ones:   make([]int32, len(flags)*nt),
+		dupes:  make([]bool, len(flags)),
 	}
 	// A pair's two configs differ in the flag, so a flag has at most
 	// NumConfigs/2 pairs per tuple.
-	x.vals = make([]float64, 0, len(flags)*opt.NumConfigs/2*len(tids))
+	x.vals = make([]float64, 0, len(flags)*opt.NumConfigs/2*nt)
+	var ties tieCounter
 	for fi, f := range flags {
 		pairs := opt.MirrorsOf(f)
 		first := len(x.vals)
 		for tid := 0; tid < nt; tid++ {
 			r := fi*nt + tid
 			x.start[r] = int32(len(x.vals))
-			if !x.seen[tid] {
-				continue
-			}
 			for p := 0; p < pairs.Len(); p++ {
 				on, off := pairs.At(p)
 				en, ok1 := d.Stat(tid, on)
@@ -87,46 +87,68 @@ func newRatioIndex(d *dataset.Dataset, tids []int, gated bool) *ratioIndex {
 				x.vals = append(x.vals, v)
 			}
 		}
-		x.dupes[fi] = x.ties.sum(x.vals[first:]) > 0
+		x.dupes[fi] = ties.sum(x.vals[first:]) > 0
 	}
 	x.start[len(flags)*nt] = int32(len(x.vals))
-	clear(x.seen)
 	return x
 }
 
-// decisions runs Algorithm 1's OPTS_FOR_PARTITION over the indexed
-// tuples tids: for every flag, the MWU test of the partition's ratios
-// against as many 1.0s, and their median. A repeated tuple counts once
-// per occurrence.
-func (x *ratioIndex) decisions(tids []int) []FlagDecision {
+// positions returns the positions in the index's tuple list of the
+// tuples keep accepts, or of every tuple for a nil keep.
+func (x *Index) positions(keep func(dataset.Tuple) bool) []int {
+	out := make([]int, 0, len(x.tuples))
+	for k, t := range x.tuples {
+		if keep == nil || keep(t) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// reader is one call's view of an Index: the scratch its reads reuse.
+type reader struct {
+	*Index
+	seen []bool    // per tuple ID: listed in the partition being read
+	buf  []float64 // the partition's ratios for one flag
+	ids  []int     // the partition's tuple IDs
+	ties tieCounter
+}
+
+func (x *Index) reader() *reader { return &reader{Index: x, seen: make([]bool, x.nt)} }
+
+// decisions runs Algorithm 1's OPTS_FOR_PARTITION over the tuples tids:
+// for every flag, the MWU test of the partition's ratios against as
+// many 1.0s, and their median. A repeated tuple counts once per
+// occurrence.
+func (r *reader) decisions(tids []int) []FlagDecision {
 	repeats := false
 	for _, tid := range tids {
-		repeats = repeats || x.seen[tid]
-		x.seen[tid] = true
+		repeats = repeats || r.seen[tid]
+		r.seen[tid] = true
 	}
 	for _, tid := range tids {
-		x.seen[tid] = false
+		r.seen[tid] = false
 	}
 	flags := opt.Flags()
 	decisions := make([]FlagDecision, 0, len(flags))
 	for fi, f := range flags {
-		runs := x.start[fi*x.nt : (fi+1)*x.nt+1]
-		below, ones := x.below[fi*x.nt:(fi+1)*x.nt], x.ones[fi*x.nt:(fi+1)*x.nt]
-		x.buf = x.buf[:0]
+		runs := r.start[fi*r.nt : (fi+1)*r.nt+1]
+		below, ones := r.below[fi*r.nt:(fi+1)*r.nt], r.ones[fi*r.nt:(fi+1)*r.nt]
+		r.buf = r.buf[:0]
 		var nBelow, nOnes int
 		for _, tid := range tids {
-			x.buf = append(x.buf, x.vals[runs[tid]:runs[tid+1]]...)
+			r.buf = append(r.buf, r.vals[runs[tid]:runs[tid+1]]...)
 			nBelow += int(below[tid])
 			nOnes += int(ones[tid])
 		}
 		var ties int64
-		if repeats || x.dupes[fi] {
-			ties = x.ties.sum(x.buf)
+		if repeats || r.dupes[fi] {
+			ties = r.ties.sum(r.buf)
 		}
-		n := len(x.buf)
+		n := len(r.buf)
 		res := stats.MannWhitneyUOnes(nBelow, nOnes, n-nBelow-nOnes, n, ties)
 		dec := FlagDecision{Flag: f, Comparisons: n, P: res.P, CL: res.CL}
-		dec.MedianRatio = stats.MedianInPlace(x.buf)
+		dec.MedianRatio = stats.MedianInPlace(r.buf)
 		if res.Significant(Alpha) {
 			dec.Confident = true
 			dec.Enabled = dec.MedianRatio < 1.0
@@ -134,6 +156,15 @@ func (x *ratioIndex) decisions(tids []int) []FlagDecision {
 		decisions = append(decisions, dec)
 	}
 	return decisions
+}
+
+// decisionsAt runs decisions over the tuples at positions ks.
+func (r *reader) decisionsAt(ks []int) []FlagDecision {
+	r.ids = r.ids[:0]
+	for _, k := range ks {
+		r.ids = append(r.ids, r.tids[k])
+	}
+	return r.decisions(r.ids)
 }
 
 // tieCounter counts values by their bits in an open-addressing table:

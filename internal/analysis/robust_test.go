@@ -10,8 +10,8 @@ import (
 
 func TestAgreementBetweenIdentical(t *testing.T) {
 	d := samplingFixture()
-	a := Specialise(d, Dims{Chip: true})
-	b := Specialise(d, Dims{Chip: true})
+	a := NewIndex(d).Specialise(Dims{Chip: true})
+	b := NewIndex(d).Specialise(Dims{Chip: true})
 	agree, undec := AgreementBetween(a, b)
 	if agree < 0.999 || undec > 0.001 {
 		t.Errorf("identical specs: agree %v, undec %v", agree, undec)
@@ -32,8 +32,8 @@ func TestAgreementBetweenConflicting(t *testing.T) {
 		}
 		return 1.0
 	})
-	a := Specialise(dGood, Dims{})
-	b := Specialise(dBad, Dims{})
+	a := NewIndex(dGood).Specialise(Dims{})
+	b := NewIndex(dBad).Specialise(Dims{})
 	agree, _ := AgreementBetween(a, b)
 	if agree > 0.95 {
 		t.Errorf("opposite datasets should disagree somewhere: agree = %v", agree)

@@ -7,7 +7,6 @@ package analysis
 // well the subsampled recommendations agree with the full-data ones.
 
 import (
-	"gpuport/internal/dataset"
 	"gpuport/internal/opt"
 	"gpuport/internal/stats"
 )
@@ -32,30 +31,25 @@ type SamplingPoint struct {
 // SamplingCurve runs Algorithm 1 at the given specialisation over
 // random test subsets of increasing size and reports agreement with the
 // full-data recommendations. Deterministic for a given seed.
-func SamplingCurve(d *dataset.Dataset, dims Dims, fractions []float64, trials int, seed uint64) []SamplingPoint {
-	tuples := d.Tuples()
-	x := newRatioIndex(d, tupleIDs(d, tuples), true)
-	fullDec := decisionTable(x.specialise(d, dims, tuples))
+func (x *Index) SamplingCurve(dims Dims, fractions []float64, trials int, seed uint64) []SamplingPoint {
+	r := x.reader()
+	all := len(x.tuples)
+	fullDec := decisionTable(r.specialise(dims, x.positions(nil)))
 	rng := stats.NewRNG(seed)
 
 	var out []SamplingPoint
 	for _, frac := range fractions {
-		n := int(frac*float64(len(tuples)) + 0.5)
+		n := int(frac*float64(all) + 0.5)
 		if n < 1 {
 			n = 1
 		}
-		if n > len(tuples) {
-			n = len(tuples)
+		if n > all {
+			n = all
 		}
 		pt := SamplingPoint{Fraction: frac, Trials: trials, MinAgreement: 1}
 		var sumAgree, sumUndecided float64
 		for trial := 0; trial < trials; trial++ {
-			perm := rng.Perm(len(tuples))
-			subset := make([]dataset.Tuple, n)
-			for i := 0; i < n; i++ {
-				subset[i] = tuples[perm[i]]
-			}
-			sub := x.specialise(d, dims, subset)
+			sub := r.specialise(dims, rng.Perm(all)[:n])
 			agree, undecided := compareDecisions(fullDec, sub)
 			sumAgree += agree
 			sumUndecided += undecided

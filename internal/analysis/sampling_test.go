@@ -32,7 +32,7 @@ func samplingFixture() *dataset.Dataset {
 
 func TestSamplingCurveFullFractionAgrees(t *testing.T) {
 	d := samplingFixture()
-	pts := SamplingCurve(d, Dims{Chip: true}, []float64{1.0}, 3, 11)
+	pts := NewIndex(d).SamplingCurve(Dims{Chip: true}, []float64{1.0}, 3, 11)
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -47,7 +47,7 @@ func TestSamplingCurveFullFractionAgrees(t *testing.T) {
 
 func TestSamplingCurveMonotoneish(t *testing.T) {
 	d := samplingFixture()
-	pts := SamplingCurve(d, Dims{Chip: true}, []float64{0.1, 0.5, 1.0}, 5, 11)
+	pts := NewIndex(d).SamplingCurve(Dims{Chip: true}, []float64{0.1, 0.5, 1.0}, 5, 11)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -72,8 +72,8 @@ func TestSamplingCurveMonotoneish(t *testing.T) {
 
 func TestSamplingCurveDeterministic(t *testing.T) {
 	d := samplingFixture()
-	a := SamplingCurve(d, Dims{}, []float64{0.3}, 4, 5)
-	b := SamplingCurve(d, Dims{}, []float64{0.3}, 4, 5)
+	a := NewIndex(d).SamplingCurve(Dims{}, []float64{0.3}, 4, 5)
+	b := NewIndex(d).SamplingCurve(Dims{}, []float64{0.3}, 4, 5)
 	if a[0] != b[0] {
 		t.Errorf("sampling curve not deterministic: %+v vs %+v", a[0], b[0])
 	}
@@ -91,7 +91,7 @@ func TestCrossValidateApp(t *testing.T) {
 		}
 		return 1.0
 	})
-	results := CrossValidate(d, LOOApp)
+	results := NewIndex(d).CrossValidate(LOOApp)
 	if len(results) != 3 {
 		t.Fatalf("folds = %d, want 3", len(results))
 	}
@@ -123,7 +123,7 @@ func TestCrossValidateChipConflict(t *testing.T) {
 		}
 		return 1.0
 	})
-	results := CrossValidate(d, LOOChip)
+	results := NewIndex(d).CrossValidate(LOOChip)
 	if len(results) != 2 {
 		t.Fatalf("folds = %d", len(results))
 	}

@@ -5,12 +5,14 @@
 // "oracle" (per-test best), quantifying the performance cost of
 // portability along the way.
 //
-// The centrepiece is Algorithm 1 of the paper (OptsForPartition here):
-// for each optimisation flag, mirror-pair configurations differing only
-// in that flag are compared per test under a 95% confidence-interval
-// significance gate; the surviving normalised runtimes are tested
-// against 1.0 with the Mann-Whitney U rank test, and the flag is
-// enabled only on a statistically significant median speedup.
+// The centrepiece is Algorithm 1 of the paper (Index.OptsForPartition
+// here): for each optimisation flag, mirror-pair configurations
+// differing only in that flag are compared per test under a 95%
+// confidence-interval significance gate; the surviving normalised
+// runtimes are tested against 1.0 with the Mann-Whitney U rank test,
+// and the flag is enabled only on a statistically significant median
+// speedup. NewIndex reads a dataset's ratios once, and every analysis
+// of that dataset runs over its Index.
 package analysis
 
 import (
@@ -179,11 +181,10 @@ type Specialisation struct {
 	Partitions []Partition
 }
 
-// Specialise partitions d along dims and derives a recommendation per
-// partition (Algorithm 1, SPECIALISE_FOR_*).
-func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
-	tuples := d.Tuples()
-	return newRatioIndex(d, tupleIDs(d, tuples), true).specialise(d, dims, tuples)
+// Specialise partitions the indexed dataset along dims and derives a
+// recommendation per partition (Algorithm 1, SPECIALISE_FOR_*).
+func (x *Index) Specialise(dims Dims) *Specialisation {
+	return x.reader().specialise(dims, x.positions(nil))
 }
 
 // SpecialiseUngated is the ablation variant of Specialise that skips
@@ -192,20 +193,20 @@ func Specialise(d *dataset.Dataset, dims Dims) *Specialisation {
 // buys (see BenchmarkAblationSignificanceGate); it is not part of the
 // paper's methodology.
 func SpecialiseUngated(d *dataset.Dataset, dims Dims) *Specialisation {
-	tuples := d.Tuples()
-	return newRatioIndex(d, tupleIDs(d, tuples), false).specialise(d, dims, tuples)
+	return newIndex(d, false).Specialise(dims)
 }
 
-// specialise runs Algorithm 1 over tuples, partitioned along dims.
-func (x *ratioIndex) specialise(d *dataset.Dataset, dims Dims, tuples []dataset.Tuple) *Specialisation {
-	parts := map[PartitionKey][]dataset.Tuple{}
+// specialise runs Algorithm 1 over the tuples at positions ks of the
+// index's tuple list, partitioned along dims.
+func (r *reader) specialise(dims Dims, ks []int) *Specialisation {
+	parts := map[PartitionKey][]int{}
 	var order []PartitionKey
-	for _, t := range tuples {
-		k := dims.keyFor(t)
-		if _, ok := parts[k]; !ok {
-			order = append(order, k)
+	for _, k := range ks {
+		key := dims.keyFor(r.tuples[k])
+		if _, ok := parts[key]; !ok {
+			order = append(order, key)
 		}
-		parts[k] = append(parts[k], t)
+		parts[key] = append(parts[key], k)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
@@ -220,11 +221,14 @@ func (x *ratioIndex) specialise(d *dataset.Dataset, dims Dims, tuples []dataset.
 
 	spec := &Specialisation{Dims: dims}
 	table := make(map[PartitionKey]opt.Config, len(order))
-	for _, k := range order {
-		p := Partition{Key: k, Tuples: parts[k]}
-		p.Decisions = x.decisions(tupleIDs(d, p.Tuples))
+	for _, key := range order {
+		p := Partition{Key: key, Tuples: make([]dataset.Tuple, len(parts[key]))}
+		for i, k := range parts[key] {
+			p.Tuples[i] = r.tuples[k]
+		}
+		p.Decisions = r.decisionsAt(parts[key])
 		p.Config = configFromDecisions(p.Decisions)
-		table[k] = p.Config
+		table[key] = p.Config
 		spec.Partitions = append(spec.Partitions, p)
 	}
 	spec.Strategy = &Strategy{
@@ -238,10 +242,10 @@ func (x *ratioIndex) specialise(d *dataset.Dataset, dims Dims, tuples []dataset.
 // every flag, gather normalised runtimes from all mirror-pair
 // configuration comparisons with significant differences, and enable
 // the flag when the MWU test confirms a median speedup. Tuples without
-// data are skipped, as their comparisons would be.
-func OptsForPartition(d *dataset.Dataset, tuples []dataset.Tuple) []FlagDecision {
-	tids := tupleIDs(d, tuples)
-	return newRatioIndex(d, tids, true).decisions(tids)
+// data are skipped, as their comparisons would be; a repeated tuple
+// counts once per occurrence.
+func (x *Index) OptsForPartition(tuples []dataset.Tuple) []FlagDecision {
+	return x.reader().decisions(tupleIDs(x.d, tuples))
 }
 
 // tupleIDs maps tuples to their dataset IDs, dropping tuples d has no

@@ -78,7 +78,7 @@ func TestGlobalEnablesUniversallyGoodFlag(t *testing.T) {
 			return 1.0 // no effect -> never significant
 		}
 	})
-	spec := Specialise(d, Dims{})
+	spec := NewIndex(d).Specialise(Dims{})
 	if len(spec.Partitions) != 1 {
 		t.Fatalf("global partitions = %d", len(spec.Partitions))
 	}
@@ -125,7 +125,7 @@ func TestChipSpecialisationSplitsConflict(t *testing.T) {
 		}
 		return 1.0
 	})
-	spec := Specialise(d, Dims{Chip: true})
+	spec := NewIndex(d).Specialise(Dims{Chip: true})
 	if len(spec.Partitions) != 2 {
 		t.Fatalf("partitions = %d, want 2", len(spec.Partitions))
 	}
@@ -150,7 +150,7 @@ func TestInputSpecialisation(t *testing.T) {
 		}
 		return 1.0
 	})
-	spec := Specialise(d, Dims{Input: true})
+	spec := NewIndex(d).Specialise(Dims{Input: true})
 	road := spec.Strategy.Config(dataset.Tuple{Chip: "c", App: "a1", Input: "road"})
 	social := spec.Strategy.Config(dataset.Tuple{Chip: "c", App: "a1", Input: "social"})
 	if !road.OiterGB || social.OiterGB {
@@ -171,7 +171,7 @@ func TestFGConflictResolvedByMedian(t *testing.T) {
 			return 1.0
 		}
 	})
-	spec := Specialise(d, Dims{})
+	spec := NewIndex(d).Specialise(Dims{})
 	cfg := spec.Strategy.Config(tuples[0])
 	if cfg.FG != opt.FG1 {
 		t.Errorf("fg conflict: got %v, want FG1 (stronger median)", cfg.FG)
@@ -243,7 +243,7 @@ func TestSpecialiseAllocsIndependentOfGrid(t *testing.T) {
 	}
 	for _, chips := range [][]string{{"c1"}, {"c1", "c2", "c3", "c4"}} {
 		d := synthDataset(grid(chips, apps, inputs), factor)
-		allocs := testing.AllocsPerRun(5, func() { Specialise(d, Dims{}) })
+		allocs := testing.AllocsPerRun(5, func() { NewIndex(d).Specialise(Dims{}) })
 		if allocs > bound {
 			t.Errorf("%d chips: Specialise(global) allocates %.0f times, want <= %d", len(chips), allocs, bound)
 		}

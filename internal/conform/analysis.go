@@ -186,10 +186,11 @@ func (pd *partialDataset) refTuples() []dataset.Tuple {
 // over random partial datasets: the dataset must hold exactly the
 // samples added (against a map), Tuples must keep the reference order,
 // and every FlagDecision of every partition at every specialisation,
-// gated and ungated - plus random tuple subsets with duplicates and
-// unknown tuples - must match field for field, floats by their bits,
-// as must Classify over the whole grid and Improvable. The engine
-// parameter is ignored.
+// gated (all read one analysis.NewIndex) and ungated - plus random
+// tuple subsets with duplicates and unknown tuples, read from that same
+// index - must match field for field, floats by their bits, as must
+// Classify over the whole grid and Improvable. The engine parameter is
+// ignored.
 func checkAnalysisDifferential(_ engine, r *stats.RNG, trials int) error {
 	for t := 0; t < trials; t++ {
 		if err := diffAnalysis(randPartialDataset(r), r); err != nil {
@@ -217,13 +218,14 @@ func diffAnalysis(pd *partialDataset, r *stats.RNG) error {
 	if fmt.Sprint(tuples) != fmt.Sprint(want) {
 		return fmt.Errorf("Tuples() = %v, reference order %v", tuples, want)
 	}
+	x := analysis.NewIndex(d)
 	for _, gated := range []bool{true, false} {
-		specialise := analysis.Specialise
+		specialise := x.Specialise
 		if !gated {
-			specialise = analysis.SpecialiseUngated
+			specialise = func(dims analysis.Dims) *analysis.Specialisation { return analysis.SpecialiseUngated(d, dims) }
 		}
 		for _, dims := range analysis.AllDims() {
-			for _, p := range specialise(d, dims).Partitions {
+			for _, p := range specialise(dims).Partitions {
 				if err := diffDecisions(p.Decisions, refOptsForPartition(d, p.Tuples, gated)); err != nil {
 					return fmt.Errorf("%s (gated=%v) partition %s: %v", dims.Name(), gated, p.Key, err)
 				}
@@ -238,7 +240,7 @@ func diffAnalysis(pd *partialDataset, r *stats.RNG) error {
 			subset = append(subset, t)
 		}
 	}
-	if err := diffDecisions(analysis.OptsForPartition(d, subset), refOptsForPartition(d, subset, true)); err != nil {
+	if err := diffDecisions(x.OptsForPartition(subset), refOptsForPartition(d, subset, true)); err != nil {
 		return fmt.Errorf("OptsForPartition over %v: %v", subset, err)
 	}
 	for _, t := range append(tuples, ghost) {

@@ -66,23 +66,24 @@ type Stat struct {
 	CI   stats.Interval
 }
 
-// cell is one slab entry.
+// cell is one entry of a tuple's row.
 type cell struct {
 	samples []float64
 	stat    Stat
 	present bool
 }
 
-// Dataset is the collection of records, stored in one slab of cells
-// indexed by (tuple ID x config ID). Tuple IDs are dense and assigned
-// in first-insertion order; config IDs are opt's (opt.Config.ID). Add
-// maintains every derived structure, so reads never build state.
+// Dataset is the collection of records, stored as one row of cells per
+// tuple, indexed by (tuple ID, config ID). Tuple IDs are dense and
+// assigned in first-insertion order; config IDs are opt's
+// (opt.Config.ID). Add maintains every derived structure, so reads
+// never build state.
 type Dataset struct {
-	tuples []Tuple // by tuple ID
-	sorted []int32 // tuple IDs in Tuples order
-	cells  []cell  // cell (tid, cid) at tid*opt.NumConfigs + cid
-	order  []int32 // slab indexes of the present cells in first-insertion order
-	last   int     // tuple ID of the latest Add: records arrive grouped by tuple
+	tuples []Tuple                 // by tuple ID
+	sorted []int32                 // tuple IDs in Tuples order
+	cells  []*[opt.NumConfigs]cell // row per tuple ID, allocated once
+	order  []int32                 // tid*opt.NumConfigs + cid of each present cell, in first-insertion order
+	last   int                     // tuple ID of the latest Add: records arrive grouped by tuple
 
 	chips  []string
 	apps   []string
@@ -106,22 +107,22 @@ func (d *Dataset) Add(rec Record) {
 		}
 		d.last = tid
 	}
-	i := tid*opt.NumConfigs + cid
-	c := &d.cells[i]
+	c := &d.cells[tid][cid]
 	if !c.present {
 		c.present = true
-		d.order = append(d.order, int32(i))
+		d.order = append(d.order, int32(tid*opt.NumConfigs+cid))
 	}
 	c.samples = rec.Samples
 	c.stat = Stat{Mean: stats.Mean(rec.Samples), CI: stats.CI95(rec.Samples)}
 }
 
-// addTuple assigns t the next tuple ID, grows the slab by one row and
-// inserts the ID into the sorted order.
+// addTuple assigns t the next tuple ID, allocates its row and inserts
+// the ID into the sorted order. Rows are separate allocations, so a new
+// tuple never copies the cells already stored.
 func (d *Dataset) addTuple(t Tuple) int {
 	tid := len(d.tuples)
 	d.tuples = append(d.tuples, t)
-	d.cells = append(d.cells, make([]cell, opt.NumConfigs)...)
+	d.cells = append(d.cells, new([opt.NumConfigs]cell))
 	d.sorted = slices.Insert(d.sorted, d.search(t), int32(tid))
 	d.chips = addUnique(d.chips, t.Chip)
 	d.apps = addUnique(d.apps, t.App)
@@ -166,11 +167,11 @@ func (d *Dataset) TupleID(t Tuple) (int, bool) {
 // Stat returns the cached summary of cell (tuple ID, config ID), with
 // ok=false when the cell has no samples (where Samples returns nil).
 func (d *Dataset) Stat(tid, cid int) (Stat, bool) {
-	c := &d.row(tid)[cid]
+	c := &d.cells[tid][cid]
 	return c.stat, c.samples != nil
 }
 
-// lookup returns the slab entry for a key, or nil when the tuple is
+// lookup returns the cell for a key, or nil when the tuple is
 // unknown or the config lies outside the optimisation space.
 func (d *Dataset) lookup(t Tuple, cfg opt.Config) *cell {
 	cid, ok := cfg.ID()
@@ -181,7 +182,7 @@ func (d *Dataset) lookup(t Tuple, cfg opt.Config) *cell {
 	if !ok {
 		return nil
 	}
-	return &d.row(tid)[cid]
+	return &d.cells[tid][cid]
 }
 
 // Len returns the number of records.
@@ -239,7 +240,7 @@ func (d *Dataset) BestConfig(t Tuple) (opt.Config, float64, bool) {
 		return opt.Config{}, 0, false
 	}
 	best, bestTime, found := 0, 0.0, false
-	for cid, c := range d.row(tid) {
+	for cid, c := range d.cells[tid] {
 		if !c.present {
 			continue
 		}
@@ -250,11 +251,6 @@ func (d *Dataset) BestConfig(t Tuple) (opt.Config, float64, bool) {
 	return opt.ByID(best), bestTime, found
 }
 
-// row returns the slab row of tuple tid, indexed by config ID.
-func (d *Dataset) row(tid int) []cell {
-	return d.cells[tid*opt.NumConfigs : (tid+1)*opt.NumConfigs]
-}
-
 // TupleCoverage returns the fraction of the configuration grid that has
 // data for the tuple (1 for a fully swept tuple, 0 for an absent one).
 func (d *Dataset) TupleCoverage(t Tuple) float64 {
@@ -263,7 +259,7 @@ func (d *Dataset) TupleCoverage(t Tuple) float64 {
 		return 0
 	}
 	have := 0
-	for _, c := range d.row(tid) {
+	for _, c := range d.cells[tid] {
 		if c.present {
 			have++
 		}
@@ -296,7 +292,7 @@ func (d *Dataset) MissingCells() []Key {
 				t := Tuple{Chip: ch, App: app, Input: in}
 				tid, ok := d.TupleID(t)
 				for cid := 0; cid < opt.NumConfigs; cid++ {
-					if !ok || !d.row(tid)[cid].present {
+					if !ok || !d.cells[tid][cid].present {
 						out = append(out, Key{t, opt.ByID(cid)})
 					}
 				}
@@ -306,10 +302,15 @@ func (d *Dataset) MissingCells() []Key {
 	return out
 }
 
-// record rebuilds the record stored at slab index i.
+// at returns the cell at index i, tid*opt.NumConfigs + cid.
+func (d *Dataset) at(i int32) *cell {
+	return &d.cells[int(i)/opt.NumConfigs][int(i)%opt.NumConfigs]
+}
+
+// record rebuilds the record stored at cell index i.
 func (d *Dataset) record(i int32) Record {
 	tid, cid := int(i)/opt.NumConfigs, int(i)%opt.NumConfigs
-	return Record{Key: Key{d.tuples[tid], opt.ByID(cid)}, Samples: d.cells[i].samples}
+	return Record{Key: Key{d.tuples[tid], opt.ByID(cid)}, Samples: d.at(i).samples}
 }
 
 // WriteCSV serialises the dataset: header then one row per record with
@@ -317,7 +318,7 @@ func (d *Dataset) record(i int32) Record {
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	maxSamples := 0
 	for _, i := range d.order {
-		if n := len(d.cells[i].samples); n > maxSamples {
+		if n := len(d.at(i).samples); n > maxSamples {
 			maxSamples = n
 		}
 	}
@@ -418,7 +419,7 @@ func ParseRecord(row []string) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}}
+	rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}, Samples: make([]float64, 0, len(row)-4)}
 	for _, f := range row[4:] {
 		if strings.TrimSpace(f) == "" {
 			continue

@@ -118,7 +118,11 @@ func InputByName(name string) (*Graph, error) {
 func GenerateRoad(name string, side int, seed uint64) *Graph {
 	rng := stats.NewRNG(seed)
 	n := side * side
+	highways := n / 1000 // ~0.1% of nodes get a highway
 	b := NewBuilder(name, ClassRoad, n)
+	// Both directions of every street and highway: an upper bound, as
+	// some are dropped below.
+	b.reserve(2 * (2*side*max(side-1, 0) + highways))
 	id := func(r, c int) int32 { return int32(r*side + c) }
 
 	for r := 0; r < side; r++ {
@@ -138,8 +142,7 @@ func GenerateRoad(name string, side int, seed uint64) *Graph {
 			}
 		}
 	}
-	// Highways: sparse long shortcuts, ~0.1% of nodes get one.
-	highways := n / 1000
+	// Highways: sparse long shortcuts.
 	for i := 0; i < highways; i++ {
 		u := int32(rng.Intn(n))
 		v := int32(rng.Intn(n))
@@ -160,27 +163,24 @@ func GenerateRMAT(name string, scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << scale
 	m := n * edgeFactor / 2 // undirected edge pairs
 	b := NewBuilder(name, ClassSocial, n)
+	b.reserve(2 * m)
 	const a, bb, c = 0.57, 0.19, 0.19
 	for i := 0; i < m; i++ {
 		var u, v int
 		for bit := scale - 1; bit >= 0; bit-- {
+			// One draw picks the quadrant: the ranges split at a,
+			// a+bb and a+bb+c are top-left (no bit), top-right (v's
+			// bit), bottom-left (u's) and bottom-right (both). The
+			// bits come from the three comparisons, with no branch to
+			// mispredict.
 			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+bb:
-				v |= 1 << bit
-			case r < a+bb+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			ub := bit01(r >= a+bb)
+			u |= ub << bit
+			v |= (bit01(r >= a) ^ ub ^ bit01(r >= a+bb+c)) << bit
 		}
 		if u != v {
 			b.AddUndirected(int32(u), int32(v), int32(1+rng.Intn(100)))
 		}
-		u, v = 0, 0
 	}
 	return b.Build()
 }
@@ -193,6 +193,7 @@ func GenerateRMAT(name string, scale, edgeFactor int, seed uint64) *Graph {
 func GenerateUniform(name string, nodes, degree int, seed uint64) *Graph {
 	rng := stats.NewRNG(seed)
 	b := NewBuilder(name, ClassRandom, nodes)
+	b.reserve(2 * nodes * degree)
 	for u := 0; u < nodes; u++ {
 		for d := 0; d < degree; d++ {
 			v := rng.Intn(nodes)
@@ -202,4 +203,12 @@ func GenerateUniform(name string, nodes, degree int, seed uint64) *Graph {
 		}
 	}
 	return b.Build()
+}
+
+// bit01 returns 1 for true and 0 for false.
+func bit01(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -110,6 +110,10 @@ func NewBuilder(name string, class Class, numNodes int) *Builder {
 	return &Builder{name: name, class: class, numNodes: numNodes}
 }
 
+// reserve makes room for n more edges, so a caller that knows its edge
+// count adds them without regrowing the list.
+func (b *Builder) reserve(n int) { b.edges = slices.Grow(b.edges, n) }
+
 // AddEdge records a directed edge. Out-of-range endpoints panic: inputs
 // are generated internally, so a bad ID is a programming error.
 func (b *Builder) AddEdge(src, dst, weight int32) {
@@ -233,6 +237,7 @@ func (g *Graph) HasEdge(u, v int32) bool {
 func (g *Graph) Reverse() *Graph {
 	n := g.NumNodes()
 	b := NewBuilder(g.Name+".rev", g.Class, n)
+	b.reserve(g.NumEdges())
 	for u := int32(0); int(u) < n; u++ {
 		ws := g.EdgeWeights(u)
 		for i, v := range g.Neighbors(u) {

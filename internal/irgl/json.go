@@ -203,7 +203,7 @@ func ReadTraceJSON(data []byte) (*Trace, error) {
 
 func (d *decoder) launch(s *KernelStats) {
 	d.key('{', "Name")
-	s.Name = d.str()
+	s.Name = d.name()
 	d.key(',', "LoopID")
 	s.LoopID = d.int()
 	s.Items = d.int64Field("Items")
@@ -265,9 +265,10 @@ func decodeList[T any](d *decoder, elem func(*decoder, *T), hint int) []T {
 // discards the trace, so the schema reads as straight-line code; only
 // decodeList's loop checks err, to stop.
 type decoder struct {
-	data []byte
-	pos  int
-	err  error
+	data  []byte
+	pos   int
+	err   error
+	names []string // launch names decoded so far, each allocated once
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -380,11 +381,30 @@ func (d *decoder) int() int {
 	return int(v)
 }
 
-// str consumes a JSON string. Raw bytes must be valid UTF-8 and not
-// control bytes; the escapes are \" \\ \/ \b \f \n \r \t, and \u with
-// four hex digits outside the surrogate range. That covers everything
-// appendString writes.
-func (d *decoder) str() string {
+// name consumes a launch name. A trace has a handful of distinct
+// kernel names over many launches, so one equal to a name already
+// decoded shares that name's string.
+func (d *decoder) name() string {
+	b := d.strBytes()
+	for _, n := range d.names {
+		if n == string(b) {
+			return n
+		}
+	}
+	n := string(b)
+	d.names = append(d.names, n)
+	return n
+}
+
+// str consumes a JSON string.
+func (d *decoder) str() string { return string(d.strBytes()) }
+
+// strBytes consumes a JSON string and returns its decoded bytes, which
+// may alias the input, so they must not be modified or kept. Raw bytes
+// must be valid UTF-8 and not control bytes; the escapes are \" \\ \/
+// \b \f \n \r \t, and \u with four hex digits outside the surrogate
+// range. That covers everything appendString writes.
+func (d *decoder) strBytes() []byte {
 	d.tok('"')
 	var esc []byte // the string decoded so far, once it has an escape
 	start := d.pos
@@ -397,13 +417,13 @@ func (d *decoder) str() string {
 			}
 			if !utf8.Valid(s) {
 				d.fail("invalid UTF-8 in string")
-				return ""
+				return nil
 			}
 			d.pos = i + 1
-			return string(s)
+			return s
 		case c < ' ':
 			d.fail("control byte in string")
-			return ""
+			return nil
 		case c != '\\':
 			i++
 			continue
@@ -411,14 +431,14 @@ func (d *decoder) str() string {
 		r, n := unescape(d.data[i:])
 		if n == 0 {
 			d.fail("bad escape in string")
-			return ""
+			return nil
 		}
 		esc = utf8.AppendRune(append(esc, d.data[start:i]...), r)
 		i += n
 		start = i
 	}
 	d.fail("unterminated string")
-	return ""
+	return nil
 }
 
 // unescape decodes the escape that b starts with, returning its rune

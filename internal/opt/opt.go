@@ -211,8 +211,18 @@ func (c Config) join() string {
 	return strings.Join(parts, ",")
 }
 
-// Parse inverts String.
+// Parse inverts String. A name String writes is read from a table;
+// any other spelling goes through parseFlags.
 func Parse(s string) (Config, error) {
+	if c, ok := byName[s]; ok {
+		return c, nil
+	}
+	return parseFlags(s)
+}
+
+// parseFlags parses a comma-separated flag list, each flag trimmed of
+// spaces, or "baseline" or "" for the baseline.
+func parseFlags(s string) (Config, error) {
 	if s == "baseline" || s == "" {
 		return Config{}, nil
 	}
@@ -237,13 +247,22 @@ const NumConfigs = 96
 // All order, so a config's dense ID is its index and the baseline is ID
 // 0; ids maps a config's field encoding to its ID; mirrors holds each
 // flag's mirror pairs as IDs; names holds each config's String by field
-// encoding.
+// encoding, and byName inverts it.
 var (
 	table   = sortedConfigs()
 	ids     = indexConfigs()
 	mirrors = mirrorPairs()
 	names   = configNames()
+	byName  = nameIndex()
 )
+
+func nameIndex() map[string]Config {
+	out := make(map[string]Config, NumConfigs)
+	for enc, name := range names {
+		out[name] = decode(enc)
+	}
+	return out
+}
 
 func configNames() [NumConfigs]string {
 	var out [NumConfigs]string

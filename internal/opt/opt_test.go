@@ -26,15 +26,26 @@ func TestAllCount(t *testing.T) {
 	}
 }
 
+// TestStringParseRoundTrip checks both of Parse's routes, the name
+// table and the flag-list parser, on every config's name.
 func TestStringParseRoundTrip(t *testing.T) {
+	routes := []struct {
+		name  string
+		parse func(string) (Config, error)
+	}{{"Parse", Parse}, {"parseFlags", parseFlags}}
 	for _, c := range All() {
-		got, err := Parse(c.String())
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", c.String(), err)
+		for _, r := range routes {
+			got, err := r.parse(c.String())
+			if err != nil {
+				t.Fatalf("%s(%q): %v", r.name, c.String(), err)
+			}
+			if got != c {
+				t.Errorf("%s: round trip %q -> %v, want %v", r.name, c.String(), got, c)
+			}
 		}
-		if got != c {
-			t.Errorf("round trip %q -> %v, want %v", c.String(), got, c)
-		}
+	}
+	if len(byName) != NumConfigs {
+		t.Errorf("name table holds %d names, want %d", len(byName), NumConfigs)
 	}
 }
 
@@ -48,6 +59,11 @@ func TestParseErrors(t *testing.T) {
 	c, err := Parse("")
 	if err != nil || !c.IsBaseline() {
 		t.Error("empty string should parse as baseline")
+	}
+	// Non-canonical spellings miss the name table and still parse.
+	c, err = Parse(" sz256, sg")
+	if want := (Config{SG: true, SZ256: true}); err != nil || c != want {
+		t.Errorf("Parse(\" sz256, sg\") = %v, %v; want %v", c, err, want)
 	}
 }
 

@@ -24,6 +24,9 @@ type Study struct {
 	ranksOnce sync.Once
 	ranks     []analysis.ConfigRank
 
+	indexOnce sync.Once
+	index     *analysis.Index
+
 	specMu sync.Mutex
 	specs  map[string]*analysis.Specialisation
 
@@ -90,9 +93,16 @@ func (s *Study) Specialise(dims analysis.Dims) *analysis.Specialisation {
 	if sp, ok := s.specs[key]; ok {
 		return sp
 	}
-	sp := analysis.Specialise(s.d, dims)
+	sp := s.analysisIndex().Specialise(dims)
 	s.specs[key] = sp
 	return sp
+}
+
+// analysisIndex returns the dataset's Algorithm-1 index, built on first
+// use and shared by every analysis of the study.
+func (s *Study) analysisIndex() *analysis.Index {
+	s.indexOnce.Do(func() { s.index = analysis.NewIndex(s.d) })
+	return s.index
 }
 
 // Global returns the fully-portable strategy's analysis.
@@ -145,12 +155,12 @@ func (s *Study) Extremes() []analysis.Extreme {
 // SamplingCurve runs the Section IX subsampling sufficiency experiment
 // at the given specialisation (not cached: parameterised).
 func (s *Study) SamplingCurve(dims analysis.Dims, fractions []float64, trials int, seed uint64) []analysis.SamplingPoint {
-	return analysis.SamplingCurve(s.d, dims, fractions, trials, seed)
+	return s.analysisIndex().SamplingCurve(dims, fractions, trials, seed)
 }
 
 // CrossValidate runs leave-one-out prediction along the dimension.
 func (s *Study) CrossValidate(dim analysis.LOODimension) []analysis.LOOResult {
-	return analysis.CrossValidate(s.d, dim)
+	return s.analysisIndex().CrossValidate(dim)
 }
 
 // SeedStabilityResult reports how the study's conclusions move when the
