@@ -86,13 +86,9 @@ import (
 	"sync"
 
 	"gpuport/internal/analysis"
-	"gpuport/internal/apps"
-	"gpuport/internal/chip"
 	"gpuport/internal/dataset"
 	"gpuport/internal/fault"
-	"gpuport/internal/graph"
 	"gpuport/internal/measure"
-	"gpuport/internal/microbench"
 	"gpuport/internal/obs"
 	"gpuport/internal/report"
 	"gpuport/internal/study"
@@ -263,7 +259,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		return printAll(w, s, opts.Obs.Summary())
+		return report.All(w, s, opts.Obs.Summary())
 	case "dataset":
 		s, err := loader()
 		if err != nil {
@@ -272,38 +268,33 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err := report.TuplesSummary(w, s.Dataset()); err != nil {
 			return err
 		}
-		if err := printCampaign(w, s, opts.Obs.Summary()); err != nil {
+		if err := report.Campaign(w, s, opts.Obs.Summary()); err != nil {
 			return err
 		}
 		if outFile == "" {
-			fmt.Fprintln(w, "hint: pass -out file.csv to persist the dataset")
+			_, err = fmt.Fprintln(w, "hint: pass -out file.csv to persist the dataset")
 		}
-		return nil
-	case "table":
+		return err
+	case "table", "figure":
+		render, last := report.PaperTable, 10
+		if rest[0] == "figure" {
+			render, last = report.PaperFigure, 5
+		}
 		if len(rest) < 2 {
-			return fmt.Errorf("usage: gpuport table <1..10>")
+			return fmt.Errorf("usage: gpuport %s <1..%d>", rest[0], last)
 		}
 		n, err := strconv.Atoi(rest[1])
 		if err != nil {
-			return fmt.Errorf("bad table number %q", rest[1])
+			return fmt.Errorf("bad %s number %q", rest[0], rest[1])
 		}
-		return printTable(w, n, loader)
-	case "figure":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: gpuport figure <1..5>")
-		}
-		n, err := strconv.Atoi(rest[1])
-		if err != nil {
-			return fmt.Errorf("bad figure number %q", rest[1])
-		}
-		return printFigure(w, n, loader)
+		return render(w, n, loader)
 	case "micro":
-		if err := printTableX(w); err != nil {
+		if err := report.PaperTable(w, 10, loader); err != nil {
 			return err
 		}
-		return printFigure5(w)
+		return report.PaperFigure(w, 5, loader)
 	case "inputs":
-		return printInputs(w)
+		return report.PaperTable(w, 8, loader)
 	case "sampling":
 		dims := analysis.Dims{Chip: true}
 		if len(rest) >= 2 {
@@ -317,8 +308,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		pts := s.SamplingCurve(dims, []float64{0.1, 0.2, 0.3, 0.5, 0.75, 1.0}, 5, seed)
-		return report.SamplingCurve(w, dims, pts)
+		return report.Sampling(w, s, dims, seed)
 	case "predict":
 		dim := analysis.LOOApp
 		if len(rest) >= 2 {
@@ -353,15 +343,18 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		prevMD := report.Markdown
 		report.Markdown = true
 		defer func() { report.Markdown = prevMD }()
-		if err := writeFullReport(f, s, seed, opts.Obs.Summary()); err != nil {
+		err = report.Full(f, s, seed, opts.Obs.Summary())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "report written to %s\n", path)
-		return nil
+		_, err = fmt.Fprintf(w, "report written to %s\n", path)
+		return err
 	case "transfer":
 		base := opts
 		base.Checkpoint = "" // one checkpoint cannot serve two sweeps
@@ -369,14 +362,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		t := report.NewTable("Do recommendations transfer to fresh inputs of the same classes?",
-			"Metric", "Value").RightAlign(1)
-		t.Row("global pick on standard inputs", res.GlobalA)
-		t.Row("global pick on extended inputs", res.GlobalB)
-		t.Row("per-chip decision agreement", report.F(res.ChipAgreement*100, 1)+"%")
-		t.Row("decisions the fresh domain leaves open", report.F(res.ChipUndecided*100, 1)+"%")
-		t.Row("Table III rank correlation (tau)", report.F(res.RankTau, 3))
-		return t.Render(w)
+		return report.Transfer(w, res)
 	case "stability":
 		n := 3
 		if len(rest) >= 2 {
@@ -396,14 +382,7 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		t := report.NewTable("Conclusion stability across measurement seeds",
-			"Seed", "Global config", "Table III tau", "Table IX agreement").
-			RightAlign(0, 2, 3)
-		for i := range res.Seeds {
-			t.Row(res.Seeds[i], res.GlobalConfigs[i],
-				report.F(res.RankTau[i], 3), report.F(res.ChipAgreement[i]*100, 1)+"%")
-		}
-		return t.Render(w)
+		return report.Stability(w, res)
 	case "decisions":
 		dims := analysis.Dims{}
 		if len(rest) >= 2 {
@@ -417,59 +396,10 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		printDecisions(w, s.Specialise(dims))
-		return nil
+		return report.Decisions(w, s.Specialise(dims))
 	default:
 		return fmt.Errorf("unknown command %q", rest[0])
 	}
-}
-
-// emit chains renderer calls and plain writes, latching the first
-// error so report assembly reads linearly. The report subcommand
-// writes to a file, so write errors (disk full, closed pipe) must
-// reach the exit status.
-type emit struct {
-	w   io.Writer
-	err error
-}
-
-func (e *emit) do(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-func (e *emit) f(format string, args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintf(e.w, format, args...)
-	}
-}
-
-func (e *emit) ln(args ...any) {
-	if e.err == nil {
-		_, e.err = fmt.Fprintln(e.w, args...)
-	}
-}
-
-// writeFullReport emits the complete study plus the extension
-// experiments as one markdown document.
-func writeFullReport(w io.Writer, s *study.Study, seed uint64, pipeline *obs.Summary) error {
-	e := &emit{w: w}
-	e.ln("# gpuport study report")
-	e.ln()
-	e.f("Reproduction of \"One Size Doesn't Fit All\" (IISWC 2019); seed %d.\n\n", seed)
-	e.do(printAll(w, s, pipeline))
-	e.ln("\n## Extension: sampling sufficiency (Section IX future work)")
-	e.ln()
-	pts := s.SamplingCurve(analysis.Dims{Chip: true}, []float64{0.1, 0.2, 0.3, 0.5, 0.75, 1.0}, 5, seed)
-	e.do(report.SamplingCurve(w, analysis.Dims{Chip: true}, pts))
-	e.ln("\n## Extension: leave-one-out prediction (Section IX future work)")
-	e.ln()
-	for _, dim := range []analysis.LOODimension{analysis.LOOApp, analysis.LOOInput, analysis.LOOChip} {
-		e.do(report.CrossValidation(w, dim.String(), s.CrossValidate(dim)))
-		e.ln()
-	}
-	return e.err
 }
 
 func parseDims(name string) (analysis.Dims, error) {
@@ -531,205 +461,4 @@ func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Wri
 		}
 	}
 	return s, nil
-}
-
-// printCampaign renders the collection accounting when there is
-// anything to tell: fault injection, missing cells, resumed cells or
-// checkpoint trouble. Clean non-resumed runs stay silent. pipeline
-// summarises the collection's recorder (opts.Obs); the process ran one
-// collection, so its cache counters are that collection's.
-func printCampaign(w io.Writer, s *study.Study, pipeline *obs.Summary) error {
-	// Trace-cache accounting renders whenever the cache saw traffic
-	// (and nothing otherwise), independently of fault eventfulness.
-	if err := report.TraceCacheSummary(w, pipeline); err != nil {
-		return err
-	}
-	rep := s.Report()
-	if rep == nil || !rep.Eventful() {
-		return nil
-	}
-	e := &emit{w: w}
-	e.do(report.Coverage(w, rep))
-	e.do(report.FaultSummary(w, rep))
-	e.do(report.PartialTuples(w, s.Dataset()))
-	return e.err
-}
-
-func printAll(w io.Writer, s *study.Study, pipeline *obs.Summary) error {
-	d := s.Dataset()
-	e := &emit{w: w}
-	e.do(report.TuplesSummary(w, d))
-	e.do(printCampaign(w, s, pipeline))
-	e.ln()
-	e.do(report.Chips(w, chip.All()))
-	e.ln()
-	e.do(report.Extremes(w, s.Extremes()))
-	e.f("max oracle geomean speedup over baseline: %.2fx\n\n", analysis.MaxOracleGeoMean(d))
-
-	e.do(printTable3(w, s))
-	e.ln()
-	e.do(printTable4(w, s))
-	e.ln()
-
-	e.do(report.Strategies(w))
-	e.ln()
-	e.do(report.OptSummary(w))
-	e.ln()
-	e.do(report.Apps(w, apps.All()))
-	e.ln()
-	e.do(printInputs(w))
-	e.ln()
-
-	e.do(report.ChipRecommendations(w, s.PerChip()))
-	e.ln()
-	e.do(printTableX(w))
-	e.ln()
-
-	e.do(report.Heatmap(w, s.Heatmap()))
-	e.ln()
-	e.do(report.FlagFrequencies(w, analysis.TopSpeedupOpts(d)))
-	e.ln()
-
-	evals, excluded := s.Evaluations()
-	e.do(report.StrategyOutcomes(w, evals, excluded))
-	e.ln()
-	e.do(report.StrategySlowdowns(w, evals))
-	e.ln()
-	e.do(printFigure5(w))
-	return e.err
-}
-
-func globalConfig(s *study.Study) analysis.ConfigRank {
-	cfg := s.Global().Strategy.Config(dataset.Tuple{})
-	for _, r := range s.Ranks() {
-		if r.Config == cfg {
-			return r
-		}
-	}
-	// The global recommendation can be the baseline; report rank -1.
-	return analysis.ConfigRank{Rank: -1, Config: cfg}
-}
-
-func printTable3(w io.Writer, s *study.Study) error {
-	return report.ConfigRanks(w, s.Ranks(), globalConfig(s), len(s.Dataset().Tuples()))
-}
-
-func printTable4(w io.Writer, s *study.Study) error {
-	d := s.Dataset()
-	maxGeo := analysis.MaxGeoMeanConfig(s.Ranks())
-	ours := globalConfig(s)
-	return report.ChipCounts(w,
-		maxGeo.Config, analysis.PerChipCounts(d, maxGeo.Config),
-		ours.Config, analysis.PerChipCounts(d, ours.Config))
-}
-
-func printTable(w io.Writer, n int, loader func() (*study.Study, error)) error {
-	switch n {
-	case 1:
-		return report.Chips(w, chip.All())
-	case 5:
-		return report.Strategies(w)
-	case 6:
-		return report.OptSummary(w)
-	case 7:
-		return report.Apps(w, apps.All())
-	case 8:
-		return printInputs(w)
-	case 10:
-		return printTableX(w)
-	}
-	s, err := loader()
-	if err != nil {
-		return err
-	}
-	switch n {
-	case 2:
-		return report.Extremes(w, s.Extremes())
-	case 3:
-		return printTable3(w, s)
-	case 4:
-		return printTable4(w, s)
-	case 9:
-		return report.ChipRecommendations(w, s.PerChip())
-	default:
-		return fmt.Errorf("no table %d (valid: 1-10)", n)
-	}
-}
-
-func printFigure(w io.Writer, n int, loader func() (*study.Study, error)) error {
-	if n == 5 {
-		return printFigure5(w)
-	}
-	s, err := loader()
-	if err != nil {
-		return err
-	}
-	switch n {
-	case 1:
-		return report.Heatmap(w, s.Heatmap())
-	case 2:
-		return report.FlagFrequencies(w, analysis.TopSpeedupOpts(s.Dataset()))
-	case 3:
-		evals, excluded := s.Evaluations()
-		return report.StrategyOutcomes(w, evals, excluded)
-	case 4:
-		evals, _ := s.Evaluations()
-		return report.StrategySlowdowns(w, evals)
-	default:
-		return fmt.Errorf("no figure %d (valid: 1-5)", n)
-	}
-}
-
-func printDecisions(w io.Writer, spec *analysis.Specialisation) {
-	for _, p := range spec.Partitions {
-		fmt.Fprintf(w, "partition %s -> %s\n", p.Key, p.Config)
-		for _, dec := range p.Decisions {
-			fmt.Fprintf(w, "  %-8s enabled=%-5v confident=%-5v p=%.4f CL=%.2f median=%.3f comparisons=%d\n",
-				dec.Flag, dec.Enabled, dec.Confident, dec.P, dec.CL, dec.MedianRatio, dec.Comparisons)
-		}
-	}
-}
-
-func printInputs(w io.Writer) error {
-	var props []graph.Properties
-	for _, g := range graph.StandardInputs() {
-		props = append(props, graph.Analyze(g))
-	}
-	return report.Inputs(w, props)
-}
-
-func printTableX(w io.Writer) error {
-	sgcmb, mdivg := microbench.TableX(chip.All())
-	t := report.NewTable("Table X: microbenchmark speedups per chip", "Bench", "M4000", "GTX1080", "HD5500", "IRIS", "R9", "MALI").
-		RightAlign(1, 2, 3, 4, 5, 6)
-	row := func(name string, sp []microbench.Speedup) {
-		cells := []any{name}
-		for _, s := range sp {
-			cells = append(cells, report.F(s.Factor, 2))
-		}
-		t.Row(cells...)
-	}
-	row("sg-cmb", sgcmb)
-	row("m-divg", mdivg)
-	return t.Render(w)
-}
-
-func printFigure5(w io.Writer) error {
-	sweep := microbench.Figure5Sweep()
-	t := report.NewTable("Figure 5: GPU utilisation vs kernel duration (10000 launches + copies)",
-		"Kernel (us)", "M4000", "GTX1080", "HD5500", "IRIS", "R9", "MALI").
-		RightAlign(0, 1, 2, 3, 4, 5, 6)
-	chips := chip.All()
-	series := make([][]microbench.UtilisationPoint, len(chips))
-	for i, ch := range chips {
-		series[i] = microbench.LaunchOverhead(ch, sweep)
-	}
-	for pi, t0 := range sweep {
-		cells := []any{report.F(t0/1000, 0)}
-		for ci := range chips {
-			cells = append(cells, report.F(series[ci][pi].Utilisation*100, 0)+"%")
-		}
-		t.Row(cells...)
-	}
-	return t.Render(w)
 }

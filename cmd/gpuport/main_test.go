@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,6 +242,43 @@ func TestErrors(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+}
+
+// TestUnknownSectionRejectedBeforeLoading: a table or figure number
+// the paper does not have is reported as such, before the dataset is
+// loaded or collected.
+func TestUnknownSectionRejectedBeforeLoading(t *testing.T) {
+	for _, args := range [][]string{
+		{"-in", "/nonexistent/file.csv", "table", "99"},
+		{"-in", "/nonexistent/file.csv", "figure", "0"},
+	} {
+		want := "no " + args[2] + " " + args[3] + " "
+		if err := run(args, io.Discard); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("run(%v) = %v, want an error starting %q", args, err, want)
+		}
+	}
+}
+
+// deadWriter fails every write, like stdout on a closed pipe.
+type deadWriter struct{}
+
+var errDeadWriter = errors.New("write on closed pipe")
+
+func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
+
+// TestWriteErrorsReachExitStatus: every subcommand that prints returns
+// the write error instead of exiting 0 with its output lost.
+func TestWriteErrorsReachExitStatus(t *testing.T) {
+	csv := sharedCSV(t)
+	for _, args := range [][]string{
+		{"all"}, {"dataset"}, {"table", "1"}, {"table", "3"}, {"figure", "4"},
+		{"micro"}, {"inputs"}, {"decisions", "chip"}, {"sampling"}, {"predict"},
+	} {
+		err := run(append([]string{"-in", csv}, args...), deadWriter{})
+		if !errors.Is(err, errDeadWriter) {
+			t.Errorf("%v on a dead writer returned %v", args, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -29,35 +30,31 @@ type checkpoint struct {
 // resumes instead of re-measuring.
 //
 // Loading is deliberately lenient where dataset.ReadCSV is strict: a
-// checkpoint written by a process that died mid-append can end in a
-// truncated row, and a self-healing harness must treat that as "one
-// cell not yet persisted", not as a fatal error. Malformed rows are
-// skipped; if the file does not end in a newline, one is inserted so
-// appended rows stay parseable.
+// process that died mid-append can leave a torn last row, which means
+// "cells not yet persisted", not a fatal error. A torn row can still
+// parse (a sample cut short is another number), so only the
+// newline-terminated rows are loaded, and the file is cut back to them
+// before appending. Malformed complete rows are skipped.
 func openCheckpoint(path string, runs int) (*checkpoint, *dataset.Dataset, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
-	var resumed *dataset.Dataset
-	if len(raw) > 0 {
-		resumed = loadCheckpointRows(raw)
-	}
+	raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
+	resumed := loadCheckpointRows(raw)
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
-	// A new file starts with the header; a truncated final line is
-	// healed so our appends start clean.
-	var start []byte
-	if len(raw) == 0 {
-		start = dataset.AppendHeader(nil, runs)
-	} else if raw[len(raw)-1] != '\n' {
-		start = []byte("\n")
+	// Drop a torn tail so our appends start on a row boundary; a file
+	// without one complete line starts over with the header.
+	err = f.Truncate(int64(len(raw)))
+	if err == nil && len(raw) == 0 {
+		_, err = f.Write(dataset.AppendHeader(nil, runs))
 	}
-	if _, err := f.Write(start); err != nil {
-		_ = f.Close() // best-effort: the write error is the one worth reporting
+	if err != nil {
+		_ = f.Close() // best-effort: the truncate or write error is the one worth reporting
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
 	return &checkpoint{f: f}, resumed, nil

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -400,6 +401,95 @@ func TestCheckpointHealsTruncatedRow(t *testing.T) {
 	}
 	if got := loadCheckpointRows(raw); got == nil || got.Len() != ref.Len() {
 		t.Fatalf("healed checkpoint holds %v records, want %d", got.Len(), ref.Len())
+	}
+}
+
+// TestCheckpointCrashTable cuts a checkpoint wherever a kill during
+// appendJob's write can leave it: at every byte offset of the last
+// row, inside each other row of the last job's block, and under
+// zero-filled tails. Every resume, and a second resume from the file
+// the first one left, must reproduce the uninterrupted dataset byte
+// for byte, resuming exactly the newline-terminated rows. A torn header
+// leaves no complete row, and the file starts over.
+func TestCheckpointCrashTable(t *testing.T) {
+	o := smallOptions()
+	o.Apps = o.Apps[:1]
+	o.Configs = opt.All()[:12] // 2 chips x 1 trace: two 12-row job blocks
+	ref, err := Collect(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := datasetCSV(t, ref)
+
+	dir := t.TempDir()
+	o.Checkpoint = filepath.Join(dir, "full.csv")
+	if _, err := Collect(o); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(o.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row i spans full[starts[i]:starts[i+1]]; row 0 is the header.
+	starts := []int{0}
+	for i, b := range full {
+		if b == '\n' {
+			starts = append(starts, i+1)
+		}
+	}
+	if rows := len(starts) - 2; rows != 2*len(o.Configs) {
+		t.Fatalf("checkpoint holds %d rows, want %d", rows, 2*len(o.Configs))
+	}
+	last := len(starts) - 2
+	blockStart := last - len(o.Configs) + 1
+
+	type tear struct {
+		name string
+		data []byte
+	}
+	cut := func(n int) []byte { return append([]byte(nil), full[:n]...) }
+	zeros := make([]byte, 7)
+	var tears []tear
+	for off := starts[last]; off < len(full); off++ {
+		tears = append(tears, tear{"last row cut at byte " + strconv.Itoa(off), cut(off)})
+	}
+	for r := blockStart; r < last; r++ {
+		mid := (starts[r] + starts[r+1]) / 2
+		tears = append(tears, tear{"row " + strconv.Itoa(r) + " cut at byte " + strconv.Itoa(mid), cut(mid)})
+	}
+	mid := (starts[last] + len(full)) / 2
+	zeroed := cut(len(full))
+	copy(zeroed[len(zeroed)-len(zeros):], zeros)
+	tears = append(tears,
+		tear{"header cut", cut(starts[1] / 2)},
+		tear{"zero-filled tail after the last row", append(cut(len(full)), zeros...)},
+		tear{"zero-filled tail inside the last row", append(cut(mid), zeros...)},
+		tear{"last row's end zeroed", zeroed},
+	)
+
+	path := filepath.Join(dir, "ck.csv")
+	for _, tc := range tears {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		complete := max(bytes.Count(tc.data, []byte("\n"))-1, 0) // the header is not a cell
+		o.Checkpoint = path
+		for pass := 1; pass <= 2; pass++ {
+			d, rep, err := CollectReport(o)
+			if err != nil {
+				t.Fatalf("%s, resume %d: %v", tc.name, pass, err)
+			}
+			if !bytes.Equal(datasetCSV(t, d), want) {
+				t.Fatalf("%s, resume %d: dataset differs from the uninterrupted run", tc.name, pass)
+			}
+			if pass == 2 {
+				complete = rep.Cells
+			}
+			if rep.Resumed != complete || rep.CheckpointError != "" {
+				t.Fatalf("%s, resume %d: resumed %d cells (checkpoint error %q), want %d",
+					tc.name, pass, rep.Resumed, rep.CheckpointError, complete)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func Coverage(w io.Writer, rep *measure.Report) error {
 		n := rep.FailuresByKind[k]
 		t.Row(k.String(), n, F(float64(n)/float64(missing)*100, 1)+"%")
 	}
-	p.table(t)
+	p.do(t.Render(w))
 	if rep.DropoutChip != "" {
 		p.f("chip %s dropped out at cell %d; all its later cells are missing\n",
 			rep.DropoutChip, rep.DropoutFrom)
@@ -58,7 +58,7 @@ func FaultSummary(w io.Writer, rep *measure.Report) error {
 	t.Row("cells healed by retry", rep.Retried)
 	t.Row("samples quarantined", rep.Quarantined)
 	t.Row("cells lost", len(rep.Failures))
-	p.table(t)
+	p.do(t.Render(w))
 	if rep.WaitNS > 0 {
 		p.f("virtual time on backoffs and deadlines: %.2f ms\n", rep.WaitNS/1e6)
 	}

@@ -1,7 +1,8 @@
 // Package report renders the study's tables and figures as aligned
 // text, mirroring the paper's presentation (Tables I-X, Figures 1-5).
-// Every renderer takes computed analysis structures and an io.Writer;
-// nothing here recomputes results.
+// Renderers take computed analysis structures and an io.Writer; All,
+// Full, PaperTable and PaperFigure lay the paper out from one section
+// list, reading each result from a study.Study.
 package report
 
 import (
@@ -19,6 +20,13 @@ type printer struct {
 	err error
 }
 
+// do latches the error a nested renderer returned.
+func (p *printer) do(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
 func (p *printer) f(format string, args ...any) {
 	if p.err == nil {
 		_, p.err = fmt.Fprintf(p.w, format, args...)
@@ -28,12 +36,6 @@ func (p *printer) f(format string, args ...any) {
 func (p *printer) ln(args ...any) {
 	if p.err == nil {
 		_, p.err = fmt.Fprintln(p.w, args...)
-	}
-}
-
-func (p *printer) table(t *Table) {
-	if p.err == nil {
-		p.err = t.Render(p.w)
 	}
 }
 

@@ -301,50 +301,70 @@ func TestPersistFailureCounted(t *testing.T) {
 // TestResumeFromCheckpoint proves deterministic resumption: a partial
 // checkpoint left behind by an interrupted execution is loaded instead
 // of re-measured, and the finished result is byte-identical to an
-// uninterrupted run.
+// uninterrupted run. A checkpoint whose last row a kill tore inside a
+// sample resumes only its complete rows: the torn row still parses, to
+// a different number, so it must be re-measured, not loaded.
 func TestResumeFromCheckpoint(t *testing.T) {
-	jobDir := t.TempDir()
-	spec := testSpec()
-	_, camp, errs := spec.Resolve()
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	id := camp.Fingerprint()[:16]
+	for _, name := range []string{"intact", "torn"} {
+		t.Run(name, func(t *testing.T) {
+			jobDir := t.TempDir()
+			spec := testSpec()
+			_, camp, errs := spec.Resolve()
+			if errs != nil {
+				t.Fatal(errs)
+			}
+			id := camp.Fingerprint()[:16]
 
-	// Simulate the interrupted daemon: one chip's cells are already in
-	// the job's checkpoint shard when the server starts.
-	partial := spec
-	partial.Chips = partial.Chips[:1]
-	_, pcamp, errs := partial.Resolve()
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	po := pcamp.Options()
-	po.Checkpoint = filepath.Join(jobDir, id+".ckpt")
-	_, prep, err := measure.CollectReport(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Complete() {
-		t.Fatal("partial run incomplete")
-	}
+			// Simulate the interrupted daemon: one chip's cells are
+			// already in the job's checkpoint shard when the server
+			// starts.
+			partial := spec
+			partial.Chips = partial.Chips[:1]
+			_, pcamp, errs := partial.Resolve()
+			if errs != nil {
+				t.Fatal(errs)
+			}
+			po := pcamp.Options()
+			po.Checkpoint = filepath.Join(jobDir, id+".ckpt")
+			_, prep, err := measure.CollectReport(po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !prep.Complete() {
+				t.Fatal("partial run incomplete")
+			}
+			wantResumed := pcamp.Cells()
+			if name == "torn" {
+				raw, err := os.ReadFile(po.Checkpoint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Cut the last sample in half, dropping the newline.
+				lastSample := bytes.LastIndexByte(raw, ',') + 1
+				raw = raw[:lastSample+(len(raw)-1-lastSample)/2]
+				if err := os.WriteFile(po.Checkpoint, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				wantResumed--
+			}
 
-	s := newTestServer(t, Config{JobDir: jobDir})
-	j := submit(t, s, spec)
-	waitDone(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("state = %s, want done", j.State())
-	}
-	wantResumed := pcamp.Cells()
-	if got := j.Resumed(); got != wantResumed {
-		t.Fatalf("resumed = %d, want %d", got, wantResumed)
-	}
-	got, errs := j.Result()
-	if errs != nil {
-		t.Fatal(errs)
-	}
-	if want := referenceBytes(t, testSpec()); !bytes.Equal(got, want) {
-		t.Fatal("resumed result differs from uninterrupted run")
+			s := newTestServer(t, Config{JobDir: jobDir})
+			j := submit(t, s, spec)
+			waitDone(t, j)
+			if j.State() != StateDone {
+				t.Fatalf("state = %s, want done", j.State())
+			}
+			if got := j.Resumed(); got != wantResumed {
+				t.Fatalf("resumed = %d, want %d", got, wantResumed)
+			}
+			got, errs := j.Result()
+			if errs != nil {
+				t.Fatal(errs)
+			}
+			if want := referenceBytes(t, testSpec()); !bytes.Equal(got, want) {
+				t.Fatal("resumed result differs from uninterrupted run")
+			}
+		})
 	}
 }
 

@@ -23,6 +23,12 @@ func DefaultConfig() Config {
 			// Table X: REPORT.md, a byte golden, prints the microbenchmark
 			// kernels' times from the ocl simulator.
 			"gpuport/internal/microbench.TableX",
+			// The report renderer: REPORT.md is a byte golden, and every
+			// table, figure and decision listing gpuport prints starts here.
+			"gpuport/internal/report.Full",
+			"gpuport/internal/report.PaperTable",
+			"gpuport/internal/report.PaperFigure",
+			"gpuport/internal/report.Decisions",
 			// The columnar engine: measure's datasets are bit-identical
 			// to the reference path only if build, chip application and
 			// per-config assembly are all deterministic.

@@ -264,6 +264,10 @@ func TestProofSetNames(t *testing.T) {
 	want := []string{
 		"gpuport/internal/cost.Estimate",
 		"gpuport/internal/microbench.TableX",
+		"gpuport/internal/report.Full",
+		"gpuport/internal/report.PaperTable",
+		"gpuport/internal/report.PaperFigure",
+		"gpuport/internal/report.Decisions",
 		"gpuport/internal/cost/columnar.Build",
 		"gpuport/internal/cost/columnar.NewEvaluator",
 		"gpuport/internal/cost/columnar.Evaluator.Estimate",
