@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
@@ -68,6 +70,19 @@ func TestStaticTables(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table %s output missing %q", n, want)
 		}
+	}
+}
+
+// TestStudyDatasetPinned holds the bytes of the seed-42 study dataset:
+// the sha256 that _perfbench's study workload checks its CSV against.
+func TestStudyDatasetPinned(t *testing.T) {
+	raw, err := os.ReadFile(sharedCSV(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f45bfaabfbc36df6b246ff02663cf24ec2e9852e20545b6fd779fc088eb74d4e"
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("seed-42 dataset sha256 = %x, want %s", sum, want)
 	}
 }
 

@@ -31,9 +31,12 @@
 // reference's accumulation sequence (prefixes fold exactly; arbitrary
 // regroupings do not), bucket passes run in the reference's bucket
 // order, and shared constants come from the exported cost tuning
-// surface rather than copies. The conform property
-// engine-columnar-differential cross-validates the two engines over
-// randomized traces x all chips x all configs.
+// surface rather than copies. One helper assembles a launch's cost at
+// one workgroup size in the reference's addition order, for the
+// evaluator's base pass and for both sizes of every shape walk, so a
+// change to the per-launch model is made in one place. The conform
+// property engine-columnar-differential cross-validates the two
+// engines over randomized traces x all chips x all configs.
 //
 // Columns are immutable after Build and safe to share across any
 // number of concurrent Evaluators; an Evaluator memoises shape passes

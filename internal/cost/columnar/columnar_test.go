@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpuport/internal/apps"
 	"gpuport/internal/chip"
 	"gpuport/internal/cost"
 	"gpuport/internal/graph"
@@ -192,6 +193,22 @@ func TestRandomTraceEquivalence(t *testing.T) {
 	}
 }
 
+// TestNamedInputEquivalence holds the engine to the reference on the
+// traces it serves: every application on each standard and extended
+// input, on every chip, under every config.
+func TestNamedInputEquivalence(t *testing.T) {
+	for _, g := range append(graph.SharedStandardInputs(), graph.ExtendedInputs()...) {
+		for _, app := range apps.All() {
+			tr, _ := app.Run(g)
+			tp := cost.NewTraceProfile(tr)
+			cols := Build(tp)
+			for _, ch := range chip.All() {
+				checkEquivalence(t, ch, tp, cols)
+			}
+		}
+	}
+}
+
 // TestNonStandardChipGeometry drives the fallback paths: subgroup and
 // workgroup widths outside the memoised set, a zero subgroup width, and
 // a tiny MaxWorkgroup that clamps both size classes to the same width.
@@ -259,9 +276,6 @@ func TestOneShotHelpers(t *testing.T) {
 	want := cost.Estimate(ch, cfg, tp)
 	if got := Estimate(ch, cfg, Build(tp)); got != want {
 		t.Errorf("Estimate one-shot: %x != %x", got, want)
-	}
-	if got := EstimateTrace(ch, cfg, tr); got != want {
-		t.Errorf("EstimateTrace: %x != %x", got, want)
 	}
 }
 

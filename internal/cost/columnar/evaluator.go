@@ -3,7 +3,6 @@ package columnar
 import (
 	"gpuport/internal/chip"
 	"gpuport/internal/cost"
-	"gpuport/internal/irgl"
 	"gpuport/internal/opt"
 )
 
@@ -24,23 +23,6 @@ type sizeView struct {
 	drift   []float64 // clamp(imbalance(wgSize) - 1)
 }
 
-// shape caches one bucket-classification pass for a (wg, sg, fg, size)
-// projection of the config space, folded all the way down to the four
-// trace totals its configs can produce. The four configs sharing a
-// shape differ only in coop-cv and oitergb, both of which select among
-// per-launch terms that are already known during the walk - so the walk
-// accumulates all four variants as it goes and Estimate reduces to a
-// table lookup.
-//
-// The folding is exact because the walk visits launches in trace order
-// and assembles each launch's cost with the reference's own addition
-// sequence: each total IS the reference's accumulation replayed
-// verbatim, not a regrouping of it.
-type shape struct {
-	// totals[coopBit*2 + oiterBit]: full modelled trace time.
-	totals [4]float64
-}
-
 // Evaluator applies one chip to one column set. It memoises the 24
 // shape passes lazily, so it is cheap to construct even when only a few
 // configs will be evaluated, yet a full 96-config sweep pays for each
@@ -55,13 +37,12 @@ type Evaluator struct {
 	cusF     float64
 	launchNS float64
 	sgW      int // executing subgroup width, clamped to >= 1
-	jit      bool
 
 	// Per-launch chip applications, config-invariant.
 	plainLane []float64 // work * imbalance(sgW): no nested parallelism
 	pushComb  []float64 // push cost under subgroup combining
-	pushPlain []float64 // push cost without combining
-	coopA     []float64 // coop-cv predication overhead (work-scaled)
+	pushOff   []float64 // push cost without coop-cv: combined only by the chip's JIT
+	coopA     []float64 // coop-cv predication overhead (work-scaled), 0 without pushes
 	coopB     []float64 // coop-cv subgroup-barrier overhead (push-scaled)
 	rmwNS     []float64 // data-atomic cost
 	randPen   []float64 // randomAccesses * DivergencePenaltyNS
@@ -94,20 +75,30 @@ type Evaluator struct {
 	// costs do not depend on the (wg, sg, fg) projection, so every
 	// shape walk reads them back instead of re-deriving them (and
 	// re-dividing by the launch throughput); the interleaved layout
-	// puts all eight on one cache line. plainTotals[s] is the fold of
-	// the base costs over the whole trace: the complete no-scheme
-	// shape, prebuilt.
-	base        []float64
-	plainTotals [2][4]float64
+	// puts all eight on one cache line.
+	base []float64
 
-	size   [2]sizeView
-	shapes [24]shape // [combo + szIdx*12], combo = fg*4 + wgBit + 2*sgBit
-	built  [12]bool  // per combo: both sizes are built together
+	size [2]sizeView
+
+	// shapes[combo + szIdx*12][v], combo = fg*4 + wgBit + 2*sgBit:
+	// the full modelled trace time of one (wg, sg, fg, size)
+	// projection of the config space under variant v (coopBit*2 +
+	// oiterBit). The four configs sharing a projection differ only in
+	// coop-cv and oitergb, which select among per-launch terms already
+	// known during the walk, so one walk folds all four totals and
+	// Estimate reduces to a table lookup. The folding is exact because
+	// the walk visits launches in trace order and assembles each
+	// launch's cost with the reference's own addition sequence: each
+	// total IS the reference's accumulation replayed verbatim, not a
+	// regrouping of it.
+	shapes [24][4]float64
+	built  [12]bool // per combo: both sizes are built together
 }
 
 // NewEvaluator precomputes every chip-dependent, config-invariant
 // quantity for the trace: one pass over the launches plus two size
-// views. Shape passes are filled in lazily by Estimate.
+// views. The base pass folds the no-scheme shapes; the others are
+// filled in lazily by Estimate.
 func NewEvaluator(ch chip.Chip, cols *Columns) *Evaluator {
 	n := cols.n
 	nb := len(cols.bC)
@@ -125,10 +116,9 @@ func NewEvaluator(ch chip.Chip, cols *Columns) *Evaluator {
 		cols:      cols,
 		cusF:      float64(ch.CUs),
 		launchNS:  ch.LaunchNS,
-		jit:       ch.JITCombinesAtomics,
 		plainLane: carve(n),
 		pushComb:  carve(n),
-		pushPlain: carve(n),
+		pushOff:   carve(n),
 		coopA:     carve(n),
 		coopB:     carve(n),
 		rmwNS:     carve(n),
@@ -161,7 +151,6 @@ func NewEvaluator(ch chip.Chip, cols *Columns) *Evaluator {
 	for i := 0; i < n; i++ {
 		e.plainLane[i] = cols.work[i] * cols.imbalance(i, e.sgW)
 		p := cols.pushes[i]
-		e.pushPlain[i] = p * ch.AtomicNS
 		// Combining divides the push count by the lanes that share an
 		// atomic; the raw (unclamped) subgroup width is what combines.
 		combine := float64(ch.SubgroupSize) * ch.CombineEfficiency * cols.dens[i]
@@ -169,7 +158,15 @@ func NewEvaluator(ch chip.Chip, cols *Columns) *Evaluator {
 			combine = 1
 		}
 		e.pushComb[i] = p / combine * ch.AtomicNS
-		e.coopA[i] = cols.work[i] * ch.CoopOverheadNS / e.cusF
+		e.pushOff[i] = p * ch.AtomicNS
+		if ch.JITCombinesAtomics {
+			e.pushOff[i] = e.pushComb[i]
+		}
+		// The reference charges coop-cv's overheads only with pushes;
+		// the push-scaled one is 0 without them already.
+		if p > 0 {
+			e.coopA[i] = cols.work[i] * ch.CoopOverheadNS / e.cusF
+		}
 		groups := p / sgWF
 		e.coopB[i] = groups * cost.BarriersPerItem * ch.SubgroupBarrierNS / e.cusF
 		e.rmwNS[i] = cols.rmws[i] * ch.AtomicDataNS
@@ -184,113 +181,81 @@ func NewEvaluator(ch chip.Chip, cols *Columns) *Evaluator {
 	e.buildBuckets()
 	e.basePass(0)
 	e.basePass(1)
+	e.built[0] = true // basePass folds the no-scheme combination
 	return e
 }
 
 // basePass fills base[szIdx] - the per-launch, per-variant costs along
-// the plain path - and folds them into the no-scheme shape totals. Each
-// cost is assembled with the reference's addition sequence for a launch
-// with no nested-parallelism rewrite: head (launch latency or outlined
-// sync, work over throughput, item overhead), push terms, data atomics,
-// divergence with no barrier relief. Terms that are exactly zero on
-// this path (inspection work, per-bucket barrier overhead) are skipped;
-// the remaining partial sums stay strictly positive, so skipping a zero
-// add leaves every float bit-identical to the reference (x + 0.0 == x
-// for x > 0).
+// the plain path - and folds them into the no-scheme shape at that
+// size. A launch with no nested-parallelism rewrite has no inspection
+// work, no barrier overhead and no divergence relief: its lane work is
+// the plain lane work, and its divergence fraction is exactly 1
+// (randPen * 1.0 == randPen bitwise).
 func (e *Evaluator) basePass(szIdx int) {
 	c := e.cols
 	sv := &e.size[szIdx]
-	ba := e.base
-	var t0, t1, t2, t3 float64
+	var t [4]float64
 	for i := 0; i < c.n; i++ {
-		o := 8*i + szIdx*4
+		o := 8*i + 4*szIdx
+		ns := e.base[o : o+4]
 		if c.zero[i] {
 			sync := e.launchNS
 			if c.inLoop[i] {
 				sync = sv.syncOut[i]
 			}
-			ba[o], ba[o+1], ba[o+2], ba[o+3] = e.launchNS, sync, e.launchNS, sync
-			t0 += e.launchNS
-			t1 += sync
-			t2 += e.launchNS
-			t3 += sync
-			continue
+			ns[0], ns[1], ns[2], ns[3] = e.launchNS, sync, e.launchNS, sync
+		} else {
+			ns[0], ns[1], ns[2], ns[3] = e.launchCosts(i, sv, e.plainLane[i], 0, e.randPen[i])
 		}
-		num := e.plainLane[i]
-		headP := e.launchNS
-		headP += num / sv.thr[i]
-		headP += sv.itemNS[i]
-		inLoop := c.inLoop[i]
-		headO := headP
-		if inLoop {
-			headO = sv.syncOut[i]
-			headO += num / sv.thrOut[i]
-			headO += sv.itemNS[i]
+		for v, x := range ns {
+			t[v] += x
 		}
-		// No rewrite means no divergence relief: the fraction is
-		// exactly 1, and randPen * 1.0 == randPen bitwise.
-		divNS := 0.0
-		if c.random[i] > 0 {
-			divNS = e.randPen[i]
-		}
-		rmw := e.rmwNS[i]
-		ns0 := headP // coop-cv off
-		ns2 := headP // coop-cv on
-		hasPush := c.pushes[i] > 0
-		var comb, push, a, b float64
-		if hasPush {
-			comb = e.pushComb[i]
-			push = e.pushPlain[i]
-			if e.jit {
-				push = comb
-			}
-			a, b = e.coopA[i], e.coopB[i]
-			ns0 += push
-			ns2 += comb
-			ns2 += a
-			ns2 += b
-		}
-		if rmw > 0 {
-			ns0 += rmw
-			ns2 += rmw
-		}
-		if divNS > 0 {
-			ns0 += divNS
-			ns2 += divNS
-		}
-		ns1, ns3 := ns0, ns2
-		if inLoop {
-			ns1 = headO
-			ns3 = headO
-			if hasPush {
-				ns1 += push
-				ns3 += comb
-				ns3 += a
-				ns3 += b
-			}
-			if rmw > 0 {
-				ns1 += rmw
-				ns3 += rmw
-			}
-			if divNS > 0 {
-				ns1 += divNS
-				ns3 += divNS
-			}
-		}
-		ba[o], ba[o+1], ba[o+2], ba[o+3] = ns0, ns1, ns2, ns3
-		t0 += ns0
-		t1 += ns1
-		t2 += ns2
-		t3 += ns3
 	}
-	for l := 0; l < c.nLoops; l++ {
-		it := e.loopIterNS[l]
-		t0 += it
-		t2 += it
-		t1 += e.loopOutNS
-		t3 += e.loopOutNS
+	e.shapes[12*szIdx] = e.withLoops(t)
+}
+
+// launchCosts assembles launch i's cost at one workgroup size under
+// each variant (coopBit*2 + oiterBit), with the reference's addition
+// sequence: head (launch latency or outlined sync, lane plus
+// inspection work num over throughput, item overhead, barrier overhead
+// extra), push terms, data atomics, divergence divNS. A term the
+// reference skips or guards is added here as exactly 0.0, which leaves
+// the strictly positive partial sum bit-identical (x + 0.0 == x for
+// x > 0). The outlined pair duplicates the plain pair bitwise when the
+// launch is not in a loop.
+func (e *Evaluator) launchCosts(i int, sv *sizeView, num, extra, divNS float64) (ns0, ns1, ns2, ns3 float64) {
+	costs := func(head, thr float64) (off, on float64) { // coop-cv off, on
+		head += num / thr
+		head += sv.itemNS[i]
+		head += extra
+		off, on = head+e.pushOff[i], head+e.pushComb[i]
+		on += e.coopA[i]
+		on += e.coopB[i]
+		off += e.rmwNS[i]
+		on += e.rmwNS[i]
+		off += divNS
+		on += divNS
+		return off, on
 	}
-	e.plainTotals[szIdx] = [4]float64{t0, t1, t2, t3}
+	ns0, ns2 = costs(e.launchNS, sv.thr[i])
+	if !e.cols.inLoop[i] {
+		return ns0, ns0, ns2, ns2
+	}
+	ns1, ns3 = costs(sv.syncOut[i], sv.thrOut[i])
+	return ns0, ns1, ns2, ns3
+}
+
+// withLoops folds the host-loop costs into the launch totals t, per
+// loop in the reference's order: every iteration's flag copy-back, or
+// with oitergb one dispatch and one copy.
+func (e *Evaluator) withLoops(t [4]float64) [4]float64 {
+	for _, it := range e.loopIterNS {
+		t[0] += it
+		t[2] += it
+		t[1] += e.loopOutNS
+		t[3] += e.loopOutNS
+	}
+	return t
 }
 
 // buildBuckets fills the per-bucket chip columns and their per-launch
@@ -381,7 +346,7 @@ func (e *Evaluator) buildSize(s int) {
 // shapeFor returns the memoised shape pass for the config's (wg, sg,
 // fg, size) projection, building both size shapes of its combination on
 // first use.
-func (e *Evaluator) shapeFor(cfg opt.Config, szIdx int) *shape {
+func (e *Evaluator) shapeFor(cfg opt.Config, szIdx int) *[4]float64 {
 	key := int(cfg.FG) * 4
 	if cfg.WG {
 		key++
@@ -402,21 +367,15 @@ func (e *Evaluator) shapeFor(cfg opt.Config, szIdx int) *shape {
 // and folds the result all the way down to the eight sweep totals the
 // combination's configs can produce (size x coop-cv x oitergb). The
 // sizes share every size-invariant load, and the entire lane-work walk
-// when the workgroup arm is off; each size's accumulation chain still
-// replays the reference's addition sequence independently, so the
-// fusion changes which pass computes a total, never the floats in it.
-// Reads only cfg.WG, cfg.SG and cfg.FG.
+// when the workgroup arm is off; launchCosts assembles each size's
+// launch cost, and each size's accumulation chain replays the
+// reference's addition sequence independently, so the fusion changes
+// which pass computes a total, never the floats in it. Reads only
+// cfg.WG, cfg.SG and cfg.FG; the no-scheme combination is basePass's.
 func (e *Evaluator) buildCombo(cfg opt.Config, key int) {
 	c := e.cols
 	n := c.n
 
-	if !cfg.WG && !cfg.SG && cfg.FG == opt.FGOff {
-		// No scheme: every launch takes the plain path, which basePass
-		// already folded over the whole trace.
-		e.shapes[key] = shape{totals: e.plainTotals[0]}
-		e.shapes[key+12] = shape{totals: e.plainTotals[1]}
-		return
-	}
 	schemes := 0
 	for _, on := range [3]bool{cfg.WG, cfg.SG, cfg.FG != opt.FGOff} {
 		if on {
@@ -493,10 +452,8 @@ func (e *Evaluator) buildCombo(cfg opt.Config, key int) {
 	c2SGcol := e.c2SG
 	extraWGCol := e.extraWGSum
 	extraSGCol := e.extraSGSum
-	maxGT1, inLoopCol := c.maxGT1, c.inLoop
-	items, pushes, random := c.items, c.pushes, c.random
-	rmwNS, randPen := e.rmwNS, e.randPen
-	sv0, sv1 := &e.size[0], &e.size[1]
+	maxGT1, items := c.maxGT1, c.items
+	randPen := e.randPen
 	ba := e.base
 	sgOrWG := sgOn || wgOn
 	reps := 1
@@ -504,21 +461,14 @@ func (e *Evaluator) buildCombo(cfg opt.Config, key int) {
 		reps = 2 // wg arm boundary depends on the workgroup width
 	}
 
-	// Totals: u* at size 0, v* at size 1, each [coopBit*2 + oiterBit].
-	var u0, u1, u2, u3, v0, v1, v2, v3 float64
+	var tot [8]float64 // [szIdx*4 + variant], base's per-launch layout
 	for i := 0; i < n; i++ {
 		if !maxGT1[i] {
 			// Sync-only or no nested parallelism: the launch's cost is
 			// projection-invariant and basePass already assembled it.
-			o := 8 * i
-			u0 += ba[o]
-			u1 += ba[o+1]
-			u2 += ba[o+2]
-			u3 += ba[o+3]
-			v0 += ba[o+4]
-			v1 += ba[o+5]
-			v2 += ba[o+6]
-			v3 += ba[o+7]
+			for k, x := range ba[8*i : 8*i+8] {
+				tot[k] += x
+			}
 			continue
 		}
 		extraWork := inspect * items[i]
@@ -602,166 +552,21 @@ func (e *Evaluator) buildCombo(cfg opt.Config, key int) {
 			lane[1], extra[1] = lane[0], extra[0]
 		}
 
-		// divNS and rmw are 0 exactly when the reference skips their
-		// adds, and a cost is strictly positive, so both skipping and
-		// adding zero are bitwise identical to the reference's guarded
-		// adds (x + 0.0 == x for x > 0).
-		inLoop := inLoopCol[i]
-		var divNS0, divNS1 float64
-		if random[i] > 0 {
-			rp := randPen[i]
+		for s := 0; s < 2; s++ {
 			divFrac := 1.0
 			if sgOrWG {
-				divFrac *= 1 - relief*sv0.drift[i]
+				divFrac *= 1 - relief*e.size[s].drift[i]
 			}
 			if fgIdx >= 0 {
 				divFrac *= fgRelief
 			}
-			divNS0 = rp * divFrac
-			divFrac = 1.0
-			if sgOrWG {
-				divFrac *= 1 - relief*sv1.drift[i]
-			}
-			if fgIdx >= 0 {
-				divFrac *= fgRelief
-			}
-			divNS1 = rp * divFrac
-		}
-		rmw := rmwNS[i]
-		hasPush := pushes[i] > 0
-		var comb, push, a, b float64
-		if hasPush {
-			comb = e.pushComb[i]
-			push = e.pushPlain[i]
-			if e.jit {
-				push = comb // the chip's JIT combines even without coop-cv
-			}
-			a, b = e.coopA[i], e.coopB[i]
-		}
-
-		// Variants at size 0, each assembled with the reference's
-		// addition sequence: head, push terms, data atomics,
-		// divergence. The outlined pair duplicates the plain pair
-		// bitwise when the launch is not in a loop.
-		num := lane[0] + extraWork
-		headP := e.launchNS
-		headP += num / sv0.thr[i]
-		headP += sv0.itemNS[i]
-		headP += extra[0]
-		ns0 := headP // coop-cv off
-		ns2 := headP // coop-cv on
-		if hasPush {
-			ns0 += push
-			ns2 += comb
-			ns2 += a
-			ns2 += b
-		}
-		if rmw > 0 {
-			ns0 += rmw
-			ns2 += rmw
-		}
-		if divNS0 > 0 {
-			ns0 += divNS0
-			ns2 += divNS0
-		}
-		u0 += ns0
-		u2 += ns2
-		if inLoop {
-			headO := sv0.syncOut[i]
-			headO += num / sv0.thrOut[i]
-			headO += sv0.itemNS[i]
-			headO += extra[0]
-			ns1 := headO
-			ns3 := headO
-			if hasPush {
-				ns1 += push
-				ns3 += comb
-				ns3 += a
-				ns3 += b
-			}
-			if rmw > 0 {
-				ns1 += rmw
-				ns3 += rmw
-			}
-			if divNS0 > 0 {
-				ns1 += divNS0
-				ns3 += divNS0
-			}
-			u1 += ns1
-			u3 += ns3
-		} else {
-			u1 += ns0
-			u3 += ns2
-		}
-
-		// Variants at size 1: the same sequence against the size-1
-		// throughput, overheads and drift.
-		num = lane[1] + extraWork
-		headP = e.launchNS
-		headP += num / sv1.thr[i]
-		headP += sv1.itemNS[i]
-		headP += extra[1]
-		ns0 = headP
-		ns2 = headP
-		if hasPush {
-			ns0 += push
-			ns2 += comb
-			ns2 += a
-			ns2 += b
-		}
-		if rmw > 0 {
-			ns0 += rmw
-			ns2 += rmw
-		}
-		if divNS1 > 0 {
-			ns0 += divNS1
-			ns2 += divNS1
-		}
-		v0 += ns0
-		v2 += ns2
-		if inLoop {
-			headO := sv1.syncOut[i]
-			headO += num / sv1.thrOut[i]
-			headO += sv1.itemNS[i]
-			headO += extra[1]
-			ns1 := headO
-			ns3 := headO
-			if hasPush {
-				ns1 += push
-				ns3 += comb
-				ns3 += a
-				ns3 += b
-			}
-			if rmw > 0 {
-				ns1 += rmw
-				ns3 += rmw
-			}
-			if divNS1 > 0 {
-				ns1 += divNS1
-				ns3 += divNS1
-			}
-			v1 += ns1
-			v3 += ns3
-		} else {
-			v1 += ns0
-			v3 += ns2
+			ns0, ns1, ns2, ns3 := e.launchCosts(i, &e.size[s], lane[s]+extraWork, extra[s], randPen[i]*divFrac)
+			t := tot[4*s : 4*s+4]
+			t[0], t[1], t[2], t[3] = t[0]+ns0, t[1]+ns1, t[2]+ns2, t[3]+ns3
 		}
 	}
-
-	// Host loop tail, folded per loop in the reference's order.
-	for l := 0; l < c.nLoops; l++ {
-		it := e.loopIterNS[l]
-		u0 += it
-		u2 += it
-		u1 += e.loopOutNS
-		u3 += e.loopOutNS
-		v0 += it
-		v2 += it
-		v1 += e.loopOutNS
-		v3 += e.loopOutNS
-	}
-	e.shapes[key] = shape{totals: [4]float64{u0, u1, u2, u3}}
-	e.shapes[key+12] = shape{totals: [4]float64{v0, v1, v2, v3}}
+	e.shapes[key] = e.withLoops([4]float64(tot[:4]))
+	e.shapes[key+12] = e.withLoops([4]float64(tot[4:]))
 }
 
 // Estimate returns the modelled runtime of the trace on the evaluator's
@@ -788,7 +593,7 @@ func (e *Evaluator) Estimate(cfg opt.Config) float64 {
 	if cfg.CoopCV {
 		v += 2
 	}
-	return sh.totals[v]
+	return sh[v]
 }
 
 // Estimate is the one-shot convenience form: build an evaluator for
@@ -796,11 +601,4 @@ func (e *Evaluator) Estimate(cfg opt.Config) float64 {
 // Evaluator per (chip, trace) and reuse it across configs instead.
 func Estimate(ch chip.Chip, cfg opt.Config, cols *Columns) float64 {
 	return NewEvaluator(ch, cols).Estimate(cfg)
-}
-
-// EstimateTrace builds columns for tr and evaluates one config - the
-// columnar mirror of cost.Estimate(ch, cfg, cost.NewTraceProfile(tr)).
-// Exists for spot checks and examples; sweeps should Build once.
-func EstimateTrace(ch chip.Chip, cfg opt.Config, tr *irgl.Trace) float64 {
-	return Estimate(ch, cfg, Build(cost.NewTraceProfile(tr)))
 }

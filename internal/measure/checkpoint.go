@@ -34,13 +34,21 @@ type checkpoint struct {
 // "cells not yet persisted", not a fatal error. A torn row can still
 // parse (a sample cut short is another number), so only the
 // newline-terminated rows are loaded, and the file is cut back to them
-// before appending. Malformed complete rows are skipped.
+// before appending. Malformed complete rows are skipped. A complete
+// first line must be the header of a sweep with this many runs: cell
+// keys do not carry the run count, so a checkpoint written with
+// another one is refused before the file is opened for writing.
 func openCheckpoint(path string, runs int) (*checkpoint, *dataset.Dataset, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
 	}
 	raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
+	if len(raw) > 0 && !bytes.HasPrefix(raw, dataset.AppendHeader(nil, runs)) {
+		head, _, _ := bytes.Cut(raw, []byte{'\n'})
+		return nil, nil, fmt.Errorf("measure: checkpoint: %s was written with %d runs per cell, this sweep takes %d (header %q)",
+			path, bytes.Count(head, []byte(",run")), runs, head)
+	}
 	resumed := loadCheckpointRows(raw)
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -493,6 +493,40 @@ func TestCheckpointCrashTable(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsOtherRunCount resumes a checkpoint written with
+// two runs per cell into a three-run sweep. Cell keys do not carry the
+// run count, so only the header can tell: the resume must fail, name
+// the file and both counts, and leave the file's bytes as they were.
+func TestCheckpointRejectsOtherRunCount(t *testing.T) {
+	o := smallOptions()
+	o.Runs = 2
+	o.Checkpoint = filepath.Join(t.TempDir(), "ck.csv")
+	if _, err := Collect(o); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(o.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Runs = 3
+	_, err = Collect(o)
+	if err == nil {
+		t.Fatal("a 2-run checkpoint resumed into a 3-run sweep")
+	}
+	for _, want := range []string{o.Checkpoint, "2 runs", "takes 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	after, err := os.ReadFile(o.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("the rejected resume changed the checkpoint's bytes")
+	}
+}
+
 func TestWorkersOptionRespected(t *testing.T) {
 	// Workers beyond the job count must not deadlock or change results.
 	o := smallOptions()

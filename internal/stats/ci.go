@@ -35,9 +35,6 @@ func (iv Interval) Overlaps(other Interval) bool {
 	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
 }
 
-// Width returns Hi - Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // CI95 returns the 95% confidence interval for the mean of xs using
 // Student's t distribution. With fewer than two samples the interval is
 // degenerate at the single value (or NaN for none), which makes the
