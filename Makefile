@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/conform -run '^$$' -fuzz '^FuzzConformTrial$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/tracecache -run '^$$' -fuzz '^FuzzEntryDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/tracecache -run '^$$' -fuzz '^FuzzCutEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/irgl -run '^$$' -fuzz '^FuzzTraceJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 

@@ -12,7 +12,7 @@
 //	faultsim                         light faults on the default sweep
 //	faultsim -faults heavy           whole-chip dropout and high rates
 //	faultsim -faults transient=0.2,retries=1 -compare
-//	faultsim -resume ck.csv          checkpoint/resume the campaign
+//	faultsim -resume ck              checkpoint/resume the campaign
 //
 // Flags:
 //
@@ -25,7 +25,8 @@
 //	-apps N       sweep the first N applications (default 4)
 //	-nodes N      size of the generated input graphs (default 600)
 //	-workers N    collection workers (default GOMAXPROCS)
-//	-resume file  checkpoint CSV for interrupt/resume
+//	-resume file  checkpoint file for interrupt/resume; one written by
+//	              another campaign is refused
 //	-compare      also run fault-free and report analysis drift
 package main
 
@@ -45,6 +46,7 @@ import (
 	"gpuport/internal/graph"
 	"gpuport/internal/measure"
 	"gpuport/internal/report"
+	"gpuport/internal/study"
 )
 
 func main() {
@@ -69,7 +71,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	napps := fs.Int("apps", 4, "sweep the first N applications")
 	nodes := fs.Int("nodes", 600, "generated input graph size")
 	workers := fs.Int("workers", 0, "collection workers (default GOMAXPROCS)")
-	resume := fs.String("resume", "", "checkpoint CSV for interrupt/resume")
+	resume := fs.String("resume", "", "checkpoint file for interrupt/resume")
 	compare := fs.Bool("compare", false, "also run fault-free and report analysis drift")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -131,10 +133,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	agree, undecided := analysis.AgreementBetween(
-		analysis.NewIndex(clean).Specialise(analysis.Dims{Chip: true}),
-		analysis.NewIndex(d).Specialise(analysis.Dims{Chip: true}))
-	tau := analysis.RankCorrelation(analysis.RankConfigs(clean), analysis.RankConfigs(d))
+	drift := study.Compare(study.FromDataset(clean), study.FromDataset(d))
 
 	t := report.NewTable("Analysis drift under faults (clean sweep as reference)",
 		"Metric", "Value", "Floor", "Verdict").RightAlign(1, 2)
@@ -144,13 +143,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 		return "DEGRADED"
 	}
-	t.Row("per-chip decision agreement", report.F(agree*100, 1)+"%",
+	t.Row("per-chip decision agreement", report.F(drift.ChipAgreement*100, 1)+"%",
 		report.F(analysis.FaultAgreementFloor*100, 0)+"%",
-		verdict(agree, analysis.FaultAgreementFloor))
-	t.Row("decisions left undecided", report.F(undecided*100, 1)+"%", "-", "-")
-	t.Row("Table III rank correlation (tau)", report.F(tau, 3),
+		verdict(drift.ChipAgreement, analysis.FaultAgreementFloor))
+	t.Row("decisions left undecided", report.F(drift.ChipUndecided*100, 1)+"%", "-", "-")
+	t.Row("Table III rank correlation (tau)", report.F(drift.RankTau, 3),
 		report.F(analysis.FaultRankTauFloor, 2),
-		verdict(tau, analysis.FaultRankTauFloor))
+		verdict(drift.RankTau, analysis.FaultRankTauFloor))
 	return t.Render(w)
 }
 

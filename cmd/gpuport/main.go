@@ -37,9 +37,10 @@
 //	              key=value pairs like "transient=0.05,corrupt=0.02"
 //	              (see internal/fault); the run degrades gracefully to a
 //	              partial dataset and reports its coverage
-//	-resume file  persist completed cells to this checkpoint CSV as the
+//	-resume file  persist completed cells to this checkpoint file as the
 //	              sweep runs; an interrupted run (Ctrl-C) restarted with
-//	              the same flag resumes bit-identically
+//	              the same flags resumes bit-identically, and one with
+//	              flags that change the dataset is refused
 //	-trace-cache dir
 //	              content-addressed trace cache: (app, input) pairs
 //	              whose traces are cached skip execution entirely, so
@@ -121,7 +122,7 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 	inFile := fs.String("in", "", "load dataset from CSV instead of generating")
 	outFile := fs.String("out", "", "save generated dataset to CSV")
 	faultSpec := fs.String("faults", "", "fault injection profile: none, light, heavy, or key=value pairs")
-	resume := fs.String("resume", "", "checkpoint CSV: persist completed cells and resume interrupted sweeps")
+	resume := fs.String("resume", "", "checkpoint file: persist completed cells and resume interrupted sweeps")
 	cacheDir := fs.String("trace-cache", "", "directory for the content-addressed trace cache (created if missing)")
 	cacheMB := fs.Int("trace-cache-mb", 0, "trace cache size cap in MiB (default 256)")
 	workers := fs.Int("workers", 0, "trace and collection workers (default GOMAXPROCS)")

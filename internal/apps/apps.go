@@ -78,19 +78,6 @@ func ByName(name string) (App, error) {
 	return App{}, fmt.Errorf("apps: unknown application %q", name)
 }
 
-// Problems returns the distinct problem names in canonical order.
-func Problems() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range All() {
-		if !seen[a.Problem] {
-			seen[a.Problem] = true
-			out = append(out, a.Problem)
-		}
-	}
-	return out
-}
-
 // Infinity is the "unreached" distance marker for BFS and SSSP.
 const Infinity int32 = 1<<30 - 1
 

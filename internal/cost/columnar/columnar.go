@@ -12,7 +12,7 @@
 //
 //	Build (once per trace, chip-free)      - Columns: parallel column
 //	    slices of per-launch scalars, the compacted nonzero histogram
-//	    buckets, per-bucket products (c*r, c*barriers, c*coopLaneWork
+//	    buckets, per-bucket products (c*r, c*barriers, c*CoopLaneWork
 //	    at the standard group widths) and imbalance memos.
 //	NewEvaluator (once per chip per trace) - per-launch chip
 //	    applications: launch utilisation, throughput, item overhead,
@@ -344,14 +344,4 @@ func (c *Columns) imbalance(i, width int) float64 {
 		return c.imb[k][i]
 	}
 	return c.src.Launches[i].KernelStats.ImbalanceFactor(width)
-}
-
-// coopTerm returns count * CoopLaneWork(mean, width) for flat bucket j.
-// slot is widthSlot(width), carried by the caller so the lookup is
-// hoisted out of the bucket loop.
-func (c *Columns) coopTerm(j int32, slot, width int) float64 {
-	if slot >= 0 {
-		return c.bCoop[slot][j]
-	}
-	return c.bC[j] * cost.CoopLaneWork(c.bR[j], width)
 }

@@ -34,24 +34,27 @@ import (
 	"gpuport/internal/opt"
 )
 
-// Model tuning constants.
+// Model tuning constants. The exported ones are shared with the
+// columnar engine (internal/cost/columnar), which replays launchCost's
+// arithmetic on another evaluation schedule and must use the very same
+// values, as it must CoopLaneWork.
 const (
 	// Residual excess imbalance after fg linearises the iteration
 	// space (per-chunk granularity leaves a little).
-	fg1Residual = 0.02
-	fg8Residual = 0.08
+	FG1Residual = 0.02
+	FG8Residual = 0.08
 
 	// Divergence relief from the coalesced access pattern fg induces.
-	fg1DivRelief = 0.35
-	fg8DivRelief = 0.28
+	FG1DivRelief = 0.35
+	FG8DivRelief = 0.28
 
 	// Inspector cost per work-item per enabled nested-parallelism
 	// scheme (degree read + local-memory staging), in work units.
-	inspectWorkPerItem = 0.5
+	InspectWorkPerItem = 0.5
 
 	// Cooperative processing synchronises the executing group twice
 	// per redistributed item (stage + drain).
-	barriersPerItem = 2
+	BarriersPerItem = 2
 
 	// coop-cv orchestration: local traffic per original push.
 	coopLocalFactor = 0.15
@@ -65,11 +68,11 @@ const (
 	// somewhat, so barrier-induced divergence relief never scales to
 	// zero (Section VIII-c's gratuitous-barrier effect exists on
 	// uniform strided loops).
-	driftFloor = 0.35
+	DriftFloor = 0.35
 
 	// Minimum launch utilisation (a single straggling workgroup still
 	// keeps a sliver of the machine busy).
-	minUtilisation = 1.0 / 4096
+	MinUtilisation = 1.0 / 4096
 )
 
 // LaunchProfile wraps kernel stats with memoised imbalance factors.
@@ -143,11 +146,11 @@ func Estimate(ch chip.Chip, cfg opt.Config, tp *TraceProfile) float64 {
 	return total
 }
 
-// coopLaneWork returns the lane-occupancy cost of processing one item
+// CoopLaneWork returns the lane-occupancy cost of processing one item
 // of work r cooperatively at the given group width: full rounds of
 // width lanes, with idle-lane waste partially hidden by memory-level
 // parallelism.
-func coopLaneWork(r float64, width int) float64 {
+func CoopLaneWork(r float64, width int) float64 {
 	w := float64(width)
 	rounds := float64(int((r + w - 1) / w))
 	if rounds < 1 {
@@ -216,7 +219,7 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 				schemes++
 			}
 		}
-		extraWork += inspectWorkPerItem * float64(schemes) * items
+		extraWork += InspectWorkPerItem * float64(schemes) * items
 
 		wgBar := ch.WorkgroupBarrierNS
 		if wgSize > 128 {
@@ -227,10 +230,10 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 		switch cfg.FG {
 		case opt.FG1:
 			fgCost = ch.FG1CostPerEdge
-			fgResidual = fg1Residual
+			fgResidual = FG1Residual
 		case opt.FG8:
 			fgCost = ch.FG8CostPerEdge
-			fgResidual = fg8Residual
+			fgResidual = FG8Residual
 		}
 
 		for b := 0; b < irgl.WorkHistBuckets; b++ {
@@ -241,13 +244,13 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 			r := float64(lp.WorkHistSum[b]) / c
 			switch {
 			case cfg.WG && (r >= float64(wgSize) || (!cfg.SG && cfg.FG == opt.FGOff)):
-				laneWork += c * coopLaneWork(r, wgSize)
+				laneWork += c * CoopLaneWork(r, wgSize)
 				if !mutation("drop-wg-barrier") {
-					extraLaneNS += c * barriersPerItem * wgBar / float64(ch.CUs)
+					extraLaneNS += c * BarriersPerItem * wgBar / float64(ch.CUs)
 				}
 			case cfg.SG && (r >= float64(sgW) || cfg.FG == opt.FGOff):
-				laneWork += c * coopLaneWork(r, sgW)
-				extraLaneNS += c * barriersPerItem * ch.SubgroupBarrierNS / float64(ch.CUs)
+				laneWork += c * CoopLaneWork(r, sgW)
+				extraLaneNS += c * BarriersPerItem * ch.SubgroupBarrierNS / float64(ch.CUs)
 			default:
 				// fg path: linearised iteration space.
 				laneWork += c * r * (1 + fgResidual + fgCost)
@@ -260,8 +263,8 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 	if util > 1 {
 		util = 1
 	}
-	if util < minUtilisation {
-		util = minUtilisation
+	if util < MinUtilisation {
+		util = MinUtilisation
 	}
 	gbPen := 1.0
 	if outlined {
@@ -305,7 +308,7 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 			}
 			ns += work * ch.CoopOverheadNS / float64(ch.CUs)
 			groups := pushes / float64(sgW)
-			ns += groups * barriersPerItem * ch.SubgroupBarrierNS / float64(ch.CUs)
+			ns += groups * BarriersPerItem * ch.SubgroupBarrierNS / float64(ch.CUs)
 		}
 	}
 	ns += float64(lp.AtomicRMWs) * ch.AtomicDataNS
@@ -323,8 +326,8 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 			if drift > 1 {
 				drift = 1
 			}
-			if drift < driftFloor {
-				drift = driftFloor
+			if drift < DriftFloor {
+				drift = DriftFloor
 			}
 			relief := ch.BarrierDivergenceRelief
 			if !cfg.SG {
@@ -337,9 +340,9 @@ func launchCost(ch chip.Chip, cfg opt.Config, lp *LaunchProfile, wgSize int, occ
 		if lp.MaxWork > 1 {
 			switch cfg.FG {
 			case opt.FG1:
-				divFrac *= 1 - fg1DivRelief
+				divFrac *= 1 - FG1DivRelief
 			case opt.FG8:
-				divFrac *= 1 - fg8DivRelief
+				divFrac *= 1 - FG8DivRelief
 			}
 		}
 		ns += float64(lp.RandomAccesses) * ch.DivergencePenaltyNS * divFrac

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"gpuport/internal/dataset"
 	"gpuport/internal/fault"
 	"gpuport/internal/opt"
+	"gpuport/internal/tracecache"
 )
 
 // faultyOptions is smallOptions plus a fault profile exercising every
@@ -103,6 +103,37 @@ func TestFaultedCollectDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// writeCheckpoint writes what an interrupted sweep of o leaves behind:
+// o's campaign entry, then recs as one job entry.
+func writeCheckpoint(t *testing.T, path string, o Options, recs []dataset.Record) {
+	t.Helper()
+	ck, _, err := openCheckpoint(path, NewCampaign(o).Fingerprint(), o.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]cellState, len(recs))
+	for i := range states {
+		states[i].measured = true
+	}
+	ck.appendJob(recs, states)
+	if msg := ck.close(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// readCheckpoint returns the cells a resume of o loads from path.
+func readCheckpoint(t *testing.T, path string, o Options) *dataset.Dataset {
+	t.Helper()
+	ck, d, err := openCheckpoint(path, NewCampaign(o).Fingerprint(), o.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := ck.close(); msg != "" {
+		t.Fatal(msg)
+	}
+	return d
+}
+
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	ref, refRep, err := CollectReport(faultyOptions())
 	if err != nil {
@@ -111,48 +142,35 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Simulate an interrupted sweep: persist roughly half the measured
 	// cells (what a killed process leaves behind), then resume.
-	half := dataset.New()
+	var half []dataset.Record
 	i := 0
 	for _, tp := range ref.Tuples() {
 		for _, cfg := range opt.All() {
 			if s := ref.Samples(tp, cfg); s != nil && i%2 == 0 {
-				half.Add(dataset.Record{Key: dataset.Key{Tuple: tp, Config: cfg}, Samples: s})
+				half = append(half, dataset.Record{Key: dataset.Key{Tuple: tp, Config: cfg}, Samples: s})
 			}
 			i++
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ck.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := half.WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
 	o := faultyOptions()
-	o.Checkpoint = path
+	o.Checkpoint = filepath.Join(t.TempDir(), "ck")
+	writeCheckpoint(t, o.Checkpoint, o, half)
+
 	resumed, rep, err := CollectReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Resumed != half.Len() {
-		t.Errorf("Resumed = %d, want %d", rep.Resumed, half.Len())
+	if rep.Resumed != len(half) {
+		t.Errorf("Resumed = %d, want %d", rep.Resumed, len(half))
 	}
 	if !bytes.Equal(datasetCSV(t, ref), datasetCSV(t, resumed)) {
 		t.Fatal("resumed dataset differs from uninterrupted run")
 	}
 	sameOutcomes(t, refRep, rep)
 
-	// The finished checkpoint file is itself the complete dataset.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCk := loadCheckpointRows(raw)
-	if fromCk == nil || fromCk.Len() != ref.Len() {
-		t.Fatalf("checkpoint holds %v records, want %d", fromCk.Len(), ref.Len())
+	// The finished checkpoint holds every measured cell.
+	if got := readCheckpoint(t, o.Checkpoint, o); got.Len() != ref.Len() {
+		t.Fatalf("checkpoint holds %d records, want %d", got.Len(), ref.Len())
 	}
 }
 
@@ -162,14 +180,15 @@ func TestCancelMidSweepThenResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "ck.csv")
+	path := filepath.Join(t.TempDir(), "ck")
+	campaignEntry := int64(len(tracecache.AppendEntry(nil, []byte(NewCampaign(faultyOptions()).Fingerprint()))))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		// Cancel as soon as the first shards hit the disk; if the sweep
 		// wins the race the first phase just completes in full.
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if st, err := os.Stat(path); err == nil && st.Size() > 64 {
+			if st, err := os.Stat(path); err == nil && st.Size() > campaignEntry {
 				break
 			}
 		}
@@ -300,8 +319,8 @@ func TestRetriesHealTransientFaults(t *testing.T) {
 // next one completes, so a hard kill loses at most the job being
 // written.
 func TestCheckpointFlushesEveryJob(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.csv")
-	ck, _, err := openCheckpoint(path, 1)
+	path := filepath.Join(t.TempDir(), "ck")
+	ck, _, err := openCheckpoint(path, "campaign", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,79 +333,51 @@ func TestCheckpointFlushesEveryJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loadCheckpointRows(raw); got == nil || got.Len() != 1 {
-		t.Errorf("checkpoint on disk after one job, before close:\n%s", raw)
+	head, rest, err := tracecache.CutEntry(raw)
+	if err != nil || string(head) != "campaign" {
+		t.Fatalf("campaign entry %q: %v", head, err)
+	}
+	if job, rest, err := tracecache.CutEntry(rest); err != nil || len(rest) != 0 ||
+		!bytes.Equal(job, dataset.AppendRecord(nil, rec)) {
+		t.Errorf("checkpoint on disk after one job, before close:\n%q", raw)
 	}
 	if msg := ck.close(); msg != "" {
 		t.Fatal(msg)
 	}
 }
 
-// TestFinishedCheckpointIsTheDataset pins the claim that a finished
-// checkpoint doubles as a saved dataset: with one worker, a fresh run's
-// checkpoint file is byte-identical to WriteCSV of the dataset the run
-// returned. With more workers only the row order may differ.
-func TestFinishedCheckpointIsTheDataset(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		o := smallOptions()
-		o.Workers = workers
-		o.Checkpoint = filepath.Join(t.TempDir(), "ck.csv")
-		d, err := Collect(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(o.Checkpoint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := string(raw), string(datasetCSV(t, d))
-		if workers > 1 {
-			got, want = sortedLines(got), sortedLines(want)
-		}
-		if got != want {
-			t.Errorf("workers=%d: finished checkpoint differs from the dataset's CSV", workers)
-		}
-	}
-}
-
-// sortedLines returns s with its lines in sorted order.
-func sortedLines(s string) string {
-	lines := strings.SplitAfter(s, "\n")
-	sort.Strings(lines)
-	return strings.Join(lines, "")
-}
-
 func TestCheckpointHealsTruncatedRow(t *testing.T) {
-	// A process killed mid-append leaves a truncated final line; the
-	// loader must skip it and the appender must not corrupt the file.
-	path := filepath.Join(t.TempDir(), "ck.csv")
+	// A process killed mid-append leaves a torn last entry; the loader
+	// must skip it and the appender must not corrupt the file.
 	ref, err := Collect(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tp := ref.Tuples()[0]
-	good := dataset.New()
-	good.Add(dataset.Record{
-		Key:     dataset.Key{Tuple: tp, Config: opt.Config{}},
-		Samples: ref.Samples(tp, opt.Config{}),
-	})
-	var buf bytes.Buffer
-	if err := good.WriteCSV(&buf); err != nil {
+	rec := func(cfg opt.Config) dataset.Record {
+		return dataset.Record{Key: dataset.Key{Tuple: tp, Config: cfg}, Samples: ref.Samples(tp, cfg)}
+	}
+	o := smallOptions()
+	o.Checkpoint = filepath.Join(t.TempDir(), "ck")
+	writeCheckpoint(t, o.Checkpoint, o, []dataset.Record{rec(opt.Config{})})
+	torn := tracecache.AppendEntry(nil, dataset.AppendRecord(nil, rec(opt.All()[1])))
+	f, err := os.OpenFile(o.Checkpoint, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(tp.Chip + "," + tp.App) // truncated row, no newline
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if _, err := f.Write(torn[:len(torn)-5]); err != nil { // cut inside the last sample
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	o := smallOptions()
-	o.Checkpoint = path
 	d, rep, err := CollectReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Resumed != 1 {
-		t.Errorf("Resumed = %d, want 1 (the intact row)", rep.Resumed)
+		t.Errorf("Resumed = %d, want 1 (the intact entry's row)", rep.Resumed)
 	}
 	if rep.CheckpointError != "" {
 		t.Errorf("checkpoint error: %s", rep.CheckpointError)
@@ -395,26 +386,24 @@ func TestCheckpointHealsTruncatedRow(t *testing.T) {
 		t.Fatal("dataset differs after healing a truncated checkpoint")
 	}
 	// The healed file must now load cleanly and completely.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loadCheckpointRows(raw); got == nil || got.Len() != ref.Len() {
-		t.Fatalf("healed checkpoint holds %v records, want %d", got.Len(), ref.Len())
+	if got := readCheckpoint(t, o.Checkpoint, o); got.Len() != ref.Len() {
+		t.Fatalf("healed checkpoint holds %d records, want %d", got.Len(), ref.Len())
 	}
 }
 
-// TestCheckpointCrashTable cuts a checkpoint wherever a kill during
-// appendJob's write can leave it: at every byte offset of the last
-// row, inside each other row of the last job's block, and under
-// zero-filled tails. Every resume, and a second resume from the file
-// the first one left, must reproduce the uninterrupted dataset byte
-// for byte, resuming exactly the newline-terminated rows. A torn header
-// leaves no complete row, and the file starts over.
+// TestCheckpointCrashTable cuts a checkpoint wherever a kill during a
+// write can leave it: at every byte offset of the campaign entry and
+// of the last job entry, under zero-filled tails (appended, and
+// overwriting the last entry's end), and with a byte flipped inside the
+// middle entry. Every resume, and a second resume from the file the
+// first one left, must reproduce the uninterrupted dataset byte for
+// byte, the first resuming exactly the cells of the entries before the
+// first one that fails to verify. A damaged campaign entry leaves no
+// verified entry, and the file starts over.
 func TestCheckpointCrashTable(t *testing.T) {
 	o := smallOptions()
 	o.Apps = o.Apps[:1]
-	o.Configs = opt.All()[:12] // 2 chips x 1 trace: two 12-row job blocks
+	o.Configs = opt.All()[:12] // 2 chips x 1 trace: two 12-cell job entries
 	ref, err := Collect(o)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +411,7 @@ func TestCheckpointCrashTable(t *testing.T) {
 	want := datasetCSV(t, ref)
 
 	dir := t.TempDir()
-	o.Checkpoint = filepath.Join(dir, "full.csv")
+	o.Checkpoint = filepath.Join(dir, "full")
 	if _, err := Collect(o); err != nil {
 		t.Fatal(err)
 	}
@@ -430,77 +419,74 @@ func TestCheckpointCrashTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row i spans full[starts[i]:starts[i+1]]; row 0 is the header.
-	starts := []int{0}
-	for i, b := range full {
-		if b == '\n' {
-			starts = append(starts, i+1)
+	// Entry i ends at ends[i]; entry 0 is the campaign's.
+	var ends []int
+	for rest := full; len(rest) > 0; {
+		if _, rest, err = tracecache.CutEntry(rest); err != nil {
+			t.Fatal(err)
 		}
+		ends = append(ends, len(full)-len(rest))
 	}
-	if rows := len(starts) - 2; rows != 2*len(o.Configs) {
-		t.Fatalf("checkpoint holds %d rows, want %d", rows, 2*len(o.Configs))
+	if len(ends) != 3 {
+		t.Fatalf("checkpoint holds %d entries, want 3", len(ends))
 	}
-	last := len(starts) - 2
-	blockStart := last - len(o.Configs) + 1
+	jobCells := len(o.Configs)
 
 	type tear struct {
-		name string
-		data []byte
+		name  string
+		data  []byte
+		cells int // cells of the entries before the first that fails to verify
 	}
 	cut := func(n int) []byte { return append([]byte(nil), full[:n]...) }
 	zeros := make([]byte, 7)
 	var tears []tear
-	for off := starts[last]; off < len(full); off++ {
-		tears = append(tears, tear{"last row cut at byte " + strconv.Itoa(off), cut(off)})
+	for off := 0; off < ends[0]; off++ {
+		tears = append(tears, tear{"campaign entry cut at byte " + strconv.Itoa(off), cut(off), 0})
 	}
-	for r := blockStart; r < last; r++ {
-		mid := (starts[r] + starts[r+1]) / 2
-		tears = append(tears, tear{"row " + strconv.Itoa(r) + " cut at byte " + strconv.Itoa(mid), cut(mid)})
+	for off := ends[1]; off < ends[2]; off++ {
+		tears = append(tears, tear{"last entry cut at byte " + strconv.Itoa(off), cut(off), jobCells})
 	}
-	mid := (starts[last] + len(full)) / 2
 	zeroed := cut(len(full))
 	copy(zeroed[len(zeroed)-len(zeros):], zeros)
+	flipped := cut(len(full))
+	flipped[(ends[0]+ends[1])/2] ^= 1
 	tears = append(tears,
-		tear{"header cut", cut(starts[1] / 2)},
-		tear{"zero-filled tail after the last row", append(cut(len(full)), zeros...)},
-		tear{"zero-filled tail inside the last row", append(cut(mid), zeros...)},
-		tear{"last row's end zeroed", zeroed},
+		tear{"zero-filled tail after the last entry", append(cut(len(full)), zeros...), 2 * jobCells},
+		tear{"zero-filled tail inside the last entry", append(cut((ends[1]+ends[2])/2), zeros...), jobCells},
+		tear{"last entry's end zeroed", zeroed, jobCells},
+		tear{"byte flipped inside the middle entry", flipped, 0},
 	)
 
-	path := filepath.Join(dir, "ck.csv")
+	o.Checkpoint = filepath.Join(dir, "ck")
 	for _, tc := range tears {
-		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+		if err := os.WriteFile(o.Checkpoint, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		complete := max(bytes.Count(tc.data, []byte("\n"))-1, 0) // the header is not a cell
-		o.Checkpoint = path
-		for pass := 1; pass <= 2; pass++ {
+		for pass, cells := range []int{tc.cells, 2 * jobCells} {
 			d, rep, err := CollectReport(o)
 			if err != nil {
-				t.Fatalf("%s, resume %d: %v", tc.name, pass, err)
+				t.Fatalf("%s, resume %d: %v", tc.name, pass+1, err)
 			}
 			if !bytes.Equal(datasetCSV(t, d), want) {
-				t.Fatalf("%s, resume %d: dataset differs from the uninterrupted run", tc.name, pass)
+				t.Fatalf("%s, resume %d: dataset differs from the uninterrupted run", tc.name, pass+1)
 			}
-			if pass == 2 {
-				complete = rep.Cells
-			}
-			if rep.Resumed != complete || rep.CheckpointError != "" {
+			if rep.Resumed != cells || rep.CheckpointError != "" {
 				t.Fatalf("%s, resume %d: resumed %d cells (checkpoint error %q), want %d",
-					tc.name, pass, rep.Resumed, rep.CheckpointError, complete)
+					tc.name, pass+1, rep.Resumed, rep.CheckpointError, cells)
 			}
 		}
 	}
 }
 
-// TestCheckpointRejectsOtherRunCount resumes a checkpoint written with
-// two runs per cell into a three-run sweep. Cell keys do not carry the
-// run count, so only the header can tell: the resume must fail, name
-// the file and both counts, and leave the file's bytes as they were.
-func TestCheckpointRejectsOtherRunCount(t *testing.T) {
+// TestCheckpointRejectsOtherCampaign resumes a checkpoint into sweeps
+// that differ from the one that wrote it in seed, fault profile or run
+// count. Cell keys carry none of these, so only the campaign entry can
+// tell: each resume must fail, name the file, and leave the file's
+// bytes as they were. The writing campaign still resumes every cell.
+func TestCheckpointRejectsOtherCampaign(t *testing.T) {
 	o := smallOptions()
 	o.Runs = 2
-	o.Checkpoint = filepath.Join(t.TempDir(), "ck.csv")
+	o.Checkpoint = filepath.Join(t.TempDir(), "ck")
 	if _, err := Collect(o); err != nil {
 		t.Fatal(err)
 	}
@@ -508,22 +494,35 @@ func TestCheckpointRejectsOtherRunCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Runs = 3
-	_, err = Collect(o)
-	if err == nil {
-		t.Fatal("a 2-run checkpoint resumed into a 3-run sweep")
-	}
-	for _, want := range []string{o.Checkpoint, "2 runs", "takes 3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for _, tc := range []struct {
+		name   string
+		change func(*Options)
+	}{
+		{"seed", func(o *Options) { o.Seed++ }},
+		{"faults", func(o *Options) { o.Faults = fault.Light() }},
+		{"runs", func(o *Options) { o.Runs = 3 }},
+	} {
+		other := o
+		tc.change(&other)
+		if _, err := Collect(other); err == nil {
+			t.Errorf("%s: a checkpoint of another campaign resumed", tc.name)
+		} else if !strings.Contains(err.Error(), o.Checkpoint) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, o.Checkpoint)
+		}
+		after, err := os.ReadFile(o.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: the rejected resume changed the checkpoint's bytes", tc.name)
 		}
 	}
-	after, err := os.ReadFile(o.Checkpoint)
+	_, rep, err := CollectReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Error("the rejected resume changed the checkpoint's bytes")
+	if rep.Resumed != rep.Cells {
+		t.Errorf("Resumed = %d, want all %d cells", rep.Resumed, rep.Cells)
 	}
 }
 

@@ -73,10 +73,12 @@ type Options struct {
 	// Faults, when non-nil, enables deterministic fault injection with
 	// the embedded retry/backoff/deadline policy.
 	Faults *fault.Profile
-	// Checkpoint names a CSV file for incremental shard persistence:
-	// completed cells are appended and flushed after every (chip,
-	// trace) job, and cells already present are resumed (skipped
-	// bit-identically) instead of re-measured.
+	// Checkpoint names a file for incremental shard persistence: a
+	// sequence of trace-cache entries headed by the campaign's
+	// fingerprint, to which the cells of every completed (chip, trace)
+	// job are appended as one entry. Cells already present are resumed
+	// (skipped bit-identically) instead of re-measured; a checkpoint of
+	// another campaign is refused.
 	Checkpoint string
 
 	// TraceCache, when non-nil, short-circuits the trace phase through
@@ -198,7 +200,7 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	var ck *checkpoint
 	var resumeSet *dataset.Dataset
 	if o.Checkpoint != "" {
-		ck, resumeSet, err = openCheckpoint(o.Checkpoint, o.Runs)
+		ck, resumeSet, err = openCheckpoint(o.Checkpoint, NewCampaign(o).Fingerprint(), o.Runs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -249,7 +249,8 @@ func TestDecisions(t *testing.T) {
 func TestTransferAndStability(t *testing.T) {
 	var b bytes.Buffer
 	err := Transfer(&b, &study.TransferResult{
-		GlobalA: "sg", GlobalB: "sg,wg", ChipAgreement: 0.976, ChipUndecided: 0.024, RankTau: 0.91,
+		GlobalA: "sg", GlobalB: "sg,wg",
+		Comparison: study.Comparison{ChipAgreement: 0.976, ChipUndecided: 0.024, RankTau: 0.91},
 	})
 	if err != nil {
 		t.Fatal(err)

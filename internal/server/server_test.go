@@ -301,55 +301,53 @@ func TestPersistFailureCounted(t *testing.T) {
 // TestResumeFromCheckpoint proves deterministic resumption: a partial
 // checkpoint left behind by an interrupted execution is loaded instead
 // of re-measured, and the finished result is byte-identical to an
-// uninterrupted run. A checkpoint whose last row a kill tore inside a
-// sample resumes only its complete rows: the torn row still parses, to
-// a different number, so it must be re-measured, not loaded.
+// uninterrupted run. The partial file is the campaign's own checkpoint
+// cut after its first job entry. A kill that tore the next entry
+// leaves the same cells to resume: the torn entry fails to verify, so
+// its cells are measured again, not loaded.
 func TestResumeFromCheckpoint(t *testing.T) {
 	for _, name := range []string{"intact", "torn"} {
 		t.Run(name, func(t *testing.T) {
 			jobDir := t.TempDir()
-			spec := testSpec()
-			_, camp, errs := spec.Resolve()
+			_, camp, errs := testSpec().Resolve()
 			if errs != nil {
 				t.Fatal(errs)
 			}
 			id := camp.Fingerprint()[:16]
 
-			// Simulate the interrupted daemon: one chip's cells are
-			// already in the job's checkpoint shard when the server
-			// starts.
-			partial := spec
-			partial.Chips = partial.Chips[:1]
-			_, pcamp, errs := partial.Resolve()
-			if errs != nil {
-				t.Fatal(errs)
+			// Simulate the interrupted daemon: the campaign entry and
+			// the first job's entry are in the job's checkpoint when
+			// the server starts.
+			o := camp.Options()
+			o.Workers = 1
+			o.Checkpoint = filepath.Join(t.TempDir(), "full.ckpt")
+			if _, err := measure.Collect(o); err != nil {
+				t.Fatal(err)
 			}
-			po := pcamp.Options()
-			po.Checkpoint = filepath.Join(jobDir, id+".ckpt")
-			_, prep, err := measure.CollectReport(po)
+			raw, err := os.ReadFile(o.Checkpoint)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !prep.Complete() {
-				t.Fatal("partial run incomplete")
+			_, rest, err := tracecache.CutEntry(raw)
+			if err != nil {
+				t.Fatal(err)
 			}
-			wantResumed := pcamp.Cells()
+			job, rest, err := tracecache.CutEntry(rest)
+			if err != nil || len(rest) == 0 {
+				t.Fatalf("checkpoint holds no second job entry (%v)", err)
+			}
+			partial := raw[:len(raw)-len(rest)]
 			if name == "torn" {
-				raw, err := os.ReadFile(po.Checkpoint)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Cut the last sample in half, dropping the newline.
-				lastSample := bytes.LastIndexByte(raw, ',') + 1
-				raw = raw[:lastSample+(len(raw)-1-lastSample)/2]
-				if err := os.WriteFile(po.Checkpoint, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				wantResumed--
+				// Cut the next entry inside its last sample.
+				partial = raw[:len(raw)-5]
 			}
+			if err := os.WriteFile(filepath.Join(jobDir, id+".ckpt"), partial, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantResumed := bytes.Count(job, []byte{'\n'})
 
 			s := newTestServer(t, Config{JobDir: jobDir})
-			j := submit(t, s, spec)
+			j := submit(t, s, testSpec())
 			waitDone(t, j)
 			if j.State() != StateDone {
 				t.Fatalf("state = %s, want done", j.State())

@@ -40,7 +40,7 @@ func DefaultConfig() Config {
 			"gpuport/internal/graph.Graph.Fingerprint",
 			// The trace-cache codec: entries must encode and decode
 			// bit-identically across runs and machines.
-			"gpuport/internal/tracecache.appendHeader",
+			"gpuport/internal/tracecache.AppendEntry",
 			"gpuport/internal/tracecache.decodeEntry",
 			"gpuport/internal/irgl.Trace.AppendJSONCompact",
 			// The conformance engine: seeded repro depends on every

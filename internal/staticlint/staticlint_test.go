@@ -272,7 +272,7 @@ func TestProofSetNames(t *testing.T) {
 		"gpuport/internal/cost/columnar.NewEvaluator",
 		"gpuport/internal/cost/columnar.Evaluator.Estimate",
 		"gpuport/internal/graph.Graph.Fingerprint",
-		"gpuport/internal/tracecache.appendHeader",
+		"gpuport/internal/tracecache.AppendEntry",
 		"gpuport/internal/tracecache.decodeEntry",
 		"gpuport/internal/irgl.Trace.AppendJSONCompact",
 		"gpuport/internal/conform.Properties",

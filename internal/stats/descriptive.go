@@ -162,29 +162,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7 estimator, the default
-// of R and NumPy). It returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return Min(xs)
-	}
-	if q >= 1 {
-		return Max(xs)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	h := q * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
-		return s[n-1]
-	}
-	frac := h - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}

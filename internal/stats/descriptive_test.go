@@ -132,21 +132,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
-	}
-}
-
 func TestGeoMeanLogIdentity(t *testing.T) {
 	// Property: geomean(xs) == exp(mean(log(xs))) for positive xs.
 	f := func(seed uint64, n uint8) bool {
@@ -175,28 +160,6 @@ func TestMedianBetweenMinAndMax(t *testing.T) {
 		}
 		med := Median(xs)
 		return med >= Min(xs) && med <= Max(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuantileMonotone(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		xs := make([]float64, 17)
-		for i := range xs {
-			xs[i] = r.Float64() * 50
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(xs, q)
-			if v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -98,10 +98,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Fork derives an independent generator from the current one. The child
-// stream is decorrelated from the parent by mixing a fixed constant into
-// a fresh seed drawn from the parent.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
-}

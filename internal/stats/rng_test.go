@@ -130,17 +130,3 @@ func TestPermIsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestForkDecorrelates(t *testing.T) {
-	parent := NewRNG(123)
-	child := parent.Fork()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("forked stream matches parent on %d/100 draws", same)
-	}
-}

@@ -163,6 +163,26 @@ func (s *Study) CrossValidate(dim analysis.LOODimension) []analysis.LOOResult {
 	return s.analysisIndex().CrossValidate(dim)
 }
 
+// Comparison reports how far the conclusions of one study carry over
+// to another.
+type Comparison struct {
+	// ChipAgreement is the fraction of per-chip flag decisions that
+	// match across the studies; ChipUndecided the fraction the second
+	// study could not decide.
+	ChipAgreement, ChipUndecided float64
+	// RankTau is the Kendall tau-b between the studies' Table III
+	// rankings.
+	RankTau float64
+}
+
+// Compare compares the per-chip specialisations and the Table III
+// rankings of a and b, with a as the reference.
+func Compare(a, b *Study) Comparison {
+	c := Comparison{RankTau: analysis.RankCorrelation(a.Ranks(), b.Ranks())}
+	c.ChipAgreement, c.ChipUndecided = analysis.AgreementBetween(a.PerChip(), b.PerChip())
+	return c
+}
+
 // SeedStabilityResult reports how the study's conclusions move when the
 // measurement noise stream changes.
 type SeedStabilityResult struct {
@@ -183,12 +203,8 @@ type SeedStabilityResult struct {
 type TransferResult struct {
 	// GlobalA and GlobalB are the fully-portable picks on each domain.
 	GlobalA, GlobalB string
-	// ChipAgreement is the fraction of per-chip flag decisions that
-	// match across domains; ChipUndecided the fraction domain B could
-	// not decide.
-	ChipAgreement, ChipUndecided float64
-	// RankTau correlates the Table III rankings of the two domains.
-	RankTau float64
+	// Comparison compares domain B's conclusions with domain A's.
+	Comparison
 }
 
 // InputTransfer collects two datasets - the standard inputs and the
@@ -209,13 +225,11 @@ func InputTransfer(base measure.Options) (*TransferResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &TransferResult{
-		GlobalA: std.Global().Strategy.Config(dataset.Tuple{}).String(),
-		GlobalB: ext.Global().Strategy.Config(dataset.Tuple{}).String(),
-		RankTau: analysis.RankCorrelation(std.Ranks(), ext.Ranks()),
-	}
-	res.ChipAgreement, res.ChipUndecided = analysis.AgreementBetween(std.PerChip(), ext.PerChip())
-	return res, nil
+	return &TransferResult{
+		GlobalA:    std.Global().Strategy.Config(dataset.Tuple{}).String(),
+		GlobalB:    ext.Global().Strategy.Config(dataset.Tuple{}).String(),
+		Comparison: Compare(std, ext),
+	}, nil
 }
 
 // SeedStability re-collects the dataset under each seed (first seed =
@@ -224,8 +238,7 @@ func InputTransfer(base measure.Options) (*TransferResult, error) {
 // decisions across seeds.
 func SeedStability(base measure.Options, seeds []uint64) (*SeedStabilityResult, error) {
 	res := &SeedStabilityResult{Seeds: seeds}
-	var refRanks []analysis.ConfigRank
-	var refChip *analysis.Specialisation
+	var ref *Study
 	for i, seed := range seeds {
 		o := base
 		o.Seed = seed
@@ -233,19 +246,17 @@ func SeedStability(base measure.Options, seeds []uint64) (*SeedStabilityResult, 
 		if err != nil {
 			return nil, err
 		}
-		ranks := s.Ranks()
-		chipSpec := s.PerChip()
 		res.GlobalConfigs = append(res.GlobalConfigs,
 			s.Global().Strategy.Config(dataset.Tuple{}).String())
 		if i == 0 {
-			refRanks, refChip = ranks, chipSpec
+			ref = s
 			res.RankTau = append(res.RankTau, 1)
 			res.ChipAgreement = append(res.ChipAgreement, 1)
 			continue
 		}
-		res.RankTau = append(res.RankTau, analysis.RankCorrelation(refRanks, ranks))
-		agree, _ := analysis.AgreementBetween(refChip, chipSpec)
-		res.ChipAgreement = append(res.ChipAgreement, agree)
+		c := Compare(ref, s)
+		res.RankTau = append(res.RankTau, c.RankTau)
+		res.ChipAgreement = append(res.ChipAgreement, c.ChipAgreement)
 	}
 	return res, nil
 }

@@ -2,7 +2,10 @@ package tracecache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +32,7 @@ func FuzzEntryDecode(f *testing.F) {
 	f.Add([]byte(headerMagic + " 1 deadbeef 4\nabcd"))
 	// A minimal well-formed entry, built with the store's own writer.
 	payload := []byte(`{"app":"bfs-wl","input":"fz","launches":[]}`)
-	f.Add(append(appendHeader(nil, payload), payload...))
+	f.Add(AppendEntry(nil, payload))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tr, err := decodeEntry(raw)
@@ -37,13 +40,44 @@ func FuzzEntryDecode(f *testing.F) {
 			return // rejected input: the only requirement is no panic
 		}
 		p1 := tr.AppendJSONCompact(nil)
-		entry := append(appendHeader(nil, p1), p1...)
-		tr2, err := decodeEntry(entry)
+		tr2, err := decodeEntry(AppendEntry(nil, p1))
 		if err != nil {
 			t.Fatalf("canonical re-encoding rejected: %v", err)
 		}
 		if p2 := tr2.AppendJSONCompact(nil); !bytes.Equal(p1, p2) {
 			t.Fatalf("canonical encoding is not a fixed point:\n%s\n%s", p1, p2)
+		}
+	})
+}
+
+// FuzzCutEntry holds the cutter that walks a file of concatenated
+// entries (a sweep checkpoint) to the appender. Every input it accepts
+// starts with a header whose length and SHA-256 describe the returned
+// payload, and appending that payload as an entry, then the returned
+// rest, reproduces the input byte for byte; every input it rejects
+// returns an error wrapping ErrCorrupt. Runs bounded in CI (make fuzz).
+func FuzzCutEntry(f *testing.F) {
+	two := AppendEntry(AppendEntry(nil, []byte("campaign")), []byte("c,a,i,baseline,1.5\n"))
+	f.Add(two)
+	f.Add(two[:len(two)-3])                                     // a torn last entry
+	f.Add(append(two[:len(two):len(two)], 0, 0, 0, 0, 0, 0, 0)) // a zero tail
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		payload, rest, err := CutEntry(raw)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		fields := strings.Fields(string(raw[:bytes.IndexByte(raw, '\n')]))
+		sum := sha256.Sum256(payload)
+		if fields[2] != hex.EncodeToString(sum[:]) || fields[3] != strconv.Itoa(len(payload)) {
+			t.Fatalf("header %q does not describe the %d-byte payload", fields, len(payload))
+		}
+		if got := append(AppendEntry(nil, payload), rest...); !bytes.Equal(got, raw) {
+			t.Fatalf("re-encoding differs from the input:\n%q\n%q", got, raw)
 		}
 	})
 }

@@ -25,9 +25,11 @@
 // capped: after each write the least-recently-used entries are evicted
 // until the store fits the budget.
 //
-// WriteEntry and ReadEntry export the entry codec for any payload. The
-// campaign server's job directory stores each finished job as one such
-// entry, so the daemon keeps a single verified on-disk format.
+// AppendEntry and CutEntry export the entry codec for any payload, and
+// WriteEntry and ReadEntry store a file of one entry. The campaign
+// server stores each finished job as one such file, and a sweep
+// checkpoint (internal/measure) is a sequence of entries, so every
+// store of resumable state has one verified on-disk format.
 package tracecache
 
 import (
@@ -167,30 +169,81 @@ func (s *Store) Put(k Key, tr *irgl.Trace) error {
 	return s.evict(path)
 }
 
-// ErrCorrupt marks an entry file that was read but failed
-// verification: truncated, bit-flipped, a stale format version, or not
-// an entry at all.
+// ErrCorrupt marks an entry that was read but failed verification:
+// truncated, bit-flipped, a stale format version, or not an entry at
+// all.
 var ErrCorrupt = errors.New("tracecache: corrupt entry")
 
-// WriteEntry writes payload to path as one self-verifying entry: the
-// header line, then the payload. The bytes go to a temp file in path's
-// directory that is then renamed into place, so concurrent readers (and
-// other processes) never observe a partial entry.
+// AppendEntry appends payload to dst as one self-verifying entry: a
+// header line carrying the format version, the payload's SHA-256 and
+// its length, then the payload. Entries concatenate: CutEntry takes
+// them apart again one at a time.
+func AppendEntry(dst, payload []byte) []byte {
+	return append(appendHeader(dst, payload), payload...)
+}
+
+// CutEntry verifies the entry at the start of raw and returns its
+// payload and the bytes after it. The header must be exactly the one
+// AppendEntry writes for that payload, so a verified entry re-encodes
+// to the bytes it was cut from. An entry that fails verification
+// returns an error wrapping ErrCorrupt.
+func CutEntry(raw []byte) (payload, rest []byte, err error) {
+	line, body, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	fields := strings.Fields(string(line))
+	if len(fields) != 4 || fields[0] != headerMagic {
+		return nil, nil, fmt.Errorf("%w: malformed header", ErrCorrupt)
+	}
+	if fields[1] != strconv.Itoa(formatVersion) {
+		return nil, nil, fmt.Errorf("%w: stale format version %q", ErrCorrupt, fields[1])
+	}
+	n, err := strconv.Atoi(fields[3])
+	if err != nil || n < 0 {
+		return nil, nil, fmt.Errorf("%w: malformed length", ErrCorrupt)
+	}
+	if len(body) < n {
+		return nil, nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(body), n)
+	}
+	payload = body[:n:n]
+	if !bytes.Equal(appendHeader(nil, payload), raw[:len(line)+1]) {
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return payload, body[n:], nil
+}
+
+// appendHeader appends the entry header for payload to dst.
+func appendHeader(dst, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return fmt.Appendf(dst, "%s %d %x %d\n", headerMagic, formatVersion, sum, len(payload))
+}
+
+// verifyEntry returns the payload of an entry file, which must hold
+// exactly one entry.
+func verifyEntry(raw []byte) ([]byte, error) {
+	payload, rest, err := CutEntry(raw)
+	if err == nil && len(rest) > 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the payload", ErrCorrupt, len(rest))
+	}
+	return payload, err
+}
+
+// WriteEntry writes payload to path as a file of one entry. The bytes
+// go to a temp file in path's directory that is then renamed into
+// place, so concurrent readers (and other processes) never observe a
+// partial entry.
 func WriteEntry(path string, payload []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("tracecache: %w", err)
 	}
-	_, werr := tmp.Write(appendHeader(nil, payload))
-	if werr == nil {
-		_, werr = tmp.Write(payload)
+	_, werr := tmp.Write(AppendEntry(nil, payload))
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
 	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if werr != nil {
 		_ = os.Remove(tmp.Name()) // best-effort cleanup; the write error takes precedence
-		if werr == nil {
-			werr = cerr
-		}
 		return fmt.Errorf("tracecache: write: %w", werr)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
@@ -200,50 +253,16 @@ func WriteEntry(path string, payload []byte) error {
 	return nil
 }
 
-// ReadEntry reads the entry at path and returns its verified payload.
-// A file that cannot be read returns the os error unchanged (a missing
-// one satisfies errors.Is(err, fs.ErrNotExist)); a file that fails
-// verification returns an error wrapping ErrCorrupt.
+// ReadEntry reads the entry file at path and returns its verified
+// payload. A file that cannot be read returns the os error unchanged
+// (a missing one satisfies errors.Is(err, fs.ErrNotExist)); a file that
+// fails verification returns an error wrapping ErrCorrupt.
 func ReadEntry(path string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return verifyEntry(raw)
-}
-
-// appendHeader appends the entry header for payload to dst.
-func appendHeader(dst, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	return fmt.Appendf(dst, "%s %d %x %d\n", headerMagic, formatVersion, sum, len(payload))
-}
-
-// verifyEntry checks one entry file's header against its payload and
-// returns the payload.
-func verifyEntry(raw []byte) ([]byte, error) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 4 || fields[0] != headerMagic {
-		return nil, fmt.Errorf("%w: malformed header", ErrCorrupt)
-	}
-	if v, err := strconv.Atoi(fields[1]); err != nil || v != formatVersion {
-		return nil, fmt.Errorf("%w: stale format version %q", ErrCorrupt, fields[1])
-	}
-	wantLen, err := strconv.Atoi(fields[3])
-	if err != nil {
-		return nil, fmt.Errorf("%w: malformed length", ErrCorrupt)
-	}
-	payload := raw[nl+1:]
-	if len(payload) != wantLen {
-		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(payload), wantLen)
-	}
-	if sum := sha256.Sum256(payload); fmt.Sprintf("%x", sum) != fields[2] {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return payload, nil
 }
 
 // decodeEntry is Get's verify-and-decode step over an in-memory entry

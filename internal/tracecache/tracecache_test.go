@@ -99,7 +99,7 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 		{"bad-payload", func(_ string, raw []byte) []byte {
 			// Valid header over an undecodable payload.
 			payload := []byte(`{"app":"x","input":"y","launches":[{"Items":-1}]}`)
-			return append(appendHeader(nil, payload), payload...)
+			return AppendEntry(nil, payload)
 		}},
 	}
 	for _, tc := range cases {
@@ -146,7 +146,7 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 func entrySize(t *testing.T, tr *irgl.Trace) int64 {
 	t.Helper()
 	payload := tr.AppendJSONCompact(nil)
-	return int64(len(appendHeader(nil, payload)) + len(payload))
+	return int64(len(AppendEntry(nil, payload)))
 }
 
 func TestLRUEviction(t *testing.T) {
