@@ -152,12 +152,12 @@ bench-trace:
 
 # bench-obs guards the observability overhead bound: full span capture
 # plus the simulated kernel timeline (what -obs-trace enables) must
-# stay within 1.5x of the always-on stage/counter layer. Recorded in
+# stay within 1.5x of the always-on counter layer. Recorded in
 # BENCH_obs.json.
 bench-obs:
 	$(GO) test -run xxx -bench '^BenchmarkSpanOverhead$$' -benchtime 20x -benchmem . | tee bench-obs.out
 	$(GO) run ./cmd/benchcheck -in bench-obs.out -json BENCH_obs.json $(BENCHMD_FLAG) \
-		-maxratio 'BenchmarkSpanOverhead/stages-only,BenchmarkSpanOverhead/spans-sim,1.5'
+		-maxratio 'BenchmarkSpanOverhead/counters-only,BenchmarkSpanOverhead/spans-sim,1.5'
 	@rm -f bench-obs.out
 
 # profile collects CPU and heap profiles plus a span trace of a full

@@ -20,6 +20,7 @@ import (
 	"gpuport/internal/dataset"
 	"gpuport/internal/fault"
 	"gpuport/internal/graph"
+	"gpuport/internal/irgl"
 	"gpuport/internal/measure"
 	"gpuport/internal/microbench"
 	"gpuport/internal/obs"
@@ -285,12 +286,12 @@ func benchTraces(b *testing.B, o measure.Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profiles, err := measure.Traces(o)
+		traces, err := measure.Traces(o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(profiles) != 51 {
-			b.Fatalf("profiles = %d, want 51", len(profiles))
+		if len(traces) != 51 {
+			b.Fatalf("traces = %d, want 51", len(traces))
 		}
 	}
 	b.ReportMetric(51, "traces")
@@ -519,28 +520,31 @@ func BenchmarkAblationTraceReuse(b *testing.B) {
 // speedup, not a cherry-picked inner loop. cmd/benchcheck enforces
 // >= 10x via `make bench-cost`, recorded in BENCH_cost.json.
 
-// sweepProfiles builds the traces the sweep benchmarks replay: three
+// sweepTraces builds the traces the sweep benchmarks replay: three
 // structurally different applications on an RMAT social graph.
-func sweepProfiles(b *testing.B) []*cost.TraceProfile {
+func sweepTraces(b *testing.B) []*irgl.Trace {
 	b.Helper()
 	g := graph.GenerateRMAT("bench-sweep", 11, 16, 5)
-	var out []*cost.TraceProfile
+	var out []*irgl.Trace
 	for _, name := range []string{"bfs-wl", "sssp-nf", "pr-residual"} {
 		app, err := apps.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
 		tr, _ := app.Run(g)
-		out = append(out, cost.NewTraceProfile(tr))
+		out = append(out, tr)
 	}
 	return out
 }
 
 // BenchmarkSweepReference sweeps the grid through the reference engine
 // (cost.Estimate per cell, as the harness ran before the columnar
-// engine existed).
+// engine existed), over profiles built outside the timer.
 func BenchmarkSweepReference(b *testing.B) {
-	profiles := sweepProfiles(b)
+	var profiles []*cost.TraceProfile
+	for _, tr := range sweepTraces(b) {
+		profiles = append(profiles, cost.NewTraceProfile(tr))
+	}
 	chips := chip.All()
 	cfgs := opt.All()
 	b.ResetTimer()
@@ -562,14 +566,14 @@ func BenchmarkSweepReference(b *testing.B) {
 // BenchmarkSweepColumnar sweeps the same grid through the columnar
 // engine, rebuilding columns and evaluators inside the timer.
 func BenchmarkSweepColumnar(b *testing.B) {
-	profiles := sweepProfiles(b)
+	traces := sweepTraces(b)
 	chips := chip.All()
 	cfgs := opt.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink := 0.0
-		for _, tp := range profiles {
-			cols := columnar.Build(tp)
+		for _, tr := range traces {
+			cols := columnar.Build(tr)
 			for _, ch := range chips {
 				ev := columnar.NewEvaluator(ch, cols)
 				for _, cfg := range cfgs {
@@ -587,11 +591,11 @@ func BenchmarkSweepColumnar(b *testing.B) {
 // max-ratio gate bounds it to a fraction of the columnar sweep so the
 // build phase can never quietly grow into a second bottleneck.
 func BenchmarkColumnarBuild(b *testing.B) {
-	profiles := sweepProfiles(b)
+	traces := sweepTraces(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tp := range profiles {
-			if columnar.Build(tp).Launches() == 0 {
+		for _, tr := range traces {
+			if columnar.Build(tr).Launches() == 0 {
 				b.Fatal("empty columns")
 			}
 		}
@@ -631,8 +635,8 @@ func BenchmarkStaticgate(b *testing.B) {
 
 // BenchmarkSpanOverhead guards the observability overhead claim: full
 // span capture plus the simulated kernel timeline (EnableSim, what
-// -obs-trace turns on) must stay within 1.5x of the always-on
-// stage/counter layer on the trace pipeline. The bound is enforced by
+// -obs-trace turns on) must stay within 1.5x of the always-on counter
+// layer (no spans, so no stage totals) on the trace pipeline. The bound is enforced by
 // cmd/benchcheck via `make bench-obs`, recorded in BENCH_obs.json.
 // Spans are the expensive tier - each kernel launch becomes a sim
 // span - so this is the worst case for the instrumentation.
@@ -657,7 +661,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(spans), "spans")
 	}
-	b.Run("stages-only", func(b *testing.B) {
+	b.Run("counters-only", func(b *testing.B) {
 		runTraces(b, func() *obs.Recorder { return obs.New() })
 	})
 	b.Run("spans-sim", func(b *testing.B) {

@@ -54,7 +54,8 @@
 //	              recently-used entries are evicted beyond it
 //	-workers N    worker count for tracing and collection (default
 //	              GOMAXPROCS)
-//	-v            progress logging to stderr
+//	-v            progress, then each stage's wall-clock (timed by its
+//	              span: -v turns span capture on), to stderr
 //	-md           render tables as markdown instead of aligned text
 //
 // Observability flags (before the subcommand):
@@ -126,7 +127,7 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 	cacheDir := fs.String("trace-cache", "", "directory for the content-addressed trace cache (created if missing)")
 	cacheMB := fs.Int("trace-cache-mb", 0, "trace cache size cap in MiB (default 256)")
 	workers := fs.Int("workers", 0, "trace and collection workers (default GOMAXPROCS)")
-	verbose := fs.Bool("v", false, "progress logging")
+	verbose := fs.Bool("v", false, "progress logging, then per-stage wall-clock and counters, on stderr")
 	md := fs.Bool("md", false, "render tables as markdown")
 	obsTrace := fs.String("obs-trace", "", "export Chrome trace-event JSON (Perfetto-compatible) to this file")
 	obsMetrics := fs.String("obs-metrics", "", "export Prometheus-style text metrics to this file")
@@ -147,12 +148,12 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 
 	// The observability recorder outlives the subcommand: the exports
 	// are written after it returns, whatever path it took. Span capture
-	// stays off unless an export that needs it was requested.
+	// stays off unless an export or -v (the stage spans) needs it.
 	rec := obs.New()
 	switch {
 	case *obsTrace != "":
 		rec.EnableSim()
-	case *obsMetrics != "":
+	case *obsMetrics != "" || *verbose:
 		rec.EnableTracing()
 	}
 
@@ -426,7 +427,8 @@ func progressSink(w io.Writer) func(phase string, done, total int) {
 
 // loadOrCollect reads the dataset from inFile or collects it, saving it
 // to outFile when set. A non-nil progress writer receives the
-// collection's per-stage summary, read from opts.Obs.
+// collection's per-stage summary, read from opts.Obs (whose stage lines
+// need span capture).
 func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Writer) (*study.Study, error) {
 	if inFile != "" {
 		f, err := os.Open(inFile)

@@ -206,36 +206,37 @@ func TestProgressSink(t *testing.T) {
 	}
 }
 
-// TestVerbosePipelineSummary drives a small collection through
-// loadOrCollect with a progress writer, as -v does: the writer gets the
-// summary of the recorder in opts.Obs, one line per stage and counter.
+// TestVerbosePipelineSummary runs `gpuport -v dataset` through the
+// flag parsing: -v turns span capture on, so stderr holds the progress
+// lines and then exactly one line per stage and per pipeline counter,
+// and stdout equals a run without -v.
 func TestVerbosePipelineSummary(t *testing.T) {
-	var buf bytes.Buffer
-	o := measure.Options{
-		Chips:   chip.All()[:2],
-		Apps:    apps.All()[:2],
-		Inputs:  []*graph.Graph{graph.GenerateUniform("p-rand", 300, 4, 1)},
-		Workers: 2,
-		Obs:     obs.New(),
-	}
-	if _, err := loadOrCollect("", "", o, &buf); err != nil {
+	dir := t.TempDir()
+	plain := runCLI(t, "-out", filepath.Join(dir, "plain.csv"), "dataset")
+	stderr, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
+	if verbose := runCLI(t, "-v", "-out", filepath.Join(dir, "verbose.csv"), "dataset"); verbose != plain {
+		t.Errorf("-v changed stdout:\n%s\n--- without -v:\n%s", verbose, plain)
+	}
+	raw, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
+		obs.StageTrace + " 51/51\n",
 		"pipeline: stage " + obs.StageTrace + " ",
 		"pipeline: stage " + obs.StageSweep + " ",
 		"pipeline: stage " + obs.StageAssemble + " ",
 		"pipeline: " + obs.CtrKernelLaunches + " ",
 	} {
-		n := 0
-		for _, l := range lines {
-			if strings.HasPrefix(l, want) {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Errorf("%d lines start %q, want 1:\n%s", n, want, buf.String())
+		if n := strings.Count(string(raw), want); n != 1 {
+			t.Errorf("%d lines hold %q, want 1:\n%s", n, want, raw)
 		}
 	}
 }

@@ -36,13 +36,11 @@ func sampleRecorder(extraRetries int64) *obs.Recorder {
 		clock = clock.Add(time.Microsecond)
 		return clock
 	}).EnableSim()
-	done := rec.Start(obs.StageSweep)
 	phase := rec.StartSpan(obs.StageSweep, 0)
 	job := phase.StartSpan(obs.SpanSweepJob, 0, obs.String(obs.AttrApp, "bfs-wl"))
 	job.Event(obs.EvRetry, obs.Int(obs.AttrAttempt, 1))
 	job.End()
 	phase.End()
-	done()
 	rec.Add(obs.CtrFaultRetries, 1+extraRetries)
 	rec.Add(obs.CtrCacheHits, 2)
 	rec.SimSpan(0, 0, obs.SpanSimTimeline, 0, 500,
@@ -70,7 +68,7 @@ func TestSummary(t *testing.T) {
 }
 
 // TestSummarySelfTime checks that a parent span's self time excludes
-// its child's duration. With the stepping clock every Start/now call
+// its child's duration. With the stepping clock every clock reading
 // advances 1µs, so the sweep stage span strictly contains the job
 // span; the job's duration must be subtracted from the stage's self.
 func TestSummarySelfTime(t *testing.T) {

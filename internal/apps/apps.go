@@ -12,7 +12,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
@@ -107,12 +106,4 @@ func initDist(n int, src int32) []int32 {
 		dist[src] = 0
 	}
 	return dist
-}
-
-// sortedCopy returns a sorted copy of xs (helper for worklist dedup in
-// a few applications).
-func sortedCopy(xs []int32) []int32 {
-	s := append([]int32(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
 }

@@ -28,17 +28,18 @@ const (
 // columnar form is built on first use so reference-engine properties
 // never pay for it.
 type profile struct {
+	tr   *irgl.Trace
 	tp   *cost.TraceProfile
 	cols *columnar.Columns
 }
 
 func newProfile(tr *irgl.Trace) *profile {
-	return &profile{tp: cost.NewTraceProfile(tr)}
+	return &profile{tr: tr, tp: cost.NewTraceProfile(tr)}
 }
 
 func (p *profile) columns() *columnar.Columns {
 	if p.cols == nil {
-		p.cols = columnar.Build(p.tp)
+		p.cols = columnar.Build(p.tr)
 	}
 	return p.cols
 }
@@ -94,7 +95,7 @@ func checkEngineDifferential(_ engine, r *stats.RNG, trials int) error {
 // so one-ulp differences are visible).
 func diffTrace(tr *irgl.Trace) error {
 	tp := cost.NewTraceProfile(tr)
-	cols := columnar.Build(tp)
+	cols := columnar.Build(tr)
 	for _, ch := range chip.All() {
 		ev := columnar.NewEvaluator(ch, cols)
 		for _, cfg := range opt.All() {

@@ -22,7 +22,7 @@ import (
 // by byte equality because the CSV row order is canonical sweep order.
 //
 // This pillar is deliberately not registered in Properties(): it
-// exercises the full measurement pipeline (wall-clock stage timers and
+// exercises the full measurement pipeline (wall-clock stage spans and
 // all), so it lives outside the determinism-proof roots that gate the
 // property registry and runs from its own entry points (the conform
 // test suite and `conform -server-diff`).

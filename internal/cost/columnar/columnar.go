@@ -122,31 +122,29 @@ type Columns struct {
 	nLoops    int
 	loopIters []float64
 
-	// Source profile, for imbalance factors at fallback widths. Columns
-	// reads it but never writes it; the caller must not mutate the
-	// profile while any Columns built from it is in use (the same
-	// contract the reference engine already places on a TraceProfile
-	// shared across a sweep).
-	src *cost.TraceProfile
+	// The trace's launches, for imbalance factors at fallback widths.
+	// Columns reads them but never writes them; the caller must not
+	// mutate the trace while any Columns built from it is in use.
+	stats []irgl.KernelStats
 }
 
-// Build converts a cost-model trace profile into its columnar form,
-// paying every config-invariant computation exactly once. A first pass
-// counts the nonzero histogram buckets so every column is carved from
-// one exact-size slab per element type - no append growth, and the
-// whole structure is two or three allocations for the collector.
-func Build(tp *cost.TraceProfile) *Columns {
-	n := len(tp.Launches)
+// Build converts a trace into its columnar form, paying every
+// config-invariant computation exactly once. A first pass counts the
+// nonzero histogram buckets so every column is carved from one
+// exact-size slab per element type - no append growth, and the whole
+// structure is two or three allocations for the collector.
+func Build(tr *irgl.Trace) *Columns {
+	n := len(tr.Launches)
 	nb := 0
-	for i := range tp.Launches {
-		ks := &tp.Launches[i].KernelStats
+	for i := range tr.Launches {
+		ks := &tr.Launches[i]
 		for b := 0; b < irgl.WorkHistBuckets; b++ {
 			if ks.WorkHist[b] != 0 {
 				nb++
 			}
 		}
 	}
-	nLoops := len(tp.Loops)
+	nLoops := len(tr.Loops)
 
 	const nw = len(memoWidths)
 	fslab := make([]float64, (6+2*nw)*n+nLoops+4*nb)
@@ -158,8 +156,8 @@ func Build(tp *cost.TraceProfile) *Columns {
 	islab := make([]int32, (nw+1)*n+1)
 	bslab := make([]bool, 3*n)
 	c := &Columns{
-		App:    tp.App,
-		Input:  tp.Input,
+		App:    tr.App,
+		Input:  tr.Input,
 		n:      n,
 		items:  carve(n),
 		work:   carve(n),
@@ -171,7 +169,7 @@ func Build(tp *cost.TraceProfile) *Columns {
 		maxGT1: bslab[n : 2*n : 2*n],
 		inLoop: bslab[2*n : 3*n : 3*n],
 		bStart: islab[0 : n+1 : n+1],
-		src:    tp,
+		stats:  tr.Launches,
 	}
 	islab = islab[n+1:]
 	for k := range memoWidths {
@@ -192,8 +190,8 @@ func Build(tp *cost.TraceProfile) *Columns {
 	}
 
 	j := int32(0)
-	for i := range tp.Launches {
-		ks := &tp.Launches[i].KernelStats
+	for i := range tr.Launches {
+		ks := &tr.Launches[i]
 		c.items[i] = float64(ks.Items)
 		c.work[i] = float64(ks.TotalWork)
 		c.zero[i] = ks.Items == 0
@@ -244,8 +242,8 @@ func Build(tp *cost.TraceProfile) *Columns {
 	}
 
 	c.nLoops = nLoops
-	for l := range tp.Loops {
-		c.loopIters[l] = float64(tp.Loops[l].Iterations)
+	for l := range tr.Loops {
+		c.loopIters[l] = float64(tr.Loops[l].Iterations)
 	}
 	return c
 }
@@ -343,5 +341,5 @@ func (c *Columns) imbalance(i, width int) float64 {
 	if k := widthSlot(width); k >= 0 {
 		return c.imb[k][i]
 	}
-	return c.src.Launches[i].KernelStats.ImbalanceFactor(width)
+	return c.stats[i].ImbalanceFactor(width)
 }

@@ -97,7 +97,7 @@ func TestDegenerateEquivalence(t *testing.T) {
 	for name, tr := range degenerateTraces() {
 		t.Run(name, func(t *testing.T) {
 			tp := cost.NewTraceProfile(tr)
-			cols := Build(tp)
+			cols := Build(tr)
 			if cols.Launches() != len(tr.Launches) {
 				t.Fatalf("Launches() = %d, want %d", cols.Launches(), len(tr.Launches))
 			}
@@ -114,7 +114,7 @@ func TestDegenerateEquivalence(t *testing.T) {
 func TestPrecomputePinsProfileMemos(t *testing.T) {
 	for name, tr := range degenerateTraces() {
 		tp := cost.NewTraceProfile(tr)
-		cols := Build(tp)
+		cols := Build(tr)
 		for i := range tp.Launches {
 			lp := &tp.Launches[i]
 			for k, w := range memoWidths {
@@ -186,7 +186,7 @@ func TestRandomTraceEquivalence(t *testing.T) {
 	for round := 0; round < 25; round++ {
 		tr := localRandTrace(r)
 		tp := cost.NewTraceProfile(tr)
-		cols := Build(tp)
+		cols := Build(tr)
 		for _, ch := range chip.All() {
 			checkEquivalence(t, ch, tp, cols)
 		}
@@ -201,7 +201,7 @@ func TestNamedInputEquivalence(t *testing.T) {
 		for _, app := range apps.All() {
 			tr, _ := app.Run(g)
 			tp := cost.NewTraceProfile(tr)
-			cols := Build(tp)
+			cols := Build(tr)
 			for _, ch := range chip.All() {
 				checkEquivalence(t, ch, tp, cols)
 			}
@@ -226,7 +226,7 @@ func TestNonStandardChipGeometry(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		tr := localRandTrace(r)
 		tp := cost.NewTraceProfile(tr)
-		cols := Build(tp)
+		cols := Build(tr)
 		checkEquivalence(t, odd, tp, cols)
 		checkEquivalence(t, zero, tp, cols)
 	}
@@ -242,8 +242,7 @@ func TestConcurrentEvaluators(t *testing.T) {
 	for len(tr.Launches) < 4 { // ensure a non-trivial trace
 		tr = localRandTrace(r)
 	}
-	tp := cost.NewTraceProfile(tr)
-	cols := Build(tp)
+	cols := Build(tr)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(chip.All()))
@@ -274,7 +273,7 @@ func TestOneShotHelpers(t *testing.T) {
 	ch := chip.All()[1]
 	cfg := opt.Config{CoopCV: true, WG: true, SZ256: true}
 	want := cost.Estimate(ch, cfg, tp)
-	if got := Estimate(ch, cfg, Build(tp)); got != want {
+	if got := Estimate(ch, cfg, Build(tr)); got != want {
 		t.Errorf("Estimate one-shot: %x != %x", got, want)
 	}
 }
@@ -328,7 +327,7 @@ func TestWidthSlot(t *testing.T) {
 
 func TestColumnsIdentity(t *testing.T) {
 	tr := degenerateTraces()["fixpoint-only"]
-	cols := Build(cost.NewTraceProfile(tr))
+	cols := Build(tr)
 	if cols.App != tr.App || cols.Input != tr.Input {
 		t.Errorf("identity (%q, %q), want (%q, %q)", cols.App, cols.Input, tr.App, tr.Input)
 	}

@@ -570,8 +570,8 @@ func (e *Evaluator) buildCombo(cfg opt.Config, key int) {
 }
 
 // Estimate returns the modelled runtime of the trace on the evaluator's
-// chip under cfg - bit-identical to cost.Estimate on the profile the
-// Columns were built from. Amortised over a sweep, the per-config cost
+// chip under cfg - bit-identical to cost.Estimate on the profile of the
+// trace the Columns were built from. Amortised over a sweep, the per-config cost
 // is a memo lookup: each lazily-built shape pass already folded the
 // full trace total for all four of its configs.
 //

@@ -56,9 +56,6 @@ const (
 	// per redistributed item (stage + drain).
 	BarriersPerItem = 2
 
-	// coop-cv orchestration: local traffic per original push.
-	coopLocalFactor = 0.15
-
 	// Cooperative redistribution of an item smaller than the executing
 	// group wastes the idle lanes, but memory-level parallelism hides a
 	// fraction of the waste.
@@ -77,7 +74,7 @@ const (
 
 // LaunchProfile wraps kernel stats with memoised imbalance factors.
 // The memo is guarded so one profile can be evaluated against many
-// chips concurrently (the harness parallelises over chips).
+// chips concurrently.
 type LaunchProfile struct {
 	irgl.KernelStats
 	mu      sync.Mutex

@@ -318,9 +318,6 @@ func NewInjector(p Profile, chips []string, cellsPerChip int) *Injector {
 	return in
 }
 
-// Profile returns the (default-filled) profile the injector runs.
-func (in *Injector) Profile() Profile { return in.p }
-
 // DropoutPlan reports the scheduled whole-chip dropout, if any: the
 // chip and the first of its canonical cell indices to fail.
 func (in *Injector) DropoutPlan() (chip string, fromCell int, ok bool) {

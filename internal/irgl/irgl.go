@@ -126,9 +126,6 @@ func NewRuntime(app string, g *graph.Graph) *Runtime {
 	}
 }
 
-// Graph returns the input graph.
-func (rt *Runtime) Graph() *graph.Graph { return rt.g }
-
 // Trace returns the accumulated trace. Valid after the application has
 // finished running.
 func (rt *Runtime) Trace() *Trace { return rt.trace }

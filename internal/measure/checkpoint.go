@@ -33,12 +33,16 @@ type checkpoint struct {
 // entries before the first one that fails to verify are loaded, and the
 // file is cut back to those entries before appending. A file whose
 // first entry verifies but names another campaign is refused before it
-// is opened for writing; a file whose first entry does not verify
-// (empty, torn, or not a checkpoint at all) starts over.
+// is opened for writing, as is a file no crash leaves; one that is
+// empty, all zeros or entry-headed but does not verify starts over.
 func openCheckpoint(path, campaign string, runs int) (*checkpoint, *dataset.Dataset, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("measure: checkpoint: %w", err)
+	}
+	magic := tracecache.HeaderMagic
+	if n := min(len(raw), len(magic)); string(raw[:n]) != magic[:n] && len(bytes.Trim(raw, "\x00")) > 0 {
+		return nil, nil, fmt.Errorf("measure: checkpoint: %s is not a checkpoint; refusing to overwrite it", path)
 	}
 	keep := 0
 	var resumed *dataset.Dataset

@@ -399,7 +399,9 @@ func TestCheckpointHealsTruncatedRow(t *testing.T) {
 // first one left, must reproduce the uninterrupted dataset byte for
 // byte, the first resuming exactly the cells of the entries before the
 // first one that fails to verify. A damaged campaign entry leaves no
-// verified entry, and the file starts over.
+// verified entry, and the file starts over, as an all-zero file does.
+// A file no crash leaves (a CSV, as older checkpoints were, or text)
+// is refused, naming the file, and left as it was.
 func TestCheckpointCrashTable(t *testing.T) {
 	o := smallOptions()
 	o.Apps = o.Apps[:1]
@@ -437,6 +439,7 @@ func TestCheckpointCrashTable(t *testing.T) {
 		data  []byte
 		cells int // cells of the entries before the first that fails to verify
 	}
+	const refused = -1
 	cut := func(n int) []byte { return append([]byte(nil), full[:n]...) }
 	zeros := make([]byte, 7)
 	var tears []tear
@@ -455,12 +458,23 @@ func TestCheckpointCrashTable(t *testing.T) {
 		tear{"zero-filled tail inside the last entry", append(cut((ends[1]+ends[2])/2), zeros...), jobCells},
 		tear{"last entry's end zeroed", zeroed, jobCells},
 		tear{"byte flipped inside the middle entry", flipped, 0},
+		tear{"all-zero file", make([]byte, ends[0]), 0},
+		tear{"dataset CSV cut short", want[:len(want)/2], refused},
+		tear{"CSV checkpoint (a finished one was the dataset CSV)", want, refused},
+		tear{"one-line text file", []byte("notes\n"), refused},
 	)
 
 	o.Checkpoint = filepath.Join(dir, "ck")
 	for _, tc := range tears {
 		if err := os.WriteFile(o.Checkpoint, tc.data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if tc.cells == refused {
+			_, err := Collect(o)
+			if got, _ := os.ReadFile(o.Checkpoint); err == nil || !strings.Contains(err.Error(), o.Checkpoint) || !bytes.Equal(got, tc.data) {
+				t.Fatalf("%s: resume returned %v, want a refusal naming %s and the file unchanged", tc.name, err, o.Checkpoint)
+			}
+			continue
 		}
 		for pass, cells := range []int{tc.cells, 2 * jobCells} {
 			d, rep, err := CollectReport(o)

@@ -172,25 +172,24 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		}
 	}
 	ctx := o.Ctx
-	profiles, err := Traces(o)
+	traces, err := Traces(o)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Columnar form of every trace, built once per (app, input) and
 	// shared read-only across the whole config x chip x sample grid.
-	cols := make([]*columnar.Columns, len(profiles))
-	for i, tp := range profiles {
-		cols[i] = columnar.Build(tp)
+	cols := make([]*columnar.Columns, len(traces))
+	for i, tr := range traces {
+		cols[i] = columnar.Build(tr)
 	}
-	stopSweep := o.Obs.Start(obs.StageSweep)
 	sweepSpan := o.Obs.StartSpan(obs.StageSweep, 0)
 	configs := o.Configs
 	nc := len(configs)
 
 	type job struct{ chipIdx, traceIdx int }
-	jobs := make([]job, 0, len(o.Chips)*len(profiles))
+	jobs := make([]job, 0, len(o.Chips)*len(traces))
 	for ci := range o.Chips {
-		for ti := range profiles {
+		for ti := range traces {
 			jobs = append(jobs, job{ci, ti})
 		}
 	}
@@ -212,19 +211,19 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		for i, ch := range o.Chips {
 			names[i] = ch.Name
 		}
-		inj = fault.NewInjector(*o.Faults, names, len(profiles)*nc)
+		inj = fault.NewInjector(*o.Faults, names, len(traces)*nc)
 	}
 
 	var jobsDone atomic.Int64
 	runPool(ctx, o.Workers, len(jobs), func(w, ji int) {
 		ch := o.Chips[jobs[ji].chipIdx]
-		tp := profiles[jobs[ji].traceIdx]
+		tr := traces[jobs[ji].traceIdx]
 		// Span identity is (chip, app, input); the worker id is
 		// only the export lane (see traces.go).
 		jobSpan := sweepSpan.StartSpan(obs.SpanSweepJob, w,
 			obs.String(obs.AttrChip, ch.Name),
-			obs.String(obs.AttrApp, tp.App),
-			obs.String(obs.AttrInput, tp.Input))
+			obs.String(obs.AttrApp, tr.App),
+			obs.String(obs.AttrInput, tr.Input))
 		// Fault accounting is batched worker-locally per job and
 		// folded in once: counters and histograms are integer, so
 		// the snapshot is identical at any worker count.
@@ -240,10 +239,10 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		// pay for it, and per job because its shape memo is
 		// unguarded.
 		var ev *columnar.Evaluator
-		keyPrefix := cellKeyPrefix(o.Seed, ch.Name, tp.App, tp.Input)
+		keyPrefix := cellKeyPrefix(o.Seed, ch.Name, tr.App, tr.Input)
 		for k, cfg := range configs {
 			dkey := dataset.Key{
-				Tuple:  dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input},
+				Tuple:  dataset.Tuple{Chip: ch.Name, App: tr.App, Input: tr.Input},
 				Config: cfg,
 			}
 			if inj != nil && inj.Dropped(ch.Name, jobs[ji].traceIdx*nc+k) {
@@ -317,7 +316,6 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 	})
 
 	sweepSpan.End()
-	stopSweep()
 	ckErr := ""
 	if ck != nil {
 		ckErr = ck.close()
@@ -328,7 +326,6 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		return nil, nil, err
 	}
 
-	stopAssemble := o.Obs.Start(obs.StageAssemble)
 	assembleSpan := o.Obs.StartSpan(obs.StageAssemble, 0)
 	d := dataset.New()
 	rep := &Report{
@@ -365,10 +362,10 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		ji := i / nc
 		cfg := configs[i%nc]
 		ch := o.Chips[jobs[ji].chipIdx]
-		tp := profiles[jobs[ji].traceIdx]
+		tr := traces[jobs[ji].traceIdx]
 		rep.Failures = append(rep.Failures, CellFailure{
 			Key: dataset.Key{
-				Tuple:  dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input},
+				Tuple:  dataset.Tuple{Chip: ch.Name, App: tr.App, Input: tr.Input},
 				Config: cfg,
 			},
 			Reason:   st.failed,
@@ -377,7 +374,6 @@ func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
 		rep.FailuresByKind[st.failed]++
 	}
 	assembleSpan.End()
-	stopAssemble()
 	return d, rep, nil
 }
 

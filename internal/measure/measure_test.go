@@ -86,13 +86,14 @@ func TestCollectMatchesReferenceEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := Traces(o)
+	traces, err := Traces(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := 0
 	for _, ch := range o.Chips {
-		for _, tp := range profiles {
+		for _, tr := range traces {
+			tp := cost.NewTraceProfile(tr)
 			tuple := dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input}
 			for _, cfg := range opt.All() {
 				base := cost.Estimate(ch, cfg, tp)
@@ -190,16 +191,16 @@ func TestValidateOption(t *testing.T) {
 
 func TestTracesOnly(t *testing.T) {
 	o := smallOptions()
-	profiles, err := Traces(o)
+	traces, err := Traces(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profiles) != 2 {
-		t.Fatalf("profiles = %d, want 2", len(profiles))
+	if len(traces) != 2 {
+		t.Fatalf("traces = %d, want 2", len(traces))
 	}
-	for _, p := range profiles {
-		if len(p.Launches) == 0 {
-			t.Errorf("%s: empty profile", p.App)
+	for _, tr := range traces {
+		if len(tr.Launches) == 0 {
+			t.Errorf("%s: empty trace", tr.App)
 		}
 	}
 }

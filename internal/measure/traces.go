@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"gpuport/internal/apps"
-	"gpuport/internal/cost"
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
 	"gpuport/internal/obs"
@@ -31,9 +30,9 @@ func tracePairs(o *Options) []tracePair {
 	return pairs
 }
 
-// Traces obtains the cost-model profile of every (application, input)
-// pair. Exposed separately so microbenchmarks and examples can reuse
-// traces without collecting a full dataset.
+// Traces obtains the trace of every (application, input) pair. Exposed
+// separately so microbenchmarks and examples can reuse traces without
+// collecting a full dataset.
 //
 // Pairs are traced concurrently by a worker pool (o.Workers, default
 // GOMAXPROCS); the returned slice is in the canonical input-major order
@@ -44,9 +43,8 @@ func tracePairs(o *Options) []tracePair {
 // entirely; fresh traces are written back so an interrupted trace phase
 // resumes where it left off. Cancelling o.Ctx stops the pool between
 // pairs and returns the context's error.
-func Traces(o Options) ([]*cost.TraceProfile, error) {
+func Traces(o Options) ([]*irgl.Trace, error) {
 	o.fill()
-	defer o.Obs.Start(obs.StageTrace)()
 	phase := o.Obs.StartSpan(obs.StageTrace, 0)
 	defer phase.End()
 	pairs := tracePairs(&o)
@@ -74,7 +72,7 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 		})
 	}
 
-	results := make([]*cost.TraceProfile, len(pairs))
+	results := make([]*irgl.Trace, len(pairs))
 	var pairsDone atomic.Int64
 	runPool(ctx, o.Workers, len(pairs), func(w, i int) {
 		p := pairs[i]
@@ -94,7 +92,7 @@ func Traces(o Options) ([]*cost.TraceProfile, error) {
 		}
 		recordWorkload(&o, tr, i)
 		sp.End()
-		results[i] = cost.NewTraceProfile(tr)
+		results[i] = tr
 		if o.Notify != nil {
 			o.Notify(obs.StageTrace, int(pairsDone.Add(1)), len(pairs))
 		}

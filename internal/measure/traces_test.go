@@ -13,6 +13,7 @@ import (
 	"gpuport/internal/apps"
 	"gpuport/internal/dataset"
 	"gpuport/internal/graph"
+	"gpuport/internal/irgl"
 	"gpuport/internal/obs"
 	"gpuport/internal/opt"
 	"gpuport/internal/tracecache"
@@ -31,54 +32,35 @@ func mediumOptions(t *testing.T) Options {
 	return o
 }
 
-func profilesEqual(t *testing.T, a, b []*traceProfileView) {
+func tracesEqual(t *testing.T, a, b []*irgl.Trace) {
 	t.Helper()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("trace profiles differ")
+		t.Fatal("traces differ")
 	}
 }
 
-// traceProfileView strips the memoisation cache out of a profile so
-// DeepEqual compares only the measured content.
-type traceProfileView struct {
-	App, Input string
-	Launches   []any
-	Loops      []any
-}
-
-func viewProfiles(o Options, t *testing.T) []*traceProfileView {
+func mustTraces(o Options, t *testing.T) []*irgl.Trace {
 	t.Helper()
-	ps, err := Traces(o)
+	trs, err := Traces(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]*traceProfileView, len(ps))
-	for i, p := range ps {
-		v := &traceProfileView{App: p.App, Input: p.Input}
-		for j := range p.Launches {
-			v.Launches = append(v.Launches, p.Launches[j].KernelStats)
-		}
-		for _, l := range p.Loops {
-			v.Loops = append(v.Loops, l)
-		}
-		out[i] = v
-	}
-	return out
+	return trs
 }
 
 func TestTracesParallelBitIdentical(t *testing.T) {
 	o := mediumOptions(t)
 	o.Workers = 1
-	serial := viewProfiles(o, t)
+	serial := mustTraces(o, t)
 	for _, workers := range []int{2, 4, 8} {
 		o.Workers = workers
-		profilesEqual(t, serial, viewProfiles(o, t))
+		tracesEqual(t, serial, mustTraces(o, t))
 	}
 }
 
 func TestTracesColdVsWarmCacheBitIdentical(t *testing.T) {
 	o := mediumOptions(t)
-	cold := viewProfiles(o, t) // no cache at all
+	cold := mustTraces(o, t) // no cache at all
 
 	store, err := tracecache.Open(t.TempDir(), 0)
 	if err != nil {
@@ -94,7 +76,7 @@ func TestTracesColdVsWarmCacheBitIdentical(t *testing.T) {
 		{"warm", wantPairs, 0}, // served from the cache
 	} {
 		o.Obs = obs.New()
-		profilesEqual(t, cold, viewProfiles(o, t))
+		tracesEqual(t, cold, mustTraces(o, t))
 		sum := o.Obs.Summary()
 		if hits, misses := sum.Counter(obs.CtrCacheHits), sum.Counter(obs.CtrCacheMisses); hits != run.hits || misses != run.misses {
 			t.Errorf("%s: hits=%d misses=%d, want %d/%d", run.label, hits, misses, run.hits, run.misses)
@@ -151,7 +133,7 @@ func datasetsMustMatch(t *testing.T, a, b *dataset.Dataset, label string) {
 // bit-identical to a cold run.
 func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 	o := mediumOptions(t)
-	cold := viewProfiles(o, t)
+	cold := mustTraces(o, t)
 
 	dir := t.TempDir()
 	store, err := tracecache.Open(dir, 0)
@@ -160,7 +142,7 @@ func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 	}
 	healed := obs.New()
 	o.TraceCache = store.SetObs(healed)
-	viewProfiles(o, t) // populate
+	mustTraces(o, t) // populate
 
 	entries, err := filepath.Glob(filepath.Join(dir, "*.trace"))
 	if err != nil || len(entries) == 0 {
@@ -184,13 +166,13 @@ func TestTracesCorruptCacheFallsBackToRetrace(t *testing.T) {
 		}
 	}
 
-	profilesEqual(t, cold, viewProfiles(o, t))
+	tracesEqual(t, cold, mustTraces(o, t))
 	if got := healed.Summary().Counter(obs.CtrCacheCorrupt); got != int64(len(entries)) {
 		t.Errorf("corrupt entries detected = %d, want %d", got, len(entries))
 	}
 	// And the re-trace healed the cache: next run is all hits.
 	o.Obs = obs.New()
-	profilesEqual(t, cold, viewProfiles(o, t))
+	tracesEqual(t, cold, mustTraces(o, t))
 	if got := o.Obs.Summary().Counter(obs.CtrCacheHits); got != int64(len(cold)) {
 		t.Errorf("healed cache served %d hits, want %d", got, len(cold))
 	}

@@ -11,7 +11,6 @@ import (
 // sampleRecorder builds a recorder with activity on both tracks.
 func sampleRecorder() *Recorder {
 	r := NewWithClock(fakeClock(time.Millisecond)).EnableSim()
-	r.Start(StageTrace)()
 	r.Add(CtrCacheHits, 3)
 	r.Add(CtrCacheMisses, 1)
 	root := r.StartSpan(StageTrace, 0)

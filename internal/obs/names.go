@@ -8,7 +8,8 @@ package obs
 // byte-for-byte, so a renamed or misspelled name is a silent schema
 // change unless it has exactly one home.
 
-// Pipeline stages (wall-clock stage timers and their phase spans).
+// Pipeline stages, in pipeline order: the names of their real-track
+// phase spans, whose durations make up the stage totals (see Summary).
 const (
 	StageTrace    = "trace"
 	StageSweep    = "sweep"
@@ -103,7 +104,6 @@ const (
 	AttrInput    = "input"
 	AttrChip     = "chip"
 	AttrConfig   = "config"
-	AttrCached   = "cached"
 	AttrAttempt  = "attempt"
 	AttrKind     = "kind"
 	AttrFrontier = "frontier"

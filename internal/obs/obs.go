@@ -1,6 +1,7 @@
 // Package obs is a lightweight observability layer for the measurement
-// pipeline: named wall-clock stage timers (trace vs. sweep vs.
-// analysis) and integer counters (cache hits, misses, ...), accumulated
+// pipeline: always-on integer counters (cache hits, misses, ...) and,
+// when tracing is enabled, spans, whose stage spans (trace vs. sweep
+// vs. assemble) give each stage's wall-clock total, accumulated
 // concurrently and summarised deterministically.
 //
 // It deliberately measures only the harness, never the simulated
@@ -16,11 +17,11 @@ import (
 	"time"
 )
 
-// Stage is one named phase's accumulated wall-clock.
+// Stage is one pipeline stage's accumulated wall-clock.
 type Stage struct {
 	Name     string
 	Duration time.Duration
-	// Calls counts how many timed sections contributed to Duration.
+	// Calls counts the stage spans that contributed to Duration.
 	Calls int
 }
 
@@ -30,8 +31,9 @@ type Counter struct {
 	Value int64
 }
 
-// Summary is an immutable snapshot of a Recorder, with stages and
-// counters in first-use order (deterministic for a fixed code path).
+// Summary is an immutable snapshot of a Recorder: the stages that have
+// ended a span, in pipeline order, and the counters in first-use order
+// (deterministic for a fixed code path).
 type Summary struct {
 	Stages   []Stage
 	Counters []Counter
@@ -84,8 +86,8 @@ func (s *Summary) Format(w io.Writer) error {
 	return nil
 }
 
-// Recorder accumulates stages and counters - and, when tracing is
-// enabled, hierarchical spans, events and histograms (see span.go).
+// Recorder accumulates counters and histograms - and, when tracing is
+// enabled, hierarchical spans, events and stage totals (see span.go).
 // Safe for concurrent use; the zero value is NOT usable, call New.
 // A Recorder is a handle on its store: Scope returns another handle on
 // the same store, which files the spans it opens under a request trace.
@@ -104,8 +106,7 @@ type store struct {
 	tracing, sim bool
 
 	mu       sync.Mutex
-	stages   []Stage        // guarded by mu
-	stageIdx map[string]int // guarded by mu
+	stages   []Stage        // guarded by mu; in pipeline order
 	counters []Counter      // guarded by mu
 	countIdx map[string]int // guarded by mu
 
@@ -126,7 +127,7 @@ type store struct {
 func New() *Recorder {
 	return &Recorder{st: &store{
 		now:      time.Now,
-		stageIdx: map[string]int{},
+		stages:   []Stage{{Name: StageTrace}, {Name: StageSweep}, {Name: StageAssemble}},
 		countIdx: map[string]int{},
 		histIdx:  map[string]int{},
 	}}
@@ -152,30 +153,6 @@ func (r *Recorder) Scope(trace, parent uint64) *Recorder {
 		return nil
 	}
 	return &Recorder{st: r.st, trace: trace, parent: parent}
-}
-
-// Start begins timing one section of the named stage; the returned stop
-// function adds the elapsed time. Typical use:
-//
-//	defer rec.Start("trace")()
-func (r *Recorder) Start(name string) (stop func()) {
-	if r == nil {
-		return func() {}
-	}
-	t0 := r.st.now()
-	return func() {
-		d := r.st.now().Sub(t0)
-		r.st.mu.Lock()
-		defer r.st.mu.Unlock()
-		i, ok := r.st.stageIdx[name]
-		if !ok {
-			i = len(r.st.stages)
-			r.st.stageIdx[name] = i
-			r.st.stages = append(r.st.stages, Stage{Name: name})
-		}
-		r.st.stages[i].Duration += d
-		r.st.stages[i].Calls++
-	}
 }
 
 // Add increments the named counter by delta. A nil recorder is a no-op,
@@ -204,8 +181,11 @@ func (r *Recorder) Summary() *Summary {
 	}
 	r.st.mu.Lock()
 	defer r.st.mu.Unlock()
-	return &Summary{
-		Stages:   append([]Stage(nil), r.st.stages...),
-		Counters: append([]Counter(nil), r.st.counters...),
+	s := &Summary{Counters: append([]Counter(nil), r.st.counters...)}
+	for _, st := range r.st.stages {
+		if st.Calls > 0 {
+			s.Stages = append(s.Stages, st)
+		}
 	}
+	return s
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,23 +22,20 @@ func fakeClock(step time.Duration) func() time.Time {
 }
 
 func TestStagesAndCounters(t *testing.T) {
-	r := NewWithClock(fakeClock(time.Millisecond))
-	stop := r.Start("trace")
-	stop()
-	stop = r.Start("sweep")
-	stop()
-	stop = r.Start("trace")
-	stop()
+	r := NewWithClock(fakeClock(time.Millisecond)).EnableTracing()
+	r.StartSpan(StageSweep, 0).End()
+	r.StartSpan(StageTrace, 0).End()
+	r.StartSpan(StageTrace, 0).End()
 	r.Add("hits", 2)
 	r.Add("misses", 1)
 	r.Add("hits", 3)
 
 	s := r.Summary()
-	if len(s.Stages) != 2 || s.Stages[0].Name != "trace" || s.Stages[1].Name != "sweep" {
-		t.Fatalf("stages = %+v, want trace then sweep (first-use order)", s.Stages)
+	if len(s.Stages) != 2 || s.Stages[0].Name != StageTrace || s.Stages[1].Name != StageSweep {
+		t.Fatalf("stages = %+v, want trace then sweep (pipeline order)", s.Stages)
 	}
-	// Each Start/stop pair reads the clock twice -> 1ms per section.
-	if d := s.StageDuration("trace"); d != 2*time.Millisecond {
+	// Each span reads the clock at start and end -> 1ms per section.
+	if d := s.StageDuration(StageTrace); d != 2*time.Millisecond {
 		t.Errorf("trace duration = %v, want 2ms", d)
 	}
 	if s.Stages[0].Calls != 2 || s.Stages[1].Calls != 1 {
@@ -53,7 +51,6 @@ func TestStagesAndCounters(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
-	r.Start("x")()
 	r.Add("y", 1)
 	if r.Summary() != nil {
 		t.Error("nil recorder should summarise to nil")
@@ -79,8 +76,8 @@ func TestSummaryIsSnapshot(t *testing.T) {
 }
 
 func TestFormat(t *testing.T) {
-	r := NewWithClock(fakeClock(time.Second))
-	r.Start("trace")()
+	r := NewWithClock(fakeClock(time.Second)).EnableTracing()
+	r.StartSpan(StageTrace, 0).End()
 	r.Add("trace-cache-hits", 51)
 	var b strings.Builder
 	r.Summary().Format(&b)
@@ -93,17 +90,17 @@ func TestFormat(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	r := New()
+	r := New().EnableTracing()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Start("stage")()
+				r.StartSpan(StageSweep, w).End()
 				r.Add("count", 1)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	s := r.Summary()
@@ -112,5 +109,37 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if s.Stages[0].Calls != 800 {
 		t.Errorf("calls = %d, want 800", s.Stages[0].Calls)
+	}
+}
+
+// TestAdoptFoldsStageSpansOnce: adopted stage spans land in a traced
+// adopter's totals exactly once, an untraced adopter takes none, and a
+// simulated-track span named like a stage never counts.
+func TestAdoptFoldsStageSpansOnce(t *testing.T) {
+	donor := NewWithClock(fakeClock(time.Millisecond)).EnableSim()
+	donor.StartSpan(StageTrace, 0).End()
+	sweep := donor.StartSpan(StageSweep, 0)
+	sweep.StartSpan(SpanSweepJob, 1).End()
+	sweep.End()
+	donor.SimSpan(0, 0, StageAssemble, 0, 5e6)
+	snap := donor.Snapshot()
+	want := []Stage{{StageTrace, time.Millisecond, 1}, {StageSweep, 3 * time.Millisecond, 1}}
+	if got := snap.Summary.Stages; !reflect.DeepEqual(got, want) {
+		t.Fatalf("donor stages = %+v, want %+v", got, want)
+	}
+
+	r := NewWithClock(fakeClock(time.Millisecond)).EnableTracing()
+	r.StartSpan(StageTrace, 0).End()
+	r.Adopt(snap, 7, 0)
+	want[0] = Stage{StageTrace, 2 * time.Millisecond, 2}
+	for i := 1; i <= 2; i++ {
+		if got := r.Snapshot().Summary.Stages; !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %d: adopter stages = %+v, want %+v", i, got, want)
+		}
+	}
+	plain := New()
+	plain.Adopt(snap, 7, 0)
+	if got := plain.Summary().Stages; len(got) != 0 {
+		t.Errorf("untraced adopter stages = %+v, want none", got)
 	}
 }

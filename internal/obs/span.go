@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // Track separates the two timelines a run records: the real wall-clock
@@ -42,9 +43,6 @@ func String(key, value string) Attr { return Attr{key, value} }
 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr { return Attr{key, strconv.FormatInt(value, 10)} }
-
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{key, strconv.FormatBool(value)} }
 
 // Span is one completed timed section on a track. IDs are
 // deterministic: a span's ID is a hash of its parent ID, name and
@@ -157,10 +155,10 @@ func spanID(parent uint64, name string, attrs []Attr) uint64 {
 	return id
 }
 
-// EnableTracing turns on span and event capture (off by default: the
-// stage timers and counters of the original recorder cost nothing and
-// are always on, while a traced full sweep records thousands of spans).
-// Call before concurrent use begins.
+// EnableTracing turns on span and event capture, and so the stage
+// totals (off by default: the counters cost nothing and are always on,
+// while a traced full sweep records thousands of spans). Call before
+// concurrent use begins.
 func (r *Recorder) EnableTracing() *Recorder {
 	if r != nil {
 		r.st.tracing = true
@@ -327,9 +325,22 @@ func (h *SpanHandle) End() {
 	}
 	h.span.DurNS = h.r.epochNS() - h.span.StartNS
 	h.r.st.mu.Lock()
-	h.r.st.spans = append(h.r.st.spans, h.span)
+	h.r.st.keepLocked(h.span)
 	h.r.st.publishSpanLocked(h.span)
 	h.r.st.mu.Unlock()
+}
+
+// keepLocked stores a completed span; a real-track stage span also adds
+// its duration to its stage's total (simulated-track names come from
+// the applications and never count). Callers hold s.mu.
+func (s *store) keepLocked(sp Span) {
+	s.spans = append(s.spans, sp)
+	for i := range s.stages {
+		if sp.Track == TrackReal && s.stages[i].Name == sp.Name {
+			s.stages[i].Duration += time.Duration(sp.DurNS)
+			s.stages[i].Calls++
+		}
+	}
 }
 
 // SimSpan records one completed span on the simulated track with an
@@ -357,7 +368,7 @@ func (r *Recorder) SimSpan(lane int, parent uint64, name string, startNS, durNS 
 		DurNS:   durNS,
 	}
 	r.st.mu.Lock()
-	r.st.spans = append(r.st.spans, s)
+	r.st.keepLocked(s)
 	r.st.publishSpanLocked(s)
 	r.st.mu.Unlock()
 	return s.ID

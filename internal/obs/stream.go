@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 )
 
 // Live telemetry streaming. A Recorder can be watched: every span
@@ -133,29 +132,12 @@ func (s *store) publishCounterLocked(name string, delta, total int64) {
 	s.deliverLocked(StreamEvent{Kind: StreamCounter, Name: name, Delta: delta, Total: total})
 }
 
-// MergeStage folds an externally accumulated stage duration into the
-// named stage timer (how Adopt carries a snapshot's stage timers over).
-func (r *Recorder) MergeStage(name string, d time.Duration, calls int) {
-	if r == nil || calls == 0 {
-		return
-	}
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	i, ok := r.st.stageIdx[name]
-	if !ok {
-		i = len(r.st.stages)
-		r.st.stageIdx[name] = i
-		r.st.stages = append(r.st.stages, Stage{Name: name})
-	}
-	r.st.stages[i].Duration += d
-	r.st.stages[i].Calls += calls
-}
-
 // Adopt folds another recorder's snapshot into r as one connected
 // trace: adopted spans are stamped with the trace ID, real-track roots
-// are re-parented under parent (the adopting span), and events,
-// histograms, counters, stage timers and simulated-track lane names
-// are carried over. Real-track lane names are NOT adopted - worker
+// are re-parented under parent (the adopting span), stage spans add to
+// r's stage totals, and events, histograms, counters and simulated-
+// track lane names are carried over (only histograms and counters when
+// r is not tracing). Real-track lane names are NOT adopted - worker
 // lanes are scheduling artifacts of the donor and would collide with
 // the adopter's own lanes. Adopted spans keep the donor's IDs: unlike
 // a scoped view (see Scope), which hashes its parent into the IDs of
@@ -173,7 +155,7 @@ func (r *Recorder) Adopt(s *Snapshot, trace, parent uint64) {
 			if sp.Parent == 0 && sp.Track == TrackReal {
 				sp.Parent = parent
 			}
-			r.st.spans = append(r.st.spans, sp)
+			r.st.keepLocked(sp)
 		}
 		r.st.events = append(r.st.events, s.Events...)
 		r.st.mu.Unlock()
@@ -188,10 +170,5 @@ func (r *Recorder) Adopt(s *Snapshot, trace, parent uint64) {
 	}
 	for _, c := range s.Counters {
 		r.Add(c.Name, c.Value)
-	}
-	if s.Summary != nil {
-		for _, st := range s.Summary.Stages {
-			r.MergeStage(st.Name, st.Duration, st.Calls)
-		}
 	}
 }

@@ -43,8 +43,7 @@ func TestSpanRecorderStress(t *testing.T) {
 				rec.SimSpan(w, tl, SpanSimTimeline, int64(i), 5, Int(AttrLaunch, int64(i)))
 				child.End()
 				root.End()
-				stop := rec.Start(StageSweep)
-				stop()
+				rec.StartSpan(StageSweep, w).End()
 			}
 			rec.MergeHist(HistFrontier, &local)
 		}(w)
@@ -82,9 +81,12 @@ func TestSpanRecorderStress(t *testing.T) {
 	if got := final.Summary.Counter(CtrFaultAttempts); got != workers*rounds {
 		t.Errorf("final counter = %d, want %d", got, workers*rounds)
 	}
-	// Every Ended span must be present: 2 real + 2 sim per round.
-	if got, want := len(final.Spans), workers*rounds*4; got != want {
+	// Every Ended span must be present: 3 real + 2 sim per round.
+	if got, want := len(final.Spans), workers*rounds*5; got != want {
 		t.Errorf("final spans = %d, want %d", got, want)
+	}
+	if got := final.Summary.Stages; len(got) != 1 || got[0].Calls != workers*rounds {
+		t.Errorf("final stages = %+v, want %d sweep sections", got, workers*rounds)
 	}
 	if got, want := len(final.Events), workers*rounds; got != want {
 		t.Errorf("final events = %d, want %d", got, want)

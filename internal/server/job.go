@@ -106,7 +106,6 @@ const (
 	OutcomeDeduped = "deduped"
 	// OutcomeCached: the submission was answered from the persisted job
 	// store without running anything.
-	//lint:allow obsliteral coincides with the unrelated obs.AttrCached attribute key
 	OutcomeCached = "cached"
 	// OutcomeRejected: the spec failed validation (or the server is
 	// shutting down).
@@ -184,9 +183,6 @@ func newJob(id, fp string, spec Spec, camp *measure.Campaign, seq uint64) *Job {
 
 // ID returns the job's identifier (a fingerprint prefix).
 func (j *Job) ID() string { return j.id }
-
-// Fingerprint returns the campaign's full content address.
-func (j *Job) Fingerprint() string { return j.fp }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {

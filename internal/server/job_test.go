@@ -22,12 +22,13 @@ func TestJobAccessors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	j := submit(t, s, testSpec())
 	waitDone(t, j)
-	if len(j.Fingerprint()) != 64 || !strings.HasPrefix(j.Fingerprint(), j.ID()) {
-		t.Errorf("fingerprint %q does not extend id %q", j.Fingerprint(), j.ID())
+	st := j.Status()
+	if len(st.Fingerprint) != 64 || !strings.HasPrefix(st.Fingerprint, j.ID()) || st.ID != j.ID() {
+		t.Errorf("fingerprint %q does not extend id %q (status id %q)", st.Fingerprint, j.ID(), st.ID)
 	}
-	res := j.Status().Result
-	if res == nil || res.Measured != res.Cells || res.Cells != j.Status().Cells {
-		t.Errorf("result = %+v, want every one of the %d cells measured", res, j.Status().Cells)
+	res := st.Result
+	if res == nil || res.Measured != res.Cells || res.Cells != st.Cells {
+		t.Errorf("result = %+v, want every one of the %d cells measured", res, st.Cells)
 	}
 }
 

@@ -366,6 +366,30 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCSVCheckpointFailsCampaign: a <id>.ckpt in the CSV format of
+// older checkpoints fails its campaign with an error naming the file,
+// and the file is left as it was.
+func TestCSVCheckpointFailsCampaign(t *testing.T) {
+	jobDir := t.TempDir()
+	_, camp, errs := testSpec().Resolve()
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	path := filepath.Join(jobDir, camp.Fingerprint()[:16]+".ckpt")
+	old := referenceBytes(t, testSpec())
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := submit(t, newTestServer(t, Config{JobDir: jobDir}), testSpec())
+	waitDone(t, j)
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, path) {
+		t.Fatalf("state %s, error %q; want failed naming %s", st.State, st.Error, path)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the failed campaign changed %s (%v)", path, err)
+	}
+}
+
 // TestShutdownMidJobThenResume is the kill test proper: the server is
 // closed while a campaign runs, a second server over the same job
 // directory finishes the job, and the bytes match an uninterrupted run.

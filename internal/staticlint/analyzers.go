@@ -523,7 +523,6 @@ func checkLockPairing(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 // obsNameArg maps obs recorder / span-handle methods and attribute
 // constructors to the index of their name argument.
 var obsNameArg = map[string]int{
-	"Start":       0,
 	"StartSpan":   0,
 	"Event":       0,
 	"Add":         0,
@@ -531,10 +530,8 @@ var obsNameArg = map[string]int{
 	"MergeHist":   0,
 	"NameLane":    2,
 	"SimSpan":     2,
-	"MergeStage":  0,
 	"String":      0,
 	"Int":         0,
-	"Bool":        0,
 }
 
 // runObsNames requires any constant-valued name reaching an obs

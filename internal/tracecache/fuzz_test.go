@@ -28,8 +28,8 @@ import (
 // damaged variants. Runs bounded in CI (make fuzz).
 func FuzzEntryDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(headerMagic))
-	f.Add([]byte(headerMagic + " 1 deadbeef 4\nabcd"))
+	f.Add([]byte(HeaderMagic))
+	f.Add([]byte(HeaderMagic + " 1 deadbeef 4\nabcd"))
 	// A minimal well-formed entry, built with the store's own writer.
 	payload := []byte(`{"app":"bfs-wl","input":"fz","launches":[]}`)
 	f.Add(AppendEntry(nil, payload))

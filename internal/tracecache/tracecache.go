@@ -53,8 +53,8 @@ import (
 // the entry encoding changes; readers treat older versions as misses.
 const formatVersion = 1
 
-// headerMagic identifies trace-cache entries.
-const headerMagic = "gpuport-tracecache"
+// HeaderMagic opens the header line of every entry.
+const HeaderMagic = "gpuport-tracecache"
 
 // DefaultMaxBytes caps the store at 256 MiB unless Open is told
 // otherwise - roughly four orders of magnitude above a full standard
@@ -193,7 +193,7 @@ func CutEntry(raw []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	fields := strings.Fields(string(line))
-	if len(fields) != 4 || fields[0] != headerMagic {
+	if len(fields) != 4 || fields[0] != HeaderMagic {
 		return nil, nil, fmt.Errorf("%w: malformed header", ErrCorrupt)
 	}
 	if fields[1] != strconv.Itoa(formatVersion) {
@@ -216,7 +216,7 @@ func CutEntry(raw []byte) (payload, rest []byte, err error) {
 // appendHeader appends the entry header for payload to dst.
 func appendHeader(dst, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	return fmt.Appendf(dst, "%s %d %x %d\n", headerMagic, formatVersion, sum, len(payload))
+	return fmt.Appendf(dst, "%s %d %x %d\n", HeaderMagic, formatVersion, sum, len(payload))
 }
 
 // verifyEntry returns the payload of an entry file, which must hold

@@ -91,7 +91,7 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 			return raw
 		}},
 		{"stale-version", func(_ string, raw []byte) []byte {
-			return []byte(strings.Replace(string(raw), headerMagic+" 1 ", headerMagic+" 0 ", 1))
+			return []byte(strings.Replace(string(raw), HeaderMagic+" 1 ", HeaderMagic+" 0 ", 1))
 		}},
 		{"no-header", func(_ string, raw []byte) []byte {
 			return []byte("not a cache entry at all")
