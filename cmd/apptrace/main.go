@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"gpuport/internal/apps"
 	"gpuport/internal/chip"
@@ -73,10 +74,11 @@ func run(args []string, w io.Writer) error {
 	if err := app.Check(g, out); err != nil {
 		return fmt.Errorf("%s produced a wrong answer on %s: %w", app.Name, g.Name, err)
 	}
-	fmt.Fprintf(w, "%s on %s: answer validated against the sequential reference\n\n",
+	var buf strings.Builder
+	fmt.Fprintf(&buf, "%s on %s: answer validated against the sequential reference\n\n",
 		app.Name, g.Name)
 
-	fmt.Fprintf(w, "trace: %d kernel launches, %d host loops, %d total edge work\n",
+	fmt.Fprintf(&buf, "trace: %d kernel launches, %d host loops, %d total edge work\n",
 		trace.TotalLaunches(), len(trace.Loops), trace.TotalEdgeWork())
 
 	// Aggregate per kernel name.
@@ -107,7 +109,7 @@ func run(args []string, w io.Writer) error {
 		a := byKernel[name]
 		t.Row(name, a.launches, a.items, a.work, a.pushes, a.rmws, a.ras)
 	}
-	t.Render(w)
+	t.Render(&buf)
 
 	// Heaviest launches.
 	if *topN > 0 {
@@ -136,7 +138,7 @@ func run(args []string, w io.Writer) error {
 			l := trace.Launches[heavy[i]]
 			ht.Row(heavy[i], l.Name, l.Items, l.TotalWork, l.MaxWork, l.AtomicPushes)
 		}
-		ht.Render(w)
+		ht.Render(&buf)
 	}
 
 	// Modelled runtimes across chips.
@@ -149,18 +151,25 @@ func run(args []string, w io.Writer) error {
 		tuned := cost.Estimate(ch, cfg, tp)
 		ct.Row(ch.Name, report.F(base/1e6, 3), report.F(tuned/1e6, 3), report.F(base/tuned, 2)+"x")
 	}
-	ct.Render(w)
+	ct.Render(&buf)
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "raw trace written to %s\n", *jsonOut)
+	if _, err := io.WriteString(w, buf.String()); err != nil {
+		return err
 	}
-	return nil
+	if *jsonOut == "" {
+		return nil
+	}
+	f, err := os.Create(*jsonOut)
+	if err != nil {
+		return err
+	}
+	err = trace.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "raw trace written to %s\n", *jsonOut)
+	return err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,5 +82,20 @@ func TestErrors(t *testing.T) {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+}
+
+// deadWriter fails every write, like stdout on a full disk.
+type deadWriter struct{}
+
+var errDeadWriter = errors.New("no space left on device")
+
+func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
+
+// TestWriteErrorsReachExitStatus: a report that cannot be written is
+// an error, not a silent exit 0.
+func TestWriteErrorsReachExitStatus(t *testing.T) {
+	if err := run([]string{"-app", "bfs-wl", "-input", "rand-8k"}, deadWriter{}); !errors.Is(err, errDeadWriter) {
+		t.Errorf("run on a dead writer returned %v", err)
 	}
 }

@@ -116,7 +116,7 @@ func run(args []string, w io.Writer) error {
 	return runCtx(context.Background(), args, w)
 }
 
-func runCtx(ctx context.Context, args []string, w io.Writer) error {
+func runCtx(ctx context.Context, args []string, w io.Writer) (runErr error) {
 	fs := flag.NewFlagSet("gpuport", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "measurement noise seed")
 	runs := fs.Int("runs", 3, "timed runs per cell")
@@ -162,11 +162,16 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); runErr == nil {
+				runErr = err
+			}
+		}()
 	}
 
 	opts := measure.Options{
@@ -196,7 +201,7 @@ func runCtx(ctx context.Context, args []string, w io.Writer) error {
 		return loadOrCollect(*inFile, *outFile, opts, progress)
 	}
 
-	runErr := dispatch(rest, w, *seed, *inFile, *outFile, opts, progress, loader)
+	runErr = dispatch(rest, w, *seed, *inFile, *outFile, opts, progress, loader)
 	if err := writeObsExports(rec, *obsTrace, *obsMetrics); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -218,15 +223,7 @@ func writeObsExports(rec *obs.Recorder, tracePath, metricsPath string) error {
 		if path == "" {
 			return nil
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f, snap); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return writeFile(path, func(w io.Writer) error { return render(w, snap) })
 	}
 	if err := write(tracePath, obs.WriteChromeTrace); err != nil {
 		return err
@@ -240,12 +237,20 @@ func writeMemProfile(path string) error {
 	if path == "" {
 		return nil
 	}
+	return writeFile(path, func(w io.Writer) error {
+		runtime.GC()
+		return pprof.WriteHeapProfile(w)
+	})
+}
+
+// writeFile creates path, renders into it and closes it, returning
+// the first error: a failed Close can lose what render wrote.
+func writeFile(path string, render func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	if err := render(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -341,17 +346,12 @@ func dispatch(rest []string, w io.Writer, seed uint64, inFile, outFile string, o
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
 		prevMD := report.Markdown
 		report.Markdown = true
 		defer func() { report.Markdown = prevMD }()
-		err = report.Full(f, s, seed, opts.Obs.Summary())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		err = writeFile(path, func(f io.Writer) error {
+			return report.Full(f, s, seed, opts.Obs.Summary())
+		})
 		if err != nil {
 			return err
 		}
@@ -454,12 +454,7 @@ func loadOrCollect(inFile, outFile string, opts measure.Options, progress io.Wri
 		_ = opts.Obs.Summary().Format(progress)
 	}
 	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := s.Dataset().WriteCSV(f); err != nil {
+		if err := writeFile(outFile, s.Dataset().WriteCSV); err != nil {
 			return nil, err
 		}
 	}

@@ -86,15 +86,17 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if *format == "edgelist" {
 		err = graph.WriteEdgeList(f, g)
 	} else {
 		err = graph.WriteBinary(f, g)
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "wrote %s (%s) to %s\n", g.Name, *format, *out)
-	return nil
+	_, err = fmt.Fprintf(w, "wrote %s (%s) to %s\n", g.Name, *format, *out)
+	return err
 }

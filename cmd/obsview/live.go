@@ -1,10 +1,11 @@
 package main
 
-// Live-stream consumers: "obsview tail" follows an NDJSON telemetry
-// stream (gpuportd /debug/obs-stream) and renders a rolling top-spans
-// table; "obsview slo" reports the latency, queue-wait and cache-hit
-// service-level indicators a stream capture observed, optionally as
-// go-bench lines so benchcheck can record and bound them.
+// Live-stream consumers: "obsview tail" folds an NDJSON telemetry
+// stream (gpuportd /debug/obs-stream) through summary's span table and
+// renders summary's tables; "obsview slo" reports the latency,
+// queue-wait and cache-hit service-level indicators a stream capture
+// observed, optionally as go-bench lines so benchcheck can record and
+// bound them.
 
 import (
 	"bufio"
@@ -19,122 +20,20 @@ import (
 	"gpuport/internal/report"
 )
 
-// openInput opens path, with "-" meaning stdin.
-func openInput(path string) (io.ReadCloser, error) {
-	if path == "-" {
-		return io.NopCloser(os.Stdin), nil
-	}
-	return os.Open(path)
-}
-
-// tailState aggregates streamed span closes for the rolling table.
-type tailState struct {
-	groups   map[[2]string]*spanGroup // (track, name) -> aggregate
-	childDur map[string]float64       // span id -> summed child durations
-	selfOf   map[string][2]string     // span id -> owning group key
-	counters map[string]float64
-	spans    int
-}
-
-func newTailState() *tailState {
-	return &tailState{
-		groups:   map[[2]string]*spanGroup{},
-		childDur: map[string]float64{},
-		selfOf:   map[string][2]string{},
-		counters: map[string]float64{},
-	}
-}
-
-// add folds one stream event in. Self time is maintained incrementally:
-// a span's duration joins its group's self time, and a child's duration
-// is subtracted from the group that owns the parent span once the
-// parent has closed (children close before parents on a live stream,
-// so the usual case is handled by recording child durations first).
-func (ts *tailState) add(ev obs.StreamEvent) {
-	switch ev.Kind {
-	case obs.StreamCounter:
-		ts.counters[ev.Name] = float64(ev.Total)
-	case obs.StreamSpan:
-		ts.spans++
-		key := [2]string{ev.Track, ev.Name}
-		g := ts.groups[key]
-		if g == nil {
-			g = &spanGroup{name: ev.Name}
-			ts.groups[key] = g
+// readStream calls fn on each event of an NDJSON stream capture ("-"
+// for stdin) and stops at the first error.
+func readStream(path string, fn func(obs.StreamEvent) error) error {
+	var in io.Reader = os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
 		}
-		g.count++
-		dur := float64(ev.DurNS)
-		g.total += dur
-		g.self += dur - ts.childDur[ev.Span]
-		ts.selfOf[ev.Span] = key
-		if ev.Parent != "" {
-			if pkey, ok := ts.selfOf[ev.Parent]; ok {
-				// Parent already closed (out-of-order delivery): charge
-				// its group retroactively.
-				ts.groups[pkey].self -= dur
-			} else {
-				ts.childDur[ev.Parent] += dur
-			}
-		}
+		defer f.Close()
+		in = f
 	}
-}
-
-// render writes the rolling top table and counters. Accumulated self
-// time can go negative when an async child outlives its parent (the
-// queue-wait span runs on long after its submit request returned); a
-// span cannot spend negative time in its own frames, so self is
-// clamped at zero for ranking and display.
-func (ts *tailState) render(w io.Writer, top int) {
-	type row struct {
-		track string
-		self  float64
-		g     *spanGroup
-	}
-	rows := make([]row, 0, len(ts.groups))
-	for key, g := range ts.groups {
-		rows = append(rows, row{key[0], max(g.self, 0), g})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].self != rows[j].self {
-			return rows[i].self > rows[j].self
-		}
-		if rows[i].track != rows[j].track {
-			return rows[i].track < rows[j].track
-		}
-		return rows[i].g.name < rows[j].g.name
-	})
-	t := report.NewTable(fmt.Sprintf("Live top spans by self time (%d closed)", ts.spans),
-		"Track", "Span", "Count", "Total ns", "Self ns").RightAlign(2, 3, 4)
-	for i, r := range rows {
-		if i >= top {
-			t.Row("", fmt.Sprintf("... %d more", len(rows)-top), "", "", "")
-			break
-		}
-		t.Row(r.track, r.g.name, r.g.count, report.F(r.g.total, 0), report.F(r.self, 0))
-	}
-	t.Render(w)
-	if len(ts.counters) > 0 {
-		t := report.NewTable("Counters", "Counter", "Value").RightAlign(1)
-		for _, name := range sortedKeys(ts.counters) {
-			t.Row(name, report.F(ts.counters[name], 0))
-		}
-		t.Render(w)
-	}
-	fmt.Fprintln(w)
-}
-
-// tail follows an NDJSON stream, re-rendering every `every` span
-// events (0 renders only once, at end of stream).
-func tail(w io.Writer, path string, top, every int) error {
-	in, err := openInput(path)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	st := newTailState()
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lastRender := 0
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -144,17 +43,50 @@ func tail(w io.Writer, path string, top, every int) error {
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return fmt.Errorf("%s: bad stream line %q: %w", path, line, err)
 		}
-		st.add(ev)
-		if every > 0 && st.spans-lastRender >= every {
-			st.render(w, top)
-			lastRender = st.spans
+		if err := fn(ev); err != nil {
+			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
+	return sc.Err()
+}
+
+// foldEvent folds one stream event into the table. Real-track
+// durations fold in microseconds, as a trace file carries them;
+// simulated units pass through.
+func (t *spanTable) foldEvent(ev obs.StreamEvent) {
+	switch ev.Kind {
+	case obs.StreamCounter:
+		t.counters[ev.Name] = float64(ev.Total)
+	case obs.StreamSpan:
+		dur := float64(ev.DurNS)
+		if ev.Track == obs.TrackReal.String() {
+			dur /= 1e3
+		}
+		t.fold(ev.Track, ev.Name, ev.Span, ev.Parent, dur)
+	}
+}
+
+// tail folds an NDJSON stream and renders summary's tables under a
+// closed-span count every `every` spans (0 renders only once, at end
+// of stream).
+func tail(w io.Writer, path string, top, every int) error {
+	t := newSpanTable()
+	render := func() error {
+		return t.render(w, fmt.Sprintf("Live: %d spans closed\n\n", t.spans), top)
+	}
+	lastRender := 0
+	err := readStream(path, func(ev obs.StreamEvent) error {
+		t.foldEvent(ev)
+		if every > 0 && t.spans-lastRender >= every {
+			lastRender = t.spans
+			return render()
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	st.render(w, top)
-	return nil
+	return render()
 }
 
 // sloEndpoint is the endpoint whose request latency slo reports: only
@@ -190,23 +122,8 @@ func quantileNS(samples []int64, q float64) int64 {
 
 // loadSLOStream reads observations from an NDJSON stream capture.
 func loadSLOStream(path string) (*sloObservations, error) {
-	in, err := openInput(path)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
 	o := &sloObservations{}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev obs.StreamEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("%s: bad stream line %q: %w", path, line, err)
-		}
+	err := readStream(path, func(ev obs.StreamEvent) error {
 		switch ev.Kind {
 		case obs.StreamSpan:
 			switch ev.Name {
@@ -225,8 +142,9 @@ func loadSLOStream(path string) (*sloObservations, error) {
 				o.misses = float64(ev.Total)
 			}
 		}
-	}
-	return o, sc.Err()
+		return nil
+	})
+	return o, err
 }
 
 const nsPerMS = 1e6
@@ -262,7 +180,9 @@ func slo(w io.Writer, path, benchPath, reportPath string) error {
 	t.Row("queue-wait p99", fmt.Sprintf("%.3fms", float64(queueP99)/nsPerMS), len(o.queueNS))
 	t.Row("cache-hit ratio", fmt.Sprintf("%.3f", hitRatio), int(o.hits+o.misses))
 	t.Render(&rep)
-	fmt.Fprint(w, rep.String())
+	if _, err := io.WriteString(w, rep.String()); err != nil {
+		return err
+	}
 	if reportPath != "" {
 		if err := os.WriteFile(reportPath, []byte(rep.String()), 0o644); err != nil {
 			return err

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gpuport/internal/obs"
 )
@@ -59,7 +61,7 @@ func TestTail(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"Live top spans by self time (4 closed)",
+		"Live: 4 spans closed", "Top spans by self time: real",
 		obs.SpanHTTPRequest, obs.SpanQueueWait, obs.SpanValidate,
 		obs.CtrCacheHits, obs.CtrCacheMisses,
 	} {
@@ -69,26 +71,83 @@ func TestTail(t *testing.T) {
 	}
 }
 
-// TestTailSelfTime checks incremental self-time accounting in both
-// delivery orders: child closing before the parent (the live-stream
-// norm) and after it (out-of-order delivery).
+// TestTailSelfTime checks self-time accounting in both delivery
+// orders: child closing before the parent (the live-stream norm) and
+// after it (out-of-order delivery). Real-track nanoseconds fold in
+// microseconds.
 func TestTailSelfTime(t *testing.T) {
 	parent := obs.StreamEvent{Kind: obs.StreamSpan, Track: "real",
-		Name: "parent", Span: "p1", DurNS: 1000}
+		Name: "parent", Span: "p1", DurNS: 1_000_000}
 	child := obs.StreamEvent{Kind: obs.StreamSpan, Track: "real",
-		Name: "child", Span: "c1", Parent: "p1", DurNS: 300}
+		Name: "child", Span: "c1", Parent: "p1", DurNS: 300_000}
 	for name, order := range map[string][]obs.StreamEvent{
 		"child-first":  {child, parent},
 		"parent-first": {parent, child},
 	} {
-		st := newTailState()
+		st := newSpanTable()
 		for _, ev := range order {
-			st.add(ev)
+			st.foldEvent(ev)
 		}
 		g := st.groups[[2]string{"real", "parent"}]
-		if g == nil || g.self != 700 {
-			t.Errorf("%s: parent self = %+v, want 700", name, g)
+		if g == nil || g.total != 1000 || g.self != 700 {
+			t.Errorf("%s: parent group = %+v, want total 1000 µs, self 700 µs", name, g)
 		}
+	}
+}
+
+// TestStreamFoldMatchesTraceFold: one recorder, exported as a Chrome
+// trace and captured through Watch, folds to the same count, total and
+// self per group whether summary reads the file or tail the stream.
+// The http-request group holds a span whose async queue-wait child
+// outlives it and a span with self time of its own: self time is
+// floored per span, so the group keeps the second span's.
+func TestStreamFoldMatchesTraceFold(t *testing.T) {
+	clock := time.Unix(0, 0)
+	rec := obs.NewWithClock(func() time.Time {
+		clock = clock.Add(time.Microsecond)
+		return clock
+	}).EnableSim()
+	events, cancel := rec.Watch(64)
+	first := rec.StartSpan(obs.SpanHTTPRequest, 0, obs.String(obs.AttrEndpoint, "submit"), obs.Int(obs.AttrAttempt, 1))
+	wait := first.StartSpan(obs.SpanQueueWait, 0)
+	first.End()
+	second := rec.StartSpan(obs.SpanHTTPRequest, 0, obs.String(obs.AttrEndpoint, "submit"), obs.Int(obs.AttrAttempt, 2))
+	second.StartSpan(obs.SpanValidate, 0).End()
+	second.End()
+	wait.End()
+	tl := rec.SimSpan(0, 0, obs.SpanSimTimeline, 0, 500, obs.String(obs.AttrApp, "bfs-wl"))
+	rec.SimSpan(0, tl, obs.SpanSimTimeline, 100, 200, obs.Int(obs.AttrLaunch, 0))
+	rec.Add(obs.CtrCacheHits, 2)
+	cancel()
+
+	stream := newSpanTable()
+	for ev := range events {
+		stream.foldEvent(ev)
+	}
+	file, err := loadTrace(writeTrace(t, rec, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracks := map[string]string{
+		"harness (real)":            obs.TrackReal.String(),
+		"simulated kernel timeline": obs.TrackSim.String(),
+	}
+	if len(file.groups) != len(stream.groups) || len(file.groups) != 4 {
+		t.Fatalf("file has %d groups, stream %d, want 4 each", len(file.groups), len(stream.groups))
+	}
+	for key, g := range file.groups {
+		sg := stream.groups[[2]string{tracks[key[0]], key[1]}]
+		if sg == nil || *sg != *g {
+			t.Errorf("%v: file %+v, stream %+v", key, g, sg)
+		}
+	}
+	// first lasts 2 µs under a 6 µs queue wait; second lasts 3 µs
+	// around a 1 µs validate.
+	if g := file.groups[[2]string{"harness (real)", obs.SpanHTTPRequest}]; g.total != 5 || g.self != 2 {
+		t.Errorf("http-request group = %+v, want total 5, self 2", g)
+	}
+	if !reflect.DeepEqual(file.counters, stream.counters) {
+		t.Errorf("counters: file %v, stream %v", file.counters, stream.counters)
 	}
 }
 
@@ -122,7 +181,7 @@ func TestTailEvery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 spans with -every 2: renders at 2, 4, plus the final render.
-	if got := strings.Count(out.String(), "Live top spans"); got != 3 {
+	if got := strings.Count(out.String(), "Live: "); got != 3 {
 		t.Errorf("tail -every 2 rendered %d times, want 3:\n%s", got, out.String())
 	}
 }

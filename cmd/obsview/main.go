@@ -11,7 +11,7 @@
 //	obsview diff old.json new.json    per-span self-time and count
 //	                                  deltas, plus counter deltas
 //	obsview tail stream.ndjson        follow a /debug/obs-stream capture
-//	                                  ("-" for stdin), rolling top table
+//	                                  ("-" for stdin), summary's tables
 //	obsview slo stream.ndjson         report the SLO indicators a
 //	                                  stream capture observed; nonzero
 //	                                  exit when one has no samples
@@ -20,7 +20,7 @@
 //
 //	-top N    rows per table (default 15)
 //
-// tail flags (after the subcommand): -every N re-renders the table
+// tail flags (after the subcommand): -every N re-renders the tables
 // every N closed spans (0 = once, at end of stream).
 //
 // slo flags (after the subcommand): -bench and -report write the
@@ -29,9 +29,12 @@
 // benchcheck -maxratio against the committed BENCH_slo.json.
 //
 // Self time is a span's duration minus the duration of its children
-// (linked through the id/parent span attributes the exporter writes),
-// so a long phase span does not drown out the work inside it. Real-
-// track times are wall-clock microseconds; simulated-track times are
+// (linked through the span and parent IDs the exporter writes),
+// floored at zero per span, so a long phase span does not drown out
+// the work inside it and an async child that outlives its parent
+// costs no other span of the parent's name. summary, diff and tail
+// fold spans through one table (spanTable), so they agree. Real-track
+// times are wall-clock microseconds; simulated-track times are
 // virtual units derived from the traces.
 package main
 
@@ -43,6 +46,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"gpuport/internal/report"
 )
@@ -69,24 +73,16 @@ func run(args []string, w io.Writer) error {
 		if len(rest) != 2 {
 			return fmt.Errorf("usage: obsview summary <trace.json>")
 		}
-		td, err := loadTrace(rest[1])
+		t, err := loadTrace(rest[1])
 		if err != nil {
 			return err
 		}
-		return td.summary(w, *top)
+		return t.render(w, "", *top)
 	case "diff":
 		if len(rest) != 3 {
 			return fmt.Errorf("usage: obsview diff <old.json> <new.json>")
 		}
-		a, err := loadTrace(rest[1])
-		if err != nil {
-			return err
-		}
-		b, err := loadTrace(rest[2])
-		if err != nil {
-			return err
-		}
-		return diff(w, a, b, *top)
+		return diff(w, rest[1], rest[2], *top)
 	case "tail":
 		tfs := flag.NewFlagSet("obsview tail", flag.ContinueOnError)
 		every := tfs.Int("every", 0, "re-render every N closed spans (0 = only at end of stream)")
@@ -113,34 +109,88 @@ func run(args []string, w io.Writer) error {
 	}
 }
 
-// traceEvent is the subset of a Chrome trace-event entry obsview reads.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Args map[string]any `json:"args"`
-}
-
-// spanGroup aggregates every span sharing (pid, name).
+// spanGroup aggregates every span sharing (track, name).
 type spanGroup struct {
-	pid         int
 	name        string
 	count       int
 	total, self float64
 }
 
-// traceData is one loaded trace file, aggregated.
-type traceData struct {
-	path     string
-	procs    map[int]string // pid -> process_name metadata
-	groups   map[[2]string]*spanGroup
-	counters map[string]float64
-	events   map[string]int // instant-event name -> count
+// selfLeft is a folded span's group and the self time that children
+// folded after it may still claim.
+type selfLeft struct {
+	g    *spanGroup
+	self float64
 }
 
-func loadTrace(path string) (*traceData, error) {
+// spanTable is the one fold obsview reads spans through, from a trace
+// file (loadTrace) or a stream (foldEvent): spans grouped by (track,
+// name), plus counters and instant-event counts.
+type spanTable struct {
+	groups   map[[2]string]*spanGroup
+	pending  map[string]float64   // parent ID -> durations of its children folded before it
+	left     map[string]*selfLeft // span ID -> what its later children may claim
+	counters map[string]float64
+	events   map[string]int // instant-event name -> count
+	spans    int
+}
+
+func newSpanTable() *spanTable {
+	return &spanTable{
+		groups:   map[[2]string]*spanGroup{},
+		pending:  map[string]float64{},
+		left:     map[string]*selfLeft{},
+		counters: map[string]float64{},
+		events:   map[string]int{},
+	}
+}
+
+// fold adds one closed span. Its self time is its duration less its
+// children's, floored at zero per span, whichever of parent and child
+// is folded first: the children folded before it are subtracted now,
+// and each child folded after it takes what it can of the rest. For
+// any delivery order that equals subtracting every child at once. An
+// empty id or parent means the span has none.
+func (t *spanTable) fold(track, name, id, parent string, dur float64) {
+	t.spans++
+	key := [2]string{track, name}
+	g := t.groups[key]
+	if g == nil {
+		g = &spanGroup{name: name}
+		t.groups[key] = g
+	}
+	g.count++
+	g.total += dur
+	self := max(dur-t.pending[id], 0)
+	g.self += self
+	if id != "" {
+		t.left[id] = &selfLeft{g, self}
+	}
+	if parent == "" {
+		return
+	}
+	if p := t.left[parent]; p != nil {
+		take := min(p.self, dur)
+		p.g.self -= take
+		p.self -= take
+	} else {
+		t.pending[parent] += dur
+	}
+}
+
+// traceEvent is the subset of a Chrome trace-event entry obsview reads.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Dur  float64        `json:"dur"`
+	Args map[string]any `json:"args"`
+}
+
+// loadTrace folds a Chrome trace file. A span's track is its process
+// name ("pid N" when it has none); obs.WriteChromeTrace writes the
+// process names before any span.
+func loadTrace(path string) (*spanTable, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -151,136 +201,97 @@ func loadTrace(path string) (*traceData, error) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, fmt.Errorf("%s: not a Chrome trace: %w", path, err)
 	}
-	td := &traceData{
-		path:     path,
-		procs:    map[int]string{},
-		groups:   map[[2]string]*spanGroup{},
-		counters: map[string]float64{},
-		events:   map[string]int{},
-	}
-	// First pass: per-parent child durations, for self time.
-	childDur := map[string]float64{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		if parent, ok := ev.Args["parent"].(string); ok {
-			childDur[parent] += ev.Dur
-		}
-	}
+	t := newSpanTable()
+	procs := map[int]string{}
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			if ev.Name == "process_name" {
 				if name, ok := ev.Args["name"].(string); ok {
-					td.procs[ev.Pid] = name
+					procs[ev.Pid] = name
 				}
 			}
 		case "C":
 			if v, ok := ev.Args["value"].(float64); ok {
-				td.counters[ev.Name] = v
+				t.counters[ev.Name] = v
 			}
 		case "i":
-			td.events[ev.Name]++
+			t.events[ev.Name]++
 		case "X":
-			key := [2]string{fmt.Sprint(ev.Pid), ev.Name}
-			g := td.groups[key]
-			if g == nil {
-				g = &spanGroup{pid: ev.Pid, name: ev.Name}
-				td.groups[key] = g
+			track := procs[ev.Pid]
+			if track == "" {
+				track = fmt.Sprintf("pid %d", ev.Pid)
 			}
-			g.count++
-			g.total += ev.Dur
-			self := ev.Dur
-			if id, ok := ev.Args["id"].(string); ok {
-				self -= childDur[id]
-			}
-			if self < 0 {
-				self = 0 // overlapping children (nested loops) can exceed the parent
-			}
-			g.self += self
+			id, _ := ev.Args["id"].(string)
+			parent, _ := ev.Args["parent"].(string)
+			t.fold(track, ev.Name, id, parent, ev.Dur)
 		}
 	}
-	return td, nil
+	return t, nil
 }
 
-// track returns the display name of a pid's track.
-func (td *traceData) track(pid int) string {
-	if name := td.procs[pid]; name != "" {
-		return name
+// render writes head, then one table per track (in track-name order)
+// of at most top spans by self time, then the counters and the
+// instant-event counts. It writes once, so a failed write is its
+// error.
+func (t *spanTable) render(w io.Writer, head string, top int) error {
+	var b strings.Builder
+	b.WriteString(head)
+	tracks := map[string][]*spanGroup{}
+	for key, g := range t.groups {
+		tracks[key[0]] = append(tracks[key[0]], g)
 	}
-	return fmt.Sprintf("pid %d", pid)
-}
-
-// byTrack returns the trace's span groups per pid, each sorted by self
-// time descending.
-func (td *traceData) byTrack() map[int][]*spanGroup {
-	out := map[int][]*spanGroup{}
-	for _, g := range td.groups {
-		out[g.pid] = append(out[g.pid], g)
-	}
-	for _, gs := range out {
+	for _, track := range sortedKeys(tracks) {
+		gs := tracks[track]
 		sort.Slice(gs, func(i, j int) bool {
 			if gs[i].self != gs[j].self {
 				return gs[i].self > gs[j].self
 			}
 			return gs[i].name < gs[j].name
 		})
-	}
-	return out
-}
-
-func sortedPids(m map[int][]*spanGroup) []int {
-	pids := make([]int, 0, len(m))
-	for pid := range m {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	return pids
-}
-
-func (td *traceData) summary(w io.Writer, top int) error {
-	tracks := td.byTrack()
-	for _, pid := range sortedPids(tracks) {
-		t := report.NewTable(fmt.Sprintf("Top spans by self time: %s", td.track(pid)),
+		tb := report.NewTable("Top spans by self time: "+track,
 			"Span", "Count", "Total", "Self").RightAlign(1, 2, 3)
-		for i, g := range tracks[pid] {
+		for i, g := range gs {
 			if i >= top {
-				t.Row(fmt.Sprintf("... %d more", len(tracks[pid])-top), "", "", "")
+				tb.Row(fmt.Sprintf("... %d more", len(gs)-top), "", "", "")
 				break
 			}
-			t.Row(g.name, g.count, report.F(g.total, 0), report.F(g.self, 0))
+			tb.Row(g.name, g.count, report.F(g.total, 0), report.F(g.self, 0))
 		}
-		t.Render(w)
-		fmt.Fprintln(w)
+		tb.Render(&b)
+		b.WriteString("\n")
 	}
-	if len(td.counters) > 0 {
-		t := report.NewTable("Counters", "Counter", "Value").RightAlign(1)
-		for _, name := range sortedKeys(td.counters) {
-			t.Row(name, report.F(td.counters[name], 0))
+	if len(t.counters) > 0 {
+		tb := report.NewTable("Counters", "Counter", "Value").RightAlign(1)
+		for _, name := range sortedKeys(t.counters) {
+			tb.Row(name, report.F(t.counters[name], 0))
 		}
-		t.Render(w)
-		fmt.Fprintln(w)
+		tb.Render(&b)
+		b.WriteString("\n")
 	}
-	if len(td.events) > 0 {
-		t := report.NewTable("Events", "Event", "Count").RightAlign(1)
-		names := make([]string, 0, len(td.events))
-		for name := range td.events {
-			names = append(names, name)
+	if len(t.events) > 0 {
+		tb := report.NewTable("Events", "Event", "Count").RightAlign(1)
+		for _, name := range sortedKeys(t.events) {
+			tb.Row(name, t.events[name])
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			t.Row(name, td.events[name])
-		}
-		t.Render(w)
+		tb.Render(&b)
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-func diff(w io.Writer, a, b *traceData, top int) error {
-	fmt.Fprintf(w, "diff: %s -> %s\n\n", a.path, b.path)
+// diff writes the per-track self-time and count deltas and the
+// counter deltas between two trace files.
+func diff(w io.Writer, oldPath, newPath string, top int) error {
+	a, err := loadTrace(oldPath)
+	if err != nil {
+		return err
+	}
+	b, err := loadTrace(newPath)
+	if err != nil {
+		return err
+	}
 	type delta struct {
-		pid        int
 		name       string
 		dCount     int
 		dSelf      float64
@@ -293,38 +304,33 @@ func diff(w io.Writer, a, b *traceData, top int) error {
 	for k := range b.groups {
 		keys[k] = true
 	}
-	perPid := map[int][]delta{}
+	perTrack := map[string][]delta{}
 	for k := range keys {
 		ga, gb := a.groups[k], b.groups[k]
-		d := delta{}
+		d := delta{name: k[1]}
 		if ga != nil {
-			d.pid, d.name = ga.pid, ga.name
 			d.dCount -= ga.count
 			d.dSelf -= ga.self
 			d.oldS = ga.self
 		}
 		if gb != nil {
-			d.pid, d.name = gb.pid, gb.name
 			d.dCount += gb.count
 			d.dSelf += gb.self
 			d.newS = gb.self
 		}
-		perPid[d.pid] = append(perPid[d.pid], d)
+		perTrack[k[0]] = append(perTrack[k[0]], d)
 	}
-	pids := make([]int, 0, len(perPid))
-	for pid := range perPid {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		ds := perPid[pid]
+	var out strings.Builder
+	fmt.Fprintf(&out, "diff: %s -> %s\n\n", oldPath, newPath)
+	for _, track := range sortedKeys(perTrack) {
+		ds := perTrack[track]
 		sort.Slice(ds, func(i, j int) bool {
 			if math.Abs(ds[i].dSelf) != math.Abs(ds[j].dSelf) {
 				return math.Abs(ds[i].dSelf) > math.Abs(ds[j].dSelf)
 			}
 			return ds[i].name < ds[j].name
 		})
-		t := report.NewTable(fmt.Sprintf("Self-time deltas: %s", b.track(pid)),
+		t := report.NewTable("Self-time deltas: "+track,
 			"Span", "Count Δ", "Self (old)", "Self (new)", "Self Δ").RightAlign(1, 2, 3, 4)
 		rows := 0
 		for _, d := range ds {
@@ -341,8 +347,8 @@ func diff(w io.Writer, a, b *traceData, top int) error {
 		if rows == 0 {
 			t.Row("(no span differences)", "", "", "", "")
 		}
-		t.Render(w)
-		fmt.Fprintln(w)
+		t.Render(&out)
+		out.WriteString("\n")
 	}
 
 	names := map[string]bool{}
@@ -354,12 +360,7 @@ func diff(w io.Writer, a, b *traceData, top int) error {
 	}
 	t := report.NewTable("Counter deltas", "Counter", "Old", "New", "Δ").RightAlign(1, 2, 3)
 	rows := 0
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
+	for _, n := range sortedKeys(names) {
 		if a.counters[n] == b.counters[n] {
 			continue
 		}
@@ -369,11 +370,12 @@ func diff(w io.Writer, a, b *traceData, top int) error {
 	if rows == 0 {
 		t.Row("(no counter differences)", "", "", "")
 	}
-	t.Render(w)
-	return nil
+	t.Render(&out)
+	_, err = io.WriteString(w, out.String())
+	return err
 }
 
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,5 +147,118 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"summary", bad}, &out); err == nil {
 		t.Error("summary of malformed file succeeded, want error")
+	}
+}
+
+// foldSpan is one span of TestFoldAnyOrder's family.
+type foldSpan struct {
+	name, id, parent string
+	dur              float64
+}
+
+// twoPassFold is the reference fold: a first pass sums each parent's
+// child durations, a second subtracts them from every span's duration
+// and floors the result at zero per span.
+func twoPassFold(spans []foldSpan) map[string]spanGroup {
+	childDur := map[string]float64{}
+	for _, s := range spans {
+		if s.parent != "" {
+			childDur[s.parent] += s.dur
+		}
+	}
+	groups := map[string]spanGroup{}
+	for _, s := range spans {
+		g := groups[s.name]
+		g.name = s.name
+		g.count++
+		g.total += s.dur
+		self := s.dur
+		if s.id != "" {
+			self -= childDur[s.id]
+		}
+		g.self += max(self, 0)
+		groups[s.name] = g
+	}
+	return groups
+}
+
+// permute calls fn with every ordering of spans (Heap's algorithm).
+func permute(spans []foldSpan, k int, fn func([]foldSpan)) {
+	if k <= 1 {
+		fn(spans)
+		return
+	}
+	for i := 0; i < k; i++ {
+		permute(spans, k-1, fn)
+		j := 0
+		if k%2 == 0 {
+			j = i
+		}
+		spans[j], spans[k-1] = spans[k-1], spans[j]
+	}
+}
+
+// TestFoldAnyOrder: spanTable.fold gives the two-pass result per
+// group in every delivery order of a family with a sequential child, a
+// grandchild, an async child that outlives its parent, a span with no
+// ID and a child whose parent never arrives.
+func TestFoldAnyOrder(t *testing.T) {
+	family := []foldSpan{
+		{"root", "r", "", 100},
+		{"step", "c", "r", 40},
+		{"leaf", "g", "c", 15},
+		{"async", "a", "c", 60},
+		{"step", "", "r", 10},
+		{"orphan", "o", "gone", 7},
+	}
+	want := twoPassFold(family)
+	// step c's children outlast it: the per-span floor keeps the
+	// unnamed step's 10, where a per-group floor would read 0.
+	if want["step"].self != 10 || want["root"].self != 50 {
+		t.Fatalf("reference fold = %+v", want)
+	}
+	orders := 0
+	permute(family, len(family), func(order []foldSpan) {
+		orders++
+		tb := newSpanTable()
+		for _, s := range order {
+			tb.fold("real", s.name, s.id, s.parent, s.dur)
+		}
+		if len(tb.groups) != len(want) {
+			t.Fatalf("order %v: %d groups, want %d", order, len(tb.groups), len(want))
+		}
+		for name, w := range want {
+			if g := tb.groups[[2]string{"real", name}]; g == nil || *g != w {
+				t.Fatalf("order %v: %s = %+v, want %+v", order, name, g, w)
+			}
+		}
+	})
+	if orders != 720 {
+		t.Errorf("folded %d orders, want 720", orders)
+	}
+}
+
+// deadWriter fails every write, like stdout on a full disk.
+type deadWriter struct{}
+
+var errDeadWriter = errors.New("no space left on device")
+
+func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
+
+// TestWriteErrorsReachExitStatus: every subcommand returns the write
+// error instead of exiting 0 with its output lost.
+func TestWriteErrorsReachExitStatus(t *testing.T) {
+	trace := writeTrace(t, sampleRecorder(0), "trace.json")
+	stream := sampleStream(t)
+	for _, args := range [][]string{
+		{"summary", trace},
+		{"diff", trace, trace},
+		{"tail", stream},
+		{"tail", "-every", "1", stream},
+		{"slo", stream},
+	} {
+		if err := run(args, deadWriter{}); !errors.Is(err, errDeadWriter) {
+			t.Errorf("%v on a dead writer returned %v", args, err)
+		}
 	}
 }

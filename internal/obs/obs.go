@@ -181,11 +181,17 @@ func (r *Recorder) Summary() *Summary {
 	}
 	r.st.mu.Lock()
 	defer r.st.mu.Unlock()
-	s := &Summary{Counters: append([]Counter(nil), r.st.counters...)}
-	for _, st := range r.st.stages {
+	return r.st.summaryLocked()
+}
+
+// summaryLocked copies the stages that have ended a span and the
+// counters. Callers hold s.mu.
+func (s *store) summaryLocked() *Summary {
+	sum := &Summary{Counters: append([]Counter(nil), s.counters...)}
+	for _, st := range s.stages {
 		if st.Calls > 0 {
-			s.Stages = append(s.Stages, st)
+			sum.Stages = append(sum.Stages, st)
 		}
 	}
-	return s
+	return sum
 }

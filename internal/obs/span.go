@@ -437,22 +437,23 @@ type Snapshot struct {
 	Counters []Counter // sorted by name (Summary keeps first-use order)
 }
 
-// Snapshot captures the recorder. The recorder remains usable.
+// Snapshot captures the recorder in one critical section, so its
+// summary, spans, events, histograms and lanes describe one instant.
+// The recorder remains usable.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	sum := r.Summary()
 	r.st.mu.Lock()
 	s := &Snapshot{
-		Summary: sum,
+		Summary: r.st.summaryLocked(),
 		Spans:   append([]Span(nil), r.st.spans...),
 		Events:  append([]Event(nil), r.st.events...),
 		Hists:   append([]Hist(nil), r.st.hists...),
 		Lanes:   append([]LaneName(nil), r.st.lanes...),
 	}
 	r.st.mu.Unlock()
-	s.Counters = append([]Counter(nil), sum.Counters...)
+	s.Counters = append([]Counter(nil), s.Summary.Counters...)
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Spans, func(i, j int) bool {
 		a, b := s.Spans[i], s.Spans[j]

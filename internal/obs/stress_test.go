@@ -101,3 +101,43 @@ func TestSpanRecorderStress(t *testing.T) {
 		t.Errorf("merged hist = %+v, want count %d", frontier, workers*rounds)
 	}
 }
+
+// TestSnapshotOneInstant: writers count a span and then end it, so at
+// every instant the counter is at least the number of ended spans. A
+// snapshot that read its counters and its spans in two critical
+// sections could see a span that ended after its counters were read.
+func TestSnapshotOneInstant(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 500
+	)
+	r := New().EnableTracing()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h := r.StartSpan(SpanSweepJob, w, Int(AttrLaunch, int64(w*rounds+i)))
+				r.Add(CtrKernelLaunches, 1)
+				h.End()
+			}
+		}(w)
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		s := r.Snapshot()
+		if n, c := int64(len(s.Spans)), s.Summary.Counter(CtrKernelLaunches); n > c {
+			t.Fatalf("snapshot holds %d spans but counts %d", n, c)
+		}
+	}
+}
