@@ -184,8 +184,8 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkFigure3And4 regenerates the strategy evaluations (both
 // figures come from the same computation).
 func BenchmarkFigure3And4(b *testing.B) {
-	d := sharedStudy(b).Dataset()
-	strategies := analysis.StandardStrategies(d)
+	s := sharedStudy(b)
+	d, strategies := s.Dataset(), s.Strategies()
 	b.ResetTimer()
 	var globalVsOracle float64
 	for i := 0; i < b.N; i++ {
@@ -595,8 +595,8 @@ func BenchmarkColumnarBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tr := range traces {
-			if columnar.Build(tr).Launches() == 0 {
-				b.Fatal("empty columns")
+			if columnar.Build(tr) == nil {
+				b.Fatal("no columns")
 			}
 		}
 	}

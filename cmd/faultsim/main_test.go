@@ -84,6 +84,16 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeRunsRejected: -runs -1 is an error naming the count,
+// returned before any tracing, not a panic in a sweep worker.
+func TestNegativeRunsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), small("-runs", "-1"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "-1 timed runs per cell") {
+		t.Fatalf("run(-runs -1) = %v, want the negative-runs error", err)
+	}
+}
+
 func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

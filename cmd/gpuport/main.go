@@ -110,12 +110,6 @@ func main() {
 	}
 }
 
-// run keeps the historical signature for tests; it is runCtx without
-// cancellation.
-func run(args []string, w io.Writer) error {
-	return runCtx(context.Background(), args, w)
-}
-
 func runCtx(ctx context.Context, args []string, w io.Writer) (runErr error) {
 	fs := flag.NewFlagSet("gpuport", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "measurement noise seed")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -39,7 +40,7 @@ func sharedCSV(t *testing.T) string {
 		}
 		csvPath = filepath.Join(dir, "study.csv")
 		var buf bytes.Buffer
-		csvErr = run([]string{"-out", csvPath, "dataset"}, &buf)
+		csvErr = runCtx(context.Background(), []string{"-out", csvPath, "dataset"}, &buf)
 	})
 	if csvErr != nil {
 		t.Fatal(csvErr)
@@ -50,8 +51,8 @@ func sharedCSV(t *testing.T) string {
 func runCLI(t *testing.T, args ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
+	if err := runCtx(context.Background(), args, &buf); err != nil {
+		t.Fatalf("runCtx(%v): %v", args, err)
 	}
 	return buf.String()
 }
@@ -256,8 +257,8 @@ func TestErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) should fail", args)
+		if err := runCtx(context.Background(), args, &buf); err == nil {
+			t.Errorf("runCtx(%v) should fail", args)
 		}
 	}
 }
@@ -271,8 +272,8 @@ func TestUnknownSectionRejectedBeforeLoading(t *testing.T) {
 		{"-in", "/nonexistent/file.csv", "figure", "0"},
 	} {
 		want := "no " + args[2] + " " + args[3] + " "
-		if err := run(args, io.Discard); err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("run(%v) = %v, want an error starting %q", args, err, want)
+		if err := runCtx(context.Background(), args, io.Discard); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("runCtx(%v) = %v, want an error starting %q", args, err, want)
 		}
 	}
 }
@@ -292,7 +293,7 @@ func TestWriteErrorsReachExitStatus(t *testing.T) {
 		{"all"}, {"dataset"}, {"table", "1"}, {"table", "3"}, {"figure", "4"},
 		{"micro"}, {"inputs"}, {"decisions", "chip"}, {"sampling"}, {"predict"},
 	} {
-		err := run(append([]string{"-in", csv}, args...), deadWriter{})
+		err := runCtx(context.Background(), append([]string{"-in", csv}, args...), deadWriter{})
 		if !errors.Is(err, errDeadWriter) {
 			t.Errorf("%v on a dead writer returned %v", args, err)
 		}
@@ -370,14 +371,23 @@ func TestTraceCacheFlagRejectsBadDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-trace-cache", file, "dataset"}, &buf); err == nil {
+	if err := runCtx(context.Background(), []string{"-trace-cache", file, "dataset"}, &buf); err == nil {
 		t.Fatal("regular file accepted as trace cache directory")
+	}
+}
+
+// TestNegativeRunsRejected: -runs -1 is an error naming the count,
+// returned before any tracing, not a panic in a sweep worker.
+func TestNegativeRunsRejected(t *testing.T) {
+	err := runCtx(context.Background(), []string{"-runs", "-1", "dataset"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-1 timed runs per cell") {
+		t.Fatalf("runCtx(-runs -1 dataset) = %v, want the negative-runs error", err)
 	}
 }
 
 func TestBadFaultSpecRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-faults", "bogus=1", "dataset"}, &buf); err == nil {
+	if err := runCtx(context.Background(), []string{"-faults", "bogus=1", "dataset"}, &buf); err == nil {
 		t.Fatal("bad -faults spec accepted")
 	}
 }

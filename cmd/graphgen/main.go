@@ -12,9 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"gpuport/internal/graph"
@@ -41,6 +43,9 @@ func run(args []string, w io.Writer) error {
 	out := fs.String("out", "", "output file (empty: properties only)")
 	format := fs.String("format", "edgelist", "edgelist | binary")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkSize(*kind, *side, *scale, *edgeFactor, *nodes, *degree); err != nil {
 		return err
 	}
 
@@ -99,4 +104,44 @@ func run(args []string, w io.Writer) error {
 	}
 	_, err = fmt.Fprintf(w, "wrote %s (%s) to %s\n", g.Name, *format, *out)
 	return err
+}
+
+// checkSize rejects, before generating, the sizes kind's generator
+// cannot build: a count below its minimum, or a node count or edge
+// bound (what the generator reserves) past int32, the type of the CSR
+// offsets in RowPtr. The counts are float64, which is exact wherever
+// the comparison is close.
+func checkSize(kind string, side, scale, edgeFactor, nodes, degree int) error {
+	var n, m float64
+	switch kind {
+	case "road":
+		if side < 1 {
+			return errors.New("-side wants at least 1")
+		}
+		s := float64(side)
+		n = s * s
+		m = 2 * (2*s*(s-1) + math.Floor(n/1000))
+	case "social":
+		if scale < 1 {
+			return errors.New("-scale wants at least 1")
+		}
+		if edgeFactor < 0 {
+			return errors.New("-edgefactor wants at least 0")
+		}
+		n = math.Ldexp(1, scale)
+		m = 2 * math.Floor(n*float64(edgeFactor)/2)
+	case "random":
+		if nodes < 1 {
+			return errors.New("-nodes wants at least 1")
+		}
+		if degree < 0 {
+			return errors.New("-degree wants at least 0")
+		}
+		n = float64(nodes)
+		m = 2 * n * float64(degree)
+	}
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return fmt.Errorf("%s graph of %.0f nodes and up to %.0f edges: CSR offsets are int32, so both must be at most %d", kind, n, m, math.MaxInt32)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,6 +66,35 @@ func TestWriteFormats(t *testing.T) {
 	}
 }
 
+// TestCheckSizeBounds pins the int32 bounds at their edges through the
+// check alone, so no generator ever runs at these sizes.
+func TestCheckSizeBounds(t *testing.T) {
+	for _, c := range []struct {
+		kind                                   string
+		side, scale, edgeFactor, nodes, degree int
+		ok                                     bool
+	}{
+		{kind: "road", side: 23165, ok: true},
+		{kind: "road", side: 23166},
+		{kind: "road", side: math.MaxInt},
+		{kind: "social", scale: 30, ok: true},
+		{kind: "social", scale: 31},
+		{kind: "social", scale: 20, edgeFactor: 2047, ok: true},
+		{kind: "social", scale: 20, edgeFactor: 2048},
+		{kind: "social", scale: 1, edgeFactor: math.MaxInt},
+		{kind: "random", nodes: math.MaxInt32, ok: true},
+		{kind: "random", nodes: math.MaxInt32 + 1},
+		{kind: "random", nodes: 1024, degree: 1048575, ok: true},
+		{kind: "random", nodes: 1024, degree: 1048576},
+		{kind: "random", nodes: 2, degree: math.MaxInt},
+	} {
+		err := checkSize(c.kind, c.side, c.scale, c.edgeFactor, c.nodes, c.degree)
+		if (err == nil) != c.ok {
+			t.Errorf("%+v: checkSize = %v", c, err)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	badFormatOut := filepath.Join(t.TempDir(), "x")
 	for _, args := range [][]string{
@@ -75,6 +105,20 @@ func TestErrors(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+	// Sizes a generator cannot build are errors, not generator panics or
+	// silently empty graphs.
+	for _, args := range [][]string{
+		{"-kind", "random", "-nodes", "-5"},
+		{"-kind", "random", "-nodes", "10", "-degree", "-1"},
+		{"-kind", "social", "-scale", "4", "-edgefactor", "-2"},
+		{"-kind", "road", "-side", "-3"},
+		{"-kind", "social", "-scale", "64"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil || buf.Len() > 0 {
+			t.Errorf("run(%v) = %v after printing %q, want an error and no output", args, err, buf.String())
 		}
 	}
 	// An unknown format must be rejected before the output file is

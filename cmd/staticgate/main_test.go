@@ -16,10 +16,10 @@ func TestList(t *testing.T) {
 		t.Fatalf("exit %d, stderr %s", code, errb.String())
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 16 {
-		t.Fatalf("-list printed %d analyzers, want 16:\n%s", len(lines), out.String())
+	if len(lines) != 17 {
+		t.Fatalf("-list printed %d analyzers, want 17:\n%s", len(lines), out.String())
 	}
-	for _, name := range []string{"ctxprop", "detpure", "errcheck", "floatcmp", "globalrand", "goleak", "lockguard", "lockorder", "maprange", "mutexlock", "nounsafe", "obsliteral", "obsnames", "skipref", "strayfile", "walltime"} {
+	for _, name := range []string{"ctxprop", "deadcode", "detpure", "errcheck", "floatcmp", "globalrand", "goleak", "lockguard", "lockorder", "maprange", "mutexlock", "nounsafe", "obsliteral", "obsnames", "skipref", "strayfile", "walltime"} {
 		if !strings.Contains(out.String(), name+" ") {
 			t.Errorf("-list missing analyzer %s", name)
 		}
@@ -60,7 +60,7 @@ func TestRepoClean(t *testing.T) {
 	if code := run([]string{"../.."}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	if !strings.HasSuffix(out.String(), "staticgate: 0 finding(s), 2 suppressed\n") {
+	if !strings.HasSuffix(out.String(), "staticgate: 0 finding(s), 5 suppressed\n") {
 		t.Errorf("summary line drifted:\n%s", out.String())
 	}
 }

@@ -88,21 +88,8 @@ type StrategyEval struct {
 // Tests returns the number of classified tests.
 func (e StrategyEval) Tests() int { return e.Speedups + e.Slowdowns + e.NoChanges }
 
-// EvaluateStrategy scores one strategy over the given tuples.
-func EvaluateStrategy(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples []dataset.Tuple) StrategyEval {
-	tids := make([]int, len(tuples))
-	for i, t := range tuples {
-		tid, ok := d.TupleID(t)
-		if !ok {
-			tid = -1
-		}
-		tids[i] = tid
-	}
-	return evaluate(d, s, oracle, tuples, tids)
-}
-
-// evaluate is EvaluateStrategy with each tuple's ID looked up: tids[i]
-// is tuples[i]'s, or -1 when d has no records for it.
+// evaluate scores one strategy over the given tuples: tids[i] is
+// tuples[i]'s ID in d, or -1 when d has no records for it.
 func evaluate(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples []dataset.Tuple, tids []int) StrategyEval {
 	ev := StrategyEval{Name: s.Name, MaxSpeedup: 1}
 	vsBase := make([]float64, 0, len(tuples))
@@ -139,18 +126,6 @@ func evaluate(d *dataset.Dataset, s *Strategy, oracle *Strategy, tuples []datase
 	ev.GeoMeanVsBaseline = stats.GeoMean(vsBase)
 	ev.GeoMeanSlowdownVsOracle = stats.GeoMean(vsOracle)
 	return ev
-}
-
-// StandardStrategies derives the ten strategies of the study: baseline,
-// the eight Algorithm-1 specialisations, and the oracle.
-func StandardStrategies(d *dataset.Dataset) []*Strategy {
-	out := []*Strategy{Baseline()}
-	x := NewIndex(d)
-	for _, dims := range AllDims() {
-		out = append(out, x.Specialise(dims).Strategy)
-	}
-	out = append(out, Oracle(d))
-	return out
 }
 
 // EvaluateAll evaluates the given strategies over the improvable subset

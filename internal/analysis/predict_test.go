@@ -50,7 +50,11 @@ func eagerCrossValidate(d *dataset.Dataset, dim LOODimension) (out []LOOResult, 
 				return fallback
 			},
 		}
-		eval := EvaluateStrategy(d, predictor, oracle, test)
+		testIDs := make([]int, len(test))
+		for i, t := range test {
+			testIDs[i], _ = d.TupleID(t)
+		}
+		eval := evaluate(d, predictor, oracle, test, testIDs)
 		eval.Name = "loo-" + dim.String() + "/" + held
 		out = append(out, LOOResult{Held: held, TestCount: len(test), Eval: eval})
 	}

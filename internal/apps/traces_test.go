@@ -17,57 +17,57 @@ type pinKey struct{ app, version, input string }
 // pinnedTraces holds the sha256 of every standard pair's compact trace
 // JSON (Trace.AppendJSONCompact), the trace cache's storage format.
 var pinnedTraces = map[pinKey]string{
-	{"bfs-wl", "1", "usa.ny"}:         "c7756b44587470ea2e086bd8ab61b292cbf0f38cd5494f5a1064d7b866b2212f",
-	{"bfs-topo", "1", "usa.ny"}:       "5c95f6af15204382538f572e14017fcbec11663c0b14087574d163c54232b8b8",
-	{"bfs-hybrid", "1", "usa.ny"}:     "c13747e97470ba5797896978bafdfd8f1d59b28cdc85446bd80fd306756e0f03",
-	{"bfs-tp", "1", "usa.ny"}:         "34d654e5c7d0d7b94a47958f58cc963fa681d759a4d49c1739cb00a9bdae75e5",
-	{"cc-sv", "1", "usa.ny"}:          "83ac489be5e1036a9443e73918bb55d3d6c619047265cacea2f8d41fd67c84ed",
-	{"cc-wl", "1", "usa.ny"}:          "a2e653d92ff4f22b0d672146f3c77d6ff71171a9b89779d096cd7f25a93ec2d9",
-	{"mis-wl", "1", "usa.ny"}:         "a2384756979221b26d40c86ca124136cceca785fbddb82372b2a57fc62951e05",
-	{"mis-topo", "1", "usa.ny"}:       "052f74092d545128c081fa867df5bffd7eac2906fcb5a6f5b118c93da7e8f68c",
-	{"mst-boruvka", "1", "usa.ny"}:    "6d821d5bc72ed07894096503f814f76297ccd8c4df8a093717e99d6817bdd1e7",
-	{"pr-topo", "1", "usa.ny"}:        "54bae781409cb63b9402fb0e7eaab0efc67103b8f1bab098aef93c173ce1c524",
-	{"pr-residual", "1", "usa.ny"}:    "d1dea9707f2ee3c0e93de02dea8b6dfb220a40d8fd9bd4a795c9938544866e7f",
-	{"sssp-wl", "1", "usa.ny"}:        "74eb4d171acb2df86f916d49c10b44af4ec262e78921f7245ce69fc1ee235039",
-	{"sssp-topo", "1", "usa.ny"}:      "e924de096bed824287e0c584b66b1a01036b2655b063abcbb518aa82c9262709",
-	{"sssp-nf", "1", "usa.ny"}:        "1dae352bec4de68801eb6b5aa4b99e39d37db564d537faef5586016a5f547a9f",
-	{"tri-bs", "1", "usa.ny"}:         "35ca83cd10c8250c24f56d7f50a60d411f4eda908e2d81adba0ce8cff316a1d5",
-	{"tri-merge", "1", "usa.ny"}:      "fdc2ab5ffd316e104b6abb55338008ab445def498ee1dc42ca3579ca9797ffaa",
-	{"tri-hash", "1", "usa.ny"}:       "fd6830505bc184d72a7bec456344dc08e0b3806d6ad60b7b3c3087dc4459212f",
-	{"bfs-wl", "1", "soc-pokec"}:      "fb22560e34e64731b8e3dd4e3725c01f93775057da99e85d26c5403c225dffba",
-	{"bfs-topo", "1", "soc-pokec"}:    "7ba6757da14556615131d8a3fb8b43ed941c8344f0293ff8a57e447da8820f71",
-	{"bfs-hybrid", "1", "soc-pokec"}:  "48be25f8b261e4b952ce9dfd1a32d8d3a4e70d085be4f69fc822504c15671bea",
-	{"bfs-tp", "1", "soc-pokec"}:      "fcbd0faa6529c81a3c73a9706bac76e9b3010c9c10d7121132310c98cf14bc03",
-	{"cc-sv", "1", "soc-pokec"}:       "c9157acedfd9e478586f024000b1d3f830129e89132835d0ffb0427c2c697907",
-	{"cc-wl", "1", "soc-pokec"}:       "5c72838983c075e2b72edd95c75b53b13bdb0a590017c29eaa996cfc02325590",
-	{"mis-wl", "1", "soc-pokec"}:      "88da1b96bc146458301aa847157d7bf21ef07161f20479aac13d46daa6ba304c",
-	{"mis-topo", "1", "soc-pokec"}:    "051c795e7c4e1e5c6bba8a08b3cb9859a309e337567d03a9c009424b6b8fc9be",
-	{"mst-boruvka", "1", "soc-pokec"}: "b6dae06bf2f464ad08aea5390e7b33e71e7edab770a2b6807ae62e25a2327536",
-	{"pr-topo", "1", "soc-pokec"}:     "6ea4419efa810188b70d4c022d8ff9340cd8d92d6a02e3dcf18b6bc2670901e3",
-	{"pr-residual", "1", "soc-pokec"}: "91d7b01b3a2699969efc5dc7cbdf61aa4c1282fbec6a34323aef292f20a0594e",
-	{"sssp-wl", "1", "soc-pokec"}:     "e58bb14d89241d8dc9496ee870695ebaeda3728058e0b6fbad43ba4393ded42f",
-	{"sssp-topo", "1", "soc-pokec"}:   "a97b73713af38f70944100789406f1d9e115c4ace8049b03a5492dbff78757dd",
-	{"sssp-nf", "1", "soc-pokec"}:     "4d31a41bb97b84ce54b6ce5c6491ffd0514714c30f86a3f15b64156698180738",
-	{"tri-bs", "1", "soc-pokec"}:      "ed5cd4992d0a20b56d85e2711c772a380da49b66fa4745f01f04b62a75479acc",
-	{"tri-merge", "1", "soc-pokec"}:   "b04983d1b6ea2e3de9d2f0c9a534679792390610b48c2b2b666f81dfbe0f446a",
-	{"tri-hash", "1", "soc-pokec"}:    "d3c46c3aa52ded0b0db036d5d9be1d5e2b0faff5aef91ab2300d35740e65497d",
-	{"bfs-wl", "1", "rand-8k"}:        "345c0f72e3ab6e063b5246fb2d7d13d4df1c14af6b1a65f313afa32a3d31c850",
-	{"bfs-topo", "1", "rand-8k"}:      "a09f6a71b59916a80098c7d9b27a5b4a80b407d7f71a55e4d772948baed9d9c5",
-	{"bfs-hybrid", "1", "rand-8k"}:    "a48ae0b4885f4e0fb31adb96b7899bdd379865a8b3e17864d82c5257839af5b9",
-	{"bfs-tp", "1", "rand-8k"}:        "c0a58b37be0b89c0a697aada6bcd22cbaa9461e6bf8d97d3b4d4b30a5d9281c7",
-	{"cc-sv", "1", "rand-8k"}:         "634342979eaaaf5dea2a13b260c18ea033a2c98aa0b0df00278d8bfff97f1a1f",
-	{"cc-wl", "1", "rand-8k"}:         "46ec1ff54ffef0314732f1143d2db7262326337764fc4b60c39046e398fe469f",
-	{"mis-wl", "1", "rand-8k"}:        "ba695e8a48eebb6f10df1a8ec495eb5ed55956cbbd48bb23bbc1d44d7ac6e2e4",
-	{"mis-topo", "1", "rand-8k"}:      "7d130a6cb5449dd58ca8d561c56aa73aa2860b76ebc7f4bddfe7a504ece6f490",
-	{"mst-boruvka", "1", "rand-8k"}:   "68a631dcb2f1ac9bdcf342f2c5583ba820d6838b962a01fc3b07266a6961fdc9",
-	{"pr-topo", "1", "rand-8k"}:       "e27b19a9661ce02396a54928504e93f620a71d83a086d0c0235aa4bb2788664b",
-	{"pr-residual", "1", "rand-8k"}:   "4c6112f1d65813f911d6ff34aaf192f9d5c7ee277b2478f35e23bb72a2215fed",
-	{"sssp-wl", "1", "rand-8k"}:       "0b9012b7818c21477844325cae4e1dabadcf8c923ad95608d773b0f12334d368",
-	{"sssp-topo", "1", "rand-8k"}:     "2cf2872e6637e5e5a7f73ab6f37eaf802b67f2f150cc865d81b5ee017b219138",
-	{"sssp-nf", "1", "rand-8k"}:       "aa20cccd3865e79ec078b49290499975a38fc1feb485b6bcb4c7ed6adc5a7c85",
-	{"tri-bs", "1", "rand-8k"}:        "59f943a33dc9b489cbe04e75759afe63c52ed3f57dada6362b3666161789cd93",
-	{"tri-merge", "1", "rand-8k"}:     "8d798dc4eb98c06f855bcc5c1a343affd479df72056e6954e87863d22d41c3c3",
-	{"tri-hash", "1", "rand-8k"}:      "76fd3e8fa4fd039225aca33a4526a7458428ce845afe970761d6ea0b137e54b9",
+	{"bfs-wl", "1", "usa.ny"}:         "bd8bee20ec48c4ef7f42a0d07b682d8041b8f7141752ad70946fbb0414583828",
+	{"bfs-topo", "1", "usa.ny"}:       "449704368ce27fb1e082278041104d2243133228ebe3096526236fb8f34968d4",
+	{"bfs-hybrid", "1", "usa.ny"}:     "8f8b62188dd8d9f435486194360d1c430601a8841910018112ade0fd51953414",
+	{"bfs-tp", "1", "usa.ny"}:         "ac8bc36654613ce45f8163fdf4e9b5e8718cf24c9cc6b2e44987cbfca4a40ac5",
+	{"cc-sv", "1", "usa.ny"}:          "800c925091adbe9e58aba8b7b50b3899fa18782726430867eb108fd10decb580",
+	{"cc-wl", "1", "usa.ny"}:          "f113836710d8f76a88fe5e7a452f4d50d2d7bc521a680be6c4f9027a449833e4",
+	{"mis-wl", "1", "usa.ny"}:         "8d8aa4ab1a2374344265c88308f99be5f6dde74425ad7873efd81d466d392197",
+	{"mis-topo", "1", "usa.ny"}:       "96a0c826d593ac1d41839c463df457f0200fd128c918fbf3e0bf355bcc19f1af",
+	{"mst-boruvka", "1", "usa.ny"}:    "fdbb8a73162c7be296584a8963bd21889ae8e5fe3706004b3fa9b6b666443004",
+	{"pr-topo", "1", "usa.ny"}:        "2fc8ea5d9e997b5441d4399cf1de0f1934c83435c4f80df025b8e3ca9c96a329",
+	{"pr-residual", "1", "usa.ny"}:    "d0ef255ec72a57c0c9d7d6ed833395ccae43ae65d99991b9900b1dc3c694030f",
+	{"sssp-wl", "1", "usa.ny"}:        "f4bd2435c4af8c0327f417622660a3171c9d17c496c1b2f023e3bb030b061981",
+	{"sssp-topo", "1", "usa.ny"}:      "eabace15bbe31b59f9ba4eca601a030df7fe974c134104e88bd7f1ca7d6d0378",
+	{"sssp-nf", "1", "usa.ny"}:        "2e5e151ad41873597eab5dc7d4f82ef80fb41472c8b2ef3391ef66fb10829f4d",
+	{"tri-bs", "1", "usa.ny"}:         "2e0ec34da62f0211d657f368e02ef4fabb0670af5c4e8fda7162fcba574bad2a",
+	{"tri-merge", "1", "usa.ny"}:      "6f69e3cb0cb39dcb5752128bcac0dbd183ec786f42a8d392f3a8b472bb8b841f",
+	{"tri-hash", "1", "usa.ny"}:       "5ffeb29896549a7ff51c3a1efbc308681ba926ceb105b1ebda1d2e8934c938a8",
+	{"bfs-wl", "1", "soc-pokec"}:      "e339a5298723b26833ab128244643595505379990a52c6df7315edb49dcaf9dd",
+	{"bfs-topo", "1", "soc-pokec"}:    "de8766f819c02ff48cea5b63895421545b9b3cc0be8780ecbd2a444c5ace2889",
+	{"bfs-hybrid", "1", "soc-pokec"}:  "ff10a533f6a5f75181572eb8a46034170639cacad1c86bfa2805262152ed154f",
+	{"bfs-tp", "1", "soc-pokec"}:      "a8824673dbf482743722ba4bdea9a7fad21a4bdf774d0b2417a0d3a366de90d3",
+	{"cc-sv", "1", "soc-pokec"}:       "2bd5070b5326995eaf588e5fac93ee08dafab799cb897a36f231770e6d3d3e7d",
+	{"cc-wl", "1", "soc-pokec"}:       "4ab7ff12808aab36c9b10d718cf18f326089bbdf7ff024c842823915436df0cf",
+	{"mis-wl", "1", "soc-pokec"}:      "19ca2284a1ad623a7ae8f3f191dac2fb24681a3b417ea2635bf5b5f846460d14",
+	{"mis-topo", "1", "soc-pokec"}:    "09b26ffa1c678097b97ae6fa1d504b495006f4ff0d7577db1ac36ff1b69c4192",
+	{"mst-boruvka", "1", "soc-pokec"}: "245aa67344c0af66afd8bd896d8b04694b0b345e1ea65625c59304cf9a50a098",
+	{"pr-topo", "1", "soc-pokec"}:     "5e7f9b77f57b2197db92fbb23ddb9b5548c079f4bc93e647c878f9599956e64d",
+	{"pr-residual", "1", "soc-pokec"}: "651f9ed23d728a5064e1683be9070d8fa340b7d02aa8d4aabb3a8c58d11a9cb5",
+	{"sssp-wl", "1", "soc-pokec"}:     "02755615cdfc345995e4b0c2d025936c8a7e3c5a9d84c23f5b8e1bd17a3ea899",
+	{"sssp-topo", "1", "soc-pokec"}:   "2600996ea19f432a7cd3c56db7e16f929f135a70c9d6a7b41f2c750604e8c54b",
+	{"sssp-nf", "1", "soc-pokec"}:     "8debc8331c8da4360c37f8f518578b412678d6cf70119e70636723869494d4e6",
+	{"tri-bs", "1", "soc-pokec"}:      "df8a943e35efee98eb199bc97ba2d9b6d84d3a7df5c20b7e49cda71247550824",
+	{"tri-merge", "1", "soc-pokec"}:   "a6824abce79607c7db3d04c61f8d723337ec691a3a44f1b77c38957a20eb2224",
+	{"tri-hash", "1", "soc-pokec"}:    "a94b9057e6afa8c24347309d291f9d06f4accdb4cb212a704723c97ebe38158c",
+	{"bfs-wl", "1", "rand-8k"}:        "e07acf05d65b2b56af7b1e63b95fccae5bd726d43c644786d908d903996d06c5",
+	{"bfs-topo", "1", "rand-8k"}:      "53884b786ee97e19c8e13d920c0c2b40fa35c031bb571a5cd9bf51e91fa22eb3",
+	{"bfs-hybrid", "1", "rand-8k"}:    "37268be70ffddf28f936b6ef940ed71854e9de4ed6f9f5f8a5ffc622e08a0f17",
+	{"bfs-tp", "1", "rand-8k"}:        "9992952113076d58b271c16d57494843ce9ac0a9d45d9d07253b8b3932dc7eb6",
+	{"cc-sv", "1", "rand-8k"}:         "b83a115ce03981d86c025d415f8379dccaccc62c5b0b4c2905460ee3036973fb",
+	{"cc-wl", "1", "rand-8k"}:         "6849cbc953826977c75a7e6924b88a65c52ce128038bab9ad913d2e52bce9b02",
+	{"mis-wl", "1", "rand-8k"}:        "3748d188efe2651e1c04fd89f7416f8237ce04fb72ef954dd45ae6ac3154d3a6",
+	{"mis-topo", "1", "rand-8k"}:      "4922776bfb45dbcd0a5481ffad1e09b6631facc9677dd55a1591d8aa7b7e03be",
+	{"mst-boruvka", "1", "rand-8k"}:   "72b84d54fe5ab4dc63b55d6ee616ebec4d0c436b0a37f2999a49f6464ee13da4",
+	{"pr-topo", "1", "rand-8k"}:       "cb206a0584e706c92fa7251eaf28b81cb1b2cbce3aefb2212e9e4186d8e400a8",
+	{"pr-residual", "1", "rand-8k"}:   "31df20be2feeeb3737124a40c5ac239a53e9c97aa65023a0824381621ad1943c",
+	{"sssp-wl", "1", "rand-8k"}:       "71e1831f4c975e7a3e75f1c03b19a42d8729368235bf4ad163e1fe412deb08fa",
+	{"sssp-topo", "1", "rand-8k"}:     "163575f319ccc589320ba9c799b96c55b38ede8aeb790a4cc83f998ad0dc8683",
+	{"sssp-nf", "1", "rand-8k"}:       "1d459cc9ac87052a232270f35c131704c36f2d4b9e25bf979029f124c6d6c3b9",
+	{"tri-bs", "1", "rand-8k"}:        "6f63cf3f8920005070587e1ed364e5454fd72daab4bc6661df2dcd339eaeacb0",
+	{"tri-merge", "1", "rand-8k"}:     "1846554c2f9a2e057a69b99dbc74c7290b4aef1915be2e0f80cf1f065329e977",
+	{"tri-hash", "1", "rand-8k"}:      "1d6dd3802baee94580f7089382d3a509d71ce3a53ccad46dab61c88bc23dbdad",
 }
 
 // TestStandardTracesPinned enforces the trace-cache contract in

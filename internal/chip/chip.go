@@ -222,13 +222,3 @@ func ByName(name string) (Chip, error) {
 	}
 	return Chip{}, fmt.Errorf("chip: unknown chip %q", name)
 }
-
-// Names returns the six chip names in Table I order.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, c := range all {
-		out[i] = c.Name
-	}
-	return out
-}

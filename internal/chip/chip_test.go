@@ -37,14 +37,14 @@ func TestByName(t *testing.T) {
 }
 
 func TestNamesOrder(t *testing.T) {
-	names := Names()
+	all := All()
 	want := []string{M4000, GTX1080, HD5500, IRIS, R9, MALI}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
+	if len(all) != len(want) {
+		t.Fatalf("chips = %v", all)
 	}
 	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("names[%d] = %s, want %s", i, names[i], want[i])
+		if all[i].Name != want[i] {
+			t.Errorf("chip %d = %s, want %s", i, all[i].Name, want[i])
 		}
 	}
 }

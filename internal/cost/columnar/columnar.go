@@ -332,9 +332,6 @@ func pow2Chain(x float64) (p [5]float64) {
 	return p
 }
 
-// Launches returns the number of launches in the trace.
-func (c *Columns) Launches() int { return c.n }
-
 // imbalance returns the launch's imbalance factor at the given width,
 // from the build-time memo when the width is standard.
 func (c *Columns) imbalance(i, width int) float64 {

@@ -98,8 +98,8 @@ func TestDegenerateEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tp := cost.NewTraceProfile(tr)
 			cols := Build(tr)
-			if cols.Launches() != len(tr.Launches) {
-				t.Fatalf("Launches() = %d, want %d", cols.Launches(), len(tr.Launches))
+			if cols.n != len(tr.Launches) {
+				t.Fatalf("columns hold %d launches, want %d", cols.n, len(tr.Launches))
 			}
 			for _, ch := range chip.All() {
 				checkEquivalence(t, ch, tp, cols)

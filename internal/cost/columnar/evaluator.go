@@ -13,7 +13,6 @@ import (
 type sizeView struct {
 	wgSize  int
 	wgSizeF float64
-	occ     float64
 	wgBar   float64
 
 	syncOut []float64 // global-barrier round cost (outlined launches)
@@ -308,7 +307,6 @@ func (e *Evaluator) buildSize(s int) {
 	sv := &e.size[s]
 	sv.wgSize = wgSize
 	sv.wgSizeF = float64(wgSize)
-	sv.occ = occ
 	sv.wgBar = ch.WorkgroupBarrierNS
 	if wgSize > 128 {
 		sv.wgBar *= ch.WGBarrier256Factor

@@ -49,15 +49,6 @@ type Record struct {
 	Samples []float64
 }
 
-// Mean returns the arithmetic mean of the samples.
-func (r *Record) Mean() float64 {
-	s := 0.0
-	for _, x := range r.Samples {
-		s += x
-	}
-	return s / float64(len(r.Samples))
-}
-
 // Stat is one cell's cached summary: the mean of its samples and their
 // 95% confidence interval, computed once by Add with stats.Mean and
 // stats.CI95.

@@ -265,9 +265,12 @@ func TestAppendRecordMatchesCSVWriter(t *testing.T) {
 }
 
 func TestRecordMean(t *testing.T) {
-	r := sample(tup("c", "a", "i"), opt.Config{}, 2, 4, 6)
-	if r.Mean() != 4 {
-		t.Errorf("mean = %v", r.Mean())
+	d := New()
+	d.Add(sample(tup("c", "a", "i"), opt.Config{}, 2, 4, 6))
+	tid, _ := d.TupleID(tup("c", "a", "i"))
+	cid, _ := opt.Config{}.ID()
+	if st, ok := d.Stat(tid, cid); !ok || st.Mean != 4 {
+		t.Errorf("mean = %v, %v", st.Mean, ok)
 	}
 }
 

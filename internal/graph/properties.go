@@ -1,27 +1,20 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Properties summarises the structural features of an input that drive
 // optimisation behaviour in the study (Table VIII): size, degree
 // distribution shape (load imbalance potential) and approximate diameter
 // (iteration count / launch overhead exposure).
 type Properties struct {
-	Name          string
-	Class         Class
-	Nodes         int
-	Edges         int
-	MinDegree     int
-	MaxDegree     int
-	MeanDegree    float64
-	MedianDegree  float64
-	DegreeP99     float64
-	DegreeCV      float64 // coefficient of variation: stddev/mean
-	ApproxDiam    int     // BFS eccentricity from a pseudo-peripheral node
-	LargestCCFrac float64 // fraction of nodes in the largest connected component
+	Name       string
+	Class      Class
+	Nodes      int
+	Edges      int
+	MaxDegree  int
+	MeanDegree float64
+	DegreeCV   float64 // coefficient of variation: stddev/mean
+	ApproxDiam int     // BFS eccentricity from a pseudo-peripheral node
 }
 
 // Analyze computes Properties for g. The diameter is approximated by the
@@ -39,31 +32,15 @@ func Analyze(g *Graph) Properties {
 		return p
 	}
 
-	degs := make([]float64, n)
-	p.MinDegree = math.MaxInt
+	// Degrees are integers, so both sums are exact in any order.
+	sum, sumsq := 0.0, 0.0
 	for u := 0; u < n; u++ {
 		d := g.Degree(int32(u))
-		degs[u] = float64(d)
-		if d < p.MinDegree {
-			p.MinDegree = d
-		}
-		if d > p.MaxDegree {
-			p.MaxDegree = d
-		}
-	}
-	sort.Float64s(degs)
-	sum, sumsq := 0.0, 0.0
-	for _, d := range degs {
-		sum += d
-		sumsq += d * d
+		p.MaxDegree = max(p.MaxDegree, d)
+		sum += float64(d)
+		sumsq += float64(d) * float64(d)
 	}
 	p.MeanDegree = sum / float64(n)
-	if n%2 == 1 {
-		p.MedianDegree = degs[n/2]
-	} else {
-		p.MedianDegree = (degs[n/2-1] + degs[n/2]) / 2
-	}
-	p.DegreeP99 = degs[int(float64(n-1)*0.99)]
 	if p.MeanDegree > 0 {
 		variance := sumsq/float64(n) - p.MeanDegree*p.MeanDegree
 		if variance < 0 {
@@ -74,10 +51,8 @@ func Analyze(g *Graph) Properties {
 
 	// Largest component + double-sweep diameter approximation.
 	comp, largest := components(g)
-	p.LargestCCFrac = float64(largest.size) / float64(n)
 	_, far1 := bfsFarthest(g, largest.root, comp, largest.id)
-	d2, _ := bfsFarthest(g, far1, comp, largest.id)
-	p.ApproxDiam = d2
+	p.ApproxDiam, _ = bfsFarthest(g, far1, comp, largest.id)
 	return p
 }
 

@@ -68,9 +68,6 @@ type KernelStats struct {
 	// RandomAccesses counts irregular (uncoalesced) global memory
 	// accesses - the source of intra-workgroup memory divergence.
 	RandomAccesses int64
-	// LocalBarrierRounds counts algorithmic intra-workgroup barrier
-	// phases the kernel itself requires (beyond those optimisations add).
-	LocalBarrierRounds int64
 }
 
 // LoopStats records one host-side fixpoint loop (an Iterate call).
@@ -180,12 +177,6 @@ func (k *Kernel) End() {
 	k.rt.trace.Launches = append(k.rt.trace.Launches, k.stats)
 }
 
-// Stats exposes the accumulated statistics (primarily for tests).
-func (k *Kernel) Stats() KernelStats { return k.stats }
-
-// BarrierRound records an algorithmic intra-workgroup barrier phase.
-func (k *Kernel) BarrierRound() { k.stats.LocalBarrierRounds++ }
-
 // Item is the per-work-item context handed to ForAll bodies. Its
 // methods perform the actual operation and record its cost signature.
 type Item struct {
@@ -250,9 +241,6 @@ func (it *Item) Edges(u int32) (dst, w []int32) {
 	it.k.stats.RandomAccesses += int64(hi - lo)
 	return g.Dst[lo:hi:hi], g.Weight[lo:hi:hi]
 }
-
-// Degree returns the out-degree of u without counting work.
-func (it *Item) Degree(u int32) int { return it.k.rt.g.Degree(u) }
 
 // Work adds n generic work units to the item (used by kernels whose
 // inner work is not a plain edge visit, e.g. pointer jumping).
@@ -361,12 +349,6 @@ func (wl *Worklist) Swap() int {
 	wl.cur, wl.next = wl.next, wl.cur[:0]
 	return len(wl.cur)
 }
-
-// Len returns the current buffer length.
-func (wl *Worklist) Len() int { return len(wl.cur) }
-
-// PendingLen returns the next buffer length (pushes so far this round).
-func (wl *Worklist) PendingLen() int { return len(wl.next) }
 
 // ImbalanceFactor estimates, from the work histogram, the SIMD load
 // imbalance at vector width k: the expected ratio between the cost of

@@ -153,8 +153,8 @@ func TestAtomicsCountAndWork(t *testing.T) {
 	if s.AtomicPushes != 4 {
 		t.Errorf("pushes = %d, want 4", s.AtomicPushes)
 	}
-	if wl.PendingLen() != 4 {
-		t.Errorf("pending = %d, want 4", wl.PendingLen())
+	if len(wl.next) != 4 {
+		t.Errorf("pending = %d, want 4", len(wl.next))
 	}
 	for i := 1; i <= 4; i++ {
 		if arr[i] != 3 {
@@ -191,7 +191,7 @@ func TestAtomicSemantics(t *testing.T) {
 		t.Errorf("final value %d, want 20", arr[0])
 	}
 	// Five atomic calls plus Atomics(3), one irregular access each.
-	if s := k.Stats(); s.AtomicRMWs != 8 || s.RandomAccesses != 8 {
+	if s := rt.Trace().Launches[0]; s.AtomicRMWs != 8 || s.RandomAccesses != 8 {
 		t.Errorf("AtomicRMWs, RandomAccesses = %d, %d, want 8, 8", s.AtomicRMWs, s.RandomAccesses)
 	}
 }
@@ -199,8 +199,8 @@ func TestAtomicSemantics(t *testing.T) {
 func TestWorklistSwap(t *testing.T) {
 	wl := NewWorklist(8)
 	wl.SeedHost(3)
-	if wl.Len() != 1 {
-		t.Fatalf("len = %d", wl.Len())
+	if len(wl.cur) != 1 {
+		t.Fatalf("len = %d", len(wl.cur))
 	}
 	g := lineGraph(4)
 	rt := NewRuntime("t", g)
@@ -213,7 +213,7 @@ func TestWorklistSwap(t *testing.T) {
 	if n := wl.Swap(); n != 2 {
 		t.Fatalf("after swap len = %d, want 2", n)
 	}
-	if wl.PendingLen() != 0 {
+	if len(wl.next) != 0 {
 		t.Error("swap should clear next buffer")
 	}
 	if wl.Items()[0] != 4 || wl.Items()[1] != 5 {
@@ -352,24 +352,15 @@ func TestTraceAggregates(t *testing.T) {
 	}
 }
 
-func TestBarrierRoundAndDegree(t *testing.T) {
-	g := starGraph(5)
-	rt := NewRuntime("t", g)
+func TestWorkAndRandomAccess(t *testing.T) {
+	rt := NewRuntime("t", starGraph(5))
 	k := rt.Launch("k")
-	k.BarrierRound()
-	k.BarrierRound()
 	k.ForAll([]int32{0}, func(it *Item, u int32) {
-		if it.Degree(0) != 5 {
-			t.Errorf("degree = %d, want 5", it.Degree(0))
-		}
 		it.Work(3)
 		it.RandomAccess(7)
 	})
 	k.End()
 	s := rt.Trace().Launches[0]
-	if s.LocalBarrierRounds != 2 {
-		t.Errorf("barrier rounds = %d", s.LocalBarrierRounds)
-	}
 	if s.TotalWork != 3 || s.RandomAccesses != 7 {
 		t.Errorf("work %d / RA %d", s.TotalWork, s.RandomAccesses)
 	}

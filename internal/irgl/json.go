@@ -89,7 +89,6 @@ func (s *KernelStats) appendJSON(dst []byte) []byte {
 	dst = appendInt(dst, ',', "AtomicPushes", s.AtomicPushes)
 	dst = appendInt(dst, ',', "AtomicRMWs", s.AtomicRMWs)
 	dst = appendInt(dst, ',', "RandomAccesses", s.RandomAccesses)
-	dst = appendInt(dst, ',', "LocalBarrierRounds", s.LocalBarrierRounds)
 	return append(dst, '}')
 }
 
@@ -215,7 +214,6 @@ func (d *decoder) launch(s *KernelStats) {
 	s.AtomicPushes = d.int64Field("AtomicPushes")
 	s.AtomicRMWs = d.int64Field("AtomicRMWs")
 	s.RandomAccesses = d.int64Field("RandomAccesses")
-	s.LocalBarrierRounds = d.int64Field("LocalBarrierRounds")
 	d.tok('}')
 }
 

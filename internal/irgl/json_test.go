@@ -117,7 +117,8 @@ func TestReadTraceJSONErrors(t *testing.T) {
 		{"empty", ""},
 		{"bad JSON", "{nope"},
 		{"top-level null", "null"},
-		{"missing key", strings.Replace(valid, `,"LocalBarrierRounds":0`, "", 1)},
+		{"missing key", strings.Replace(valid, `,"RandomAccesses":0`, "", 1)},
+		{"retired key", strings.Replace(valid, `"RandomAccesses":0}`, `"RandomAccesses":0,"LocalBarrierRounds":0}`, 1)},
 		{"unknown key", strings.Replace(valid, `"input":"i"`, `"input":"i","extra":1`, 1)},
 		{"duplicate key", strings.Replace(valid, `"app":"a"`, `"app":"a","app":"b"`, 1)},
 		{"reordered keys", strings.Replace(valid, `"app":"a","input":"i"`, `"input":"i","app":"a"`, 1)},

@@ -37,7 +37,8 @@ type Options struct {
 	// Seed drives the measurement noise streams. The same seed yields
 	// a bit-identical dataset regardless of iteration order.
 	Seed uint64
-	// Runs is the number of timed samples per cell (the paper: 3).
+	// Runs is the number of timed samples per cell (the paper: 3; 0
+	// selects it). A negative count is an error.
 	Runs int
 	// Chips, Apps, Inputs restrict the sweep; nil means all (for Inputs,
 	// the process-shared standard inputs, never modified).
@@ -165,6 +166,9 @@ func Collect(o Options) (*dataset.Dataset, error) {
 // (not an error) together with the report, and the analysis layer
 // degrades gracefully to the covered cells.
 func CollectReport(o Options) (*dataset.Dataset, *Report, error) {
+	if o.Runs < 0 {
+		return nil, nil, fmt.Errorf("measure: %d timed runs per cell; want at least 1 (0 selects the default)", o.Runs)
+	}
 	o.fill()
 	for _, cfg := range o.Configs {
 		if _, ok := cfg.ID(); !ok {

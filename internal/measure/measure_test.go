@@ -12,6 +12,7 @@ import (
 	"gpuport/internal/fault"
 	"gpuport/internal/graph"
 	"gpuport/internal/irgl"
+	"gpuport/internal/obs"
 	"gpuport/internal/opt"
 )
 
@@ -178,6 +179,20 @@ func TestCollectRejectsConfigsOutsideSpace(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want one naming %s", tc.cfg, err, tc.want)
 		}
+	}
+}
+
+// TestCollectRejectsNegativeRuns: a negative run count is refused
+// before any pair is traced, instead of panicking in a sweep worker.
+func TestCollectRejectsNegativeRuns(t *testing.T) {
+	o := smallOptions()
+	o.Runs = -1
+	o.Obs = obs.New()
+	if _, _, err := CollectReport(o); err == nil || !strings.Contains(err.Error(), "-1 timed runs per cell") {
+		t.Fatalf("err = %v, want the negative-runs error", err)
+	}
+	if n := o.Obs.Summary().Counter(obs.CtrKernelLaunches); n != 0 {
+		t.Errorf("%d kernel launches traced before the refusal", n)
 	}
 }
 

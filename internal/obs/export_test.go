@@ -21,8 +21,10 @@ func sampleRecorder() *Recorder {
 	r.NameLane(TrackSim, 0, "bfs-wl on road")
 	tl := r.SimSpan(0, 0, SpanSimTimeline, 0, 60, String(AttrApp, "bfs-wl"), String(AttrInput, "road"))
 	r.SimSpan(0, tl, "bfs_kernel", 0, 60, Int(AttrLaunch, 0), Int(AttrFrontier, 1), Int(AttrEdges, 5))
-	r.ObserveHist(HistFrontier, 1)
-	r.ObserveHist(HistFrontier, 700)
+	var frontier Hist
+	frontier.Observe(1)
+	frontier.Observe(700)
+	r.MergeHist(HistFrontier, &frontier)
 	return r
 }
 

@@ -54,6 +54,8 @@ func (s *Summary) Counter(name string) int64 {
 
 // StageDuration returns the accumulated duration of the named stage
 // (0 when absent).
+//
+//lint:allow deadcode the repository benchmark under _perfbench reads stage times through it
 func (s *Summary) StageDuration(name string) time.Duration {
 	if s == nil {
 		return 0
@@ -134,6 +136,8 @@ func New() *Recorder {
 }
 
 // NewWithClock returns a recorder on an injected clock (tests).
+//
+//lint:allow deadcode the tests' fake clock
 func NewWithClock(now func() time.Time) *Recorder {
 	r := New()
 	r.st.now = now

@@ -390,17 +390,6 @@ func (r *Recorder) NameLane(track Track, lane int, name string) {
 	r.st.lanes = append(r.st.lanes, LaneName{track, lane, name})
 }
 
-// ObserveHist adds one observation to the named histogram. For bulk
-// observation from a worker, fill a local Hist and MergeHist it once.
-func (r *Recorder) ObserveHist(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.st.mu.Lock()
-	r.st.histByName(name).Observe(v)
-	r.st.mu.Unlock()
-}
-
 // MergeHist folds a worker-local histogram into the named one. Sums
 // and counts are integers, so merge order cannot change the snapshot.
 func (r *Recorder) MergeHist(name string, h *Hist) {

@@ -177,7 +177,9 @@ func TestMergeHistEqualsDirectObserve(t *testing.T) {
 	batched := New()
 	var local Hist
 	for v := int64(0); v < 100; v++ {
-		direct.ObserveHist(HistFrontier, v*v)
+		var one Hist
+		one.Observe(v * v)
+		direct.MergeHist(HistFrontier, &one)
 		local.Observe(v * v)
 	}
 	batched.MergeHist(HistFrontier, &local)
@@ -228,7 +230,6 @@ func TestNilRecorderSpanSafety(t *testing.T) {
 	r.StartSpan("x", 0).End()
 	r.Event("x", 0)
 	r.SimSpan(0, 0, "x", 0, 1)
-	r.ObserveHist("x", 1)
 	r.MergeHist("x", &Hist{})
 	if r.Snapshot() != nil {
 		t.Error("nil recorder should snapshot to nil")

@@ -144,6 +144,8 @@ func (s *store) publishCounterLocked(name string, delta, total int64) {
 // the roots it opens, Adopt only restamps trace and parent.
 //
 // Adopted spans and events are not published to watchers.
+//
+//lint:allow deadcode the repository benchmark under _perfbench adopts its child runs' snapshots
 func (r *Recorder) Adopt(s *Snapshot, trace, parent uint64) {
 	if r == nil || s == nil {
 		return

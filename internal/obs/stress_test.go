@@ -37,7 +37,9 @@ func TestSpanRecorderStress(t *testing.T) {
 				child := root.StartSpan(SpanSweepJob, w, Int(AttrAttempt, int64(i)))
 				child.Event(EvRetry, Int(AttrAttempt, int64(i%3)))
 				rec.Add(CtrFaultAttempts, 1)
-				rec.ObserveHist(HistCellAttempts, int64(i%7))
+				var attempts Hist
+				attempts.Observe(int64(i % 7))
+				rec.MergeHist(HistCellAttempts, &attempts)
 				local.Observe(int64(i))
 				tl := rec.SimSpan(w, 0, SpanSimTimeline, int64(i), 10, Int(AttrLaunch, int64(w*rounds+i)))
 				rec.SimSpan(w, tl, SpanSimTimeline, int64(i), 5, Int(AttrLaunch, int64(i)))

@@ -50,9 +50,6 @@ type Access struct {
 	Atomic bool
 }
 
-// NoAccess is the idle-round marker.
-var NoAccess = Access{Addr: -1}
-
 // Kernel describes a micro-kernel: every lane executes Rounds rounds,
 // and At reports the access lane performs in a given logical round.
 type Kernel struct {

@@ -198,7 +198,7 @@ func TestBarrierCountAndCost(t *testing.T) {
 		Name:         "barriers",
 		Items:        128,
 		Rounds:       10,
-		At:           func(lane, round int) Access { return NoAccess },
+		At:           func(lane, round int) Access { return Access{Addr: -1} },
 		BarrierEvery: 1,
 	}
 	res := d.Run(k)
@@ -440,7 +440,7 @@ func randomKernel(r *stats.RNG, wg int) Kernel {
 	for i := range table {
 		switch x := r.Float64(); {
 		case x < idle:
-			table[i] = NoAccess
+			table[i] = Access{Addr: -1}
 		case x < idle+atomic:
 			table[i] = Access{Addr: int64(r.Intn(atomicAddrs)), Atomic: true}
 		default:

@@ -29,16 +29,15 @@ const (
 // Endpoint labels: the obs.AttrEndpoint attribute on request spans and
 // the suffix of per-endpoint latency histograms (obs.TSLatencyPrefix).
 const (
-	endpointSubmit    = "submit"
-	endpointList      = "list"
-	endpointStatus    = "status"
-	endpointResult    = "result"
-	endpointEvents    = "events"
-	endpointCancel    = "cancel"
-	endpointMetrics   = "metrics"
-	endpointObsTrace  = "obs-trace"
-	endpointObsStream = "obs-stream"
-	endpointHealthz   = "healthz"
+	endpointSubmit   = "submit"
+	endpointList     = "list"
+	endpointStatus   = "status"
+	endpointResult   = "result"
+	endpointEvents   = "events"
+	endpointCancel   = "cancel"
+	endpointMetrics  = "metrics"
+	endpointObsTrace = "obs-trace"
+	endpointHealthz  = "healthz"
 )
 
 // Handler returns the server's HTTP API:

@@ -91,6 +91,7 @@ func DefaultConfig() Config {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		{Name: "ctxprop", Doc: "goroutine-spawning functions in the measurement layers must thread a context; context.Background/TODO only at entry points", Run: runCtxProp},
+		{Name: "deadcode", Doc: "every function is reachable from a main, init, package-level initialiser, root-package export, interface method name or determinism root", Run: runDeadcode},
 		{Name: "detpure", Doc: "proves the determinism roots (cost model, fingerprint, cache codec, conform properties, canonical exports) transitively free of wall clock, global rand and map-order dependence", Run: proveDeterminism},
 		{Name: "errcheck", Doc: "no silently dropped errors in internal packages", Run: runErrcheck},
 		{Name: "floatcmp", Doc: "no float == / != in the model and stats packages (compare against a tolerance, or guard exact zero)", Run: runFloatCmp},
@@ -523,15 +524,14 @@ func checkLockPairing(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 // obsNameArg maps obs recorder / span-handle methods and attribute
 // constructors to the index of their name argument.
 var obsNameArg = map[string]int{
-	"StartSpan":   0,
-	"Event":       0,
-	"Add":         0,
-	"ObserveHist": 0,
-	"MergeHist":   0,
-	"NameLane":    2,
-	"SimSpan":     2,
-	"String":      0,
-	"Int":         0,
+	"StartSpan": 0,
+	"Event":     0,
+	"Add":       0,
+	"MergeHist": 0,
+	"NameLane":  2,
+	"SimSpan":   2,
+	"String":    0,
+	"Int":       0,
 }
 
 // runObsNames requires any constant-valued name reaching an obs

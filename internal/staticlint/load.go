@@ -74,16 +74,6 @@ type Program struct {
 	byPath map[string]*Package
 }
 
-// PackageByRel returns the package with the given module-relative
-// path, or nil.
-func (p *Program) PackageByRel(rel string) *Package {
-	path := p.ModulePath
-	if rel != "" {
-		path = p.ModulePath + "/" + rel
-	}
-	return p.byPath[path]
-}
-
 // FileName returns the module-relative slash path of the file
 // containing pos, falling back to the FileSet's name for positions
 // outside the module (standard library).

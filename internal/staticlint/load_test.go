@@ -3,7 +3,6 @@ package staticlint_test
 import (
 	"go/types"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -15,15 +14,12 @@ func TestLoadFixtureShape(t *testing.T) {
 	if prog.ModulePath != "fixture" {
 		t.Fatalf("module path = %q, want fixture", prog.ModulePath)
 	}
-	det := prog.PackageByRel("internal/det")
-	if det == nil {
-		t.Fatal("internal/det not loaded")
+	paths := map[string]string{}
+	for _, pkg := range prog.Packages {
+		paths[pkg.Rel] = pkg.Path
 	}
-	if det.Path != "fixture/internal/det" {
-		t.Errorf("det path = %q", det.Path)
-	}
-	if prog.PackageByRel("no/such/pkg") != nil {
-		t.Error("PackageByRel invented a package")
+	if paths[""] != "fixture" || paths["internal/det"] != "fixture/internal/det" {
+		t.Errorf("root and det paths = %q, %q", paths[""], paths["internal/det"])
 	}
 	// Packages are sorted by import path for deterministic walks.
 	for i := 1; i < len(prog.Packages); i++ {
@@ -40,19 +36,23 @@ func TestLoadFixtureShape(t *testing.T) {
 // rules.
 func TestBuildTagExclusion(t *testing.T) {
 	prog := loadFixture(t)
-	errs := prog.PackageByRel("internal/errs")
-	if errs == nil {
-		t.Fatal("internal/errs not loaded")
-	}
-	parsed := map[string]bool{}
+	parsed, checked := map[string]bool{}, map[string]bool{}
 	for _, f := range prog.Files {
 		parsed[prog.FileName(f.Package)] = true
+	}
+	for _, pkg := range prog.Packages {
+		for _, name := range pkg.FileNames {
+			checked[name] = true
+		}
+	}
+	if !checked["internal/errs/errs.go"] {
+		t.Fatal("internal/errs/errs.go was not type-checked")
 	}
 	for _, name := range []string{"internal/errs/mutate.go", "internal/errs/errs_plan9.go", "internal/errs/_draft.go"} {
 		if !parsed[name] {
 			t.Errorf("%s is not in Program.Files", name)
 		}
-		if slices.Contains(errs.FileNames, name) {
+		if checked[name] {
 			t.Errorf("%s was type-checked, but go build skips it", name)
 		}
 	}
@@ -60,21 +60,25 @@ func TestBuildTagExclusion(t *testing.T) {
 
 func TestFuncDisplayName(t *testing.T) {
 	prog := loadFixture(t)
-	mu := prog.PackageByRel("internal/mu")
 	want := map[string]string{
 		"Inc":   "fixture/internal/mu.Counter.Inc",
 		"Clone": "fixture/internal/mu.Clone",
 	}
 	found := 0
-	for _, obj := range mu.Info.Defs {
-		f, ok := obj.(*types.Func)
-		if !ok {
+	for _, pkg := range prog.Packages {
+		if pkg.Rel != "internal/mu" {
 			continue
 		}
-		if w, ok := want[f.Name()]; ok {
-			found++
-			if got := staticlint.FuncDisplayName(f); got != w {
-				t.Errorf("FuncDisplayName(%s) = %q, want %q", f.Name(), got, w)
+		for _, obj := range pkg.Info.Defs {
+			f, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if w, ok := want[f.Name()]; ok {
+				found++
+				if got := staticlint.FuncDisplayName(f); got != w {
+					t.Errorf("FuncDisplayName(%s) = %q, want %q", f.Name(), got, w)
+				}
 			}
 		}
 	}

@@ -38,7 +38,6 @@ type LockGraph struct {
 // funcLockSummary is the per-function state the interprocedural pass
 // accumulates.
 type funcLockSummary struct {
-	fn       *types.Func
 	acquires map[lockID]bool // transitive: locks this function may take
 	callees  map[*types.Func]bool
 	// heldCalls are call sites executed with locks held; once the
@@ -77,7 +76,7 @@ func BuildLockGraph(prog *Program) *LockGraph {
 				if !ok {
 					continue
 				}
-				s := &funcLockSummary{fn: fn, acquires: map[lockID]bool{}, callees: map[*types.Func]bool{}}
+				s := &funcLockSummary{acquires: map[lockID]bool{}, callees: map[*types.Func]bool{}}
 				summaries[fn] = s
 				g.scanFunc(prog, facts, pkg, fd, s)
 			}

@@ -26,6 +26,7 @@ func fixtureConfig() staticlint.Config {
 			"fixture/internal/det.BadOrder",
 			"fixture/internal/det.BadFieldOrder",
 			"fixture/internal/det.check*",
+			"fixture/internal/dead.proved*",
 		},
 		WalltimeAllowed:      []string{"internal/obs", "cmd/"},
 		RandAllowed:          []string{"internal/stats"},
@@ -74,6 +75,15 @@ func TestAnalyzerFixtures(t *testing.T) {
 		"ctxprop": {
 			"internal/measure/measure.go:12", // context.Background outside cmd/
 			"internal/measure/measure.go:19", // goroutines with no ctx in scope
+		},
+		"deadcode": {
+			"internal/dead/dead.go:16", // main outside package main
+			"internal/dead/dead.go:21", // a method named init
+			"internal/dead/dead.go:33", // named only by a blank var
+			"internal/dead/dead.go:42", // unexported method of an aliased type
+			"internal/dead/dead.go:46", // exported outside the root package
+			"internal/dead/dead.go:66", // a method name no interface declares
+			"internal/dead/dead.go:72", // matched by no determinism root
 		},
 		"detpure": {
 			"internal/det/det.go:22",  // float accumulation over map order

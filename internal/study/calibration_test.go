@@ -74,14 +74,16 @@ func TestTableIXRecommendations(t *testing.T) {
 
 	// sg: enabled on every chip - including MALI, despite its trivial
 	// subgroups (Section VIII-c).
-	for _, name := range chip.Names() {
+	for _, c := range chip.All() {
+		name := c.Name
 		if !dec[name][opt.FlagSG].Enabled {
 			t.Errorf("sg should be enabled on %s", name)
 		}
 	}
 
 	// wg: enabled nowhere, but with a non-zero effect size.
-	for _, name := range chip.Names() {
+	for _, c := range chip.All() {
+		name := c.Name
 		d := dec[name][opt.FlagWG]
 		if d.Enabled {
 			t.Errorf("wg should not be enabled on %s", name)
@@ -118,7 +120,8 @@ func TestTableIXRecommendations(t *testing.T) {
 	}
 
 	// sz256: never recommended.
-	for _, name := range chip.Names() {
+	for _, c := range chip.All() {
+		name := c.Name
 		if dec[name][opt.FlagSZ256].Enabled {
 			t.Errorf("sz256 should not be enabled on %s", name)
 		}

@@ -84,10 +84,13 @@ func FuzzCutEntry(f *testing.F) {
 
 // TestValidCorpusEntriesDecode holds the decoder to entries it did not
 // write: every valid-* file in the fuzz corpus is an entry written by
-// Store.Put while encoding/json was the trace codec. Each must decode to
-// the trace encoding/json decodes from its payload, and re-encode to
-// that payload byte for byte. FuzzEntryDecode alone would pass a decoder
-// that rejects everything.
+// Store.Put while encoding/json was the trace codec and every launch
+// still carried a LocalBarrierRounds field, since retired. The strict
+// decoder must refuse each stored entry, which is how Get heals a
+// pre-change cache entry. With the field's bytes removed, each payload
+// must decode to the trace encoding/json decodes from it, and re-encode
+// to it byte for byte. FuzzEntryDecode alone would pass a decoder that
+// rejects everything.
 func TestValidCorpusEntriesDecode(t *testing.T) {
 	paths, err := filepath.Glob("testdata/fuzz/FuzzEntryDecode/valid-*")
 	if err != nil || len(paths) == 0 {
@@ -95,14 +98,21 @@ func TestValidCorpusEntriesDecode(t *testing.T) {
 	}
 	for _, path := range paths {
 		raw := readCorpusBytes(t, path)
-		tr, err := decodeEntry(raw)
+		stored, err := verifyEntry(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeEntry(raw); err == nil || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decodeEntry = %v, want the decoder to refuse the retired field", path, err)
+		}
+		payload := bytes.ReplaceAll(stored, []byte(`,"LocalBarrierRounds":0`), nil)
+		if len(payload) == len(stored) {
+			t.Errorf("%s: no retired field in the stored payload", path)
+		}
+		tr, err := decodeEntry(AppendEntry(nil, payload))
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
-		}
-		payload, err := verifyEntry(raw)
-		if err != nil {
-			t.Fatal(err)
 		}
 		var ref struct {
 			App      string             `json:"app"`
@@ -121,7 +131,7 @@ func TestValidCorpusEntriesDecode(t *testing.T) {
 			t.Errorf("%s: %d launches, %d loops: want a populated trace", path, len(tr.Launches), len(tr.Loops))
 		}
 		if got := tr.AppendJSONCompact(nil); !bytes.Equal(got, payload) {
-			t.Errorf("%s: re-encoding differs from the stored payload", path)
+			t.Errorf("%s: re-encoding differs from the payload", path)
 		}
 	}
 }

@@ -137,14 +137,11 @@ func (s *Store) path(k Key) string {
 // fails: any problem at all falls back to "not cached".
 func (s *Store) Get(k Key) (*irgl.Trace, bool) {
 	path := s.path(k)
-	payload, err := ReadEntry(path)
-	if err != nil && !errors.Is(err, ErrCorrupt) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		return nil, false
 	}
-	var tr *irgl.Trace
-	if err == nil {
-		tr, err = irgl.ReadTraceJSON(payload)
-	}
+	tr, err := decodeEntry(raw)
 	if err != nil {
 		_ = os.Remove(path) // best-effort heal; a stuck entry re-misses next time
 		s.rec.Add(obs.CtrCacheCorrupt, 1)

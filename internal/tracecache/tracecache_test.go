@@ -142,6 +142,37 @@ func TestCorruptionFallsBackToMiss(t *testing.T) {
 	}
 }
 
+// TestPreChangeEntryIsRetraced: an entry written while every launch
+// carried the retired LocalBarrierRounds field still verifies, but the
+// strict decoder refuses it, so Get heals it as corrupt and misses, and
+// the re-traced pair's Put serves hits again. That is why dropping the
+// field left formatVersion alone.
+func TestPreChangeEntryIsRetraced(t *testing.T) {
+	tr, key := testTrace(t)
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	s.SetObs(rec)
+	old := readCorpusBytes(t, "testdata/fuzz/FuzzEntryDecode/valid-bfs-wl")
+	if err := os.WriteFile(s.path(key), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("pre-change entry served as a hit")
+	}
+	if got := rec.Summary().Counter(obs.CtrCacheCorrupt); got != 1 {
+		t.Errorf("%s = %d, want 1", obs.CtrCacheCorrupt, got)
+	}
+	if err := s.Put(key, tr); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || !reflect.DeepEqual(got, tr) {
+		t.Fatal("Put after the pre-change miss did not serve a hit")
+	}
+}
+
 // entrySize returns the on-disk size of tr's entry.
 func entrySize(t *testing.T, tr *irgl.Trace) int64 {
 	t.Helper()
