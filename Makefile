@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/tracecache -run '^$$' -fuzz '^FuzzEntryDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/tracecache -run '^$$' -fuzz '^FuzzCutEntry$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/irgl -run '^$$' -fuzz '^FuzzTraceJSON$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSpecDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s
 
 # cover enforces statement-coverage floors on the packages carrying the

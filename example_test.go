@@ -122,7 +122,7 @@ func Example_customstrategy() {
 	// sensitivity. All parameters are plain struct fields.
 	custom := chip.Chip{
 		Name: "iGPU9", Vendor: "Acme", Arch: "Gen9", OS: "Linux",
-		CUs: 16, SubgroupSize: 32, Discrete: false,
+		CUs: 16, SubgroupSize: 32,
 		LaunchNS: 18000, CopyNS: 6000, GlobalBarrierNS: 4200, GBOccupancyPenalty: 1.1,
 		EdgeThroughput: 1.1, ItemOverheadNS: 0.9,
 		AtomicNS: 14, AtomicDataNS: 4,

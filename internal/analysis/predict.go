@@ -98,7 +98,7 @@ func (x *Index) CrossValidate(dim LOODimension) []LOOResult {
 	d := x.d
 	oracle := Oracle(d)
 	trainDims := dim.trainDims()
-	r := x.reader()
+	r := x.reader(false)
 	var out []LOOResult
 	for _, held := range dim.values(d) {
 		held := held

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,16 +10,16 @@ import (
 	"gpuport/internal/stats"
 )
 
-// eagerCrossValidate is CrossValidate's fold loop as it was before the
-// fallback became lazy: every training partition goes through
-// Index.OptsForPartition on its own, and the training set's fallback is
+// eagerCrossValidate is CrossValidate's fold loop done the plain way:
+// every training partition goes through rule.decide on its own, every
+// median selected and deciding, and the training set's fallback is
 // computed before the fold is scored. It also counts the held-out
 // tests whose training partition is missing, the only ones that read
 // the fallback.
-func eagerCrossValidate(d *dataset.Dataset, dim LOODimension) (out []LOOResult, misses int) {
+func eagerCrossValidate(rule *medianRule, dim LOODimension) (out []LOOResult, misses int) {
+	d := rule.x.d
 	oracle := Oracle(d)
 	trainDims := dim.trainDims()
-	x := NewIndex(d)
 	for _, held := range dim.values(d) {
 		train := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) != held })
 		test := d.TuplesWhere(func(t dataset.Tuple) bool { return dim.of(t) == held && Improvable(d, t) })
@@ -31,10 +32,10 @@ func eagerCrossValidate(d *dataset.Dataset, dim LOODimension) (out []LOOResult, 
 		table := map[PartitionKey]opt.Config{}
 		for _, t := range train {
 			if k := trainDims.keyFor(t); !hasKey(table, k) {
-				table[k] = configFromDecisions(x.OptsForPartition(parts[k]))
+				table[k] = configFromDecisions(rule.decide(parts[k]))
 			}
 		}
-		fallback := configFromDecisions(x.OptsForPartition(train))
+		fallback := configFromDecisions(rule.decide(train))
 		for _, t := range test {
 			if !hasKey(table, trainDims.keyFor(t)) {
 				misses++
@@ -99,6 +100,27 @@ func randLOODataset(r *stats.RNG) *dataset.Dataset {
 	return d
 }
 
+// diffLOO names the first fold where got and want differ, comparing
+// floats by their bits.
+func diffLOO(got, want []LOOResult) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d folds, eager %d", len(got), len(want))
+	}
+	for k, g := range got {
+		w := want[k]
+		ge, we := g.Eval, w.Eval
+		same := g.Held == w.Held && g.TestCount == w.TestCount && ge.Name == we.Name &&
+			ge.Speedups == we.Speedups && ge.Slowdowns == we.Slowdowns && ge.NoChanges == we.NoChanges &&
+			math.Float64bits(ge.GeoMeanVsBaseline) == math.Float64bits(we.GeoMeanVsBaseline) &&
+			math.Float64bits(ge.GeoMeanSlowdownVsOracle) == math.Float64bits(we.GeoMeanSlowdownVsOracle) &&
+			math.Float64bits(ge.MaxSpeedup) == math.Float64bits(we.MaxSpeedup)
+		if !same {
+			return fmt.Errorf("fold %d: got %+v, eager %+v", k, g, w)
+		}
+	}
+	return nil
+}
+
 // TestCrossValidateLazyFallbackMatchesEager: on partial datasets where
 // held-out tests miss their training partition along every dimension,
 // CrossValidate (one ratio index, fallback computed on first miss)
@@ -110,23 +132,10 @@ func TestCrossValidateLazyFallbackMatchesEager(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		d := randLOODataset(r)
 		for i, dim := range dims {
-			want, m := eagerCrossValidate(d, dim)
+			want, m := eagerCrossValidate(&medianRule{x: NewIndex(d)}, dim)
 			misses[i] += m
-			got := NewIndex(d).CrossValidate(dim)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d, %s: %d folds, eager %d", trial, dim, len(got), len(want))
-			}
-			for k, g := range got {
-				w := want[k]
-				ge, we := g.Eval, w.Eval
-				same := g.Held == w.Held && g.TestCount == w.TestCount && ge.Name == we.Name &&
-					ge.Speedups == we.Speedups && ge.Slowdowns == we.Slowdowns && ge.NoChanges == we.NoChanges &&
-					math.Float64bits(ge.GeoMeanVsBaseline) == math.Float64bits(we.GeoMeanVsBaseline) &&
-					math.Float64bits(ge.GeoMeanSlowdownVsOracle) == math.Float64bits(we.GeoMeanSlowdownVsOracle) &&
-					math.Float64bits(ge.MaxSpeedup) == math.Float64bits(we.MaxSpeedup)
-				if !same {
-					t.Fatalf("trial %d, %s fold %d: got %+v, eager %+v", trial, dim, k, g, w)
-				}
+			if err := diffLOO(NewIndex(d).CrossValidate(dim), want); err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, dim, err)
 			}
 		}
 	}

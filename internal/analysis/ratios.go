@@ -14,8 +14,10 @@ import (
 // ratios (enabled/disabled mean) that pass the gate, as one run of a
 // single slab, with how many lie below and at 1.0. A partition's MWU
 // test against its list of 1.0s then needs only the summed counts and
-// the tie term (stats.MannWhitneyUOnes), and its median a selection
-// over the gathered runs: no sort.
+// the tie term (stats.MannWhitneyUOnes), and whether its median is
+// below 1.0 only the counts, bar one even split (medianBelowOne). A
+// median, where a caller reads one, is a selection over the gathered
+// runs: no sort.
 //
 // The only tie groups other than the 1.0s come from a value occurring
 // twice within one flag, or from a tuple listed twice (its ratios all
@@ -108,18 +110,29 @@ func (x *Index) positions(keep func(dataset.Tuple) bool) []int {
 // reader is one call's view of an Index: the scratch its reads reuse.
 type reader struct {
 	*Index
-	seen []bool    // per tuple ID: listed in the partition being read
-	buf  []float64 // the partition's ratios for one flag
-	ids  []int     // the partition's tuple IDs
-	ties tieCounter
+	medians bool      // select every flag's median: the caller returns the decisions
+	seen    []bool    // per tuple ID: listed in the partition being read
+	buf     []float64 // the partition's ratios for flag bufFlag
+	bufFlag int       // the flag position buf holds, or -1
+	ids     []int     // the partition's tuple IDs
+	ties    tieCounter
 }
 
-func (x *Index) reader() *reader { return &reader{Index: x, seen: make([]bool, x.nt)} }
+// reader returns a reader of x. Only a caller that hands decisions out
+// reads every median, so only it asks for them; the others get the
+// medians configFromDecisions reads and no more.
+func (x *Index) reader(medians bool) *reader {
+	return &reader{Index: x, medians: medians, seen: make([]bool, x.nt)}
+}
 
 // decisions runs Algorithm 1's OPTS_FOR_PARTITION over the tuples tids:
 // for every flag, the MWU test of the partition's ratios against as
-// many 1.0s, and their median. A repeated tuple counts once per
-// occurrence.
+// many 1.0s, and where the test is significant, whether their median
+// is below 1.0. The counts decide that (medianBelowOne), so a
+// partition's ratios are gathered only to count a tie term, to select
+// a median the caller reads, or in the rare split the counts leave
+// open. A median not selected reads NaN. A repeated tuple counts once
+// per occurrence.
 func (r *reader) decisions(tids []int) []FlagDecision {
 	repeats := false
 	for _, tid := range tids {
@@ -129,33 +142,72 @@ func (r *reader) decisions(tids []int) []FlagDecision {
 	for _, tid := range tids {
 		r.seen[tid] = false
 	}
+	r.bufFlag = -1
 	flags := opt.Flags()
 	decisions := make([]FlagDecision, 0, len(flags))
 	for fi, f := range flags {
 		runs := r.start[fi*r.nt : (fi+1)*r.nt+1]
 		below, ones := r.below[fi*r.nt:(fi+1)*r.nt], r.ones[fi*r.nt:(fi+1)*r.nt]
-		r.buf = r.buf[:0]
-		var nBelow, nOnes int
+		var n, nBelow, nOnes int
 		for _, tid := range tids {
-			r.buf = append(r.buf, r.vals[runs[tid]:runs[tid+1]]...)
+			n += int(runs[tid+1] - runs[tid])
 			nBelow += int(below[tid])
 			nOnes += int(ones[tid])
 		}
 		var ties int64
 		if repeats || r.dupes[fi] {
-			ties = r.ties.sum(r.buf)
+			ties = r.ties.sum(r.ratios(fi, tids))
 		}
-		n := len(r.buf)
 		res := stats.MannWhitneyUOnes(nBelow, nOnes, n-nBelow-nOnes, n, ties)
-		dec := FlagDecision{Flag: f, Comparisons: n, P: res.P, CL: res.CL}
-		dec.MedianRatio = stats.MedianInPlace(r.buf)
+		dec := FlagDecision{Flag: f, Comparisons: n, P: res.P, CL: res.CL, MedianRatio: math.NaN()}
+		median := func() float64 { return stats.MedianInPlace(r.ratios(fi, tids)) }
+		if r.medians {
+			dec.MedianRatio = median()
+		}
 		if res.Significant(Alpha) {
 			dec.Confident = true
-			dec.Enabled = dec.MedianRatio < 1.0
+			dec.Enabled = medianBelowOne(n, nBelow, median)
 		}
 		decisions = append(decisions, dec)
 	}
+	if fg1, fg8 := &decisions[opt.FlagFG1], &decisions[opt.FlagFG8]; !r.medians && fg1.Enabled && fg8.Enabled {
+		// configFromDecisions keeps the fg variant with the smaller median.
+		fg1.MedianRatio = stats.MedianInPlace(r.ratios(int(opt.FlagFG1), tids))
+		fg8.MedianRatio = stats.MedianInPlace(r.ratios(int(opt.FlagFG8), tids))
+	}
 	return decisions
+}
+
+// medianBelowOne reports whether the median of n ratios, nBelow of them
+// below 1.0, is below 1.0: Algorithm 1's condition for enabling a flag.
+// With k = n/2, the median is below 1.0 when nBelow > k, and not when
+// nBelow < k or when n is odd and nBelow == k, whatever the values.
+// Only an even n split at exactly half leaves it open: the median is
+// then (max below + min at or above)/2, which can round up to 1.0, so
+// only then is median called for the value.
+func medianBelowOne(n, nBelow int, median func() float64) bool {
+	switch k := n / 2; {
+	case nBelow != k:
+		return nBelow > k
+	case n%2 == 1:
+		return false
+	}
+	return median() < 1
+}
+
+// ratios returns the partition's ratios for the flag at position fi,
+// gathered into r.buf unless it already holds them. Selecting a median
+// reorders them, which changes neither a median nor a tie term.
+func (r *reader) ratios(fi int, tids []int) []float64 {
+	if r.bufFlag != fi {
+		runs := r.start[fi*r.nt : (fi+1)*r.nt+1]
+		r.buf = r.buf[:0]
+		for _, tid := range tids {
+			r.buf = append(r.buf, r.vals[runs[tid]:runs[tid+1]]...)
+		}
+		r.bufFlag = fi
+	}
+	return r.buf
 }
 
 // decisionsAt runs decisions over the tuples at positions ks.

@@ -32,7 +32,7 @@ type SamplingPoint struct {
 // random test subsets of increasing size and reports agreement with the
 // full-data recommendations. Deterministic for a given seed.
 func (x *Index) SamplingCurve(dims Dims, fractions []float64, trials int, seed uint64) []SamplingPoint {
-	r := x.reader()
+	r := x.reader(false)
 	all := len(x.tuples)
 	fullDec := decisionTable(r.specialise(dims, x.positions(nil)))
 	rng := stats.NewRNG(seed)

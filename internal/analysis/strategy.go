@@ -184,7 +184,7 @@ type Specialisation struct {
 // Specialise partitions the indexed dataset along dims and derives a
 // recommendation per partition (Algorithm 1, SPECIALISE_FOR_*).
 func (x *Index) Specialise(dims Dims) *Specialisation {
-	return x.reader().specialise(dims, x.positions(nil))
+	return x.reader(true).specialise(dims, x.positions(nil))
 }
 
 // SpecialiseUngated is the ablation variant of Specialise that skips
@@ -245,7 +245,7 @@ func (r *reader) specialise(dims Dims, ks []int) *Specialisation {
 // data are skipped, as their comparisons would be; a repeated tuple
 // counts once per occurrence.
 func (x *Index) OptsForPartition(tuples []dataset.Tuple) []FlagDecision {
-	return x.reader().decisions(tupleIDs(x.d, tuples))
+	return x.reader(true).decisions(tupleIDs(x.d, tuples))
 }
 
 // tupleIDs maps tuples to their dataset IDs, dropping tuples d has no

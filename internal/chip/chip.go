@@ -30,8 +30,6 @@ type Chip struct {
 	// SubgroupSize is the hardware subgroup (warp/wavefront) width; 1
 	// on MALI, which exposes no subgroups.
 	SubgroupSize int
-	// Discrete is true for discrete boards (PCIe transfer costs).
-	Discrete bool
 
 	// LaunchNS is the kernel launch latency in model nanoseconds.
 	// Nvidia's lean runtime makes this far lower than the other
@@ -134,7 +132,7 @@ func All() []Chip {
 	return []Chip{
 		{
 			Name: M4000, Vendor: "Nvidia", Arch: "Maxwell", OS: "Linux",
-			CUs: 13, SubgroupSize: 32, Discrete: true,
+			CUs: 13, SubgroupSize: 32,
 			LaunchNS: 5000, CopyNS: 2600, GlobalBarrierNS: 5600, GBOccupancyPenalty: 1.12,
 			EdgeThroughput: 2.6, ItemOverheadNS: 0.55,
 			AtomicNS: 4.5, AtomicDataNS: 2.2,
@@ -147,7 +145,7 @@ func All() []Chip {
 		},
 		{
 			Name: GTX1080, Vendor: "Nvidia", Arch: "Pascal", OS: "Linux",
-			CUs: 20, SubgroupSize: 32, Discrete: true,
+			CUs: 20, SubgroupSize: 32,
 			LaunchNS: 4300, CopyNS: 2300, GlobalBarrierNS: 5200, GBOccupancyPenalty: 1.12,
 			EdgeThroughput: 5.6, ItemOverheadNS: 0.4,
 			AtomicNS: 3.2, AtomicDataNS: 1.5,
@@ -160,7 +158,7 @@ func All() []Chip {
 		},
 		{
 			Name: HD5500, Vendor: "Intel", Arch: "Broadwell GT2", OS: "Windows",
-			CUs: 24, SubgroupSize: 16, Discrete: false,
+			CUs: 24, SubgroupSize: 16,
 			LaunchNS: 26000, CopyNS: 9000, GlobalBarrierNS: 4500, GBOccupancyPenalty: 1.15,
 			EdgeThroughput: 0.85, ItemOverheadNS: 1.1,
 			AtomicNS: 6.5, AtomicDataNS: 3.4,
@@ -173,7 +171,7 @@ func All() []Chip {
 		},
 		{
 			Name: IRIS, Vendor: "Intel", Arch: "Broadwell GT3", OS: "Windows",
-			CUs: 47, SubgroupSize: 16, Discrete: false,
+			CUs: 47, SubgroupSize: 16,
 			LaunchNS: 24000, CopyNS: 8500, GlobalBarrierNS: 4500, GBOccupancyPenalty: 1.15,
 			EdgeThroughput: 1.5, ItemOverheadNS: 1.0,
 			AtomicNS: 25, AtomicDataNS: 4.2,
@@ -186,7 +184,7 @@ func All() []Chip {
 		},
 		{
 			Name: R9, Vendor: "AMD", Arch: "GCN", OS: "Windows",
-			CUs: 28, SubgroupSize: 64, Discrete: true,
+			CUs: 28, SubgroupSize: 64,
 			LaunchNS: 32000, CopyNS: 16000, GlobalBarrierNS: 4000, GBOccupancyPenalty: 1.15,
 			EdgeThroughput: 4.6, ItemOverheadNS: 0.5,
 			AtomicNS: 32, AtomicDataNS: 5.5,
@@ -199,7 +197,7 @@ func All() []Chip {
 		},
 		{
 			Name: MALI, Vendor: "ARM", Arch: "Midgard T628", OS: "Linux",
-			CUs: 4, SubgroupSize: 1, Discrete: false,
+			CUs: 4, SubgroupSize: 1,
 			LaunchNS: 150000, CopyNS: 42000, GlobalBarrierNS: 9000, GBOccupancyPenalty: 1.12,
 			EdgeThroughput: 0.11, ItemOverheadNS: 3.2,
 			AtomicNS: 8.0, AtomicDataNS: 7.0,

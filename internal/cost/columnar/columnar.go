@@ -72,10 +72,6 @@ func widthSlot(width int) int {
 // config-invariant quantities precomputed. Build once per (application,
 // input); read-only afterwards.
 type Columns struct {
-	// App and Input identify the trace.
-	App   string
-	Input string
-
 	n int // number of launches
 
 	// Per-launch scalar columns.
@@ -156,8 +152,6 @@ func Build(tr *irgl.Trace) *Columns {
 	islab := make([]int32, (nw+1)*n+1)
 	bslab := make([]bool, 3*n)
 	c := &Columns{
-		App:    tr.App,
-		Input:  tr.Input,
 		n:      n,
 		items:  carve(n),
 		work:   carve(n),

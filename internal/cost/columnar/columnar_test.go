@@ -78,9 +78,9 @@ func degenerateTraces() map[string]*irgl.Trace {
 }
 
 // checkEquivalence asserts bit-identical Estimate results between the
-// reference and columnar engines for every config, reusing one
-// evaluator per chip the way a sweep does.
-func checkEquivalence(t *testing.T, ch chip.Chip, tp *cost.TraceProfile, cols *Columns) {
+// reference and columnar engines for every config on trace tr, reusing
+// one evaluator per chip the way a sweep does. A failure names tr.
+func checkEquivalence(t *testing.T, ch chip.Chip, tr *irgl.Trace, tp *cost.TraceProfile, cols *Columns) {
 	t.Helper()
 	ev := NewEvaluator(ch, cols)
 	for _, cfg := range opt.All() {
@@ -88,7 +88,7 @@ func checkEquivalence(t *testing.T, ch chip.Chip, tp *cost.TraceProfile, cols *C
 		got := ev.Estimate(cfg)
 		if got != ref {
 			t.Fatalf("%s/%s on %s under %v: columnar %x != reference %x",
-				tp.App, tp.Input, ch.Name, cfg, got, ref)
+				tr.App, tr.Input, ch.Name, cfg, got, ref)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestDegenerateEquivalence(t *testing.T) {
 				t.Fatalf("columns hold %d launches, want %d", cols.n, len(tr.Launches))
 			}
 			for _, ch := range chip.All() {
-				checkEquivalence(t, ch, tp, cols)
+				checkEquivalence(t, ch, tr, tp, cols)
 			}
 		})
 	}
@@ -188,7 +188,7 @@ func TestRandomTraceEquivalence(t *testing.T) {
 		tp := cost.NewTraceProfile(tr)
 		cols := Build(tr)
 		for _, ch := range chip.All() {
-			checkEquivalence(t, ch, tp, cols)
+			checkEquivalence(t, ch, tr, tp, cols)
 		}
 	}
 }
@@ -203,7 +203,7 @@ func TestNamedInputEquivalence(t *testing.T) {
 			tp := cost.NewTraceProfile(tr)
 			cols := Build(tr)
 			for _, ch := range chip.All() {
-				checkEquivalence(t, ch, tp, cols)
+				checkEquivalence(t, ch, tr, tp, cols)
 			}
 		}
 	}
@@ -227,8 +227,8 @@ func TestNonStandardChipGeometry(t *testing.T) {
 		tr := localRandTrace(r)
 		tp := cost.NewTraceProfile(tr)
 		cols := Build(tr)
-		checkEquivalence(t, odd, tp, cols)
-		checkEquivalence(t, zero, tp, cols)
+		checkEquivalence(t, odd, tr, tp, cols)
+		checkEquivalence(t, zero, tr, tp, cols)
 	}
 }
 
@@ -322,13 +322,5 @@ func TestWidthSlot(t *testing.T) {
 		if got := widthSlot(w); got != -1 {
 			t.Errorf("widthSlot(%d) = %d, want -1", w, got)
 		}
-	}
-}
-
-func TestColumnsIdentity(t *testing.T) {
-	tr := degenerateTraces()["fixpoint-only"]
-	cols := Build(tr)
-	if cols.App != tr.App || cols.Input != tr.Input {
-		t.Errorf("identity (%q, %q), want (%q, %q)", cols.App, cols.Input, tr.App, tr.Input)
 	}
 }

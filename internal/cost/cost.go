@@ -85,15 +85,13 @@ type LaunchProfile struct {
 // once per (application, input) amortises histogram analysis across the
 // 96 configurations and 6 chips evaluated against it.
 type TraceProfile struct {
-	App      string
-	Input    string
 	Launches []LaunchProfile
 	Loops    []irgl.LoopStats
 }
 
 // NewTraceProfile prepares tr for cost evaluation.
 func NewTraceProfile(tr *irgl.Trace) *TraceProfile {
-	tp := &TraceProfile{App: tr.App, Input: tr.Input, Loops: tr.Loops}
+	tp := &TraceProfile{Loops: tr.Loops}
 	tp.Launches = make([]LaunchProfile, len(tr.Launches))
 	for i, l := range tr.Launches {
 		tp.Launches[i].KernelStats = l

@@ -259,9 +259,6 @@ func TestProfilePreservesTraceIdentity(t *testing.T) {
 	app, _ := apps.ByName("bfs-wl")
 	tr, _ := app.Run(g)
 	tp := NewTraceProfile(tr)
-	if tp.App != "bfs-wl" || tp.Input != "cost-road" {
-		t.Errorf("profile identity %s/%s", tp.App, tp.Input)
-	}
 	if len(tp.Launches) != len(tr.Launches) || len(tp.Loops) != len(tr.Loops) {
 		t.Error("profile dropped launches or loops")
 	}

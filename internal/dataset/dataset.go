@@ -8,7 +8,7 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -327,38 +327,98 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV deserialises a dataset written by WriteCSV. It parses each
-// row as it is read; the reader reuses one row slice, and ParseRecord
-// keeps only its strings.
+// ReadCSV deserialises a dataset written by WriteCSV. It splits the
+// input with csvReader, a record at a time, and parses each row
+// straight from its fields (rowParser). A row's error names it by its
+// record number, the header being row 1.
 func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	head, err := cr.Read()
-	if err == io.EOF {
+	cr := newCSVReader(r)
+	switch err := cr.read(); {
+	case err == io.EOF:
 		return nil, fmt.Errorf("dataset: empty CSV")
+	case err != nil:
+		return nil, fmt.Errorf("dataset: header: %w", err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if len(head) < 5 || head[0] != "chip" || head[3] != "config" {
-		return nil, fmt.Errorf("dataset: unexpected header %v", head)
+	if head := cr.fields; len(head) < 5 || string(head[0]) != "chip" || string(head[3]) != "config" {
+		return nil, fmt.Errorf("dataset: unexpected header %q", head)
 	}
 	d := New()
+	p := rowParser{configs: map[string]opt.Config{}}
 	for n := 2; ; n++ {
-		row, err := cr.Read()
+		err := cr.read()
 		if err == io.EOF {
 			return d, nil
 		}
-		if err != nil {
-			return nil, err
+		var rec Record
+		if err == nil {
+			rec, err = p.parse(cr.fields)
 		}
-		rec, err := ParseRecord(row)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: row %d: %w", n, err)
 		}
 		d.Add(rec)
 	}
+}
+
+// rowParser parses dataset CSV rows: chip, app, input, config, then the
+// samples. Blank sample fields are skipped, every sample must be a
+// finite positive float, and at least one must be present. A row
+// reuses the tuple strings of the row before where its bytes match
+// them, a config spelling is parsed once, and samples are carved from
+// a shared slab, so a row of a file WriteCSV wrote allocates nothing
+// of its own.
+type rowParser struct {
+	last    Tuple
+	configs map[string]opt.Config // opt.Parse of every spelling seen
+	slab    []float64
+}
+
+// slabLen is the number of samples one slab allocation holds.
+const slabLen = 4096
+
+func (p *rowParser) parse(row [][]byte) (Record, error) {
+	if len(row) < 5 {
+		return Record{}, fmt.Errorf("%d fields, want at least 5", len(row))
+	}
+	cfg, ok := p.configs[string(row[3])]
+	if !ok {
+		var err error
+		if cfg, err = opt.Parse(string(row[3])); err != nil {
+			return Record{}, err
+		}
+		p.configs[string(row[3])] = cfg
+	}
+	p.last = Tuple{reuse(p.last.Chip, row[0]), reuse(p.last.App, row[1]), reuse(p.last.Input, row[2])}
+	if fields := len(row) - 4; len(p.slab) < fields {
+		p.slab = make([]float64, max(slabLen, fields))
+	}
+	samples := p.slab[:0]
+	for _, f := range row[4:] {
+		if len(bytes.TrimSpace(f)) == 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(string(f), 64)
+		if err != nil {
+			return Record{}, err
+		}
+		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return Record{}, fmt.Errorf("sample %v is not a finite positive number", v)
+		}
+		samples = append(samples, v)
+	}
+	if len(samples) == 0 {
+		return Record{}, fmt.Errorf("no samples")
+	}
+	p.slab = p.slab[len(samples):]
+	return Record{Key: Key{p.last, cfg}, Samples: samples[:len(samples):len(samples)]}, nil
+}
+
+// reuse returns s when b spells it, else b as a new string.
+func reuse(s string, b []byte) string {
+	if string(b) == s {
+		return s
+	}
+	return string(b)
 }
 
 // AppendHeader appends the dataset CSV header line for rows of up to
@@ -396,36 +456,4 @@ func appendField(dst []byte, f string) []byte {
 	}
 	dst = append(append(dst, '"'), strings.ReplaceAll(f, `"`, `""`)...)
 	return append(dst, '"')
-}
-
-// ParseRecord parses one dataset CSV row (chip, app, input, config,
-// then the samples), as ReadCSV's encoding/csv Reader splits the line
-// AppendRecord wrote: blank sample fields are skipped, every sample
-// must be a finite positive float, and at least one must be present.
-func ParseRecord(row []string) (Record, error) {
-	if len(row) < 5 {
-		return Record{}, fmt.Errorf("%d fields, want at least 5", len(row))
-	}
-	cfg, err := opt.Parse(row[3])
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}, Samples: make([]float64, 0, len(row)-4)}
-	for _, f := range row[4:] {
-		if strings.TrimSpace(f) == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return Record{}, err
-		}
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return Record{}, fmt.Errorf("sample %v is not a finite positive number", v)
-		}
-		rec.Samples = append(rec.Samples, v)
-	}
-	if len(rec.Samples) == 0 {
-		return Record{}, fmt.Errorf("no samples")
-	}
-	return rec, nil
 }

@@ -3,11 +3,15 @@ package dataset
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gpuport/internal/opt"
 	"gpuport/internal/stats"
@@ -212,6 +216,186 @@ func TestReadCSVInterleavedTuples(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("row %d:", n)) {
 		t.Errorf("bad row error %v, want one naming row %d", err, n)
 	}
+}
+
+// refReadCSV is ReadCSV as it read through encoding/csv, kept as the
+// reference the hand-written reader is held to: the same dataset from
+// every input, or an error wherever it fails.
+func refReadCSV(r io.Reader) (*Dataset, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	head, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("dataset: empty CSV")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(head) < 5 || head[0] != "chip" || head[3] != "config" {
+		return nil, fmt.Errorf("dataset: unexpected header %v", head)
+	}
+	d := New()
+	for n := 2; ; n++ {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return d, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		rec, err := refParseRecord(row)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: row %d: %w", n, err)
+		}
+		d.Add(rec)
+	}
+}
+
+// refParseRecord parses one row split by encoding/csv: blank sample
+// fields are skipped, every sample must be a finite positive float, and
+// at least one must be present.
+func refParseRecord(row []string) (Record, error) {
+	if len(row) < 5 {
+		return Record{}, fmt.Errorf("%d fields, want at least 5", len(row))
+	}
+	cfg, err := opt.Parse(row[3])
+	if err != nil {
+		return Record{}, err
+	}
+	rec := Record{Key: Key{Tuple{row[0], row[1], row[2]}, cfg}, Samples: make([]float64, 0, len(row)-4)}
+	for _, f := range row[4:] {
+		if strings.TrimSpace(f) == "" {
+			continue
+		}
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return Record{}, err
+		}
+		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return Record{}, fmt.Errorf("sample %v is not a finite positive number", v)
+		}
+		rec.Samples = append(rec.Samples, v)
+	}
+	if len(rec.Samples) == 0 {
+		return Record{}, fmt.Errorf("no samples")
+	}
+	return rec, nil
+}
+
+var rowPrefix = regexp.MustCompile(`row \d+:`)
+
+// checkReadCSV loads in through ReadCSV and through refReadCSV from
+// readers that open makes. Both must fail, and where the reference
+// names a row, ReadCSV must name the same one; or both must load the
+// same records, in the same order, with the dimensions in the same
+// order.
+func checkReadCSV(t *testing.T, open func() io.Reader) {
+	t.Helper()
+	want, werr := refReadCSV(open())
+	got, gerr := ReadCSV(open())
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("ReadCSV error %v, encoding/csv reference error %v", gerr, werr)
+	}
+	if werr != nil {
+		if row := rowPrefix.FindString(werr.Error()); row != "" && !strings.Contains(gerr.Error(), row) {
+			t.Fatalf("ReadCSV error %q, reference error %q names another row", gerr, werr)
+		}
+		return
+	}
+	var gb, wb bytes.Buffer
+	if err := got.WriteCSV(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteCSV(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatalf("ReadCSV loaded\n%q\nthe reference\n%q", gb.Bytes(), wb.Bytes())
+	}
+	for _, dim := range []struct {
+		name      string
+		got, want any
+	}{
+		{"tuples", got.Tuples(), want.Tuples()},
+		{"chips", got.Chips(), want.Chips()},
+		{"apps", got.Apps(), want.Apps()},
+		{"inputs", got.Inputs(), want.Inputs()},
+	} {
+		if g, w := fmt.Sprintf("%q", dim.got), fmt.Sprintf("%q", dim.want); g != w {
+			t.Fatalf("%s %s, reference %s", dim.name, g, w)
+		}
+	}
+}
+
+// csvCases are inputs on which ReadCSV must agree with the reference:
+// every CSV rule a dataset file can run into, and the ways it can break.
+var csvCases = map[string]string{
+	"written":           "chip,app,input,config,run1,run2,run3\nc,a,i,baseline,1,2,3\nc,a,i,\"fg8,oitergb\",4,5,6\n",
+	"quoted config":     "chip,app,input,config,run1\nc,a,i,\"sg,wg\",2\nc,a,i,\" wg , sg\",3\n",
+	"quote escapes":     "chip,app,input,config,run1\n\"say \"\"hi\"\"\",a,i,sg,1\n\"\"\"\",a,i,baseline,2\n",
+	"quoted newlines":   "chip,app,input,config,run1\n\"multi\nline\",a,\"cr\r\nlf\",sg,1\n\"\n\n\",b,i,sg,2\n",
+	"crlf":              "chip,app,input,config,run1\r\nc,a,i,baseline,1\r\nc,a,i,sg,2\r\n",
+	"cr at eof":         "chip,app,input,config,run1\nc,a,i,baseline,1\r",
+	"crs":               "chip,app,input,config,run1,run2\nc\r,a,i,baseline,1,\r\r\n\r\nc,a,i,sg,2\r\r",
+	"no final newline":  "chip,app,input,config,run1\nc,a,i,baseline,1",
+	"blank lines":       "\n\nchip,app,input,config,run1\n\n\r\nc,a,i,baseline,1\n\n",
+	"space line":        "chip,app,input,config,run1\nc,a,i,baseline,1\n \n",
+	"bare quote":        "chip,app,input,config,run1\nc,a\"b,i,baseline,1\n",
+	"bare quote head":   "chip,a\"pp,input,config,run1\n",
+	"text after quote":  "chip,app,input,config,run1\nc,\"a\"b,i,baseline,1\n",
+	"open quote":        "chip,app,input,config,run1\nc,\"a,i,baseline,1\n",
+	"open quote at eof": "chip,app,input,config,run1\nc,a,i,baseline,\"1",
+	"quoted samples":    "chip,app,input,config,run1,run2\nc,a,i,baseline,\"1.5\",\" \"\n",
+	"ragged samples":    "chip,app,input,config,run1,run2,run3\nc,a,i,baseline,1\nc,a,i,sg,1,2,3,4,5\nc,a,i,wg,,7,\n",
+	"blank samples":     "chip,app,input,config,run1,run2\nc,a,i,baseline,\t, 2\n",
+	"unicode blank":     "chip,app,input,config,run1,run2\nc,a,i,baseline,\u00a0,2\n\u2028,a,i,sg,\u0085,3\n",
+	"replaced record":   "chip,app,input,config,run1\nc,a,i,baseline,1\nd,a,i,sg,2\nc,a,i,baseline,3\n",
+	"short row":         "chip,app,input,config,run1\nc,a,i,baseline,1\nc,a,i,sg\n",
+	"bad config":        "chip,app,input,config,run1\nc,a,i,fg1,fg8,1\n",
+	"bad sample":        "chip,app,input,config,run1\nc,a,i,baseline,1\nc,a,i,sg,0x1p-2,-1\n",
+	"hex and inf":       "chip,app,input,config,run1,run2\nc,a,i,baseline,0x1p-2,1_0\nc,a,i,sg,Inf\n",
+	"bad header":        "chip,app,input,conf,run1\nc,a,i,baseline,1\n",
+	"short header":      "chip,app,input,config\n",
+	"header only":       "chip,app,input,config,run1\n",
+	"quoted header":     "\"chip\",app,input,\"config\",x\nc,a,i,baseline,1\n",
+	"empty":             "",
+	"only blank lines":  "\n\r\n\n",
+}
+
+// TestReadCSVMatchesEncodingCSV holds ReadCSV to the encoding/csv
+// reference on csvCases, on a file WriteCSV wrote, on a line longer
+// than the reader's buffer and on a reader that fails part way.
+func TestReadCSVMatchesEncodingCSV(t *testing.T) {
+	var written bytes.Buffer
+	if err := buildSmall().WriteCSV(&written); err != nil {
+		t.Fatal(err)
+	}
+	long := "chip,app,input,config,run1\n" + strings.Repeat("x", 200000) + ",\"" + strings.Repeat("y\n", 50000) + "\",i,sg,1\n"
+	cases := map[string]string{"WriteCSV": written.String(), "long lines": long}
+	for name, in := range csvCases {
+		cases[name] = in
+	}
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			checkReadCSV(t, func() io.Reader { return strings.NewReader(in) })
+		})
+	}
+	t.Run("read error", func(t *testing.T) {
+		checkReadCSV(t, func() io.Reader {
+			return io.MultiReader(strings.NewReader(written.String()), iotest.ErrReader(errors.New("disk gone")))
+		})
+	})
+}
+
+// FuzzReadCSV holds ReadCSV to the encoding/csv reference on any input.
+func FuzzReadCSV(f *testing.F) {
+	for _, in := range csvCases {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		checkReadCSV(t, func() io.Reader { return strings.NewReader(in) })
+	})
 }
 
 func TestCSVHeaderRunColumns(t *testing.T) {

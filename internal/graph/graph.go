@@ -133,11 +133,14 @@ func (b *Builder) AddUndirected(u, v, weight int32) {
 // node's adjacency list destinations are strictly increasing, which the
 // triangle-counting applications rely on.
 //
-// The sort is a counting sort by source into one uint64 key per edge
-// (dst, then weight with its sign bit flipped so keys order like the
-// signed weights), then a sort of each row's keys. The first key of a
-// run of equal destinations carries the smallest weight, so dropping
-// the rest of the run keeps it.
+// The sort is two stable counting passes, least significant key first.
+// The first buckets the edges' indices by destination, self-loops
+// dropped. The second walks those buckets in destination order and
+// appends each edge to its source's row, so every row comes out in
+// destination order with parallel edges next to each other: a parallel
+// edge only lowers the weight its first copy placed, which keeps the
+// smallest. Between the two, a walk counts each row's distinct
+// destinations, so Dst and Weight are allocated at their final length.
 func (b *Builder) Build() *Graph {
 	n := b.numNodes
 	g := &Graph{
@@ -145,44 +148,59 @@ func (b *Builder) Build() *Graph {
 		Class:  b.class,
 		RowPtr: make([]int32, n+1),
 	}
+	// With the scatter done, destination v's bucket is
+	// byDst[end[v-1]:end[v]].
+	end := make([]int32, n)
 	for _, e := range b.edges {
-		g.RowPtr[e.Src+1]++
+		if e.Src != e.Dst {
+			end[e.Dst]++
+		}
 	}
-	for i := 1; i <= n; i++ {
-		g.RowPtr[i] += g.RowPtr[i-1]
+	var m int32
+	for v, c := range end {
+		end[v], m = m, m+c
 	}
-	next := slices.Clone(g.RowPtr[:n])
-	keys := make([]uint64, len(b.edges))
-	for _, e := range b.edges {
-		keys[next[e.Src]] = uint64(e.Dst)<<32 | uint64(uint32(e.Weight)^1<<31)
-		next[e.Src]++
+	byDst := make([]int32, m) // edge indices
+	for i, e := range b.edges {
+		if e.Src != e.Dst {
+			byDst[end[e.Dst]] = int32(i)
+			end[e.Dst]++
+		}
 	}
 
-	// Sort each row and compact it in place; RowPtr[u] turns from the
-	// row's start in keys into its start in the graph.
-	w := int32(0)
-	for u, lo := 0, int32(0); u < n; u++ {
-		hi := g.RowPtr[u+1]
-		row := keys[lo:hi]
-		slices.Sort(row)
-		g.RowPtr[u] = w
-		prev := uint64(1) << 32 // above every dst
-		for _, k := range row {
-			if dst := k >> 32; dst != prev && dst != uint64(u) {
-				keys[w] = k
-				w++
-				prev = dst
+	// last[u] is 1 + the destination of row u's latest entry, 0 before
+	// the first.
+	last := make([]int32, n)
+	for v, lo := int32(0), int32(0); int(v) < n; v++ {
+		for _, i := range byDst[lo:end[v]] {
+			if u := b.edges[i].Src; last[u] != v+1 {
+				last[u] = v + 1
+				g.RowPtr[u+1]++
 			}
 		}
-		lo = hi
+		lo = end[v]
 	}
-	g.RowPtr[n] = w
-	if w > 0 {
-		g.Dst, g.Weight = make([]int32, w), make([]int32, w)
-		for i, k := range keys[:w] {
-			g.Dst[i] = int32(k >> 32)
-			g.Weight[i] = int32(uint32(k) ^ 1<<31)
+	for u := 1; u <= n; u++ {
+		g.RowPtr[u] += g.RowPtr[u-1]
+	}
+	w := g.RowPtr[n]
+	if w == 0 {
+		return g
+	}
+	g.Dst, g.Weight = make([]int32, w), make([]int32, w)
+	next := last // next[u] is where row u's next entry goes
+	copy(next, g.RowPtr[:n])
+	for v, lo := int32(0), int32(0); int(v) < n; v++ {
+		for _, i := range byDst[lo:end[v]] {
+			u, wt := b.edges[i].Src, b.edges[i].Weight
+			if p := next[u]; p > g.RowPtr[u] && g.Dst[p-1] == v {
+				g.Weight[p-1] = min(g.Weight[p-1], wt)
+			} else {
+				g.Dst[p], g.Weight[p] = v, wt
+				next[u]++
+			}
 		}
+		lo = end[v]
 	}
 	return g
 }

@@ -95,10 +95,10 @@ func TestCollectMatchesReferenceEstimate(t *testing.T) {
 	for _, ch := range o.Chips {
 		for _, tr := range traces {
 			tp := cost.NewTraceProfile(tr)
-			tuple := dataset.Tuple{Chip: ch.Name, App: tp.App, Input: tp.Input}
+			tuple := dataset.Tuple{Chip: ch.Name, App: tr.App, Input: tr.Input}
 			for _, cfg := range opt.All() {
 				base := cost.Estimate(ch, cfg, tp)
-				factors := fault.NoiseFactors(cellKeyPrefix(o.Seed, ch.Name, tp.App, tp.Input)+cfg.String(), 0, o.Runs, ch.NoiseSigma)
+				factors := fault.NoiseFactors(cellKeyPrefix(o.Seed, ch.Name, tr.App, tr.Input)+cfg.String(), 0, o.Runs, ch.NoiseSigma)
 				got := d.Samples(tuple, cfg)
 				if len(got) != len(factors) {
 					t.Fatalf("%v/%v: %d samples, want %d", tuple, cfg, len(got), len(factors))
