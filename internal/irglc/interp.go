@@ -73,7 +73,7 @@ func (e *Executable) Run(g *graph.Graph) (*irgl.Trace, map[string][]int32, error
 	for _, d := range e.prog.Nodes {
 		arr := make([]int32, n)
 		if d.Init != nil {
-			v, err := ex.eval(d.Init, nil, nil)
+			v, err := ex.evalWith(d.Init, nil, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -125,53 +125,84 @@ func (i *interp) hostBlock(b *Block, vars map[string]int64) (err error) {
 			panic(r)
 		}
 	}()
-	for _, s := range b.Stmts {
-		i.hostStmt(s, vars)
-	}
+	i.block(b, vars, nil)
 	return nil
 }
 
-func (i *interp) hostStmt(s Stmt, vars map[string]int64) {
+// block executes a block's statements in order.
+func (i *interp) block(b *Block, vars map[string]int64, it *irgl.Item) {
+	for _, s := range b.Stmts {
+		i.stmt(s, vars, it)
+	}
+}
+
+// stmt executes one statement: on the host when it is nil, else in a
+// kernel as work item it.
+func (i *interp) stmt(s Stmt, vars map[string]int64, it *irgl.Item) {
 	switch st := s.(type) {
 	case *Let:
-		vars[st.Name], _ = i.mustEval(st.Value, vars, nil)
+		vars[st.Name] = i.mustEval(st.Value, vars, it)
 	case *Assign:
-		v, _ := i.mustEval(st.Value, vars, nil)
-		i.store(st.Target, v, vars, nil)
+		i.store(st.Target, i.mustEval(st.Value, vars, it), vars, it)
 	case *If:
-		c, _ := i.mustEval(st.Cond, vars, nil)
-		if c != 0 {
-			for _, inner := range st.Then.Stmts {
-				i.hostStmt(inner, vars)
-			}
+		if i.mustEval(st.Cond, vars, it) != 0 {
+			i.block(st.Then, vars, it)
 		} else if st.Else != nil {
-			for _, inner := range st.Else.Stmts {
-				i.hostStmt(inner, vars)
-			}
+			i.block(st.Else, vars, it)
 		}
 	case *Push:
-		v, _ := i.mustEval(st.Node, vars, nil)
+		v := i.mustEval(st.Node, vars, it)
 		i.checkNode(st.Tok, v)
-		i.wl.SeedHost(int32(v))
+		if it == nil {
+			i.wl.SeedHost(int32(v))
+		} else {
+			it.Push(i.wl, int32(v))
+		}
 	case *Forall:
+		if it != nil {
+			i.notAllowed(s, it)
+		}
 		// Host initialisation loop over all nodes: executed by the
 		// host (or a trivial memset-style kernel); not instrumented.
 		for u := 0; u < i.g.NumNodes(); u++ {
 			vars[st.Var] = int64(u)
-			for _, inner := range st.Body.Stmts {
-				i.hostStmt(inner, vars)
-			}
+			i.block(st.Body, vars, nil)
 		}
 		delete(vars, st.Var)
 	case *Iterate:
+		if it != nil {
+			i.notAllowed(s, it)
+		}
 		kernel := i.prog.KernelByName(st.Kernel)
 		i.rt.Iterate(st.Kernel, func(iter int) bool {
 			i.launch(kernel)
 			return i.wl.Swap() > 0
 		})
+	case *Foreach:
+		if it == nil {
+			i.notAllowed(s, it)
+		}
+		node := i.mustEval(st.Node, vars, it)
+		i.checkNode(st.Tok, node)
+		dst, ws := it.Edges(int32(node))
+		for e, v := range dst {
+			vars[st.DstVar] = int64(v)
+			vars[st.WVar] = int64(ws[e])
+			i.block(st.Body, vars, it)
+		}
+		delete(vars, st.DstVar)
+		delete(vars, st.WVar)
 	default:
+		i.notAllowed(s, it)
+	}
+}
+
+// notAllowed fails a statement that cannot run where it stands.
+func (i *interp) notAllowed(s Stmt, it *irgl.Item) {
+	if it == nil {
 		i.fail(tokenOf(s), "statement not allowed on the host")
 	}
+	i.fail(tokenOf(s), "statement not allowed in kernels")
 }
 
 func tokenOf(s Stmt) Token {
@@ -200,10 +231,7 @@ func (i *interp) launch(kernel *Kernel) {
 	fa := kernel.Body.Stmts[0].(*Forall)
 	k := i.rt.Launch(kernel.Name)
 	body := func(it *irgl.Item, u int32) {
-		vars := map[string]int64{fa.Var: int64(u)}
-		for _, s := range fa.Body.Stmts {
-			i.kernelStmt(s, vars, it)
-		}
+		i.block(fa.Body, map[string]int64{fa.Var: int64(u)}, it)
 	}
 	if fa.Worklist {
 		k.ForAll(i.wl.Items(), body)
@@ -211,46 +239,6 @@ func (i *interp) launch(kernel *Kernel) {
 		k.ForAllNodes(body)
 	}
 	k.End()
-}
-
-func (i *interp) kernelStmt(s Stmt, vars map[string]int64, it *irgl.Item) {
-	switch st := s.(type) {
-	case *Let:
-		vars[st.Name], _ = i.mustEval(st.Value, vars, it)
-	case *Assign:
-		v, _ := i.mustEval(st.Value, vars, it)
-		i.store(st.Target, v, vars, it)
-	case *If:
-		c, _ := i.mustEval(st.Cond, vars, it)
-		if c != 0 {
-			for _, inner := range st.Then.Stmts {
-				i.kernelStmt(inner, vars, it)
-			}
-		} else if st.Else != nil {
-			for _, inner := range st.Else.Stmts {
-				i.kernelStmt(inner, vars, it)
-			}
-		}
-	case *Foreach:
-		node, _ := i.mustEval(st.Node, vars, it)
-		i.checkNode(st.Tok, node)
-		dst, ws := it.Edges(int32(node))
-		for e, v := range dst {
-			vars[st.DstVar] = int64(v)
-			vars[st.WVar] = int64(ws[e])
-			for _, inner := range st.Body.Stmts {
-				i.kernelStmt(inner, vars, it)
-			}
-		}
-		delete(vars, st.DstVar)
-		delete(vars, st.WVar)
-	case *Push:
-		v, _ := i.mustEval(st.Node, vars, it)
-		i.checkNode(st.Tok, v)
-		it.Push(i.wl, int32(v))
-	default:
-		i.fail(tokenOf(s), "statement not allowed in kernels")
-	}
 }
 
 func (i *interp) checkNode(t Token, v int64) {
@@ -262,7 +250,7 @@ func (i *interp) checkNode(t Token, v int64) {
 func (i *interp) store(target Expr, v int64, vars map[string]int64, it *irgl.Item) {
 	switch tgt := target.(type) {
 	case *Index:
-		at, _ := i.mustEval(tgt.At, vars, it)
+		at := i.mustEval(tgt.At, vars, it)
 		arr := i.arrays[tgt.Array]
 		if at < 0 || int(at) >= len(arr) {
 			i.fail(tgt.Tok, "index %d out of range for %q", at, tgt.Array)
@@ -273,17 +261,12 @@ func (i *interp) store(target Expr, v int64, vars map[string]int64, it *irgl.Ite
 	}
 }
 
-func (i *interp) mustEval(e Expr, vars map[string]int64, it *irgl.Item) (int64, bool) {
+func (i *interp) mustEval(e Expr, vars map[string]int64, it *irgl.Item) int64 {
 	v, err := i.evalWith(e, vars, it)
 	if err != nil {
 		panic(runtimeError{err})
 	}
-	return v, true
-}
-
-// eval is the host-side (no item) entry used for initialisers.
-func (i *interp) eval(e Expr, vars map[string]int64, it *irgl.Item) (int64, error) {
-	return i.evalWith(e, vars, it)
+	return v
 }
 
 func (i *interp) evalWith(e Expr, vars map[string]int64, it *irgl.Item) (int64, error) {

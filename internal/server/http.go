@@ -45,7 +45,7 @@ const (
 //	POST   /v1/campaigns              submit a campaign spec
 //	GET    /v1/campaigns              list known campaigns
 //	GET    /v1/campaigns/{id}         canonical status
-//	GET    /v1/campaigns/{id}/result  dataset CSV (?wait=1 blocks)
+//	GET    /v1/campaigns/{id}/result  dataset CSV (?wait=1 or true blocks)
 //	GET    /v1/campaigns/{id}/events  NDJSON progress stream
 //	DELETE /v1/campaigns/{id}         cancel
 //	GET    /metrics                   Prometheus metrics (+ realtime series)
@@ -150,13 +150,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body) // best-effort: client may have gone away
 }
 
+// handleList writes every job's status body, the bytes
+// /v1/campaigns/{id} serves, into one array.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.Jobs()
-	statuses := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		statuses = append(statuses, j.Status())
+	body := []byte(`{"campaigns":[`)
+	for i, j := range s.Jobs() {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		st := j.StatusBytes()
+		body = append(body, st[:len(st)-1]...) // without its newline
 	}
-	writeJSON(w, http.StatusOK, map[string][]Status{"campaigns": statuses})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, "]}\n"...)) // best-effort: client may have gone away
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -172,12 +179,21 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	wait := false
+	if v := r.URL.Query().Get("wait"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			writeError(w, &Error{Status: http.StatusBadRequest, Code: "bad_wait", Message: fmt.Sprintf("wait must be a boolean, got %q", v)})
+			return
+		}
+		wait = b
+	}
 	j, ok := s.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, unknown(r.PathValue("id")))
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if wait {
 		if err := j.Wait(r.Context()); err != nil {
 			writeError(w, &Error{Status: http.StatusRequestTimeout, Code: "wait_interrupted", Message: err.Error()})
 			return

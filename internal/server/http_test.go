@@ -12,8 +12,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"gpuport/internal/tracecache"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -279,6 +283,45 @@ func TestHTTPResultWait(t *testing.T) {
 	}
 }
 
+// TestHTTPResultWaitFlag: ?wait takes a boolean. A false one answers
+// at once, as no flag does, and a malformed one is a structured 400.
+func TestHTTPResultWaitFlag(t *testing.T) {
+	_, ts := pausedServer(t) // the job stays queued, so a wait would block
+	_, body := postJSON(t, ts.URL+"/v1/campaigns", testSpecJSON)
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, tc := range []struct {
+		query  string
+		status int
+		code   string
+	}{
+		{"", 409, "not_ready"},
+		{"?wait=", 409, "not_ready"},
+		{"?wait=0", 409, "not_ready"},
+		{"?wait=false", 409, "not_ready"},
+		{"?wait=bogus", 400, "bad_wait"},
+	} {
+		t.Run("result"+tc.query, func(t *testing.T) {
+			resp, err := client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/result" + tc.query)
+			if err != nil {
+				t.Fatal(err) // a wait that blocks times out here
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			var e Error
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("error body is not JSON: %s", body)
+			}
+			if resp.StatusCode != tc.status || e.Code != tc.code {
+				t.Fatalf("%d %s, want %d %s: %s", resp.StatusCode, e.Code, tc.status, tc.code, body)
+			}
+		})
+	}
+}
+
 // TestHTTPEventStream reads the NDJSON progress stream to its end: every
 // line parses as an Event and the final line is the terminal state.
 func TestHTTPEventStream(t *testing.T) {
@@ -407,6 +450,128 @@ func TestHTTPListSameWhenCacheServed(t *testing.T) {
 	}
 	if cached := list(SourceCache); !bytes.Equal(cached, fresh) {
 		t.Fatalf("cache-served list differs from the fresh one:\n%s\nvs\n%s", cached, fresh)
+	}
+}
+
+// TestHTTPListEntryIsStatusBody: whatever state a job is in, its
+// element of the campaign list is the body its status endpoint serves,
+// byte for byte. The cache-served job is resubmitted with a priority
+// that its persisted entry does not carry.
+func TestHTTPListEntryIsStatusBody(t *testing.T) {
+	paused := func(t *testing.T) (*Server, string, *Job) {
+		s, ts := pausedServer(t)
+		return s, ts.URL, submit(t, s, testSpec())
+	}
+	finished := func(t *testing.T, cfg Config, spec Spec) (string, *Job) {
+		s, ts := httpServer(t, cfg)
+		j := submit(t, s, spec)
+		waitDone(t, j)
+		return ts.URL, j
+	}
+	cases := []struct {
+		name  string
+		state State
+		start func(t *testing.T) (url string, j *Job)
+	}{
+		{"queued", StateQueued, func(t *testing.T) (string, *Job) {
+			_, url, j := paused(t)
+			return url, j
+		}},
+		{"running", StateRunning, func(t *testing.T) (string, *Job) {
+			// The paused server has no runner, so the dequeued job stays
+			// running with no progress.
+			s, url, j := paused(t)
+			if s.next() != j {
+				t.Fatal("the queue did not hand out the submitted job")
+			}
+			return url, j
+		}},
+		{"done", StateDone, func(t *testing.T) (string, *Job) {
+			return finished(t, Config{}, testSpec())
+		}},
+		{"failed", StateFailed, func(t *testing.T) (string, *Job) {
+			jobDir := t.TempDir()
+			_, camp, errs := testSpec().Resolve()
+			if errs != nil {
+				t.Fatal(errs)
+			}
+			ckpt := filepath.Join(jobDir, camp.Fingerprint()[:16]+".ckpt")
+			if err := os.WriteFile(ckpt, referenceBytes(t, testSpec()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return finished(t, Config{JobDir: jobDir}, testSpec())
+		}},
+		{"canceled", StateCanceled, func(t *testing.T) (string, *Job) {
+			s, url, j := paused(t)
+			if _, errs := s.Cancel(j.ID()); errs != nil {
+				t.Fatal(errs)
+			}
+			return url, j
+		}},
+		{"cache-served", StateDone, func(t *testing.T) (string, *Job) {
+			jobDir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			first, err := New(Config{Ctx: ctx, JobDir: jobDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, submit(t, first, testSpec()))
+			first.Close()
+			spec := testSpec()
+			spec.Priority = 5
+			url, j := finished(t, Config{JobDir: jobDir}, spec)
+			if j.Source() != SourceCache {
+				t.Fatalf("source = %s, want cache", j.Source())
+			}
+			return url, j
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			url, j := tc.start(t)
+			if got := j.State(); got != tc.state {
+				t.Fatalf("state = %s, want %s", got, tc.state)
+			}
+			_, status := get(t, url+"/v1/campaigns/"+j.ID())
+			_, list := get(t, url+"/v1/campaigns")
+			var doc struct {
+				Campaigns []json.RawMessage `json:"campaigns"`
+			}
+			if err := json.Unmarshal(list, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Campaigns) != 1 {
+				t.Fatalf("list holds %d campaigns, want 1: %s", len(doc.Campaigns), list)
+			}
+			if got := append(doc.Campaigns[0], '\n'); !bytes.Equal(got, status) {
+				t.Errorf("list element differs from the status body:\n%s\nvs\n%s", got, status)
+			}
+		})
+	}
+}
+
+// TestHTTPServedBytesAreTheEntry finishes a job fresh: the status line
+// and the result it serves are, together, exactly its <id>.done entry.
+func TestHTTPServedBytesAreTheEntry(t *testing.T) {
+	jobDir := t.TempDir()
+	_, ts := httpServer(t, Config{JobDir: jobDir})
+	_, body := postJSON(t, ts.URL+"/v1/campaigns", testSpecJSON)
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	resp, result := get(t, ts.URL+"/v1/campaigns/"+st.ID+"/result?wait=1")
+	if resp.StatusCode != 200 || resp.Header.Get(HeaderSource) != SourceFresh {
+		t.Fatalf("result %d from %q, want 200 from fresh: %s", resp.StatusCode, resp.Header.Get(HeaderSource), result)
+	}
+	_, status := get(t, ts.URL+"/v1/campaigns/"+st.ID)
+	entry, err := tracecache.ReadEntry(filepath.Join(jobDir, st.ID+".done"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slices.Concat(status, result), entry) {
+		t.Fatal("the served status line and result are not the persisted entry")
 	}
 }
 

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -121,20 +123,14 @@ const (
 	SourceCache = "cache"
 )
 
-// Job is one campaign in the server: a resolved spec, its queue
-// position, its live progress and - once terminal - its canonical
-// status and result bytes.
+// Job is one campaign in the server: a resolved campaign, its queue
+// position and its canonical status. A live job is its Status, updated
+// in place; a terminal one is its entry, the bytes <id>.done holds.
 type Job struct {
 	id       string
-	fp       string
-	spec     Spec
 	camp     *measure.Campaign
 	seq      uint64
 	priority int
-
-	cells      int
-	traceTotal int
-	sweepTotal int
 
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
@@ -145,17 +141,16 @@ type Job struct {
 	trace   uint64
 	reqSpan uint64
 
-	mu        sync.Mutex
-	state     State              // guarded by mu
+	mu sync.Mutex
+	// status is the live view. Once the job is terminal only its State
+	// and Error are read: the entry is the body.
+	status Status // guarded by mu
+	// entry is set once, when the job turns terminal: the canonical
+	// status line, then the result CSV of a done job.
+	entry     []byte             // guarded by mu
 	source    string             // guarded by mu
 	waitSpan  *obs.SpanHandle    // guarded by mu
-	traceDone int                // guarded by mu
-	sweepDone int                // guarded by mu
 	resumed   int                // guarded by mu
-	summary   *ResultSummary     // guarded by mu; terminal done only
-	result    []byte             // guarded by mu; dataset CSV, terminal done only
-	status    []byte             // guarded by mu; canonical terminal status body
-	errMsg    string             // guarded by mu
 	canceling bool               // guarded by mu
 	cancel    context.CancelFunc // guarded by mu
 	subs      map[int]chan Event // guarded by mu
@@ -165,19 +160,24 @@ type Job struct {
 func newJob(id, fp string, spec Spec, camp *measure.Campaign, seq uint64) *Job {
 	o := camp.Options()
 	return &Job{
-		id:         id,
-		fp:         fp,
-		spec:       spec,
-		camp:       camp,
-		seq:        seq,
-		priority:   spec.Priority,
-		cells:      camp.Cells(),
-		traceTotal: len(o.Apps) * len(o.Inputs),
-		sweepTotal: len(o.Chips) * len(o.Apps) * len(o.Inputs),
-		done:       make(chan struct{}),
-		state:      StateQueued,
-		source:     SourceFresh,
-		subs:       map[int]chan Event{},
+		id:       id,
+		camp:     camp,
+		seq:      seq,
+		priority: spec.Priority,
+		done:     make(chan struct{}),
+		status: Status{
+			ID:          id,
+			Fingerprint: fp,
+			State:       StateQueued,
+			Spec:        spec,
+			Cells:       camp.Cells(),
+			Progress: Progress{
+				TraceTotal: len(o.Apps) * len(o.Inputs),
+				SweepTotal: len(o.Chips) * len(o.Apps) * len(o.Inputs),
+			},
+		},
+		source: SourceFresh,
+		subs:   map[int]chan Event{},
 	}
 }
 
@@ -188,7 +188,7 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.status.State
 }
 
 // Source reports where the result came from (fresh or cache).
@@ -211,15 +211,15 @@ func (j *Job) Resumed() int {
 func (j *Job) Result() ([]byte, *Error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.status.State {
 	case StateDone:
-		return j.result, nil
+		return j.entry[statusLen(j.entry):], nil
 	case StateFailed:
-		return nil, &Error{Status: 409, Code: "failed", Message: j.errMsg}
+		return nil, &Error{Status: 409, Code: "failed", Message: j.status.Error}
 	case StateCanceled:
 		return nil, &Error{Status: 409, Code: "canceled", Message: "campaign was canceled; resubmit to resume it"}
 	default:
-		return nil, &Error{Status: 409, Code: "not_ready", Message: fmt.Sprintf("campaign is %s", j.state)}
+		return nil, &Error{Status: 409, Code: "not_ready", Message: fmt.Sprintf("campaign is %s", j.status.State)}
 	}
 }
 
@@ -233,41 +233,24 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Status returns the canonical snapshot of the job.
-func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked()
-}
-
-// statusLocked assembles the canonical status view. Callers hold j.mu.
-func (j *Job) statusLocked() Status {
-	return Status{
-		ID:          j.id,
-		Fingerprint: j.fp,
-		State:       j.state,
-		Spec:        j.spec,
-		Cells:       j.cells,
-		Progress: Progress{
-			TracePairs: j.traceDone, TraceTotal: j.traceTotal,
-			SweepJobs: j.sweepDone, SweepTotal: j.sweepTotal,
-		},
-		Result: j.summary,
-		Error:  j.errMsg,
-	}
-}
-
-// StatusBytes returns the canonical status body: the persisted bytes
-// for terminal jobs (so fresh, restarted and cache-serving servers
-// answer byte-identically) and a point-in-time snapshot otherwise.
+// StatusBytes returns the canonical status body: a terminal job's is
+// its entry's status line (so fresh, restarted and cache-serving
+// servers answer byte-identically), a live job's a snapshot of its
+// status.
 func (j *Job) StatusBytes() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != nil {
-		return j.status
+	if j.entry == nil {
+		return marshalCanonical(j.status)
 	}
-	return marshalCanonical(j.statusLocked())
+	n := statusLen(j.entry)
+	// The cap keeps an append to the status from overwriting the result.
+	return j.entry[:n:n]
 }
+
+// statusLen is the length of an entry's status line: one compact JSON
+// line, its newline included.
+func statusLen(entry []byte) int { return bytes.IndexByte(entry, '\n') + 1 }
 
 // summarize renders a collection report as the canonical result
 // summary.
@@ -319,13 +302,9 @@ func (j *Job) notify(phase string, done, total int) {
 	j.mu.Lock()
 	switch phase {
 	case obs.StageTrace:
-		if done > j.traceDone {
-			j.traceDone = done
-		}
+		j.status.Progress.TracePairs = max(j.status.Progress.TracePairs, done)
 	case obs.StageSweep:
-		if done > j.sweepDone {
-			j.sweepDone = done
-		}
+		j.status.Progress.SweepJobs = max(j.status.Progress.SweepJobs, done)
 	}
 	j.publishLocked(Event{Phase: phase, Done: done, Total: total})
 	j.mu.Unlock()
@@ -350,7 +329,7 @@ func (j *Job) subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ch := make(chan Event, 64)
-	if j.state.terminal() {
+	if j.status.State.terminal() {
 		close(ch)
 		return ch, func() {}
 	}
@@ -376,17 +355,19 @@ func (j *Job) endWaitLocked() {
 	}
 }
 
-// finishLocked moves the job to a terminal state: it pins the
-// canonical status body, closes the done channel and releases every
-// subscriber. Callers hold j.mu.
-func (j *Job) finishLocked(state State) {
-	j.state = state
+// finishLocked moves the job to a terminal state: it pins the job's
+// entry (the canonical status line, then the result CSV of a done job),
+// closes the done channel and releases every subscriber. Callers hold
+// j.mu.
+func (j *Job) finishLocked(state State, result []byte) {
+	j.status.State = state
 	if state == StateDone {
 		// A completed sweep reports full progress even when cells were
-		// resumed or served from cache: totals are spec-derived.
-		j.traceDone, j.sweepDone = j.traceTotal, j.sweepTotal
+		// resumed: totals are spec-derived.
+		p := &j.status.Progress
+		p.TracePairs, p.SweepJobs = p.TraceTotal, p.SweepTotal
 	}
-	j.status = marshalCanonical(j.statusLocked())
+	j.entry = slices.Concat(marshalCanonical(j.status), result)
 	for id, ch := range j.subs {
 		delete(j.subs, id)
 		close(ch)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -22,7 +21,7 @@ func TestJobAccessors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	j := submit(t, s, testSpec())
 	waitDone(t, j)
-	st := j.Status()
+	st := statusOf(t, j)
 	if len(st.Fingerprint) != 64 || !strings.HasPrefix(st.Fingerprint, j.ID()) || st.ID != j.ID() {
 		t.Errorf("fingerprint %q does not extend id %q (status id %q)", st.Fingerprint, j.ID(), st.ID)
 	}
@@ -69,10 +68,7 @@ func TestFaultyCampaignStatus(t *testing.T) {
 	if j.State() != StateDone {
 		t.Fatalf("state = %s: %s", j.State(), j.StatusBytes())
 	}
-	var st Status
-	if err := json.Unmarshal(j.StatusBytes(), &st); err != nil {
-		t.Fatal(err)
-	}
+	st := statusOf(t, j)
 	if st.Result == nil {
 		t.Fatal("done status missing result summary")
 	}

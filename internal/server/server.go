@@ -130,7 +130,7 @@ func (s *Server) Close() {
 	for j := s.q.pop(); j != nil; j = s.q.pop() {
 		j.mu.Lock()
 		j.endWaitLocked()
-		j.finishLocked(StateCanceled)
+		j.finishLocked(StateCanceled, nil)
 		j.mu.Unlock()
 		s.rec.Add(obs.CtrJobsCanceled, 1)
 	}
@@ -230,23 +230,20 @@ func (s *Server) Submit(spec Spec) (j *Job, body []byte, errs *Error) {
 	j = newJob(id, fp, spec, camp, s.seq)
 	s.seq++
 
-	if status, summary, result, ok := s.loadPersisted(id); ok {
+	if entry, ok := s.loadPersisted(id); ok {
 		// The job is not yet published (jobs map, queue), so nothing
 		// races here - but the guarded fields are written under j.mu
 		// anyway, keeping the lock discipline uniform and provable.
 		j.mu.Lock()
-		j.state = StateDone
+		j.status.State = StateDone
 		j.source = SourceCache
-		j.status = status
-		j.summary = summary
-		j.result = result
-		j.traceDone, j.sweepDone = j.traceTotal, j.sweepTotal
+		j.entry = entry
 		j.mu.Unlock()
 		close(j.done)
 		s.jobs[id] = j
 		s.rec.Add(obs.CtrJobsCached, 1)
 		req.Event(obs.EvSubmitOutcome, obs.String(obs.AttrOutcome, OutcomeCached))
-		return j, status, nil
+		return j, j.StatusBytes(), nil
 	}
 
 	// Snapshot the queued body while still holding s.mu: runners
@@ -287,15 +284,15 @@ func (s *Server) Cancel(id string) (*Job, *Error) {
 	if q := s.q.remove(id); q != nil {
 		j.mu.Lock()
 		j.endWaitLocked()
-		j.finishLocked(StateCanceled)
+		j.finishLocked(StateCanceled, nil)
 		j.mu.Unlock()
 		s.rec.Add(obs.CtrJobsCanceled, 1)
 		return j, nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return nil, &Error{Status: 409, Code: "not_cancelable", Message: fmt.Sprintf("campaign is already %s", j.state)}
+	if j.status.State.terminal() {
+		return nil, &Error{Status: 409, Code: "not_cancelable", Message: fmt.Sprintf("campaign is already %s", j.status.State)}
 	}
 	j.canceling = true
 	if j.cancel != nil {
@@ -315,7 +312,7 @@ func (s *Server) next() *Job {
 	}
 	j.mu.Lock()
 	j.endWaitLocked()
-	j.state = StateRunning
+	j.status.State = StateRunning
 	j.publishLocked(Event{State: StateRunning})
 	j.mu.Unlock()
 	return j
@@ -386,26 +383,24 @@ func (s *Server) runJob(ctx context.Context, lane int, j *Job) {
 	// a woken waiter must see the terminal counter state.
 	switch {
 	case err != nil && (j.canceling || ctx.Err() != nil):
-		j.errMsg = ""
 		s.rec.Add(obs.CtrJobsCanceled, 1)
-		j.finishLocked(StateCanceled)
+		j.finishLocked(StateCanceled, nil)
 	case err != nil:
-		j.errMsg = err.Error()
+		j.status.Error = err.Error()
 		s.rec.Add(obs.CtrJobsFailed, 1)
-		j.finishLocked(StateFailed)
+		j.finishLocked(StateFailed, nil)
 	default:
 		var buf bytes.Buffer
 		if werr := ds.WriteCSV(&buf); werr != nil {
-			j.errMsg = werr.Error()
+			j.status.Error = werr.Error()
 			s.rec.Add(obs.CtrJobsFailed, 1)
-			j.finishLocked(StateFailed)
+			j.finishLocked(StateFailed, nil)
 			break
 		}
-		j.summary = summarize(rep)
+		j.status.Result = summarize(rep)
 		j.resumed = rep.Resumed
-		j.result = buf.Bytes()
 		s.rec.Add(obs.CtrJobsCompleted, 1)
-		j.finishLocked(StateDone)
+		j.finishLocked(StateDone, buf.Bytes())
 		s.persist(j)
 	}
 }
@@ -420,32 +415,29 @@ func (s *Server) entryPath(id string) string {
 	return filepath.Join(s.cfg.JobDir, id+".done")
 }
 
-// persist stores the finished job as one verified entry - the
-// canonical status line followed by the result CSV - and retires the
-// checkpoint. A failed write is counted on the daemon recorder but does
-// not fail the job: the in-memory result is still valid. Caller holds
-// j.mu (reads only pinned terminal bytes).
+// persist writes the finished job's entry to <id>.done as it is and
+// retires the checkpoint. A failed write is counted on the daemon
+// recorder but does not fail the job: the in-memory entry is still
+// valid. Caller holds j.mu (reads only the pinned entry).
 func (s *Server) persist(j *Job) {
 	if s.cfg.JobDir == "" {
 		return
 	}
-	entry := make([]byte, 0, len(j.status)+len(j.result))
-	entry = append(append(entry, j.status...), j.result...)
-	if err := tracecache.WriteEntry(s.entryPath(j.id), entry); err != nil {
+	if err := tracecache.WriteEntry(s.entryPath(j.id), j.entry); err != nil {
 		s.rec.Add(obs.CtrJobsPersistErrors, 1)
 		return
 	}
 	_ = os.Remove(s.checkpointPath(j.id)) // best-effort: a stale ckpt only costs a resume
 }
 
-// loadPersisted returns the terminal bytes persisted for id by an
-// earlier run (possibly of an earlier server process), and the result
-// summary its status line holds. The entry must verify and hold a done
-// status for id; anything less is a miss. A damaged entry is deleted,
-// so the campaign is computed again and stored afresh.
-func (s *Server) loadPersisted(id string) (status []byte, summary *ResultSummary, result []byte, ok bool) {
+// loadPersisted returns the entry persisted for id by an earlier run
+// (possibly of an earlier server process). It must verify, and its
+// status line must be a done status for id; anything less is a miss. A
+// damaged entry is deleted, so the campaign is computed again and
+// stored afresh.
+func (s *Server) loadPersisted(id string) (entry []byte, ok bool) {
 	if s.cfg.JobDir == "" {
-		return nil, nil, nil, false
+		return nil, false
 	}
 	path := s.entryPath(id)
 	entry, err := tracecache.ReadEntry(path)
@@ -453,14 +445,14 @@ func (s *Server) loadPersisted(id string) (status []byte, summary *ResultSummary
 		if errors.Is(err, tracecache.ErrCorrupt) {
 			_ = os.Remove(path) // best-effort heal; a stuck entry misses again next time
 		}
-		return nil, nil, nil, false
+		return nil, false
 	}
-	// The status is one compact JSON line; the result CSV follows it.
-	nl := bytes.IndexByte(entry, '\n') + 1
-	var st Status
-	if json.Unmarshal(entry[:nl], &st) != nil || st.State != StateDone || st.ID != id {
-		return nil, nil, nil, false
+	var st struct {
+		ID    string `json:"id"`
+		State State  `json:"state"`
 	}
-	// The cap keeps an append to the status from overwriting the result.
-	return entry[:nl:nl], st.Result, entry[nl:], true
+	if json.Unmarshal(entry[:statusLen(entry)], &st) != nil || st.State != StateDone || st.ID != id {
+		return nil, false
+	}
+	return entry, true
 }

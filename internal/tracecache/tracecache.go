@@ -61,8 +61,8 @@ const HeaderMagic = "gpuport-tracecache"
 // campaign, so eviction only matters for long-lived shared caches.
 const DefaultMaxBytes = 256 << 20
 
-// entryExt suffixes every entry file; eviction and Len only ever
-// touch files with this extension.
+// entryExt suffixes every entry file; eviction only ever touches files
+// with this extension.
 const entryExt = ".trace"
 
 // Key identifies one cached trace.
@@ -327,19 +327,4 @@ func (s *Store) evict(keep string) error {
 		s.rec.Event(obs.EvCacheEvict, 0, obs.String(obs.AttrPath, filepath.Base(e.path)))
 	}
 	return nil
-}
-
-// Len returns the number of entries currently on disk.
-func (s *Store) Len() int {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), entryExt) {
-			n++
-		}
-	}
-	return n
 }

@@ -174,6 +174,24 @@ func TestPreChangeEntryIsRetraced(t *testing.T) {
 }
 
 // entrySize returns the on-disk size of tr's entry.
+// entryCount counts the entry files in a store's directory. It reports
+// a failed scan with t.Error, so it may run on any goroutine.
+func entryCount(t *testing.T, dir string) int {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	n := 0
+	for _, de := range des {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), entryExt) {
+			n++
+		}
+	}
+	return n
+}
+
 func entrySize(t *testing.T, tr *irgl.Trace) int64 {
 	t.Helper()
 	payload := tr.AppendJSONCompact(nil)
@@ -207,7 +225,7 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.Len(); n != 3 {
+	if n := entryCount(t, s.dir); n != 3 {
 		t.Fatalf("entries after eviction = %d, want 3", n)
 	}
 	if got := rec.Summary().Counter(obs.CtrCacheEvictions); got != 2 {
@@ -264,7 +282,7 @@ func TestEvictionSkipsForeignFiles(t *testing.T) {
 			t.Errorf("after put %d: %s = %d, want %d", i, obs.CtrCacheEvictions, got, wantEvicted)
 		}
 	}
-	if n := s.Len(); n != 2 {
+	if n := entryCount(t, dir); n != 2 {
 		t.Errorf("entries = %d, want 2", n)
 	}
 	if _, err := os.Stat(foreign); err != nil {

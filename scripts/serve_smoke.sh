@@ -11,7 +11,8 @@
 # CI can upload them as artifacts and `make obs-slo` can bound the SLO
 # indicators. Finally it restarts the daemon over the same job directory
 # and trace cache: the resubmitted study must be answered from the
-# persisted entry, byte for byte.
+# persisted entry, byte for byte, and the new daemon must serve the
+# first daemon's status body both on its own and inside the list.
 #
 # Requires: curl, jq, go. Run from the repository root (`make
 # serve-smoke`).
@@ -98,7 +99,8 @@ ID=$(submit "{\"seed\":$SEED,\"runs\":$RUNS}")
 
 echo "== polling to completion"
 poll_done "$ID"
-echo "   $(curl -fsS "$BASE/v1/campaigns/$ID" | jq -c .result)"
+curl -fsS "$BASE/v1/campaigns/$ID" -o "$WORKDIR/status.json"
+echo "   $(jq -c .result "$WORKDIR/status.json")"
 
 echo "== fetching server result"
 curl -fsS "$BASE/v1/campaigns/$ID/result" -o "$WORKDIR/server.csv"
@@ -139,12 +141,24 @@ wait "$DAEMON_PID"
 boot "$WORKDIR/daemon2.log"
 
 echo "== resubmitting the full study (must be served from the job dir)"
+# Priority is scheduling, not identity: the resubmit still hits the
+# entry, and no body may echo the new priority.
 curl -fsS -D "$WORKDIR/resubmit.headers" -o /dev/null -X POST "$BASE/v1/campaigns" \
-    -H 'Content-Type: application/json' -d "{\"seed\":$SEED,\"runs\":$RUNS}"
+    -H 'Content-Type: application/json' -d "{\"seed\":$SEED,\"runs\":$RUNS,\"priority\":5}"
 tr -d '\r' < "$WORKDIR/resubmit.headers" | grep -qi '^X-Gpuportd-Source: cache$' ||
     { cat "$WORKDIR/resubmit.headers"; echo "resubmit was not served from cache"; exit 1; }
 curl -fsS "$BASE/v1/campaigns/$ID/result" -o "$WORKDIR/restart.csv"
 cmp "$WORKDIR/restart.csv" "$WORKDIR/cli.csv"
 echo "   cache-served and byte-identical ($(wc -c < "$WORKDIR/restart.csv") bytes)"
+
+echo "== diffing the restarted daemon's status and list against the first daemon's status"
+curl -fsS "$BASE/v1/campaigns/$ID" -o "$WORKDIR/restart-status.json"
+cmp "$WORKDIR/restart-status.json" "$WORKDIR/status.json"
+# The restarted daemon knows one campaign, so its list is that status
+# body, newline dropped, in the list's wrapper.
+{ printf '{"campaigns":['; head -c -1 "$WORKDIR/status.json"; printf ']}\n'; } > "$WORKDIR/want-list.json"
+curl -fsS "$BASE/v1/campaigns" -o "$WORKDIR/restart-list.json"
+cmp "$WORKDIR/restart-list.json" "$WORKDIR/want-list.json"
+echo "   status and list byte-identical to the first daemon's status"
 
 echo "== serve smoke passed"
